@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.devices import edge_cluster_platform
+from repro.devices import build_tables, edge_cluster_platform
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
@@ -33,7 +33,6 @@ from repro.faults import (
     RetryPolicy,
     StragglerModel,
     TimeoutPolicy,
-    build_fault_tables,
     execute_fault_placements,
     expected_record,
 )
@@ -88,14 +87,14 @@ def test_fault_engine_matches_and_beats_scalar_loop(benchmark, bench_once, bench
     """Bitwise identical expected records, at a fraction of the loop's cost."""
     platform = edge_cluster_platform()
     chain = build_chain(N_TASKS)
-    tables = build_fault_tables(
+    tables = build_tables(
         chain, platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT
     )
     matrix = placement_matrix(len(chain), len(platform.aliases))
     n_placements = matrix.shape[0]
 
     # Warm both paths on a tiny workload (lazy imports, allocator warm-up).
-    small_tables = build_fault_tables(
+    small_tables = build_tables(
         build_chain(2), platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT
     )
     small_matrix = placement_matrix(2, 4)

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.devices import GraphCostTables, SimulatedExecutor, edge_cluster_platform, execute_placements
+from repro.devices import SimulatedExecutor, build_tables, edge_cluster_platform, execute_placements
 from repro.offload import placement_matrix
 from repro.tasks import fork_join_graph
 
@@ -53,7 +53,7 @@ def _sequential_path(executor, graph, matrix, aliases):
 
 
 def _vectorized_path(graph, platform, matrix):
-    return execute_placements(GraphCostTables.build(graph, platform), matrix)
+    return execute_placements(build_tables(graph, platform), matrix)
 
 
 def test_graph_engine_matches_and_beats_sequential_loop(benchmark, bench_once, bench_json):

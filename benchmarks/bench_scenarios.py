@@ -5,7 +5,7 @@ environment conditions (the cartesian product of link congestion, latency
 inflation, host load and accelerator DVFS easily reaches hundreds of
 scenarios).  The baseline is the obvious implementation this repo supported
 before the scenario subsystem: derive each scenario's platform
-(``apply_conditions``), rebuild ``ChainCostTables`` and call
+(``apply_conditions``), rebuild its plain tables (``build_tables``) and call
 ``execute_placements`` per scenario.  The fused grid path
 (``build_tables(chain, platform, scenarios=grid)`` +
 ``execute_placements_grid``) composes each axis's vectorized ``scale_arrays``
@@ -18,7 +18,7 @@ paths, the steady state of a robustness sweep):
 
 * ``grid_engine`` -- the whole pipeline (build + execute) vs. the loop;
 * ``fused_build`` -- the array-space table build vs. the materializing build
-  (derive every platform, stack scalar builds);
+  (derive every platform, gather parameters from each);
 * ``delta_rebuild`` -- ``tables.updated(i, scenario, slice_cache=...)``
   swapping one scenario of the grid vs. a full fused rebuild of the modified
   grid.  The pinned path is cache-served (the replacement's condition slice
@@ -45,7 +45,7 @@ import time
 import numpy as np
 
 from repro.cache import TableCache
-from repro.devices import ChainCostTables, edge_cluster_platform, execute_placements
+from repro.devices import edge_cluster_platform, execute_placements
 from repro.devices.grid import execute_placements_grid
 from repro.devices.tables import build_tables
 from repro.offload import placement_matrix
@@ -106,7 +106,7 @@ def _loop_path(chain, platform, scenarios, matrix):
     """The pre-scenario-subsystem pipeline: derive + build + execute per scenario."""
     return [
         execute_placements(
-            ChainCostTables.build(chain, apply_conditions(platform, scenario)), matrix
+            build_tables(chain, apply_conditions(platform, scenario)), matrix
         )
         for scenario in scenarios
     ]

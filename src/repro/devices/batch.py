@@ -1,25 +1,29 @@
-"""Vectorized batch execution engine: evaluate many placements in one pass.
+"""Plain (single-platform) cost tables and their batch results.
 
 The sequential :meth:`~repro.devices.simulator.SimulatedExecutor.execute` walks
 a task chain in a Python loop, once per placement -- fine for the paper's
 ``2**3 = 8`` splits, hopeless for the ``m**k`` spaces its conclusion worries
-about.  This module evaluates *all* placements of a workload at once:
+about.  This module is the single-platform face of the vectorized engine:
 
-* :class:`ChainCostTables` precomputes, per ``(task, device)``, the busy time
+* :class:`ChainCostTables` holds, per ``(task, device)``, the busy time
   (compute + startup), the host<->device transfer time/energy/bytes, and, per
   ``(device, device)``, the penalty-link costs of the scalar crossing devices;
-* :class:`GraphCostTables` extends the tables with a
-  :class:`~repro.tasks.graph.TaskGraph`'s dependency structure -- same
-  per-entry values, evaluated level by level along the DAG;
+* :class:`GraphCostTables` adds a :class:`~repro.tasks.graph.TaskGraph`'s
+  dependency structure -- same per-entry values, evaluated level by level
+  along the DAG;
 * :func:`execute_placements` takes an ``(n_placements, n_tasks)`` integer
   device-index matrix and computes every scalar field of an
   :class:`~repro.devices.simulator.ExecutionRecord` with array operations.
 
-The arithmetic is organised so the results are **bitwise identical** to the
-sequential loop: per-task quantities come from the same scalar computations
-(the tables), and all accumulations fold left in task order exactly like the
-sequential accumulators (a plain ``np.sum`` would use pairwise summation and
-drift in the last ulp for long chains).
+Plain tables are the one-row case of the condition-stacked grid core
+(:mod:`repro.devices.grid`): :func:`~repro.devices.tables.build_tables` builds
+them as row 0 of a one-platform grid build, and :func:`execute_placements`
+runs the grid's chain or DAG kernel on a one-scenario view of them, so there
+is one placement kernel per workload shape.  The results are **bitwise
+identical** to the sequential loop: per-task quantities come from the same
+scalar formulas, and all accumulations fold left in task order exactly like
+the sequential accumulators (a plain ``np.sum`` would use pairwise summation
+and drift in the last ulp for long chains).
 
 For DAG workloads the timing model changes where the structure demands it:
 a task starts when its slowest predecessor has finished *and* its device is
@@ -31,39 +35,27 @@ host exactly like a chain's first task, and energy/bytes/cost remain plain
 sums over tasks and edges.  On a *linear* graph every one of these rules
 degenerates to the chain rule -- the device-availability term never exceeds
 the predecessor's finish time there -- and the results are bitwise identical
-to the chain engine.
+to the chain kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..tasks.chain import TaskChain
-from ..tasks.graph import TaskGraph
-from .costmodel import (
-    PENALTY_MESSAGE_BYTES,
-    finalize_execution,
-    penalty_cost,
-    task_device_cost,
-)
+from .costmodel import finalize_execution
 from .platform import Platform
 from .simulator import (
     ExecutionRecord,
     TaskExecutionRecord,
 )
-from .tables import build_tables, resolve_aliases
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (grid imports us)
-    from .grid import GridCostTables
 
 __all__ = [
     "ChainCostTables",
     "GraphCostTables",
     "BatchExecutionResult",
-    "build_cost_tables",
     "execute_placements",
     "as_placement_matrix",
     "placement_labels",
@@ -74,9 +66,12 @@ __all__ = [
 class ChainCostTables:
     """Precomputed per-(task, device) and per-(device, device) cost tables.
 
-    ``aliases`` fixes the device-index encoding: placement matrices hold the
-    position of each task's device in this tuple.  All per-task tables have
-    shape ``(n_tasks, n_devices)``; the penalty tables have shape
+    One scenario's row of the grid tables (see
+    :meth:`~repro.devices.grid.GridCostTables.table`); build them with
+    :func:`~repro.devices.tables.build_tables`.  ``aliases`` fixes the
+    device-index encoding: placement matrices hold the position of each
+    task's device in this tuple.  All per-task tables have shape
+    ``(n_tasks, n_devices)``; the penalty tables have shape
     ``(n_devices, n_devices)`` with the first-task (host -> device) costs kept
     in separate vectors so the host does not need to be a candidate device.
     """
@@ -99,6 +94,13 @@ class ChainCostTables:
     first_penalty_time: np.ndarray
     first_penalty_energy: np.ndarray
     first_penalty_bytes: np.ndarray
+    #: Per-candidate power and price, ``(n_devices,)`` each, plus the idle
+    #: power of the platform devices outside the candidates (platform order):
+    #: what the energy/cost finalizer reads, taken once at build time.
+    power_active: np.ndarray
+    power_idle: np.ndarray
+    cost_per_hour: np.ndarray
+    extra_idle_power: np.ndarray
     #: Device pairs without a platform link: their table entries are NaN, and
     #: only placements that actually traverse such a pair are rejected (the
     #: sequential executor likewise fails only when a transfer needs the link).
@@ -122,102 +124,6 @@ class ChainCostTables:
         """Evaluate a placement batch against these tables (protocol entry)."""
         return execute_placements(self, placements)
 
-    @classmethod
-    def build(
-        cls, chain: TaskChain, platform: Platform, devices: Sequence[str] | None = None
-    ) -> "ChainCostTables":
-        """Precompute the cost tables of a chain for the given candidate devices.
-
-        ``devices`` defaults to every device of the platform (host first).
-        Requires a link between every pair of candidate devices and between the
-        host and every candidate -- the same connectivity the sequential
-        executor needs to run an arbitrary placement.
-        """
-        aliases = resolve_aliases(platform, devices)
-        host = platform.host
-        costs = chain.costs()
-        k, m = len(chain), len(aliases)
-        missing: set[tuple[str, str]] = set()
-
-        busy = np.zeros((k, m))
-        hostio_time = np.zeros((k, m))
-        hostio_bytes = np.zeros((k, m))
-        energy_in = np.zeros((k, m))
-        energy_out = np.zeros((k, m))
-        task_flops = np.array([cost.flops for cost in costs], dtype=float)
-        for t, cost in enumerate(costs):
-            for d, alias in enumerate(aliases):
-                # The shared cost model performs the exact scalar expressions
-                # (and the same single additions) as the sequential executor,
-                # so the tables are bitwise exact.
-                entry = task_device_cost(platform, cost, alias, on_missing_link="nan")
-                if np.isnan(entry.hostio_time_s):
-                    missing.add((host, alias))
-                busy[t, d] = entry.busy_s
-                hostio_time[t, d] = entry.hostio_time_s
-                hostio_bytes[t, d] = entry.hostio_bytes
-                energy_in[t, d] = entry.energy_in_j
-                energy_out[t, d] = entry.energy_out_j
-
-        penalty_time = np.zeros((m, m))
-        penalty_energy = np.zeros((m, m))
-        penalty_bytes = np.zeros((m, m))
-        for i, a in enumerate(aliases):
-            for j, b in enumerate(aliases):
-                hop = penalty_cost(platform, a, b, on_missing_link="nan")
-                if np.isnan(hop.time_s):
-                    missing.add((a, b))
-                penalty_time[i, j] = hop.time_s
-                penalty_energy[i, j] = hop.energy_j
-                penalty_bytes[i, j] = hop.n_bytes
-
-        first_hops = [penalty_cost(platform, host, alias, on_missing_link="nan") for alias in aliases]
-        for alias, hop in zip(aliases, first_hops):
-            if np.isnan(hop.time_s):
-                missing.add((host, alias))
-        first_penalty_time = np.array([hop.time_s for hop in first_hops])
-        first_penalty_energy = np.array([hop.energy_j for hop in first_hops])
-        first_penalty_bytes = np.array([hop.n_bytes for hop in first_hops])
-        return cls(
-            task_names=tuple(chain.task_names),
-            platform=platform,
-            aliases=aliases,
-            busy=busy,
-            hostio_time=hostio_time,
-            hostio_bytes=hostio_bytes,
-            energy_in=energy_in,
-            energy_out=energy_out,
-            task_flops=task_flops,
-            penalty_time=penalty_time,
-            penalty_energy=penalty_energy,
-            penalty_bytes=penalty_bytes,
-            first_penalty_time=first_penalty_time,
-            first_penalty_energy=first_penalty_energy,
-            first_penalty_bytes=first_penalty_bytes,
-            missing_links=frozenset(missing),
-            workload=chain.name,
-        )
-
-    @classmethod
-    def build_grid(
-        cls,
-        chain: TaskChain,
-        platforms: "Sequence[Platform]",
-        devices: Sequence[str] | None = None,
-    ) -> "GridCostTables":
-        """Condition-stacked tables of one chain over several scenario platforms.
-
-        The platforms (typically :meth:`repro.scenarios.ScenarioGrid.platforms`
-        output) must share device set, host and link topology; the returned
-        :class:`~repro.devices.grid.GridCostTables` stacks every scenario's
-        tables along a leading condition axis, each slice bitwise identical to
-        :meth:`build` on that platform.  Feed it to
-        :func:`~repro.devices.grid.execute_placements_grid`.
-        """
-        from .grid import build_grid_tables
-
-        return build_grid_tables(chain, platforms, devices)
-
 
 @dataclass(frozen=True)
 class GraphCostTables(ChainCostTables):
@@ -235,39 +141,6 @@ class GraphCostTables(ChainCostTables):
     #: predecessors (ascending; empty = source task fed from the host).
     pred_positions: tuple[tuple[int, ...], ...] = ()
 
-    @classmethod
-    def build(
-        cls, graph: TaskGraph, platform: Platform, devices: Sequence[str] | None = None
-    ) -> "GraphCostTables":
-        """Precompute the cost tables of a DAG workload on a platform.
-
-        The value tables are built by :meth:`ChainCostTables.build` over the
-        graph's topologically ordered tasks (bitwise the same entries a chain
-        of those tasks would get); the graph contributes only its structure.
-        """
-        base = ChainCostTables.build(
-            TaskChain(graph.tasks, name=graph.name), platform, devices
-        )
-        return as_graph_tables(base, graph.predecessor_positions)
-
-    @classmethod
-    def build_grid(
-        cls,
-        graph: TaskGraph,
-        platforms: "Sequence[Platform]",
-        devices: Sequence[str] | None = None,
-    ) -> "GridCostTables":
-        """Condition-stacked graph tables over several scenario platforms.
-
-        The graph analogue of :meth:`ChainCostTables.build_grid`: returns a
-        :class:`~repro.devices.grid.GraphGridCostTables` whose per-scenario
-        slices are :class:`GraphCostTables`, each bitwise identical to
-        :meth:`build` on that platform.
-        """
-        from .grid import build_grid_tables
-
-        return build_grid_tables(graph, platforms, devices)
-
 
 def as_graph_tables(
     base: ChainCostTables, pred_positions: tuple[tuple[int, ...], ...]
@@ -275,19 +148,6 @@ def as_graph_tables(
     """Attach DAG structure to already-built chain tables (shared with the grid)."""
     values = {f.name: getattr(base, f.name) for f in fields(ChainCostTables)}
     return GraphCostTables(**values, pred_positions=pred_positions)
-
-
-def build_cost_tables(
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    devices: Sequence[str] | None = None,
-) -> ChainCostTables:
-    """Build the cost tables matching the workload type (chain or graph).
-
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(workload, platform, devices=devices)
 
 
 def as_placement_matrix(
@@ -514,253 +374,18 @@ def execute_placements(tables: ChainCostTables, placements: np.ndarray) -> Batch
     """Evaluate every placement row of the matrix against the cost tables.
 
     ``placements`` must be an ``(n_placements, n_tasks)`` integer matrix of
-    positions into ``tables.aliases`` (see :func:`as_placement_matrix`).
-    :class:`GraphCostTables` route through the DAG engine (critical-path
-    latency, per-edge penalty hops); :class:`ChainCostTables` keep the serial
-    chain fold.  Either way the result is a :class:`BatchExecutionResult`, so
+    positions into ``tables.aliases`` (see :func:`as_placement_matrix`).  The
+    grid core evaluates a one-scenario view of ``tables`` --
+    :class:`GraphCostTables` through its DAG kernel (critical-path latency,
+    per-edge penalty hops), :class:`ChainCostTables` through its chain
+    kernel -- and hands back row 0 as a :class:`BatchExecutionResult`, so
     every downstream layer (search, selection, scenarios, measurements)
-    consumes graph batches unchanged.
+    consumes chain and graph batches alike.
     """
+    from .grid import _execute_row
+
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
-    P = P.astype(np.intp, copy=False)  # one cast up front instead of per gather
-    if isinstance(tables, GraphCostTables):
-        return _execute_graph_placements(tables, P)
-    n, k = P.shape
-    m = tables.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = tables.busy[task_idx, P]
-    hostio_time_pt = tables.hostio_time[task_idx, P]
-    hostio_bytes_pt = tables.hostio_bytes[task_idx, P]
-    energy_in_pt = tables.energy_in[task_idx, P]
-    energy_out_pt = tables.energy_out[task_idx, P]
-    pen_time_pt = np.empty((n, k))
-    pen_energy_pt = np.empty((n, k))
-    pen_bytes_pt = np.empty((n, k))
-    pen_time_pt[:, 0] = tables.first_penalty_time[P[:, 0]]
-    pen_energy_pt[:, 0] = tables.first_penalty_energy[P[:, 0]]
-    pen_bytes_pt[:, 0] = tables.first_penalty_bytes[P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, 1:] = tables.penalty_time[src, dst]
-        pen_energy_pt[:, 1:] = tables.penalty_energy[src, dst]
-        pen_bytes_pt[:, 1:] = tables.penalty_bytes[src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if tables.missing_links and np.isnan(transfer_pt).any():
-        # A placement traverses a device pair without a platform link: reject
-        # it like the sequential executor does (placements avoiding the
-        # missing links evaluate fine on partially linked platforms).
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = tables.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[i, t]):
-            a, b = tables.platform.host, current
-        else:
-            a = tables.platform.host if t == 0 else tables.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], tables.aliases)[0]!r})"
-        )
-
-    # Left folds in task order: bitwise identical to the sequential accumulators.
-    total_time = np.zeros(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        total_time += busy_pt[:, t] + transfer_pt[:, t]
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, t]
-        transfer_energy += energy_out_pt[:, t]
-        transfer_energy += pen_energy_pt[:, t]
-        # Per-device accumulation via boolean masks (x * True == x, x * False
-        # == 0.0, and adding 0.0 is a bitwise no-op for our non-negative
-        # finite values) -- the same fold the sequential dict does, but
-        # without a fancy-index scatter per task.
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += busy_pt[:, t] * mask
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-
-    return _finalize_placements(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-
-
-def _finalize_placements(
-    tables: ChainCostTables,
-    P: np.ndarray,
-    total_time: np.ndarray,
-    transferred: np.ndarray,
-    transfer_energy: np.ndarray,
-    busy_by_device: np.ndarray,
-    flops_by_device: np.ndarray,
-) -> BatchExecutionResult:
-    """Per-device energy/cost finalization shared by the chain and graph engines."""
-    n = P.shape[0]
-    platform = tables.platform
-    power_active = np.array([platform.device(a).power_active_w for a in tables.aliases])
-    power_idle = np.array([platform.device(a).power_idle_w for a in tables.aliases])
-    cost_per_hour = np.array([platform.device(a).cost_per_hour for a in tables.aliases])
-    active = busy_by_device * power_active
-    idle = np.maximum(total_time[:, None] - busy_by_device, 0.0) * power_idle
-
-    # The sequential path folds the per-device terms in platform order over
-    # *all* platform devices.  Platform devices absent from the candidate set
-    # have zero busy time there, so their active-energy and operating-cost
-    # terms are exactly 0.0 -- but they still idle for the whole execution,
-    # so their idle energy must enter the total.
-    column = {alias: j for j, alias in enumerate(tables.aliases)}
-    operating_cost = np.zeros(n)
-    active_sum = np.zeros(n)
-    idle_sum = np.zeros(n)
-    for alias in platform.devices:
-        j = column.get(alias)
-        if j is None:
-            idle_sum += np.maximum(total_time - 0.0, 0.0) * platform.device(alias).power_idle_w
-            continue
-        operating_cost += (cost_per_hour[j] * busy_by_device[:, j]) / 3600.0
-        active_sum += active[:, j]
-        idle_sum += idle[:, j]
-    energy_total = active_sum + idle_sum + transfer_energy
-
-    return BatchExecutionResult(
-        tables=tables,
-        placements=P,
-        total_time_s=total_time,
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=active,
-        idle_j=idle,
-        energy_total_j=energy_total,
-        operating_cost=operating_cost,
-    )
-
-
-# ----------------------------------------------------------------------------
-# DAG engine: level-ordered evaluation with critical-path latency
-# ----------------------------------------------------------------------------
-
-def _execute_graph_placements(tables: GraphCostTables, P: np.ndarray) -> BatchExecutionResult:
-    """Evaluate every placement of a DAG workload in one vectorized pass.
-
-    Walks the tasks in topological (level) order with the placement axis
-    vectorized: per task, the incoming penalty hops fold left in canonical
-    edge order, the start time is the max over predecessor finish times and
-    the device's availability (same-device tasks serialize), and the total
-    time is the running max over finish times (the critical path).  Every
-    element undergoes exactly the IEEE-754 operations of the sequential
-    ``SimulatedExecutor.execute_graph`` loop, so results are bitwise equal --
-    and on a linear graph, bitwise equal to the chain engine.
-    """
-    n, k = P.shape
-    m = tables.n_devices
-    task_idx = np.arange(k)
-    preds = tables.pred_positions
-
-    busy_pt = tables.busy[task_idx, P]
-    hostio_time_pt = tables.hostio_time[task_idx, P]
-    hostio_bytes_pt = tables.hostio_bytes[task_idx, P]
-    energy_in_pt = tables.energy_in[task_idx, P]
-    energy_out_pt = tables.energy_out[task_idx, P]
-    pen_time_pt = np.zeros((n, k))
-    pen_energy_pt = np.zeros((n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            # Fan-in join: one penalty hop per incoming edge, folded left in
-            # canonical edge order (the join_penalty_cost accumulation).
-            for p in preds[t]:
-                pen_time_pt[:, t] += tables.penalty_time[P[:, p], dst]
-                pen_energy_pt[:, t] += tables.penalty_energy[P[:, p], dst]
-                pen_bytes_pt[:, t] += tables.penalty_bytes[P[:, p], dst]
-        else:
-            # Source task: fed from the host, like a chain's first task.
-            pen_time_pt[:, t] = tables.first_penalty_time[dst]
-            pen_energy_pt[:, t] = tables.first_penalty_energy[dst]
-            pen_bytes_pt[:, t] = tables.first_penalty_bytes[dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if tables.missing_links and np.isnan(transfer_pt).any():
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            tables.aliases,
-            tables.platform.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[i, t])),
-            lambda p: bool(np.isnan(tables.penalty_time[P[i, p], P[i, t]])),
-        )
-
-    total_time = np.zeros(n)
-    finish = np.zeros((n, k))
-    available = np.zeros((n, m))
-    rows = np.arange(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        ready = np.zeros(n)
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, p])
-        # Device serialization: wait for the device's previous task too (a
-        # no-op on linear graphs, where the device never lags the predecessor).
-        start = np.maximum(ready, available[rows, P[:, t]])
-        finish[:, t] = start + (busy_pt[:, t] + transfer_pt[:, t])
-        available[rows, P[:, t]] = finish[:, t]
-        total_time = np.maximum(total_time, finish[:, t])
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, t]
-        transfer_energy += energy_out_pt[:, t]
-        transfer_energy += pen_energy_pt[:, t]
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += busy_pt[:, t] * mask
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-
-    return _finalize_placements(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-
-
-def _raise_graph_missing_link(
-    aliases: Sequence[str],
-    host: str,
-    preds: Sequence[int],
-    P: np.ndarray,
-    i: int,
-    t: int,
-    hostio_nan: bool,
-    pen_nan,
-) -> None:
-    """Reject placement ``i`` whose task ``t`` traverses a missing link.
-
-    Shared by the batch and grid DAG engines (which differ only in how they
-    detect a NaN entry): ``hostio_nan`` flags a missing host link at
-    ``(i, t)``, ``pen_nan(p)`` whether the hop from predecessor position
-    ``p`` is missing.  Names the offending device pair like the chain engine.
-    """
-    current = aliases[P[i, t]]
-    a = host
-    if not hostio_nan:
-        for p in preds:
-            if pen_nan(p):
-                a = aliases[P[i, p]]
-                break
-    raise KeyError(
-        f"no link defined between {a!r} and {current!r} "
-        f"(required by placement {placement_labels(P[i : i + 1], aliases)[0]!r})"
-    )
+    return _execute_row(tables, P.astype(np.intp, copy=False))
 
 
 def _graph_record(tables: GraphCostTables, row: np.ndarray) -> ExecutionRecord:

@@ -2,20 +2,22 @@
 
 Three layers of the repo used to carry their own copy of the same arithmetic:
 ``DeviceSpec.compute_time`` / ``LinkSpec.transfer_time`` held the scalar
-formulas, ``SimulatedExecutor.execute`` aggregated them per task, and
-``ChainCostTables.build`` re-derived the identical per-(task, device) values
-for the batch engine.  This module owns the math once, in three tiers:
+formulas, ``SimulatedExecutor.execute`` aggregated them per task, and the
+batch engine's cost tables re-derived the identical per-(task, device)
+values.  This module owns the math once, in three tiers:
 
 * **formula functions** (:func:`busy_time`, :func:`transfer_time`,
   :func:`transfer_energy`) -- NumPy-broadcasting implementations of the device
   roofline and link models.  Scalars in, Python floats out; arrays in, arrays
   out, elementwise **bitwise identical** to the scalar evaluation (every
   operation is the same IEEE-754 expression, applied elementwise).  This is
-  what lets the scenario-grid table build vectorize across condition points
-  without drifting a single ulp from the per-platform scalar build.
+  what lets the grid table build -- the only table build -- vectorize across
+  condition points without drifting a single ulp from the scalar per-task
+  helpers below.
 * **per-task helpers** (:func:`task_device_cost`, :func:`penalty_cost`,
-  :func:`join_penalty_cost`) -- the aggregation shared by the sequential
-  executors and the cost-table builds: busy time plus startup overhead,
+  :func:`join_penalty_cost`) -- the aggregation of the sequential executors
+  (and the scalar reference the table build is pinned against): busy time
+  plus startup overhead,
   host<->device input/output shipping, and the scalar-penalty hop(s) crossing
   device boundaries.  For DAG workloads the accounting is **per edge**: a
   fan-in join pays one penalty hop per incoming edge (summed left in edge

@@ -1,20 +1,27 @@
 """Condition-stacked batch execution: all (scenario, placement) pairs at once.
 
 The robustness workload evaluates one placement space under *many* platform
-conditions (a scenario grid).  Looping :func:`~repro.devices.batch.execute_placements`
-over per-scenario platforms re-enters Python once per scenario -- table build,
+conditions (a scenario grid).  Looping a single-platform evaluation over
+per-scenario platforms re-enters Python once per scenario -- table build,
 gathers and folds each time.  This module stacks the cost tables of every
 scenario platform along a leading condition axis:
 
 * :class:`GridCostTables` holds the per-(task, device) and per-(device,
   device) tables with shape ``(n_conditions, ...)``, built **vectorized
   across scenarios** straight from the :mod:`~repro.devices.costmodel`
-  formula functions -- each scenario's slice is bitwise identical to
-  ``ChainCostTables.build`` on that platform;
+  formula functions -- each scenario's slice is bitwise identical to the
+  scalar per-task cost model on that platform;
 * :func:`execute_placements_grid` evaluates an ``(n_placements, n_tasks)``
   placement matrix against every condition in one NumPy pass, returning
   metrics shaped ``(n_conditions, n_placements)`` that are bitwise identical
-  to looping ``execute_placements`` per derived platform.
+  to the sequential executor on each derived platform.
+
+This is the one evaluation core.  Plain single-platform tables
+(:class:`~repro.devices.batch.ChainCostTables` /
+:class:`~repro.devices.batch.GraphCostTables`) are row 0 of a one-platform
+materializing build, and :func:`~repro.devices.batch.execute_placements` runs
+the same chain and DAG kernels on a one-scenario view of them: one placement
+kernel per workload shape.
 
 Construction has two paths that agree bitwise.  The **fused** path (used by
 :func:`repro.devices.tables.build_tables` when given a base platform plus a
@@ -23,8 +30,9 @@ per-scenario ``Platform`` objects: it broadcasts the base platform's
 parameters into :class:`~repro.devices.params.PlatformParams` arrays, applies
 each condition axis' ``scale_arrays`` hook across all scenario rows at once,
 and feeds the arrays to the same formula core.  The **materializing** path
-(:func:`build_grid_tables` over pre-derived platforms) stays as the
-differential reference and the fallback for custom axes without the hook.
+(``build_tables`` over pre-derived platforms, and every plain build) stays
+as the differential reference and the fallback for custom axes without the
+hook.
 
 Fused builds carry a :class:`GridBuildContext`, which enables **delta
 rebuilds**: :meth:`GridCostTables.updated` / :meth:`~GridCostTables.updated_many`
@@ -59,7 +67,7 @@ from . import costmodel
 from .batch import (
     BatchExecutionResult,
     ChainCostTables,
-    _raise_graph_missing_link,
+    GraphCostTables,
     as_graph_tables,
     as_placement_matrix,
     placement_labels,
@@ -67,7 +75,7 @@ from .batch import (
 from .costmodel import PENALTY_MESSAGE_BYTES
 from .params import PlatformParams
 from .platform import Platform
-from .tables import build_tables, resolve_aliases
+from .tables import resolve_aliases
 
 if TYPE_CHECKING:
     from ..cache import TableCache
@@ -82,7 +90,6 @@ __all__ = [
     "GraphGridCostTables",
     "GridExecutionResult",
     "ScenarioPlatforms",
-    "build_grid_tables",
     "execute_placements_grid",
 ]
 
@@ -175,6 +182,12 @@ _SLICE_FIELDS = (
     "power_idle",
     "cost_per_hour",
     "extra_idle_power",
+)
+
+#: The fields a plain table shares with its grid row: everything but the
+#: platform (one per scenario) and the fingerprint (derived per row).
+_ROW_FIELDS = tuple(
+    f.name for f in fields(ChainCostTables) if f.name not in ("platform", "fingerprint")
 )
 
 
@@ -309,28 +322,16 @@ class GridCostTables:
 
     def table(self, index: int) -> ChainCostTables:
         """The :class:`ChainCostTables` of one scenario (bitwise identical to
-        ``ChainCostTables.build(chain, platforms[index], aliases)``); negative
+        ``build_tables(workload, platforms[index], devices=aliases)``); negative
         indices count from the end, like :meth:`GridExecutionResult.batch`."""
         index = self._scenario_index(index)
+        values = {name: getattr(self, name) for name in _ROW_FIELDS}
+        for name in _SLICE_FIELDS:
+            values[name] = values[name][index]
         return ChainCostTables(
-            task_names=self.task_names,
             platform=self.platforms[index],
-            aliases=self.aliases,
-            busy=self.busy[index],
-            hostio_time=self.hostio_time[index],
-            hostio_bytes=self.hostio_bytes,
-            energy_in=self.energy_in[index],
-            energy_out=self.energy_out[index],
-            task_flops=self.task_flops,
-            penalty_time=self.penalty_time[index],
-            penalty_energy=self.penalty_energy[index],
-            penalty_bytes=self.penalty_bytes,
-            first_penalty_time=self.first_penalty_time[index],
-            first_penalty_energy=self.first_penalty_energy[index],
-            first_penalty_bytes=self.first_penalty_bytes,
-            missing_links=self.missing_links,
-            workload=self.workload,
             fingerprint=f"{self.fingerprint}#scenario{index}" if self.fingerprint else "",
+            **values,
         )
 
     def updated(
@@ -447,23 +448,6 @@ class GraphGridCostTables(GridCostTables):
     def table(self, index: int) -> ChainCostTables:
         """The :class:`~repro.devices.batch.GraphCostTables` of one scenario."""
         return as_graph_tables(super().table(index), self.pred_positions)
-
-
-def build_grid_tables(
-    chain: TaskChain | TaskGraph,
-    platforms: Sequence[Platform],
-    devices: Sequence[str] | None = None,
-) -> GridCostTables:
-    """Build the condition-stacked cost tables of a workload over scenario platforms.
-
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family; see :func:`_build_grid_tables`
-    for the vectorized builder it dispatches to.  Prefer passing
-    ``build_tables(..., scenarios=grid)`` a base platform plus a
-    :class:`~repro.scenarios.grid.ScenarioGrid`: that routes through the
-    fused array-space builder and enables delta rebuilds.
-    """
-    return build_tables(chain, platforms, devices=devices)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +724,7 @@ def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays, nonhost: np.ndarra
         )
         if any_nonhost:
             # Host I/O and startup only exist for offloaded tasks; the same
-            # single addition per value as the scalar build.
+            # single addition per value as costmodel.task_device_cost.
             hostio_time[:, t, nonhost] = (
                 costmodel.transfer_time(cost.input_bytes, pa.host_bw, pa.host_lat)
                 + costmodel.transfer_time(cost.output_bytes, pa.host_bw, pa.host_lat)
@@ -749,7 +733,7 @@ def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays, nonhost: np.ndarra
             energy_out[:, t, nonhost] = costmodel.transfer_energy(cost.output_bytes, pa.host_epb)[:, nonhost]
             busy[:, t, nonhost] += pa.startup[:, nonhost]
     # Missing host links poison every link-dependent field, even for zero-byte
-    # transfers (the scalar build NaNs the whole entry via the KeyError path).
+    # transfers (task_device_cost NaNs the whole entry via the KeyError path).
     if pa.host_missing.any():
         hostio_time[:, :, pa.host_missing] = np.nan
         energy_in[:, :, pa.host_missing] = np.nan
@@ -810,12 +794,12 @@ def _static_value_arrays(costs: Sequence, nonhost: np.ndarray, m: int) -> dict:
     }
 
 
-def _build_grid_tables(
+def _materialized_grid_tables(
     chain: TaskChain | TaskGraph,
     platforms: Sequence[Platform],
     devices: Sequence[str] | None = None,
 ) -> GridCostTables:
-    """The materializing grid builder behind :func:`build_grid_tables`.
+    """The materializing grid builder: pre-derived platforms in, stacked tables out.
 
     Every platform must share the base platform's *shape*: the same device
     aliases (in the same order), the same host and the same link topology --
@@ -827,12 +811,13 @@ def _build_grid_tables(
     :class:`GraphGridCostTables` (same values over the topologically ordered
     tasks, plus the dependency structure).
 
-    This path gathers parameters from materialized ``Platform`` objects and
-    serves as the differential reference (and custom-axis fallback) for the
-    fused builder, which shares its formula core (:func:`_grid_value_arrays`).
+    This path gathers parameters from materialized ``Platform`` objects.  It
+    builds every plain table (row 0 of a one-platform build) and serves as the
+    differential reference (and custom-axis fallback) for the fused builder,
+    which shares its formula core (:func:`_grid_value_arrays`).
     """
     if isinstance(chain, TaskGraph):
-        base = _build_grid_tables(
+        base = _materialized_grid_tables(
             TaskChain(chain.tasks, name=chain.name), platforms, devices
         )
         values = {f.name: getattr(base, f.name) for f in fields(GridCostTables)}
@@ -882,7 +867,7 @@ def _build_grid_tables(
     )
 
 
-def _build_grid_tables_fused(
+def _try_fused_grid_tables(
     workload: TaskChain | TaskGraph,
     platform: Platform,
     scenarios: "ScenarioGrid",
@@ -1088,8 +1073,12 @@ class GridExecutionResult:
         """One scenario's :class:`BatchExecutionResult` (views, no copies);
         negative indices count from the end."""
         index = self.tables._scenario_index(index)
+        return self._row(index, self.tables.table(index))
+
+    def _row(self, index: int, tables: ChainCostTables) -> BatchExecutionResult:
+        """Row ``index`` as a batch result over the given plain tables."""
         return BatchExecutionResult(
-            tables=self.tables.table(index),
+            tables=tables,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
             busy_by_device=self.busy_by_device[index],
@@ -1111,32 +1100,82 @@ class GridExecutionResult:
 def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> GridExecutionResult:
     """Evaluate every placement under every condition in one vectorized pass.
 
-    The grid analogue of :func:`~repro.devices.batch.execute_placements`: the
-    same gathers and left folds with a leading condition axis, so every
-    ``(scenario, placement)`` element undergoes the identical sequence of
-    IEEE-754 operations as the per-scenario loop -- bitwise equal results.
-    :class:`GraphGridCostTables` route through the DAG traversal (critical
-    path, per-edge joins) with the condition axis vectorized alongside.
+    Every ``(scenario, placement)`` element undergoes the identical sequence
+    of IEEE-754 operations as the sequential executor on that scenario's
+    platform -- bitwise equal results.  :class:`GraphGridCostTables` route
+    through the DAG kernel (critical path, per-edge joins) with the condition
+    axis vectorized alongside.
     """
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
-    P = P.astype(np.intp, copy=False)
+    return _run_kernel(tables, P.astype(np.intp, copy=False))
+
+
+def _run_kernel(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
+    """Dispatch a validated placement matrix to the chain or DAG kernel."""
     if isinstance(tables, GraphGridCostTables):
         return _execute_graph_placements_grid(tables, P)
     if tables.missing_links:
         # Missing links mean gathered transfer times can be NaN; the checked
-        # engine materializes the full (s, n, k) gathers so the first NaN can
+        # kernel materializes the full (s, n, k) gathers so the first NaN can
         # be attributed to the exact (placement, task) that crosses the gap.
         return _execute_chain_grid_checked(tables, P)
+    return _execute_chain_grid(tables, P)
+
+
+def _row_view(tables: ChainCostTables) -> GridCostTables:
+    """Plain tables as a one-scenario grid: leading-axis views, no copies."""
+    values = {name: getattr(tables, name) for name in _ROW_FIELDS}
+    for name in _SLICE_FIELDS:
+        values[name] = values[name][None]
+    view = GridCostTables
+    if isinstance(tables, GraphCostTables):
+        values["pred_positions"] = tables.pred_positions
+        view = GraphGridCostTables
+    platform = tables.platform
+    return view(platforms=(platform,), device_order=tuple(platform.devices), **values)
+
+
+def _execute_row(tables: ChainCostTables, P: np.ndarray) -> BatchExecutionResult:
+    """The engine behind :func:`~repro.devices.batch.execute_placements`: the
+    grid kernels on the one-row view of plain tables, row 0 handed back."""
+    return _run_kernel(_row_view(tables), P)._row(0, tables)
+
+
+def _finalize_row(
+    tables: ChainCostTables,
+    P: np.ndarray,
+    total_time: np.ndarray,
+    transferred: np.ndarray,
+    transfer_energy: np.ndarray,
+    busy_by_device: np.ndarray,
+    flops_by_device: np.ndarray,
+) -> BatchExecutionResult:
+    """Energy/cost finalization of plain-table folds through :func:`_finalize_grid`."""
+    result = _finalize_grid(
+        _row_view(tables),
+        P,
+        total_time[None],
+        transferred,
+        transfer_energy[None],
+        busy_by_device[None],
+        flops_by_device,
+    )
+    return result._row(0, tables)
+
+
+def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
+    """The chain kernel on fully linked platforms.
+
+    Condition math runs in compact space: a task's time contribution is
+    ``busy + (hostio + penalty)``, which takes at most m*m distinct values
+    per (scenario, task) -- one per (previous device, device) pair.  The
+    combine therefore runs on (s, m, m) tables and only the final gather and
+    accumulator add touch (s, n).  Per element this is the identical
+    sequence of IEEE-754 operations as the checked kernel below (the gather
+    merely deduplicates them), so results stay bitwise equal.
+    """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
-
-    # Condition math in compact space: a task's time contribution is
-    # ``busy + (hostio + penalty)``, which takes at most m*m distinct values
-    # per (scenario, task) -- one per (previous device, device) pair.  The
-    # combine therefore runs on (s, m, m) tables and only the final gather and
-    # accumulator add touch (s, n).  Per element this is the identical
-    # sequence of IEEE-754 operations as the checked engine below (the gather
-    # merely deduplicates them), so results stay bitwise equal.
     energy_in_flat = tables.energy_in.reshape(s, k * m)
     energy_out_flat = tables.energy_out.reshape(s, k * m)
     pen_energy_flat = tables.penalty_energy.reshape(s, m * m)
@@ -1147,21 +1186,22 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
     transfer_energy: np.ndarray | None = None
     transferred = np.zeros(n)
     flops_by_device = np.zeros((n, m))
-    # Device-major busy planes: busy_block[d] is a contiguous (s, n) slab, so
-    # both the accumulation and the per-device finalization sums run on
-    # contiguous memory; the (s, n, m) result view is a free transpose.
-    # A placement's busy time on device d is the task-order sum of the tasks
-    # it maps to d (the sequential fold adds busy * False == 0.0 for the
-    # rest, a bitwise no-op on these non-negative values), so when the 2**k
-    # possible subset sums per (scenario, device) undercut the expanded
-    # per-task gathers they are built once and gathered instead.
+    # A placement's busy time (and FLOPs) on device d is the task-order sum
+    # of the tasks it maps to d: the sequential fold adds ``x * False == 0.0``
+    # for the rest, a bitwise no-op on these non-negative values.  When the
+    # 2**k possible subset sums per (scenario, device) undercut the per-task
+    # work, they are built once and gathered into device-major (s, n) planes
+    # (contiguous for the finalizer; the (s, n, m) result is a free
+    # transpose).  Otherwise each task scatter-adds into the one device
+    # column it runs on: one call per task instead of one per device, which
+    # is what small batches (single re-scores, top-k candidates) pay for.
+    # The (row, device) pairs of one task are unique, so the fancy ``+=`` is
+    # exact.
     subset_fold = (1 << k) <= m * n
-    if subset_fold:
-        busy_block = np.empty((m, s, n))
-    else:
-        busy_block = np.zeros((m, s, n))
-        mask_scratch = np.empty((s, n))
+    if not subset_fold:
+        rows = np.arange(n)
         busy_flat = tables.busy.reshape(s, k * m)
+        busy_by_device = np.zeros((s, n, m))
 
     for t in range(k):
         col = P[:, t]
@@ -1187,27 +1227,29 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
         transferred += hostio_bytes_flat.take(cols_t) + pen_bytes_t
         np.add(transfer_energy, energy_out_flat[:, cols_t], out=transfer_energy)
         np.add(transfer_energy, pen_energy_t, out=transfer_energy)
-        busy_t = None if subset_fold else busy_flat[:, cols_t]
-        for d in range(m):
-            mask = col == d
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-            if busy_t is not None:
-                # Per-device accumulation via boolean masks, exactly the
-                # sequential engine's fold (x * True == x, x * False == 0.0).
-                np.multiply(busy_t, mask, out=mask_scratch)
-                busy_block[d] += mask_scratch
+        if not subset_fold:
+            busy_by_device[:, rows, col] += busy_flat[:, cols_t]
+            flops_by_device[rows, col] += tables.task_flops[t]
 
     if total_time is None:  # zero-task workload: nothing to fold
         total_time = np.zeros((s, n))
         transfer_energy = np.zeros((s, n))
+    busy_cols = None
     if subset_fold:
         subset_weights = 1 << np.arange(k)
+        flop_sums = np.zeros(1)
+        for t in range(k):
+            flop_sums = np.concatenate((flop_sums, flop_sums + tables.task_flops[t]))
+        busy_block = np.empty((m, s, n))
         for d in range(m):
             sums = np.zeros((s, 1))
             for t in range(k):
                 sums = np.concatenate((sums, sums + tables.busy[:, t, d, None]), axis=1)
             subset = ((P == d) * subset_weights).sum(axis=1)
             np.take(sums, subset, axis=1, out=busy_block[d])
+            flops_by_device[:, d] = flop_sums.take(subset)
+        busy_by_device = busy_block.transpose(1, 2, 0)
+        busy_cols = tuple(busy_block)
 
     return _finalize_grid(
         tables,
@@ -1215,14 +1257,14 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
         total_time,
         transferred,
         transfer_energy,
-        busy_block.transpose(1, 2, 0),
+        busy_by_device,
         flops_by_device,
-        busy_cols=tuple(busy_block),
+        busy_cols=busy_cols,
     )
 
 
 def _execute_chain_grid_checked(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
-    """The materializing chain engine for platforms with missing links.
+    """The chain kernel for platforms with missing links.
 
     Gathers the full ``(s, n, k)`` per-task cubes up front so a NaN transfer
     time (a placement crossing an undefined link) can be located and reported
@@ -1264,8 +1306,8 @@ def _execute_chain_grid_checked(tables: GridCostTables, P: np.ndarray) -> GridEx
     transfer_pt = hostio_time_pt + pen_time_pt
 
     if np.isnan(transfer_pt).any():
-        # Same rejection as execute_placements: only placements that actually
-        # traverse a missing link fail, with the offending pair named.
+        # Same rejection as the sequential executor: only placements that
+        # actually traverse a missing link fail, with the offending pair named.
         _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
         current = tables.aliases[P[i, t]]
         if np.isnan(hostio_time_pt[:, i, t]).any():
@@ -1318,7 +1360,7 @@ def _finalize_grid(
     """Per-device energy/cost finalization shared by the chain and graph grid engines.
 
     ``busy_cols`` optionally supplies contiguous per-device ``(s, n)`` views of
-    ``busy_by_device`` (the chain fast path accumulates device-major planes);
+    ``busy_by_device`` (the chain kernel's subset fold builds device-major planes);
     when absent, strided column views are taken.  The per-device active/idle
     energy terms are summed column by column -- each column's elementwise
     product and the fold order match the full-cube formulation exactly, so the
@@ -1330,7 +1372,7 @@ def _finalize_grid(
         busy_cols = tuple(busy_by_device[:, :, j] for j in range(tables.n_devices))
 
     # Fold the per-device energy/cost terms in the shared device order,
-    # exactly like execute_placements walks platform.devices; candidate
+    # exactly like the sequential executor walks platform.devices; candidate
     # devices contribute active/idle/cost columns, the rest idle throughout.
     column = {alias: j for j, alias in enumerate(tables.aliases)}
     operating_cost = np.zeros((s, n))
@@ -1380,22 +1422,51 @@ def _finalize_grid(
     )
 
 
+def _raise_graph_missing_link(
+    aliases: Sequence[str],
+    host: str,
+    preds: Sequence[int],
+    P: np.ndarray,
+    i: int,
+    t: int,
+    hostio_nan: bool,
+    pen_nan,
+) -> None:
+    """Reject placement ``i`` whose task ``t`` traverses a missing link.
+
+    Shared by the DAG kernel and the fault engine (which differ only in how
+    they detect a NaN entry): ``hostio_nan`` flags a missing host link at
+    ``(i, t)``, ``pen_nan(p)`` whether the hop from predecessor position
+    ``p`` is missing.  Names the offending device pair like the chain kernel.
+    """
+    current = aliases[P[i, t]]
+    a = host
+    if not hostio_nan:
+        for p in preds:
+            if pen_nan(p):
+                a = aliases[P[i, p]]
+                break
+    raise KeyError(
+        f"no link defined between {a!r} and {current!r} "
+        f"(required by placement {placement_labels(P[i : i + 1], aliases)[0]!r})"
+    )
+
+
 def _execute_graph_placements_grid(
     tables: GraphGridCostTables, P: np.ndarray
 ) -> GridExecutionResult:
-    """Evaluate a DAG placement matrix under every condition in one pass.
+    """The DAG kernel: every placement under every condition in one pass.
 
-    The grid analogue of the batch DAG engine: the same edge-ordered penalty
-    folds, max-over-predecessors ready times and running-max critical path,
-    with a leading condition axis -- every ``(scenario, placement)`` element
-    is bitwise identical to ``execute_placements`` on the scenario's
-    :class:`~repro.devices.batch.GraphCostTables`.
+    Edge-ordered penalty folds, max-over-predecessors ready times and a
+    running-max critical path, with a leading condition axis -- every
+    ``(scenario, placement)`` element is bitwise identical to
+    ``SimulatedExecutor.execute_graph`` on the scenario's platform.
     """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
     preds = tables.pred_positions
 
-    # Flat-index takes, as in the chain engine (bitwise-identical gathers).
+    # Flat-index takes, as in the chain kernel (bitwise-identical gathers).
     flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
 
     def take_sk(table: np.ndarray) -> np.ndarray:
@@ -1427,8 +1498,8 @@ def _execute_graph_placements_grid(
     transfer_pt = hostio_time_pt + pen_time_pt
 
     if tables.missing_links and np.isnan(transfer_pt).any():
-        # Same rejection (and attribution) as the batch DAG engine, detecting
-        # NaNs across the scenario axis.
+        # Reject and attribute like the sequential executor, detecting NaNs
+        # across the scenario axis.
         _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
         _raise_graph_missing_link(
             tables.aliases,
@@ -1464,7 +1535,7 @@ def _execute_graph_placements_grid(
         transfer_energy += pen_energy_pt[:, :, t]
         col = P[:, t]
         # Scatter-add: unique (row, device) pairs per task; see the chain
-        # engine for the bitwise argument.
+        # kernel for the bitwise argument.
         busy_by_device[:, rows, col] += busy_pt[:, :, t]
         flops_by_device[rows, col] += tables.task_flops[t]
 

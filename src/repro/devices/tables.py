@@ -19,10 +19,9 @@ Every returned object satisfies the :class:`CostTables` protocol --
 ``execute(placements)``, ``.n_tasks``, ``.aliases`` and a content-addressed
 ``.fingerprint`` (the composite SHA-256 of the build configuration, see
 :mod:`repro.cache`) under which the executor's :class:`~repro.cache.TableCache`
-stores it.  The four historical dispatchers (``build_cost_tables``,
-``build_grid_tables``, ``build_fault_tables``, ``build_fault_grid_tables``)
-are thin shims over this function, so every table in the system is
-constructed through one code path.
+stores it.  It is the only constructor: plain tables are row 0 of a
+one-platform grid build, so every table in the system comes out of one code
+path and one formula core (:mod:`repro.devices.grid`).
 """
 
 from __future__ import annotations
@@ -170,10 +169,10 @@ def build_tables(
     )
 
     if retry is not None:
-        from ..faults.tables import _build_fault_grid_tables, _build_fault_tables
+        from ..faults.tables import _fault_grid_tables, _fault_tables
 
         if grid is not None:
-            tables = _build_fault_grid_tables(
+            tables = _fault_grid_tables(
                 workload,
                 None,
                 devices,
@@ -185,35 +184,31 @@ def build_tables(
                 slice_cache=slice_cache,
             )
         elif platforms is not None:
-            tables = _build_fault_grid_tables(
+            tables = _fault_grid_tables(
                 workload, platforms, devices, retry=retry, faults=faults, timeout=timeout
             )
         else:
-            tables = _build_fault_tables(
+            tables = _fault_tables(
                 workload, platform, devices, retry=retry, faults=faults, timeout=timeout
             )
     elif grid is not None:
-        from .grid import _attach_build_context, _build_grid_tables, _build_grid_tables_fused
+        from .grid import _attach_build_context, _materialized_grid_tables, _try_fused_grid_tables
 
-        tables = _build_grid_tables_fused(
+        tables = _try_fused_grid_tables(
             workload, platform, grid, devices, slice_cache=slice_cache
         )
         if tables is None:
             # Some axis lacks the vectorized hook: materialize the per-scenario
             # platforms, but keep the build context so delta rebuilds work.
-            tables = _build_grid_tables(workload, grid.platforms(platform), devices)
+            tables = _materialized_grid_tables(workload, grid.platforms(platform), devices)
             tables = _attach_build_context(tables, workload, platform, grid, devices)
-    elif platforms is not None:
-        from .grid import _build_grid_tables
-
-        tables = _build_grid_tables(workload, platforms, devices)
     else:
-        from ..tasks.graph import TaskGraph
-        from .batch import ChainCostTables, GraphCostTables
+        from .grid import _materialized_grid_tables
 
-        if isinstance(workload, TaskGraph):
-            tables = GraphCostTables.build(workload, platform, devices)
+        if platforms is not None:
+            tables = _materialized_grid_tables(workload, platforms, devices)
         else:
-            tables = ChainCostTables.build(workload, platform, devices)
+            # Plain tables: row 0 of a one-platform grid build.
+            tables = _materialized_grid_tables(workload, (platform,), devices).table(0)
 
     return replace(tables, fingerprint=key)

@@ -27,11 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..devices import SimulatedExecutor, edge_cluster_platform
+from ..devices import SimulatedExecutor, build_tables, edge_cluster_platform
 from ..faults import (
     FallbackPlan,
     RetryPolicy,
-    build_fault_tables,
     execute_fault_placements,
     plan_with_fallback,
 )
@@ -178,7 +177,7 @@ def run(config: FaultToleranceConfig | None = None) -> FaultToleranceResult:
     blind_label = ""
     crossover: float | None = None
     for index, scenario in enumerate(scenarios):
-        tables = build_fault_tables(chain, platforms[index], retry=retry)
+        tables = build_tables(chain, platforms[index], retry=retry)
         batch = execute_fault_placements(tables, matrix)
         times = batch.total_time_s
         aware_row = int(np.argmin(times))

@@ -29,8 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.analyzer import AnalysisResult
-from ..devices import SimulatedExecutor, edge_cluster_platform, lte, wifi_ac
-from ..devices.batch import ChainCostTables
+from ..devices import SimulatedExecutor, build_tables, edge_cluster_platform, lte, wifi_ac
 from ..devices.grid import GridExecutionResult, execute_placements_grid
 from ..measurement.noise import default_system_noise
 from ..offload.space import placement_matrix
@@ -171,7 +170,7 @@ def run(config: RobustnessConfig | None = None) -> RobustnessResult:
     platforms = scenarios.platforms(base)
 
     # One condition-stacked pass over all (scenario, placement) pairs.
-    tables = ChainCostTables.build_grid(chain, platforms)
+    tables = build_tables(chain, platforms)
     matrix = placement_matrix(len(chain), tables.n_devices)
     grid = execute_placements_grid(tables, matrix)
     labels = grid.labels()

@@ -45,8 +45,6 @@ from .simulate import (
 from .tables import (
     FaultChainCostTables,
     FaultGridCostTables,
-    build_fault_grid_tables,
-    build_fault_tables,
     resolve_fault_profile,
 )
 
@@ -61,8 +59,6 @@ __all__ = [
     "expected_backoff",
     "FaultChainCostTables",
     "FaultGridCostTables",
-    "build_fault_tables",
-    "build_fault_grid_tables",
     "resolve_fault_profile",
     "ExpectedTaskFaults",
     "ExpectedFaultRecord",

@@ -49,14 +49,17 @@ import numpy as np
 from ..devices.batch import (
     BatchExecutionResult,
     GraphCostTables,
-    _finalize_placements,
-    _raise_graph_missing_link,
     as_placement_matrix,
     placement_labels,
 )
 from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
-from ..devices.grid import GridExecutionResult, _finalize_grid
+from ..devices.grid import (
+    GridExecutionResult,
+    _finalize_grid,
+    _finalize_row,
+    _raise_graph_missing_link,
+)
 from .retry import RetryPolicy, expected_attempts, expected_backoff
 from .tables import FaultChainCostTables, FaultGridCostTables
 
@@ -370,7 +373,7 @@ def execute_fault_placements(
 
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_placements(
+    result = _finalize_row(
         base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
     )
     return FaultBatchExecutionResult(
@@ -483,7 +486,7 @@ def _execute_graph_fault_placements(
 
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_placements(
+    result = _finalize_row(
         base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
     )
     return FaultBatchExecutionResult(

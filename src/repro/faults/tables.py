@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..devices.batch import ChainCostTables, GraphCostTables, build_cost_tables
-from ..devices.grid import GraphGridCostTables, GridCostTables, build_grid_tables
+from ..devices.batch import ChainCostTables, GraphCostTables
+from ..devices.grid import GraphGridCostTables, GridCostTables
 from ..devices.tables import build_tables
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
@@ -45,8 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FaultChainCostTables",
     "FaultGridCostTables",
-    "build_fault_tables",
-    "build_fault_grid_tables",
     "resolve_fault_profile",
 ]
 
@@ -141,27 +139,6 @@ class FaultChainCostTables:
         return self.base.workload
 
 
-def build_fault_tables(
-    workload: "TaskChain | TaskGraph",
-    platform: "Platform",
-    devices: Sequence[str] | None = None,
-    *,
-    retry: RetryPolicy,
-    faults: FaultProfile | None = None,
-    timeout: TimeoutPolicy | None = None,
-) -> FaultChainCostTables:
-    """Build fault-augmented tables of a workload on a platform.
-
-    ``faults`` defaults to the platform's attached profile (or the fault-free
-    profile if it has none); ``timeout`` defaults to no per-attempt budget.
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(
-        workload, platform, devices=devices, faults=faults, retry=retry, timeout=timeout
-    )
-
-
 def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> TimeoutPolicy:
     if not isinstance(retry, RetryPolicy):
         raise TypeError(f"retry must be a RetryPolicy, got {retry!r}")
@@ -172,7 +149,7 @@ def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> Timeou
     return timeout
 
 
-def _build_fault_tables(
+def _fault_tables(
     workload: "TaskChain | TaskGraph",
     platform: "Platform",
     devices: Sequence[str] | None = None,
@@ -181,10 +158,15 @@ def _build_fault_tables(
     faults: FaultProfile | None = None,
     timeout: TimeoutPolicy | None = None,
 ) -> FaultChainCostTables:
-    """The fault-table builder behind :func:`build_fault_tables`."""
+    """Fault-augmented tables of a workload on a platform (``build_tables``
+    with ``retry=``).
+
+    ``faults`` defaults to the platform's attached profile (or the fault-free
+    profile if it has none); ``timeout`` defaults to no per-attempt budget.
+    """
     timeout = _check_policies(retry, timeout)
     profile = resolve_fault_profile(platform, faults)
-    base = build_cost_tables(workload, platform, devices)
+    base = build_tables(workload, platform, devices=devices)
     node, edge, first_edge = _survival_tables(base, profile, workload.costs(), base.busy)
     return FaultChainCostTables(
         base=base,
@@ -202,7 +184,7 @@ class FaultGridCostTables:
     """Condition-stacked fault tables: one profile and survival slice per scenario.
 
     ``table(i)`` slices out one scenario's :class:`FaultChainCostTables`,
-    bitwise identical to :func:`build_fault_tables` on that scenario's
+    bitwise identical to ``build_tables(..., retry=...)`` on that scenario's
     platform -- the same slicing guarantee the base grid gives.
     """
 
@@ -268,31 +250,7 @@ class FaultGridCostTables:
         )
 
 
-def build_fault_grid_tables(
-    workload: "TaskChain | TaskGraph",
-    platforms: Sequence["Platform"],
-    devices: Sequence[str] | None = None,
-    *,
-    retry: RetryPolicy,
-    faults: FaultProfile | None = None,
-    timeout: TimeoutPolicy | None = None,
-) -> FaultGridCostTables:
-    """Fault-augmented grid tables over scenario platforms.
-
-    With ``faults=None`` each scenario evaluates under its own platform's
-    attached profile -- the shape produced by the failure-regime condition
-    axes -- so a single grid sweep spans fault regimes the same way it spans
-    link or clock drift.
-
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(
-        workload, platforms, devices=devices, faults=faults, retry=retry, timeout=timeout
-    )
-
-
-def _build_fault_grid_tables(
+def _fault_grid_tables(
     workload: "TaskChain | TaskGraph",
     platforms: "Sequence[Platform] | None",
     devices: Sequence[str] | None = None,
@@ -304,9 +262,14 @@ def _build_fault_grid_tables(
     scenarios=None,
     slice_cache=None,
 ) -> FaultGridCostTables:
-    """The fault-grid builder behind :func:`build_fault_grid_tables`.
+    """Fault-augmented grid tables over scenario platforms (``build_tables``
+    with ``retry=`` and several platforms or ``scenarios=``).
 
-    Given ``platform`` + ``scenarios`` (the fused form), the base grid routes
+    With ``faults=None`` each scenario evaluates under its own platform's
+    attached profile -- the shape produced by the failure-regime condition
+    axes -- so a single grid sweep spans fault regimes the same way it spans
+    link or clock drift.  Given ``platform`` + ``scenarios`` (the fused
+    form), the base grid routes
     through the array-space builder and per-scenario platforms are derived
     lazily, only for fault-profile resolution; otherwise ``platforms`` is the
     classic pre-derived sequence.
@@ -317,7 +280,7 @@ def _build_fault_grid_tables(
             workload, platform, devices=devices, scenarios=scenarios, slice_cache=slice_cache
         )
     else:
-        base = build_grid_tables(workload, platforms, devices)
+        base = build_tables(workload, platforms, devices=devices)
     profiles = tuple(resolve_fault_profile(platform, faults) for platform in base.platforms)
     costs = workload.costs()
     s = base.n_scenarios

@@ -18,8 +18,9 @@ turns drift into data:
 * :func:`apply_conditions` derives a scenario's platform through
   ``Platform.with_devices`` / ``Platform.with_links``.
 
-Downstream, :meth:`repro.devices.batch.ChainCostTables.build_grid` evaluates
-all (scenario, placement) pairs in one NumPy pass and
+Downstream, ``build_tables(workload, platform, scenarios=grid)`` plus
+:func:`repro.devices.grid.execute_placements_grid` evaluate all (scenario,
+placement) pairs in one NumPy pass and
 :func:`repro.search.search_grid` selects placements that stay good across the
 whole grid (worst case, expectation, minimax regret).
 """

@@ -158,6 +158,20 @@ def _first_bad(values: np.ndarray, bad: np.ndarray) -> float:
     return float(values[bad][0])
 
 
+def _check_finite(axis: ConditionAxis, values) -> None:
+    """Reject NaN/inf condition values, naming the axis and the value.
+
+    Every shipped axis runs this first in both ``apply`` and ``scale_arrays``:
+    range checks alone let such values through (NaN compares False against
+    every bound, ``inf`` passes the one-sided ones), and they then surfaced
+    only deep in the cost math or the search.
+    """
+    array = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        raise ValueError(f"{axis.name} value must be finite, got {float(array[bad][0])!r}")
+
+
 @dataclass(frozen=True)
 class LinkBandwidthScale(ConditionAxis):
     """Multiply the bandwidth of some links (``None`` = every link) by the value.
@@ -172,6 +186,7 @@ class LinkBandwidthScale(ConditionAxis):
         object.__setattr__(self, "links", _normalise_pairs(self.links))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if value <= 0:
             raise ValueError(f"{self.name} scale must be positive, got {value!r}")
         if value == 1.0:
@@ -188,6 +203,7 @@ class LinkBandwidthScale(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = values <= 0
         if bad.any():
             raise ValueError(
@@ -208,6 +224,7 @@ class LinkLatencyScale(ConditionAxis):
         object.__setattr__(self, "links", _normalise_pairs(self.links))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if value < 0:
             raise ValueError(f"{self.name} scale must be non-negative, got {value!r}")
         if value == 1.0:
@@ -224,6 +241,7 @@ class LinkLatencyScale(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = values < 0
         if bad.any():
             raise ValueError(
@@ -247,6 +265,7 @@ class DeviceLoadFactor(ConditionAxis):
             object.__setattr__(self, "devices", tuple(self.devices))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if value < 1:
             raise ValueError(f"{self.name} must be >= 1 (no load), got {value!r}")
         if value == 1.0:
@@ -267,6 +286,7 @@ class DeviceLoadFactor(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = values < 1
         if bad.any():
             raise ValueError(
@@ -291,6 +311,7 @@ class DvfsFrequencyScale(ConditionAxis):
             object.__setattr__(self, "devices", tuple(self.devices))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if not 0 < value <= 1:
             raise ValueError(f"{self.name} frequency factor must lie in (0, 1], got {value!r}")
         if value == 1.0:
@@ -311,6 +332,7 @@ class DvfsFrequencyScale(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = (values <= 0) | (values > 1)
         if bad.any():
             raise ValueError(
@@ -335,6 +357,7 @@ class EnergyPriceScale(ConditionAxis):
             object.__setattr__(self, "devices", tuple(self.devices))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if value < 0:
             raise ValueError(f"{self.name} multiplier must be non-negative, got {value!r}")
         if value == 1.0:
@@ -351,6 +374,7 @@ class EnergyPriceScale(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = values < 0
         if bad.any():
             raise ValueError(
@@ -416,6 +440,7 @@ class LinkInterpolation(ConditionAxis):
         )
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{self.name} interpolation parameter must lie in [0, 1], got {value!r}")
         spec = self._spec_at(value)
@@ -427,6 +452,7 @@ class LinkInterpolation(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         bad = (values < 0.0) | (values > 1.0)
         if bad.any():
             raise ValueError(
@@ -466,6 +492,7 @@ class DeviceFailureRate(ConditionAxis):
             object.__setattr__(self, "devices", tuple(self.devices))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{self.name} must be a probability in [0, 1], got {value!r}")
         current = platform.faults if platform.faults is not None else FaultProfile()
@@ -486,6 +513,7 @@ class DeviceFailureRate(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         # Failure rates live in the derived FaultProfile, not in any cost
         # parameter, so this axis is a cost-table no-op: fault-grid layers
         # re-derive the per-scenario profiles from the lazily applied
@@ -517,6 +545,7 @@ class LinkDropoutRate(ConditionAxis):
         object.__setattr__(self, "links", _normalise_pairs(self.links))
 
     def apply(self, platform: Platform, value: float) -> Platform:
+        _check_finite(self, value)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{self.name} must be a probability in [0, 1], got {value!r}")
         current = platform.faults if platform.faults is not None else FaultProfile()
@@ -537,6 +566,7 @@ class LinkDropoutRate(ConditionAxis):
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
+        _check_finite(self, values)
         # Like DeviceFailureRate: profile-only, no cost parameter moves.
         bad = (values < 0.0) | (values > 1.0)
         if bad.any():

@@ -21,7 +21,8 @@ from repro.devices import (
     cpu_gpu_platform,
     smartphone_cloud_platform,
 )
-from repro.devices.batch import ChainCostTables, as_placement_matrix, placement_labels
+from repro.devices.batch import as_placement_matrix, placement_labels
+from repro.devices.tables import build_tables
 from repro.measurement.noise import NoNoise
 from repro.offload import (
     MAX_ENUMERABLE_INDEX,
@@ -318,11 +319,11 @@ class TestBatchExecutionEquivalence:
         platform = cpu_gpu_platform()
         chain = table1_chain(loop_size=1)
         with pytest.raises(ValueError):
-            ChainCostTables.build(chain, platform, devices=["D", "D"])
+            build_tables(chain, platform, devices=["D", "D"])
         with pytest.raises(KeyError):
-            ChainCostTables.build(chain, platform, devices=["D", "Z"])
+            build_tables(chain, platform, devices=["D", "Z"])
         with pytest.raises(ValueError):
-            ChainCostTables.build(chain, platform, devices=[])
+            build_tables(chain, platform, devices=[])
 
 
 # ---------------------------------------------------------------------------

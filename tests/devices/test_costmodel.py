@@ -1,7 +1,7 @@
 """Pinning tests for the extracted cost model (``repro.devices.costmodel``).
 
 The refactor moved the per-(task, device) compute/transfer/energy math out of
-``SimulatedExecutor.execute`` and ``ChainCostTables.build`` into one shared
+``SimulatedExecutor.execute`` and the cost-table build into one shared
 module.  These tests pin the extraction down on randomized platforms: the
 formula tier agrees bitwise with the spec methods it backs, the per-task
 helpers reproduce the executor's aggregation, and executor + tables remain
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.devices import (
-    ChainCostTables,
+    build_tables,
     DeviceSpec,
     LinkSpec,
     Platform,
@@ -191,7 +191,7 @@ class TestRefactorConsistency:
         for _ in range(5):
             platform = random_platform(rng, n_devices)
             chain = random_chain(rng, n_tasks)
-            tables = ChainCostTables.build(chain, platform)
+            tables = build_tables(chain, platform)
             costs = chain.costs()
             # Tables hold exactly the shared helpers' values...
             for t, cost in enumerate(costs):
@@ -221,7 +221,7 @@ class TestRefactorConsistency:
             platform = random_platform(rng, n_devices)
             chain = random_chain(rng, 3)
             executor = SimulatedExecutor(platform, seed=0)
-            tables = ChainCostTables.build(chain, platform)
+            tables = build_tables(chain, platform)
             from repro.devices import execute_placements
 
             matrix = placement_matrix(3, n_devices)

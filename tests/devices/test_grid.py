@@ -1,8 +1,8 @@
 """Equivalence tests for the condition-stacked grid execution engine.
 
-The central claim: ``ChainCostTables.build_grid`` + ``execute_placements_grid``
+The central claim: ``build_tables`` over scenario platforms + ``execute_placements_grid``
 are **bitwise identical** to deriving each scenario's platform, building its
-scalar tables and looping ``execute_placements`` -- for every table entry and
+plain tables and looping ``execute_placements`` -- for every table entry and
 every metric, on calibrated and randomized platforms alike.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import (
-    ChainCostTables,
+    build_tables,
     DeviceSpec,
     LinkSpec,
     Platform,
@@ -82,7 +82,7 @@ def chain_of(n_tasks: int) -> TaskChain:
 
 def assert_grid_matches_loop(grid_tables, grid, chain, platforms, matrix):
     for index, platform in enumerate(platforms):
-        tables = ChainCostTables.build(chain, platform)
+        tables = build_tables(chain, platform)
         for field in TABLE_FIELDS:
             assert np.array_equal(
                 getattr(grid_tables.table(index), field), getattr(tables, field), equal_nan=True
@@ -104,7 +104,7 @@ class TestBuildGrid:
         scenarios = ScenarioGrid.cartesian(SCENARIO_AXES)
         platforms = scenarios.platforms(base)
         chain = chain_of(4)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(len(chain), len(base.aliases))
         grid = execute_placements_grid(grid_tables, matrix)
         assert grid.total_time_s.shape == (len(platforms), matrix.shape[0])
@@ -122,7 +122,7 @@ class TestBuildGrid:
             )
             platforms = scenarios.platforms(base)
             chain = random_chain(rng, 3)
-            grid_tables = ChainCostTables.build_grid(chain, platforms)
+            grid_tables = build_tables(chain, platforms)
             matrix = placement_matrix(3, n_devices)
             grid = execute_placements_grid(grid_tables, matrix)
             assert_grid_matches_loop(grid_tables, grid, chain, platforms, matrix)
@@ -141,7 +141,7 @@ class TestBuildGrid:
         scenarios = ScenarioGrid.cartesian([(LinkLatencyScale(), axis_values)])
         platforms = scenarios.platforms(base)
         chain = random_chain(rng, n_tasks)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(n_tasks, n_devices)
         grid = execute_placements_grid(grid_tables, matrix)
         assert_grid_matches_loop(grid_tables, grid, chain, platforms, matrix)
@@ -151,12 +151,12 @@ class TestBuildGrid:
         scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=3)
         platforms = scenarios.platforms(base)
         chain = chain_of(3)
-        grid_tables = ChainCostTables.build_grid(chain, platforms, devices=("D", "A"))
+        grid_tables = build_tables(chain, platforms, devices=("D", "A"))
         matrix = placement_matrix(3, 2)
         grid = execute_placements_grid(grid_tables, matrix)
         for index, platform in enumerate(platforms):
             batch = execute_placements(
-                ChainCostTables.build(chain, platform, devices=("D", "A")), matrix
+                build_tables(chain, platform, devices=("D", "A")), matrix
             )
             assert np.array_equal(grid.total_time_s[index], batch.total_time_s)
             assert np.array_equal(grid.energy_total_j[index], batch.energy_total_j)
@@ -166,12 +166,12 @@ class TestBuildGrid:
         other = smartphone_cloud_platform()
         chain = chain_of(2)
         with pytest.raises(ValueError, match="device set"):
-            ChainCostTables.build_grid(chain, [base, other])
+            build_tables(chain, [base, other])
         rehosted = Platform(devices=base.devices, links=base.links, host="E", name="rehosted")
         with pytest.raises(ValueError, match="host"):
-            ChainCostTables.build_grid(chain, [base, rehosted])
+            build_tables(chain, [base, rehosted])
         with pytest.raises(ValueError, match="at least one platform"):
-            ChainCostTables.build_grid(chain, [])
+            build_tables(chain, [])
 
     def test_missing_links_reject_only_traversing_placements(self):
         """Partially linked platforms behave exactly like the scalar engine."""
@@ -190,13 +190,13 @@ class TestBuildGrid:
         chain = TaskChain(
             [GemmLoopTask(16, name="L1"), GemmLoopTask(16, name="L2")], name="partial"
         )
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         assert grid_tables.missing_links
         # Placements avoiding the missing A<->B hop evaluate fine...
         safe = np.array([[0, 0], [0, 1], [1, 0], [2, 0]])
         grid = execute_placements_grid(grid_tables, safe)
         for index, platform in enumerate(platforms):
-            batch = execute_placements(ChainCostTables.build(chain, platform), safe)
+            batch = execute_placements(build_tables(chain, platform), safe)
             assert np.array_equal(grid.total_time_s[index], batch.total_time_s)
         # ... while an A -> B traversal raises the scalar engine's error.
         with pytest.raises(KeyError, match="no link defined"):
@@ -211,7 +211,7 @@ class TestGridResult:
         )
         platforms = scenarios.platforms(base)
         chain = chain_of(3)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(3, 4)
         grid = execute_placements_grid(grid_tables, matrix)
         assert len(grid) == matrix.shape[0]
@@ -221,7 +221,7 @@ class TestGridResult:
         assert grid.placement(2) == ("D", "D", "E")
         for index in range(3):
             view = grid.batch(index)
-            reference = execute_placements(ChainCostTables.build(chain, platforms[index]), matrix)
+            reference = execute_placements(build_tables(chain, platforms[index]), matrix)
             assert np.array_equal(view.total_time_s, reference.total_time_s)
             assert np.array_equal(view.energy_total_j, reference.energy_total_j)
             assert view.labels() == reference.labels()
@@ -236,7 +236,7 @@ class TestGridResult:
         base = edge_cluster_platform()
         scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=4)
         chain = chain_of(2)
-        grid_tables = ChainCostTables.build_grid(chain, scenarios.platforms(base))
+        grid_tables = build_tables(chain, scenarios.platforms(base))
         grid = execute_placements_grid(grid_tables, placement_matrix(2, 4))
         for metric in ("time", "energy", "cost"):
             assert grid.metric_values(metric).shape == (4, 16)

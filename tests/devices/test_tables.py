@@ -17,22 +17,19 @@ import pytest
 from factories import random_chain, random_graph, random_platform
 from repro.cache import TableCache, table_key
 from repro.devices import SimulatedExecutor
-from repro.devices.batch import ChainCostTables, GraphCostTables, build_cost_tables
+from repro.devices.batch import ChainCostTables, GraphCostTables
 from repro.devices.grid import (
     GraphGridCostTables,
     GridCostTables,
-    _build_grid_tables,
-    build_grid_tables,
+    _materialized_grid_tables,
 )
 from repro.devices.tables import CostTables, build_tables, check_fault_args, resolve_aliases
 from repro.faults import DeviceFailure, FaultProfile, RetryPolicy, TimeoutPolicy
 from repro.faults.tables import (
     FaultChainCostTables,
     FaultGridCostTables,
-    _build_fault_grid_tables,
-    _build_fault_tables,
-    build_fault_grid_tables,
-    build_fault_tables,
+    _fault_grid_tables,
+    _fault_tables,
 )
 from repro.offload import placement_matrix
 from repro.scenarios import DeviceLoadFactor, Scenario, ScenarioGrid
@@ -83,7 +80,7 @@ class TestDispatchBitwise:
     def test_chain_tables(self, seed):
         platform, chain, _, placements = self._fixtures(seed)
         unified = build_tables(chain, platform)
-        direct = ChainCostTables.build(chain, platform)
+        direct = _materialized_grid_tables(chain, (platform,)).table(0)
         assert isinstance(unified, ChainCostTables)
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -91,7 +88,7 @@ class TestDispatchBitwise:
     def test_graph_tables(self, seed):
         platform, _, graph, placements = self._fixtures(seed)
         unified = build_tables(graph, platform)
-        direct = GraphCostTables.build(graph, platform)
+        direct = _materialized_grid_tables(graph, (platform,)).table(0)
         assert isinstance(unified, GraphCostTables)
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -100,7 +97,7 @@ class TestDispatchBitwise:
         platform, chain, _, placements = self._fixtures(seed)
         platforms = scenario_grid().platforms(platform)
         unified = build_tables(chain, platform, scenarios=scenario_grid())
-        direct = _build_grid_tables(chain, platforms)
+        direct = _materialized_grid_tables(chain, platforms)
         assert isinstance(unified, GridCostTables)
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -109,7 +106,7 @@ class TestDispatchBitwise:
         platform, _, graph, placements = self._fixtures(seed)
         platforms = scenario_grid().platforms(platform)
         unified = build_tables(graph, platforms)
-        direct = _build_grid_tables(graph, platforms)
+        direct = _materialized_grid_tables(graph, platforms)
         assert isinstance(unified, GraphGridCostTables)
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -119,7 +116,7 @@ class TestDispatchBitwise:
         retry = RetryPolicy(max_attempts=2)
         faults = FaultProfile(device_failure=DeviceFailure(rate=0.05))
         unified = build_tables(chain, platform, faults=faults, retry=retry)
-        direct = _build_fault_tables(chain, platform, faults=faults, retry=retry)
+        direct = _fault_tables(chain, platform, faults=faults, retry=retry)
         assert isinstance(unified, FaultChainCostTables)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)
@@ -133,7 +130,7 @@ class TestDispatchBitwise:
         unified = build_tables(
             chain, platform, scenarios=scenario_grid(), faults=faults, retry=retry
         )
-        direct = _build_fault_grid_tables(chain, platforms, faults=faults, retry=retry)
+        direct = _fault_grid_tables(chain, platforms, faults=faults, retry=retry)
         assert isinstance(unified, FaultGridCostTables)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)
@@ -191,33 +188,6 @@ class TestProtocolSurface:
         chain = random_chain(rng, n_tasks=3)
         grid_tables = build_tables(chain, platform, scenarios=scenario_grid())
         assert grid_tables.table(1).fingerprint == f"{grid_tables.fingerprint}#scenario1"
-
-
-class TestShims:
-    """The four public builders are thin shims over ``build_tables``."""
-
-    def test_shims_match_the_dispatcher(self):
-        rng = np.random.default_rng(5)
-        platform = random_platform(rng, n_devices=2)
-        chain = random_chain(rng, n_tasks=3)
-        platforms = scenario_grid().platforms(platform)
-        retry = RetryPolicy(max_attempts=2)
-        assert (
-            build_cost_tables(chain, platform).fingerprint
-            == build_tables(chain, platform).fingerprint
-        )
-        assert (
-            build_grid_tables(chain, platforms).fingerprint
-            == build_tables(chain, platforms).fingerprint
-        )
-        assert (
-            build_fault_tables(chain, platform, retry=retry).fingerprint
-            == build_tables(chain, platform, retry=retry).fingerprint
-        )
-        assert (
-            build_fault_grid_tables(chain, platforms, retry=retry).fingerprint
-            == build_tables(chain, platforms, retry=retry).fingerprint
-        )
 
     def test_fault_base_tables_carry_their_own_fingerprint(self):
         rng = np.random.default_rng(6)

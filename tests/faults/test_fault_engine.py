@@ -17,7 +17,7 @@ import pytest
 
 from factories import random_chain, random_graph, random_platform
 
-from repro.devices import build_cost_tables, edge_cluster_platform, execute_placements
+from repro.devices import build_tables, edge_cluster_platform, execute_placements
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
@@ -25,8 +25,6 @@ from repro.faults import (
     RetryPolicy,
     StragglerModel,
     TimeoutPolicy,
-    build_fault_grid_tables,
-    build_fault_tables,
     execute_fault_placements,
     execute_fault_placements_grid,
     expected_record,
@@ -90,7 +88,7 @@ class TestVectorizedMatchesScalarReference:
             backoff_base_s=float(rng.uniform(0.0, 0.01)),
         )
         timeout = TimeoutPolicy(timeout_s=float(rng.uniform(0.05, 5.0)))
-        tables = build_fault_tables(
+        tables = build_tables(
             chain,
             platform,
             retry=retry,
@@ -108,7 +106,7 @@ class TestVectorizedMatchesScalarReference:
         platform = random_platform(rng, n_devices=3)
         graph = random_graph(rng, n_tasks=4)
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.002)
-        tables = build_fault_tables(
+        tables = build_tables(
             graph, platform, retry=retry, faults=random_profile(rng, tuple(platform.aliases))
         )
         matrix = placement_matrix(len(graph), len(platform.aliases))
@@ -124,9 +122,9 @@ class TestFaultFreeCollapse:
         platform = random_platform(rng, n_devices=3)
         for workload in (random_chain(rng, 4), random_graph(rng, 4)):
             matrix = placement_matrix(len(workload), len(platform.aliases))
-            classic = execute_placements(build_cost_tables(workload, platform), matrix)
+            classic = execute_placements(build_tables(workload, platform), matrix)
             fault = execute_fault_placements(
-                build_fault_tables(workload, platform, retry=RetryPolicy()), matrix
+                build_tables(workload, platform, retry=RetryPolicy()), matrix
             )
             assert np.array_equal(fault.total_time_s, classic.total_time_s)
             assert np.array_equal(fault.energy_total_j, classic.energy_total_j)
@@ -143,9 +141,9 @@ class TestFaultFreeCollapse:
         platform = random_platform(rng, n_devices=3)
         chain = random_chain(rng, 3)
         matrix = placement_matrix(len(chain), len(platform.aliases))
-        classic = execute_placements(build_cost_tables(chain, platform), matrix)
+        classic = execute_placements(build_tables(chain, platform), matrix)
         fault = execute_fault_placements(
-            build_fault_tables(
+            build_tables(
                 chain, platform, retry=RetryPolicy(max_attempts=4, backoff_base_s=0.5)
             ),
             matrix,
@@ -161,7 +159,7 @@ class TestImpossibleTasks:
         rng = np.random.default_rng(0)
         chain = random_chain(rng, 3)
         profile = FaultProfile(device_failure=DeviceFailure(rates={"A": 1.0}))
-        tables = build_fault_tables(
+        tables = build_tables(
             chain, platform, retry=RetryPolicy(max_attempts=5), faults=profile
         )
         matrix = placement_matrix(len(chain), len(platform.aliases))
@@ -182,7 +180,7 @@ class TestImpossibleTasks:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(1)
         chain = random_chain(rng, 2)
-        tables = build_fault_tables(
+        tables = build_tables(
             chain,
             platform,
             retry=RetryPolicy(max_attempts=3),
@@ -204,7 +202,7 @@ class TestGridSlicing:
         scenarios = ScenarioGrid.cartesian([(axis, [0.0, 0.1, 0.3])])
         platforms = scenarios.platforms(platform)
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
-        gt = build_fault_grid_tables(chain, platforms, retry=retry)
+        gt = build_tables(chain, platforms, retry=retry)
         matrix = placement_matrix(len(chain), len(platform.aliases))
         grid = execute_fault_placements_grid(gt, matrix)
         for index in range(len(platforms)):
@@ -217,7 +215,7 @@ class TestGridSlicing:
             assert np.array_equal(grid.transferred_bytes[index], single.transferred_bytes)
             assert np.array_equal(grid.flops_by_device[index], single.flops_by_device)
             # A direct build on the scenario platform matches the slice too.
-            direct = build_fault_tables(chain, platforms[index], retry=retry)
+            direct = build_tables(chain, platforms[index], retry=retry)
             assert np.array_equal(gt.node_survival[index], direct.node_survival)
 
 
@@ -226,7 +224,7 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 3)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy(max_attempts=2))
+        tables = build_tables(chain, platform, retry=RetryPolicy(max_attempts=2))
         by_alias = expected_record(tables, ("D", "E", "A"))
         by_index = expected_record(
             tables, [platform.aliases.index(a) for a in ("D", "E", "A")]
@@ -237,7 +235,7 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 2)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy())
+        tables = build_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match=r"uses device 'Z'.*candidates"):
             expected_record(tables, ("D", "Z"))
 
@@ -245,6 +243,6 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 3)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy())
+        tables = build_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match="has 2 entries but workload"):
             expected_record(tables, ("D", "E"))

@@ -13,12 +13,11 @@ import pytest
 
 from factories import random_chain, random_graph
 
-from repro.devices import SimulatedExecutor, edge_cluster_platform
+from repro.devices import SimulatedExecutor, build_tables, edge_cluster_platform
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
     RetryPolicy,
-    build_fault_tables,
     execute_fault_placements,
     plan_with_fallback,
 )
@@ -36,8 +35,8 @@ def platform():
 
 def brute_force_best(platform, workload, subset, *, min_success=0.0):
     """Expected-time optimum over ``subset`` by full enumeration."""
-    tables = build_fault_tables(
-        workload, platform, subset, retry=RETRY, faults=PROFILE
+    tables = build_tables(
+        workload, platform, devices=subset, retry=RETRY, faults=PROFILE
     )
     batch = execute_fault_placements(
         tables, placement_matrix(len(workload), len(subset))

@@ -7,7 +7,7 @@ import pytest
 
 from factories import random_chain, random_graph
 
-from repro.devices import SimulatedExecutor, edge_cluster_platform
+from repro.devices import SimulatedExecutor, build_tables, edge_cluster_platform
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
@@ -15,7 +15,6 @@ from repro.faults import (
     RetryPolicy,
     StragglerModel,
     TimeoutPolicy,
-    build_fault_tables,
     expected_record,
     simulate_chain_with_faults,
     summarize_fault_trials,
@@ -42,7 +41,7 @@ class TestStatisticalConvergence:
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
         placement = ("D", "E", "A")
         analytic = expected_record(
-            build_fault_tables(chain, platform, retry=retry, faults=profile), placement
+            build_tables(chain, platform, retry=retry, faults=profile), placement
         )
         rng = np.random.default_rng(42)
         records = [
@@ -139,7 +138,7 @@ class TestExecutorEntryPoints:
             chain, ("D", "E", "A"), retry=retry, faults=profile
         )
         direct = expected_record(
-            build_fault_tables(chain, platform, retry=retry, faults=profile),
+            build_tables(chain, platform, retry=retry, faults=profile),
             ("D", "E", "A"),
         )
         assert record == direct

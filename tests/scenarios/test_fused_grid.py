@@ -34,7 +34,7 @@ from repro.devices import (
     lte,
     wifi_ac,
 )
-from repro.devices.grid import GridCostTables, GridSliceStats, build_grid_tables
+from repro.devices.grid import GridCostTables, GridSliceStats
 from repro.devices.tables import build_tables
 from repro.faults.retry import RetryPolicy
 from repro.offload import placement_matrix
@@ -366,7 +366,7 @@ class TestDeltaRebuilds:
     def test_tables_without_context_reject_delta_rebuilds(self, rng):
         base = edge_cluster_platform()
         grid = random_fused_scenarios(rng, base, 2)
-        raw = build_grid_tables(small_chain(), grid.platforms(base))
+        raw = build_tables(small_chain(), grid.platforms(base))
         with pytest.raises(ValueError, match="no build context"):
             raw.updated(0, Scenario(name="x", settings=()))
 
@@ -413,7 +413,7 @@ class TestSliceCache:
     def test_stats_without_context_default_to_all_built(self, rng):
         base = edge_cluster_platform()
         grid = random_fused_scenarios(rng, base, 3)
-        raw = build_grid_tables(small_chain(), grid.platforms(base))
+        raw = build_tables(small_chain(), grid.platforms(base))
         assert raw.cache_stats() == GridSliceStats(served=0, built=3)
 
 

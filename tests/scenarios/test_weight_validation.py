@@ -12,8 +12,32 @@ and negative weights raise immediately, naming the offending value.
 import numpy as np
 import pytest
 
-from repro.scenarios import LinkBandwidthScale, LinkLatencyScale, Scenario, ScenarioGrid
+from repro.devices import build_tables, edge_cluster_platform, lte, wifi_ac
+from repro.scenarios import (
+    DeviceFailureRate,
+    DeviceLoadFactor,
+    DvfsFrequencyScale,
+    EnergyPriceScale,
+    LinkBandwidthScale,
+    LinkDropoutRate,
+    LinkInterpolation,
+    LinkLatencyScale,
+    Scenario,
+    ScenarioGrid,
+)
 from repro.search import ExpectedValueObjective
+from repro.tasks import table1_chain
+
+SHIPPED_AXES = (
+    LinkBandwidthScale(),
+    LinkLatencyScale(),
+    DeviceLoadFactor(),
+    DvfsFrequencyScale(),
+    EnergyPriceScale(),
+    LinkInterpolation(links=(("D", "A"),), start=wifi_ac(), end=lte()),
+    DeviceFailureRate(),
+    LinkDropoutRate(),
+)
 
 
 class TestScenarioWeight:
@@ -74,3 +98,24 @@ class TestExpectedValueObjectiveWeights:
         reduced = ExpectedValueObjective(weights=(1.0, 3.0)).reduce(values)
         assert np.all(np.isfinite(reduced))
         assert np.array_equal(reduced, np.array([2.5, 3.5]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("axis", SHIPPED_AXES, ids=lambda axis: axis.name)
+class TestConditionValueFiniteness:
+    """Non-finite condition values are rejected at the axis, naming it.
+
+    ``DeviceLoadFactor(inf)`` used to pass validation and surface as
+    divide-by-zero warnings plus a misleading placement-index error, NaN
+    values failed only deep in search, and ``LinkBandwidthScale(inf)`` /
+    ``LinkLatencyScale(inf)`` were accepted silently.
+    """
+
+    def test_apply_rejects_the_value(self, axis, value):
+        with pytest.raises(ValueError, match=f"{axis.name} value must be finite, got {value!r}"):
+            axis.apply(edge_cluster_platform(), value)
+
+    def test_fused_grid_build_rejects_the_value(self, axis, value):
+        grid = ScenarioGrid((Scenario("calm"), Scenario("bad", settings=((axis, value),))))
+        with pytest.raises(ValueError, match=f"{axis.name} value must be finite, got {value!r}"):
+            build_tables(table1_chain(loop_size=1), edge_cluster_platform(), scenarios=grid)
