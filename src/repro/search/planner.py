@@ -134,10 +134,7 @@ def _device_arrays(tables: ChainCostTables) -> tuple[float, np.ndarray, np.ndarr
     """
     platform = tables.platform
     p_all = float(sum(platform.device(alias).power_idle_w for alias in platform.devices))
-    power_active = np.array([platform.device(a).power_active_w for a in tables.aliases])
-    power_idle = np.array([platform.device(a).power_idle_w for a in tables.aliases])
-    cost_per_hour = np.array([platform.device(a).cost_per_hour for a in tables.aliases])
-    return p_all, power_active, power_idle, cost_per_hour
+    return p_all, tables.power_active, tables.power_idle, tables.cost_per_hour
 
 
 def _chain_lattice(
