@@ -33,6 +33,7 @@ launch/occupancy-bound regime for small ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..tasks.task import TaskCost
@@ -63,9 +64,6 @@ class DeviceSpec:
             "peak_gflops": self.peak_gflops,
             "memory_bandwidth_gbs": self.memory_bandwidth_gbs,
         }
-        for field_name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{field_name} must be positive")
         non_negative = {
             "half_saturation_flops": self.half_saturation_flops,
             "kernel_launch_overhead_s": self.kernel_launch_overhead_s,
@@ -74,6 +72,13 @@ class DeviceSpec:
             "power_idle_w": self.power_idle_w,
             "cost_per_hour": self.cost_per_hour,
         }
+        # NaN compares False against every bound, so finiteness comes first.
+        for field_name, value in {**positive, **non_negative}.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value!r}")
+        for field_name, value in positive.items():
+            if value <= 0:
+                raise ValueError(f"{field_name} must be positive")
         for field_name, value in non_negative.items():
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative")

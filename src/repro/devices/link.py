@@ -8,6 +8,7 @@ provided by :mod:`repro.devices.catalog`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ class LinkSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("link name must be non-empty")
+        # NaN compares False against every bound, so finiteness comes first.
+        for field_name in ("bandwidth_gbs", "latency_s", "energy_per_byte_j"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value!r}")
         if self.bandwidth_gbs <= 0:
             raise ValueError("bandwidth_gbs must be positive")
         if self.latency_s < 0:

@@ -53,6 +53,7 @@ from .costmodel import (
 )
 from .energy import EnergyBreakdown
 from .platform import Platform
+from .tables import check_fault_args
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
     from .batch import BatchExecutionResult, ChainCostTables
@@ -425,12 +426,6 @@ class SimulatedExecutor:
         return self.noise(record.energy.total_j, repetitions, self._rng)
 
     # -- batch engine ---------------------------------------------------
-    @staticmethod
-    def _check_fault_args(retry, faults, timeout) -> None:
-        from .tables import check_fault_args
-
-        check_fault_args(retry, faults, timeout)
-
     def cost_tables(
         self,
         chain: TaskChain | TaskGraph,
@@ -455,7 +450,7 @@ class SimulatedExecutor:
         """
         from .tables import build_tables
 
-        self._check_fault_args(retry, faults, timeout)
+        check_fault_args(retry, faults, timeout)
         key = table_key(
             chain, self.platform, devices=devices, faults=faults, retry=retry, timeout=timeout
         )
@@ -491,7 +486,7 @@ class SimulatedExecutor:
         """
         from .tables import build_tables
 
-        self._check_fault_args(retry, faults, timeout)
+        check_fault_args(retry, faults, timeout)
         platform_arg, scenario_arg = self.platform, scenarios
         if not hasattr(scenarios, "platforms"):
             from ..scenarios.grid import ScenarioGrid
@@ -592,18 +587,12 @@ class SimulatedExecutor:
         instead (see :func:`repro.faults.engine.execute_fault_placements`),
         pinned the same way to :func:`repro.faults.engine.expected_record`.
         """
-        from .batch import execute_placements
-
         tables = self.cost_tables(chain, devices, faults=faults, retry=retry, timeout=timeout)
         if placements is None:
             from ..offload.space import placement_matrix
 
             placements = placement_matrix(tables.n_tasks, len(tables.aliases))
-        if retry is not None:
-            from ..faults.engine import execute_fault_placements
-
-            return execute_fault_placements(tables, placements)
-        return execute_placements(tables, placements)
+        return tables.execute(placements)
 
     def iter_execute_batches(
         self,
@@ -623,22 +612,16 @@ class SimulatedExecutor:
         what fits in RAM (the paper's combinatorial-explosion regime) can be
         scanned incrementally.  ``start``/``stop`` (defaulting to the whole
         ``m**k`` space) select the half-open placement-index range to stream,
-        which is how :func:`repro.search.search_space` shards one sweep across
-        worker processes.  Works for chains and graphs alike, and with
-        ``retry=`` given streams expected-cost-under-faults batches.
+        so a sweep can be split into disjoint index ranges.  Works for chains
+        and graphs alike, and with ``retry=`` given streams
+        expected-cost-under-faults batches.  The chunks come from the search
+        layer's sweep core (:func:`repro.search.sweep.iter_chunks`).
         """
-        from .batch import execute_placements
-        from ..offload.space import iter_placement_batches
+        from ..search.sweep import iter_chunks
 
         tables = self.cost_tables(chain, devices, faults=faults, retry=retry, timeout=timeout)
-        if retry is not None:
-            from ..faults.engine import execute_fault_placements as run
-        else:
-            run = execute_placements
-        for matrix in iter_placement_batches(
-            tables.n_tasks, len(tables.aliases), batch_size, start=start, stop=stop
-        ):
-            yield run(tables, matrix)
+        for _, batch in iter_chunks(tables, batch_size, start, stop):
+            yield batch
 
     # -- fault-aware entry points ---------------------------------------
     def execute_with_faults(

@@ -9,7 +9,7 @@ any chunking) and it maintains, in memory bounded by ``O(top_k + frontier)``:
 * vectorized feasibility filtering (deadline / energy budget / offload bound),
 
 without ever materialising per-placement profile objects.  :func:`search_space`
-drives it over ``SimulatedExecutor.iter_execute_batches``, optionally sharding
+drives it over the sweep core (:mod:`repro.search.sweep`), optionally sharding
 the placement-index range across worker processes; shard accumulators merge
 associatively, so the parallel sweep returns the exact same
 :class:`SearchResult` as the serial one.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from ..offload.space import MAX_ENUMERABLE_INDEX, indices_to_matrix, space_size
 from .constraints import Constraint, feasible_mask
 from .frontier import StreamingFrontier
 from .objectives import Objective, as_objectives
+from .sweep import ShardPool, check_n_workers, shard_ranges, sweep
 from .topk import StreamingTopK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..devices.batch import BatchExecutionResult
-    from ..devices.platform import Platform
     from ..devices.simulator import SimulatedExecutor
     from ..tasks.chain import TaskChain
     from ..tasks.graph import TaskGraph
@@ -306,59 +306,6 @@ class SpaceSearch:
 # Driver
 # ----------------------------------------------------------------------------
 
-def _shard_ranges(start: int, stop: int, n_shards: int) -> list[tuple[int, int]]:
-    """Split [start, stop) into at most ``n_shards`` contiguous non-empty ranges."""
-    total = stop - start
-    n_shards = max(1, min(n_shards, total))
-    bounds = [start + (total * i) // n_shards for i in range(n_shards + 1)]
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_shard(
-    platform: "Platform",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    objectives: Sequence[Objective],
-    top_k: int,
-    frontier: Sequence[Objective] | None,
-    constraints: Sequence[Constraint],
-    shard_start: int,
-    shard_stop: int,
-    batch_size: int,
-    fault_spec: tuple | None = None,
-) -> SpaceSearch:
-    """Sweep one contiguous placement range (runs inside a worker process).
-
-    ``fault_spec`` is the pickled ``(faults, retry, timeout)`` triple of a
-    fault-aware sweep; the worker rebuilds the fault tables locally (cheap
-    relative to a shard) and streams expected-cost batches instead.
-    """
-    from ..devices.batch import execute_placements
-    from ..devices.tables import build_tables
-    from ..offload.space import iter_placement_batches
-
-    faults = retry = timeout = None
-    run = execute_placements
-    if fault_spec is not None:
-        from ..faults.engine import execute_fault_placements as run
-
-        faults, retry, timeout = fault_spec
-    tables = build_tables(
-        chain, platform, devices=devices, faults=faults, retry=retry, timeout=timeout
-    )
-    search = SpaceSearch(
-        objectives=objectives, top_k=top_k, frontier=frontier, constraints=constraints
-    )
-    cursor = shard_start
-    for matrix in iter_placement_batches(
-        tables.n_tasks, tables.n_devices, batch_size, start=shard_start, stop=shard_stop
-    ):
-        batch = run(tables, matrix)
-        search.update(batch, start_index=cursor)
-        cursor += len(batch)
-    return search
-
-
 def _planner_search(
     executor: "SimulatedExecutor",
     chain: "TaskChain | TaskGraph",
@@ -420,17 +367,20 @@ def search_space(
 ) -> SearchResult:
     """Sweep a placement-space range and select winners in bounded memory.
 
-    Streams ``executor.iter_execute_batches`` chunks through a
-    :class:`SpaceSearch`: per-placement memory never exceeds one
-    ``batch_size`` chunk plus the O(top_k + frontier) selection state, so the
-    full ``m**k`` space of the paper's combinatorial-explosion regime can be
-    searched without materialising profiles.  ``chain`` may be a
-    :class:`~repro.tasks.chain.TaskChain` or a
+    Streams the executor's cost tables chunk by chunk through the sweep core
+    (:mod:`repro.search.sweep`) into a :class:`SpaceSearch`: per-placement
+    memory never exceeds one ``batch_size`` chunk plus the O(top_k +
+    frontier) selection state, so the full ``m**k`` space of the paper's
+    combinatorial-explosion regime can be searched without materialising
+    profiles.  ``chain`` may be a :class:`~repro.tasks.chain.TaskChain` or a
     :class:`~repro.tasks.graph.TaskGraph` -- graph workloads stream through
-    the DAG engine with nothing else changing.  With ``n_workers > 1`` the index
-    range is sharded into contiguous sub-ranges swept by worker processes
-    whose accumulators merge associatively -- the result is identical to the
-    serial sweep, independent of worker count and chunking.
+    the DAG engine with nothing else changing.  The serial sweep fetches the
+    tables once and runs in-process.  With ``n_workers > 1`` the index range
+    is split into contiguous sub-ranges folded by a
+    :class:`~repro.search.sweep.ShardPool`, whose workers each build the
+    tables once; their accumulators merge associatively in range order, so
+    the result is identical to the serial sweep, independent of worker count
+    and chunking.  ``n_workers`` below 1 is rejected.
 
     ``method`` selects the engine: ``"stream"`` (default) enumerates;
     ``"planner"`` answers through :mod:`repro.search.planner`'s exact DP --
@@ -448,6 +398,7 @@ def search_space(
     """
     if method not in ("stream", "planner", "auto"):
         raise ValueError(f"unknown method {method!r}; choose 'stream', 'planner' or 'auto'")
+    check_n_workers(n_workers)
     if retry is not None and method == "planner":
         raise ValueError(
             "method='planner' cannot serve fault-aware search: expected cost "
@@ -487,52 +438,18 @@ def search_space(
                 "use method='stream' (or 'auto') to enumerate"
             )
 
-    if n_workers is not None and n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ranges = _shard_ranges(start, stop, n_workers)
-        if len(ranges) > 1:
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                shards: Iterable[SpaceSearch] = pool.map(
-                    _run_shard,
-                    *zip(
-                        *[
-                            (
-                                executor.platform,
-                                chain,
-                                devices,
-                                coerced_objectives,
-                                top_k,
-                                coerced_frontier,
-                                tuple(constraints),
-                                shard_start,
-                                shard_stop,
-                                batch_size,
-                                (faults, retry, timeout) if retry is not None else None,
-                            )
-                            for shard_start, shard_stop in ranges
-                        ]
-                    ),
-                )
-                merged: SpaceSearch | None = None
-                for shard in shards:
-                    if merged is None:
-                        merged = shard
-                    else:
-                        merged.merge(shard)
-            return merged.result()
-
     search = SpaceSearch(
         objectives=coerced_objectives,
         top_k=top_k,
         frontier=coerced_frontier,
         constraints=constraints,
     )
-    cursor = start
-    for batch in executor.iter_execute_batches(
-        chain, devices, batch_size, start=start, stop=stop,
-        faults=faults, retry=retry, timeout=timeout,
-    ):
-        search.update(batch, start_index=cursor)
-        cursor += len(batch)
-    return search.result()
+    ranges = shard_ranges(start, stop, n_workers) if n_workers else []
+    if len(ranges) > 1:
+        spec = dict(
+            workload=chain, platform=executor.platform, devices=devices,
+            faults=faults, retry=retry, timeout=timeout,
+        )
+        with ShardPool(spec, len(ranges)) as pool:
+            return pool.fold(search, ranges, batch_size).result()
+    return sweep(tables, search, batch_size, start, stop).result()

@@ -12,11 +12,11 @@ across a whole :class:`~repro.scenarios.ScenarioGrid`:
   fraction of scenarios missing a budget (:class:`SLOObjective`), or the
   maximum regret against each scenario's own best placement
   (:class:`RegretObjective`);
-* :func:`search_grid` streams the placement space chunk by chunk through
-  :func:`~repro.devices.grid.execute_placements_grid`, folds each chunk into
-  bounded :class:`~repro.search.topk.StreamingTopK` state per robust
-  objective, and tracks each scenario's individual winner so condition drift
-  is visible in the result.
+* :func:`search_grid` streams the placement space chunk by chunk through the
+  sweep core (:mod:`repro.search.sweep`), folds each chunk into bounded
+  :class:`~repro.search.topk.StreamingTopK` state per robust objective, and
+  tracks each scenario's individual winner so condition drift is visible in
+  the result.
 
 Everything is free of lambdas and mutable shared state, like the rest of the
 search layer: objective specs are value-type dataclasses that survive
@@ -27,19 +27,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..offload.space import indices_to_matrix, iter_placement_batches, space_size
+from ..devices.tables import check_fault_args
+from ..offload.space import indices_to_matrix, space_size
 from .constraints import Constraint, feasible_mask
-from .driver import TopSelection, _shard_ranges
+from .driver import TopSelection
 from .objectives import Objective, as_objective
+from .sweep import ShardPool, check_n_workers, shard_ranges, sweep
 from .topk import StreamingTopK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..devices.grid import GridCostTables, GridExecutionResult
+    from ..devices.grid import GridExecutionResult
     from ..devices.simulator import SimulatedExecutor
     from ..scenarios import Scenario, ScenarioGrid
     from ..tasks.chain import TaskChain
@@ -493,26 +496,6 @@ def _scenario_entries(scenarios) -> tuple["ScenarioGrid", tuple[str, ...], np.nd
     return scenarios, names, weights
 
 
-def _iter_grid_chunks(
-    tables: "GridCostTables", batch_size: int, start: int, stop: int
-) -> "Iterable[tuple[int, GridExecutionResult]]":
-    from ..devices.grid import execute_placements_grid
-    from ..faults.engine import execute_fault_placements_grid
-    from ..faults.tables import FaultGridCostTables
-
-    run = (
-        execute_fault_placements_grid
-        if isinstance(tables, FaultGridCostTables)
-        else execute_placements_grid
-    )
-    cursor = start
-    for matrix in iter_placement_batches(
-        tables.n_tasks, tables.n_devices, batch_size, start=start, stop=stop
-    ):
-        yield cursor, run(tables, matrix)
-        cursor += matrix.shape[0]
-
-
 def _feasible(
     grid: "GridExecutionResult", constraints: Sequence[Constraint]
 ) -> np.ndarray:
@@ -525,12 +508,67 @@ def _feasible(
     return mask
 
 
-@dataclass
-class _BaselinePass:
-    """Mergeable outcome of one baseline-shard sweep (per-scenario minima)."""
+def _evaluate_chunk(
+    bases: Mapping[str, "str | Objective"],
+    constraints: Sequence[Constraint],
+    grid: "GridExecutionResult",
+) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """``(feasible_mask, base_values)`` of one executed grid chunk.
 
-    minima: dict[str, np.ndarray]
-    any_feasible: bool
+    ``base_values`` maps base-objective names to their raw ``(s, n)`` value
+    matrices -- **unmasked**, so the chunks of a scenario-sharded sweep can be
+    concatenated along the scenario axis before the merged mask is applied
+    (reductions like the weighted expectation are chunk-width dependent in
+    floating point, so every path must reduce the exact same matrix).  It is
+    ``None`` when no placement of the chunk is feasible.
+    """
+    mask = _feasible(grid, constraints)
+    if not mask.any():
+        return mask, None
+    return mask, {name: _base_values(base, grid) for name, base in bases.items()}
+
+
+class _GridPass:
+    """One mergeable pass of :func:`search_grid` over grid chunks.
+
+    :meth:`update` is the sweep-core entry: it evaluates an executed chunk and
+    folds it.  Scenario-sharded sweeps evaluate each scenario block in its
+    worker through :attr:`evaluate` and feed the stitched chunk to
+    :meth:`fold` directly.
+    """
+
+    def __init__(self, bases: Mapping[str, "str | Objective"], constraints: Sequence[Constraint]):
+        self.bases = dict(bases)
+        self.constraints = tuple(constraints)
+
+    @property
+    def evaluate(self):
+        """Picklable ``grid -> (feasible_mask, base_values)`` of this pass."""
+        return partial(_evaluate_chunk, self.bases, self.constraints)
+
+    def update(self, grid: "GridExecutionResult", start_index: int) -> None:
+        self.fold(start_index, len(grid), *_evaluate_chunk(self.bases, self.constraints, grid))
+
+    def fold(
+        self, chunk_start: int, n: int, mask: np.ndarray, values: dict[str, np.ndarray] | None
+    ) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+class _BaselinePass(_GridPass):
+    """Per-scenario minima of the regret bases over the feasible placements."""
+
+    def __init__(self, n_scenarios: int, bases, constraints):
+        super().__init__(bases, constraints)
+        self.minima = {name: np.full(n_scenarios, np.inf) for name in self.bases}
+        self.any_feasible = False
+
+    def fold(self, chunk_start, n, mask, values) -> None:
+        if values is None:
+            return
+        self.any_feasible = True
+        for name, minimum in self.minima.items():
+            np.minimum(minimum, values[name][:, mask].min(axis=1), out=minimum)
 
     def merge(self, other: "_BaselinePass") -> None:
         for name, values in self.minima.items():
@@ -538,9 +576,8 @@ class _BaselinePass:
         self.any_feasible = self.any_feasible or other.any_feasible
 
 
-@dataclass
-class _SelectionPass:
-    """Mergeable outcome of one selection-shard sweep.
+class _SelectionPass(_GridPass):
+    """Top-K selections per robust objective and each scenario's winner.
 
     Merging is associative and order-independent: top-K accumulators merge
     through :meth:`StreamingTopK.merge`, counters add, and each scenario's
@@ -549,11 +586,51 @@ class _SelectionPass:
     streams ascending indices and replaces only on strict ``<``).
     """
 
-    selectors: dict[str, StreamingTopK]
-    scenario_best_idx: dict[str, np.ndarray]
-    scenario_best_val: dict[str, np.ndarray]
-    n_evaluated: int
-    n_feasible: int
+    def __init__(
+        self,
+        n_scenarios: int,
+        bases,
+        constraints,
+        objectives: Sequence[RobustObjective],
+        top_k: int,
+        baselines: Mapping[str, np.ndarray],
+    ):
+        super().__init__(bases, constraints)
+        self.objectives = tuple(objectives)
+        self.baselines = baselines
+        self.selectors = {objective.name: StreamingTopK(top_k) for objective in self.objectives}
+        self.scenario_best_idx = {
+            name: np.full(n_scenarios, -1, dtype=np.int64) for name in self.bases
+        }
+        self.scenario_best_val = {name: np.full(n_scenarios, np.inf) for name in self.bases}
+        self.n_evaluated = 0
+        self.n_feasible = 0
+
+    def fold(self, chunk_start, n, mask, raw_values) -> None:
+        self.n_evaluated += n
+        feasible_count = int(np.count_nonzero(mask))
+        self.n_feasible += feasible_count
+        if not feasible_count or raw_values is None:
+            return
+        indices = np.arange(n, dtype=np.int64)[mask] + np.int64(chunk_start)
+        chunk_values = {name: raw_values[name][:, mask] for name in self.bases}
+        for objective in self.objectives:
+            base = _base_name(objective.base)
+            values = chunk_values[base]
+            reduced = (
+                objective.reduce(values, self.baselines.get(base))
+                if objective.requires_baseline
+                else objective.reduce(values)
+            )
+            self.selectors[objective.name].update(reduced, indices)
+        for name, values in chunk_values.items():
+            rows = np.arange(values.shape[0])
+            arg = values.argmin(axis=1)
+            candidate = values[rows, arg]
+            best_val = self.scenario_best_val[name]
+            better = candidate < best_val
+            best_val[better] = candidate[better]
+            self.scenario_best_idx[name][better] = indices[arg[better]]
 
     def merge(self, other: "_SelectionPass") -> None:
         for name, selector in self.selectors.items():
@@ -573,251 +650,20 @@ class _SelectionPass:
         self.n_feasible += other.n_feasible
 
 
-def _grid_chunk_stream(
-    tables: "GridCostTables",
-    bases: Mapping[str, "str | Objective"],
-    constraints: Sequence[Constraint],
-    batch_size: int,
-    start: int,
-    stop: int,
-) -> "Iterable[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]":
-    """Stream ``(chunk_start, n, feasible_mask, base_values)`` tuples.
-
-    ``base_values`` maps base-objective names to their raw ``(s, n)`` value
-    matrices -- **unmasked**, so the chunks of a scenario-sharded sweep can be
-    concatenated along the scenario axis before the merged mask is applied
-    (reductions like the weighted expectation are chunk-width dependent in
-    floating point, so every path must reduce the exact same matrix).  It is
-    ``None`` when no placement of the chunk is feasible.
-    """
-    for chunk_start, grid in _iter_grid_chunks(tables, batch_size, start, stop):
-        mask = _feasible(grid, constraints)
-        values = (
-            {name: _base_values(base, grid) for name, base in bases.items()}
-            if mask.any()
-            else None
-        )
-        yield chunk_start, len(grid), mask, values
-
-
-def _fold_baselines(
-    n_scenarios: int,
-    chunks: "Iterable[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]",
-    baseline_names: Sequence[str],
-) -> _BaselinePass:
-    """Fold a chunk stream into per-scenario minima (the regret baselines)."""
-    minima = {name: np.full(n_scenarios, np.inf) for name in baseline_names}
-    any_feasible = False
-    for _, _, mask, chunk_values in chunks:
-        if chunk_values is None:
-            continue
-        any_feasible = True
-        for name in baseline_names:
-            values = chunk_values[name][:, mask]
-            np.minimum(minima[name], values.min(axis=1), out=minima[name])
-    return _BaselinePass(minima=minima, any_feasible=any_feasible)
-
-
-def _fold_selection(
-    n_scenarios: int,
-    chunks: "Iterable[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]",
-    coerced: Sequence[RobustObjective],
-    bases: Mapping[str, "str | Objective"],
-    top_k: int,
-    baselines: Mapping[str, np.ndarray],
-) -> _SelectionPass:
-    """Fold a chunk stream into top-K selections and per-scenario winners."""
-    base_names = list(bases)
-    selectors = {objective.name: StreamingTopK(top_k) for objective in coerced}
-    scenario_best_idx = {
-        name: np.full(n_scenarios, -1, dtype=np.int64) for name in base_names
-    }
-    scenario_best_val = {name: np.full(n_scenarios, np.inf) for name in base_names}
-    n_evaluated = 0
-    n_feasible = 0
-    for chunk_start, n, mask, raw_values in chunks:
-        n_evaluated += n
-        feasible_count = int(np.count_nonzero(mask))
-        n_feasible += feasible_count
-        if not feasible_count or raw_values is None:
-            continue
-        indices = np.arange(n, dtype=np.int64)[mask] + np.int64(chunk_start)
-        chunk_values = {name: raw_values[name][:, mask] for name in base_names}
-        for objective in coerced:
-            values = chunk_values[_base_name(objective.base)]
-            reduced = objective.reduce(
-                values, baselines.get(_base_name(objective.base))
-            ) if objective.requires_baseline else objective.reduce(values)
-            selectors[objective.name].update(reduced, indices)
-        for name in base_names:
-            values = chunk_values[name]
-            rows = np.arange(values.shape[0])
-            arg = values.argmin(axis=1)
-            candidate = values[rows, arg]
-            better = candidate < scenario_best_val[name]
-            scenario_best_val[name][better] = candidate[better]
-            scenario_best_idx[name][better] = indices[arg[better]]
-    return _SelectionPass(
-        selectors=selectors,
-        scenario_best_idx=scenario_best_idx,
-        scenario_best_val=scenario_best_val,
-        n_evaluated=n_evaluated,
-        n_feasible=n_feasible,
-    )
-
-
-def _sweep_baselines(
-    tables: "GridCostTables",
-    bases: Mapping[str, "str | Objective"],
-    baseline_names: Sequence[str],
-    constraints: Sequence[Constraint],
-    batch_size: int,
-    start: int,
-    stop: int,
-) -> _BaselinePass:
-    chunks = _grid_chunk_stream(tables, bases, constraints, batch_size, start, stop)
-    return _fold_baselines(tables.n_scenarios, chunks, baseline_names)
-
-
-def _sweep_selection(
-    tables: "GridCostTables",
-    coerced: Sequence[RobustObjective],
-    bases: Mapping[str, "str | Objective"],
-    top_k: int,
-    constraints: Sequence[Constraint],
-    baselines: Mapping[str, np.ndarray],
-    batch_size: int,
-    start: int,
-    stop: int,
-) -> _SelectionPass:
-    chunks = _grid_chunk_stream(tables, bases, constraints, batch_size, start, stop)
-    return _fold_selection(tables.n_scenarios, chunks, coerced, bases, top_k, baselines)
-
-
-def _build_shard_tables(
-    chain: "TaskChain | TaskGraph",
-    platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-    fault_spec: tuple | None,
-) -> "GridCostTables":
-    """Grid tables of one worker: fault-augmented when ``fault_spec`` is set."""
-    from ..devices.tables import build_tables
-
-    if fault_spec is not None:
-        faults, retry, timeout = fault_spec
-        return build_tables(
-            chain, platform, devices=devices, scenarios=scenarios,
-            faults=faults, retry=retry, timeout=timeout,
-        )
-    return build_tables(chain, platform, devices=devices, scenarios=scenarios)
-
-
-def _run_baseline_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    bases: dict,
-    baseline_names: tuple,
-    constraints: tuple,
-    batch_size: int,
-    shard_start: int,
-    shard_stop: int,
-    fault_spec: tuple | None = None,
-) -> _BaselinePass:
-    """Baseline sweep of one contiguous range (runs inside a worker process)."""
-    tables = _build_shard_tables(chain, platform, scenarios, devices, fault_spec)
-    return _sweep_baselines(
-        tables, bases, baseline_names, constraints, batch_size, shard_start, shard_stop
-    )
-
-
-def _run_selection_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    coerced: tuple,
-    bases: dict,
-    top_k: int,
-    constraints: tuple,
-    baselines: dict,
-    batch_size: int,
-    shard_start: int,
-    shard_stop: int,
-    fault_spec: tuple | None = None,
-) -> _SelectionPass:
-    """Selection sweep of one contiguous range (runs inside a worker process)."""
-    tables = _build_shard_tables(chain, platform, scenarios, devices, fault_spec)
-    return _sweep_selection(
-        tables, coerced, bases, top_k, constraints, baselines, batch_size,
-        shard_start, shard_stop,
-    )
-
-
-# -- scenario sharding -------------------------------------------------------
-#
-# Each scenario shard is a single-worker process pool whose initializer builds
-# the grid tables of one contiguous scenario block.  For every placement
-# chunk, all shards evaluate the same placements against their scenario rows;
-# the parent ANDs the feasibility masks and concatenates the raw value
-# matrices along the scenario axis (in shard order), reconstructing exactly
-# the serial sweep's ``(s, n)`` chunk -- every fold, reduction and tie rule
-# then runs on bit-identical inputs.
-
-_SCENARIO_SHARD: dict = {}
-
-
-def _init_scenario_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    fault_spec: tuple | None,
-    bases: dict,
-    constraints: tuple,
-) -> None:
-    """Build one scenario block's tables inside its worker process."""
-    _SCENARIO_SHARD["tables"] = _build_shard_tables(
-        chain, platform, scenarios, devices, fault_spec
-    )
-    _SCENARIO_SHARD["bases"] = bases
-    _SCENARIO_SHARD["constraints"] = constraints
-
-
-def _scenario_shard_chunk(
-    start: int, stop: int
-) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """Evaluate one placement chunk against this worker's scenario block.
-
-    Returns the shard-local feasibility mask and the **raw, unmasked**
-    ``(s_shard, n)`` base-value matrices; masking happens in the parent after
-    the shard masks are merged.
-    """
-    chunks = _grid_chunk_stream(
-        _SCENARIO_SHARD["tables"],
-        _SCENARIO_SHARD["bases"],
-        _SCENARIO_SHARD["constraints"],
-        stop - start,
-        start,
-        stop,
-    )
-    (_, _, mask, values), = chunks
-    return mask, values
-
-
 def _scenario_sharded_chunks(
-    pools: Sequence,
-    batch_size: int,
-    start: int,
-    stop: int,
-) -> "Iterable[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]":
-    """Merge per-shard chunk evaluations back into the serial chunk stream."""
-    cursor = start
-    while cursor < stop:
-        chunk_stop = min(cursor + batch_size, stop)
-        futures = [pool.submit(_scenario_shard_chunk, cursor, chunk_stop) for pool in pools]
+    pools: Sequence[ShardPool], evaluate, batch_size: int, start: int, stop: int
+) -> Iterator[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]:
+    """Evaluate every chunk on each scenario shard and stitch the shards.
+
+    Every shard evaluates the same placements against its own scenario block;
+    the parent ANDs the feasibility masks and concatenates the raw value
+    matrices along the scenario axis (in shard order), reconstructing exactly
+    the serial sweep's ``(s, n)`` chunk -- every fold, reduction and tie rule
+    then runs on bit-identical inputs.
+    """
+    for chunk_start in range(start, stop, batch_size):
+        chunk_stop = min(chunk_start + batch_size, stop)
+        futures = [pool.evaluate(evaluate, chunk_start, chunk_stop) for pool in pools]
         parts = [future.result() for future in futures]
         mask = parts[0][0].copy()
         for shard_mask, _ in parts[1:]:
@@ -826,15 +672,11 @@ def _scenario_sharded_chunks(
         if mask.any():
             # A surviving placement is feasible in every shard, so every shard
             # produced a value matrix.
-            names = parts[0][1].keys()
             values = {
-                name: np.concatenate(
-                    [part_values[name] for _, part_values in parts], axis=0
-                )
-                for name in names
+                name: np.concatenate([part_values[name] for _, part_values in parts], axis=0)
+                for name in parts[0][1]
             }
-        yield cursor, chunk_stop - cursor, mask, values
-        cursor = chunk_stop
+        yield chunk_start, chunk_stop - chunk_start, mask, values
 
 
 def _planner_baseline_reason(
@@ -890,24 +732,28 @@ def search_grid(
     """Stream a placement range under every scenario and select robust winners.
 
     Chunks of the placement space are evaluated against the whole condition
-    grid in one vectorized pass each (:func:`execute_placements_grid`); per
-    robust objective a :class:`StreamingTopK` keeps the best ``top_k``
-    placements, and each scenario's individual winner is tracked per base
-    objective so the drift between conditions is part of the result.  Peak
-    memory is one ``(n_scenarios, batch_size)`` chunk plus the O(top_k)
-    selection state.  With ``n_workers > 1`` the index range is sharded
-    across worker processes exactly like :func:`~repro.search.search_space`;
-    shard results merge associatively, so the outcome is identical to the
-    serial sweep.
+    grid in one vectorized pass each (the sweep core of
+    :mod:`repro.search.sweep` runs ``tables.execute``); per robust objective
+    a :class:`StreamingTopK` keeps the best ``top_k`` placements, and each
+    scenario's individual winner is tracked per base objective so the drift
+    between conditions is part of the result.  Peak memory is one
+    ``(n_scenarios, batch_size)`` chunk plus the O(top_k) selection state.
+    The serial sweep fetches the tables once and runs in-process.
 
-    ``scenario_shards`` splits along the *other* axis: each worker process
-    holds the grid tables of one contiguous scenario block and evaluates
-    every placement chunk against its block; the parent stitches the
-    per-shard value matrices back together along the scenario axis before
-    any reduction runs, so the result is bitwise identical to the serial
-    sweep.  Scenario sharding pays off when the scenario count dominates the
-    chunk cost; it is mutually exclusive with ``n_workers > 1`` (shard one
-    axis or the other, not both).
+    Two sharding axes run through the same worker-pool helper
+    (:class:`~repro.search.sweep.ShardPool`, whose workers each build their
+    tables once).  With ``n_workers > 1`` the placement-index range is split
+    into contiguous shards exactly like :func:`~repro.search.search_space`;
+    one pool serves both passes of a regret sweep, and shard results merge
+    associatively, so the outcome is identical to the serial sweep.
+    ``scenario_shards`` splits the *other* axis: each worker holds the grid
+    tables of one contiguous scenario block and evaluates every placement
+    chunk against its block; the parent stitches the per-shard value
+    matrices back together along the scenario axis before any reduction
+    runs, so the result is bitwise identical to the serial sweep.  Scenario
+    sharding pays off when the scenario count dominates the chunk cost; it
+    is mutually exclusive with ``n_workers > 1`` (shard one axis or the
+    other, not both).  Counts below 1 are rejected on either axis.
 
     Constraints are enforced *robustly*: a placement is feasible only if it
     satisfies every constraint under every scenario.  Regret objectives need
@@ -929,13 +775,9 @@ def search_grid(
     outside the DP planner boundary, so regret baselines stream
     (``baseline_method="planner"`` raises with that reason).
     """
-    if retry is None and (faults is not None or timeout is not None):
-        raise ValueError(
-            "fault-aware evaluation needs retry=RetryPolicy(...); "
-            "got faults/timeout without a retry policy"
-        )
+    check_fault_args(retry, faults, timeout)
+    check_n_workers(n_workers)
     grid, scenario_names, grid_weights = _scenario_entries(scenarios)
-    fault_spec = (faults, retry, timeout) if retry is not None else None
     # The driving process serves its tables from the executor's shared
     # content-addressed cache (shard workers, living in other processes,
     # rebuild locally via the same build_tables path).
@@ -977,11 +819,9 @@ def search_grid(
                 f"{bases[name]!r} vs {objective.base!r}"
             )
         bases.setdefault(name, objective.base)
-    base_names = list(bases)
 
-    ranges = _shard_ranges(start, stop, n_workers) if n_workers and n_workers > 1 else []
+    ranges = shard_ranges(start, stop, n_workers) if n_workers else []
     sharded = len(ranges) > 1
-
     if scenario_shards is not None and scenario_shards < 1:
         raise ValueError("scenario_shards must be >= 1")
     n_shards = min(scenario_shards, tables.n_scenarios) if scenario_shards else 1
@@ -990,209 +830,46 @@ def search_grid(
             "scenario_shards and n_workers > 1 are mutually exclusive: "
             "shard across scenarios or across placements, not both"
         )
-    scenario_pools: list = []
-    if n_shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
+    spec = dict(
+        workload=chain, platform=executor.platform, devices=devices,
+        scenarios=grid, faults=faults, retry=retry, timeout=timeout,
+    )
+    pools: list[ShardPool] = []
+    if sharded:
+        pools.append(ShardPool(spec, len(ranges)))
+    elif n_shards > 1:
         from ..scenarios import ScenarioGrid
 
-        for lo, hi in _shard_ranges(0, tables.n_scenarios, n_shards):
-            scenario_pools.append(
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_scenario_shard,
-                    initargs=(
-                        executor.platform,
-                        ScenarioGrid(grid.scenarios[lo:hi]),
-                        chain,
-                        devices,
-                        fault_spec,
-                        bases,
-                        tuple(constraints),
-                    ),
-                )
+        for lo, hi in shard_ranges(0, tables.n_scenarios, n_shards):
+            block = ScenarioGrid(grid.scenarios[lo:hi])
+            pools.append(ShardPool({**spec, "scenarios": block}, 1))
+
+    def run(accumulator: _GridPass) -> _GridPass:
+        """Fold the whole range into one pass: placement shards, scenario
+        shards, or in-process."""
+        if sharded:
+            return pools[0].fold(accumulator, ranges, batch_size)
+        if pools:
+            chunks = _scenario_sharded_chunks(
+                pools, accumulator.evaluate, batch_size, start, stop
             )
+            for chunk in chunks:
+                accumulator.fold(*chunk)
+            return accumulator
+        return sweep(tables, accumulator, batch_size, start, stop)
 
     try:
-        return _search_grid_passes(
-            executor=executor,
-            chain=chain,
-            grid=grid,
-            scenario_names=scenario_names,
-            tables=tables,
-            coerced=coerced,
-            bases=bases,
-            base_names=base_names,
-            top_k=top_k,
-            constraints=constraints,
-            devices=devices,
-            batch_size=batch_size,
-            start=start,
-            stop=stop,
-            total=total,
-            ranges=ranges,
-            sharded=sharded,
-            scenario_pools=scenario_pools,
-            baseline_method=baseline_method,
-            fault_spec=fault_spec,
+        baselines = _regret_baselines(
+            run, tables, chain, coerced, bases, constraints, start, stop, total,
+            baseline_method, fault_aware=retry is not None,
+        )
+        selection = run(
+            _SelectionPass(tables.n_scenarios, bases, constraints, coerced, top_k, baselines)
         )
     finally:
-        for pool in scenario_pools:
+        for pool in pools:
             pool.shutdown()
-
-
-def _search_grid_passes(
-    *,
-    executor: "SimulatedExecutor",
-    chain: "TaskChain | TaskGraph",
-    grid: "ScenarioGrid",
-    scenario_names: tuple[str, ...],
-    tables: "GridCostTables",
-    coerced: tuple[RobustObjective, ...],
-    bases: "dict[str, str | Objective]",
-    base_names: list,
-    top_k: int,
-    constraints: Sequence[Constraint],
-    devices: Sequence[str] | None,
-    batch_size: int,
-    start: int,
-    stop: int,
-    total: int,
-    ranges: list,
-    sharded: bool,
-    scenario_pools: list,
-    baseline_method: str,
-    fault_spec: tuple | None,
-) -> GridSearchResult:
-    """The two streaming passes of :func:`search_grid` (pools already set up)."""
-    # -- pass 1 (only when regret objectives are present): baselines --------
-    baseline_names = tuple(
-        dict.fromkeys(
-            _base_name(objective.base) for objective in coerced if objective.requires_baseline
-        )
-    )
-    baselines: dict[str, np.ndarray] = {}
-    if baseline_names:
-        planner_reason = _planner_baseline_reason(
-            chain, tuple(constraints), start, stop, total, bases, baseline_names,
-            fault_aware=fault_spec is not None,
-        )
-        if baseline_method == "planner" and planner_reason is not None:
-            raise ValueError(
-                f"baseline_method='planner' cannot serve this request: {planner_reason}; "
-                "use baseline_method='stream' (or 'auto')"
-            )
-        if baseline_method in ("auto", "planner") and planner_reason is None:
-            from .planner import grid_baselines
-
-            try:
-                baselines = {
-                    name: grid_baselines(tables, bases[name]) for name in baseline_names
-                }
-            except KeyError:
-                # No feasible placement at all: same contract as the streaming
-                # pass, which leaves the baselines empty.
-                baselines = {}
-        elif sharded:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                shards = pool.map(
-                    _run_baseline_shard,
-                    *zip(
-                        *[
-                            (
-                                executor.platform,
-                                grid,
-                                chain,
-                                devices,
-                                bases,
-                                baseline_names,
-                                tuple(constraints),
-                                batch_size,
-                                shard_start,
-                                shard_stop,
-                                fault_spec,
-                            )
-                            for shard_start, shard_stop in ranges
-                        ]
-                    ),
-                )
-                merged_baselines: _BaselinePass | None = None
-                for shard in shards:
-                    if merged_baselines is None:
-                        merged_baselines = shard
-                    else:
-                        merged_baselines.merge(shard)
-            if merged_baselines.any_feasible:
-                baselines = merged_baselines.minima
-        elif scenario_pools:
-            sweep = _fold_baselines(
-                tables.n_scenarios,
-                _scenario_sharded_chunks(scenario_pools, batch_size, start, stop),
-                baseline_names,
-            )
-            if sweep.any_feasible:
-                baselines = sweep.minima
-        else:
-            sweep = _sweep_baselines(
-                tables, bases, baseline_names, constraints, batch_size, start, stop
-            )
-            if sweep.any_feasible:
-                baselines = sweep.minima
-
-    # -- selection pass ------------------------------------------------------
-    if sharded:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            shards = pool.map(
-                _run_selection_shard,
-                *zip(
-                    *[
-                        (
-                            executor.platform,
-                            grid,
-                            chain,
-                            devices,
-                            coerced,
-                            bases,
-                            top_k,
-                            tuple(constraints),
-                            baselines,
-                            batch_size,
-                            shard_start,
-                            shard_stop,
-                            fault_spec,
-                        )
-                        for shard_start, shard_stop in ranges
-                    ]
-                ),
-            )
-            selection: _SelectionPass | None = None
-            for shard in shards:
-                if selection is None:
-                    selection = shard
-                else:
-                    selection.merge(shard)
-    elif scenario_pools:
-        selection = _fold_selection(
-            tables.n_scenarios,
-            _scenario_sharded_chunks(scenario_pools, batch_size, start, stop),
-            coerced,
-            bases,
-            top_k,
-            baselines,
-        )
-    else:
-        selection = _sweep_selection(
-            tables, coerced, bases, top_k, constraints, baselines, batch_size, start, stop
-        )
-    selectors = selection.selectors
-    scenario_best_idx = selection.scenario_best_idx
-    scenario_best_val = selection.scenario_best_val
-    n_evaluated = selection.n_evaluated
-    n_feasible = selection.n_feasible
 
     def _labels(indices: np.ndarray) -> tuple[str, ...]:
         from ..devices.batch import placement_labels
@@ -1202,7 +879,7 @@ def _search_grid_passes(
 
     top: dict[str, TopSelection] = {}
     for objective in coerced:
-        selector = selectors[objective.name]
+        selector = selection.selectors[objective.name]
         top[objective.name] = TopSelection(
             objective=objective.name,
             indices=selector.indices.copy(),
@@ -1210,23 +887,74 @@ def _search_grid_passes(
             labels=_labels(selector.indices),
         )
     scenario_best: dict[str, ScenarioBest] = {}
-    if n_feasible:
-        for name in base_names:
-            idx = scenario_best_idx[name]
+    if selection.n_feasible:
+        for name in bases:
+            idx = selection.scenario_best_idx[name]
             scenario_best[name] = ScenarioBest(
                 objective=name,
                 scenario_names=scenario_names,
                 indices=idx.copy(),
-                values=scenario_best_val[name].copy(),
+                values=selection.scenario_best_val[name].copy(),
                 labels=_labels(idx),
             )
     return GridSearchResult(
         n_tasks=tables.n_tasks,
         aliases=tables.aliases,
         scenario_names=scenario_names,
-        n_evaluated=n_evaluated,
-        n_feasible=n_feasible,
+        n_evaluated=selection.n_evaluated,
+        n_feasible=selection.n_feasible,
         top=top,
         scenario_best=scenario_best,
         baselines=baselines,
     )
+
+
+def _regret_baselines(
+    run,
+    tables,
+    chain: "TaskChain | TaskGraph",
+    coerced: Sequence[RobustObjective],
+    bases: Mapping[str, "str | Objective"],
+    constraints: Sequence[Constraint],
+    start: int,
+    stop: int,
+    total: int,
+    baseline_method: str,
+    fault_aware: bool,
+) -> dict[str, np.ndarray]:
+    """Per-scenario minima of every regret base: exact DPs or a streamed pass.
+
+    Empty when no objective needs baselines, and when no placement of the
+    range is feasible.
+    """
+    baseline_names = tuple(
+        dict.fromkeys(
+            _base_name(objective.base) for objective in coerced if objective.requires_baseline
+        )
+    )
+    if not baseline_names:
+        return {}
+    planner_reason = _planner_baseline_reason(
+        chain, tuple(constraints), start, stop, total, bases, baseline_names,
+        fault_aware=fault_aware,
+    )
+    if baseline_method == "planner" and planner_reason is not None:
+        raise ValueError(
+            f"baseline_method='planner' cannot serve this request: {planner_reason}; "
+            "use baseline_method='stream' (or 'auto')"
+        )
+    if baseline_method in ("auto", "planner") and planner_reason is None:
+        from .planner import grid_baselines
+
+        try:
+            return {name: grid_baselines(tables, bases[name]) for name in baseline_names}
+        except KeyError:
+            # No feasible placement at all: same contract as the streaming
+            # pass, which leaves the baselines empty.
+            return {}
+    sweep_pass = run(
+        _BaselinePass(
+            tables.n_scenarios, {name: bases[name] for name in baseline_names}, constraints
+        )
+    )
+    return sweep_pass.minima if sweep_pass.any_feasible else {}

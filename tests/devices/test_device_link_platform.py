@@ -22,6 +22,32 @@ from repro.devices import (
 from repro.tasks import GemmLoopTask, RegularizedLeastSquaresTask
 
 
+DEVICE_NUMERIC_FIELDS = (
+    "peak_gflops",
+    "half_saturation_flops",
+    "memory_bandwidth_gbs",
+    "kernel_launch_overhead_s",
+    "task_startup_overhead_s",
+    "power_active_w",
+    "power_idle_w",
+    "cost_per_hour",
+)
+LINK_NUMERIC_FIELDS = ("bandwidth_gbs", "latency_s", "energy_per_byte_j")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize(
+    "spec, field",
+    [(DeviceSpec, name) for name in DEVICE_NUMERIC_FIELDS]
+    + [(LinkSpec, name) for name in LINK_NUMERIC_FIELDS],
+    ids=lambda item: item if isinstance(item, str) else item.__name__,
+)
+def test_specs_reject_non_finite_numbers(spec, field, value):
+    required = {"bandwidth_gbs": 1.0} if spec is LinkSpec else {}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        spec(name="x", **{**required, field: value})
+
+
 class TestDeviceSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
