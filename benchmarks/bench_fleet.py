@@ -18,10 +18,16 @@ Also pinned:
   drifted grid before any timing counts.
 * The weighted p95 reduction itself is asserted bitwise against a direct
   sort/cumsum evaluation of the left-continuous inverse CDF.
+* ``slice_cache_overhead`` -- the wall time of a fused build that seeds a
+  fresh 256-entry ``TableCache`` with its condition slices (the executor's
+  path) over the same build without one, both on a never-fingerprinted copy
+  of the fleet grid.  A fleet larger than the cache keeps only its last
+  slices, so seeding must cost little next to the build; the ceiling is
+  1.5x.
 
 Set ``BENCH_FLEET_SMALL=1`` (the CI smoke job does) for a reduced fleet with
-relaxed floors.  Results land in ``BENCH_fleet.json`` /
-``BENCH_fleet_small.json``.
+relaxed floors (the overhead ceiling is the same).  Results land in
+``BENCH_fleet.json`` / ``BENCH_fleet_small.json``.
 """
 
 from __future__ import annotations
@@ -32,12 +38,19 @@ import time
 
 import numpy as np
 
+from repro.cache import TableCache
 from repro.devices import edge_cluster_platform
 from repro.devices.grid import execute_placements_grid
 from repro.devices.tables import build_tables
 from repro.fleet import FleetSpec, NormalAxis, UniformAxis, UserSegment, sample_fleet
 from repro.offload import placement_matrix
-from repro.scenarios import DeviceLoadFactor, LinkBandwidthScale, LinkLatencyScale
+from repro.scenarios import (
+    DeviceLoadFactor,
+    LinkBandwidthScale,
+    LinkLatencyScale,
+    Scenario,
+    ScenarioGrid,
+)
 from repro.search import QuantileObjective
 from repro.tasks import RegularizedLeastSquaresTask, TaskChain
 
@@ -54,6 +67,7 @@ else:
     PAIRS_PER_S_FLOOR = 10_000.0
     DELTA_FLOOR = 2.0
 
+SLICE_CACHE_OVERHEAD_CEILING = 1.5
 SEED = 0
 N_TASKS = 2  # 4**2 = 16 placements on the 4-device edge cluster
 QUANTILE = 0.95
@@ -119,6 +133,33 @@ def _best_of(fn, repeats: int) -> float:
     finally:
         gc.enable()
     return best
+
+
+def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tuple[float, float]:
+    """Minimum wall times of fused builds of fresh copies of ``grid``: without
+    a slice cache, and seeding a fresh default ``TableCache``.
+
+    The copies' scenarios are new objects, so every build pays the scenario
+    fingerprints a newly sampled fleet pays.  The two kinds alternate, so
+    drift in the host's speed hits both alike.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(repeats):
+        for seeded in (False, True):
+            copy = ScenarioGrid(
+                tuple(Scenario(s.name, settings=s.settings, weight=s.weight) for s in grid.scenarios)
+            )
+            cache = TableCache() if seeded else None
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                build_tables(chain, platform, scenarios=copy, slice_cache=cache)
+                best[seeded] = min(best[seeded], time.perf_counter() - start)
+            finally:
+                gc.enable()
+            del copy, cache
+    return best[False], best[True]
 
 
 def _manual_weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
@@ -200,6 +241,9 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
     )
     delta_speedup = full_rebuild_s / delta_s
 
+    unseeded_s, seeded_s = _best_fresh_builds(chain, platform, fleet.grid, 3)
+    slice_cache_overhead = seeded_s / unseeded_s
+
     print(
         f"\n{platform.name}: {N_USERS} users x {n_placements} placements "
         f"({pairs} pairs), {len(spec.segments)} segments"
@@ -212,6 +256,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
         f"\n  fleet p95 optimum:   placement #{pick}"
         f"\n  drift ({len(replacements)} users): delta {delta_s:.2f} s vs "
         f"full {full_rebuild_s:.2f} s  ({delta_speedup:.1f}x, floor {DELTA_FLOOR}x)"
+        f"\n  slice-cache seeding: {seeded_s:.3f} s vs unseeded {unseeded_s:.3f} s  "
+        f"({slice_cache_overhead:.2f}x, ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
     )
 
     bench_json(
@@ -237,6 +283,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "end_to_end": end_to_end_s,
                 "delta_rebuild": delta_s,
                 "full_rebuild": full_rebuild_s,
+                "unseeded_build": unseeded_s,
+                "seeded_build": seeded_s,
             },
             "throughputs": {
                 "fleet_pairs_per_s": pairs_per_s,
@@ -248,6 +296,12 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "fleet_pairs_per_s": PAIRS_PER_S_FLOOR,
                 "delta_rebuild": DELTA_FLOOR,
             },
+            "overheads": {
+                "slice_cache_overhead": slice_cache_overhead,
+            },
+            "ceilings": {
+                "slice_cache_overhead": SLICE_CACHE_OVERHEAD_CEILING,
+            },
         },
     )
     assert pairs_per_s >= PAIRS_PER_S_FLOOR, (
@@ -257,6 +311,11 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
     assert delta_speedup >= DELTA_FLOOR, (
         f"drift delta rebuild regressed: {delta_speedup:.1f}x < {DELTA_FLOOR}x "
         f"vs a full fused rebuild"
+    )
+
+    assert slice_cache_overhead <= SLICE_CACHE_OVERHEAD_CEILING, (
+        f"slice-cache seeding regressed: a seeded fused build takes "
+        f"{slice_cache_overhead:.2f}x an unseeded one (ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
     )
 
     bench_once(benchmark, bound.reduce, times)

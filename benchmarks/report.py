@@ -2,16 +2,18 @@
 
 Each benchmark writes its result next to this script (see
 ``conftest.write_benchmark_json``); this report collects them all and prints
-one row per pinned metric -- relative speedups and absolute throughputs
-(``"throughputs"``, rendered as ``.../s``) -- sorted by measurement time:
-the project's performance trajectory from the first batch engine to the
-fleet pipeline at a glance, plus how much headroom each pin has over its CI
-floor.
+one row per pinned metric -- relative speedups, absolute throughputs
+(``"throughputs"``, rendered as ``.../s``) and overhead ratios
+(``"overheads"``, bounded by ``"ceilings"`` instead of floors) -- sorted by
+measurement time: the project's performance trajectory from the first batch
+engine to the fleet pipeline at a glance, plus how much headroom each pin has
+over its CI bound.
 
 Run it directly (``PYTHONPATH=src python benchmarks/report.py``); the CI job
 does after the smoke benchmarks refresh the ``*_small`` files.  Exits
 non-zero if any recorded speedup or throughput sits below its recorded
-floor, so a stale or regressed JSON cannot slip through silently.
+floor, or any overhead above its ceiling, so a stale or regressed JSON
+cannot slip through silently.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _workload_summary(workload: dict) -> str:
 
 
 def trajectory_rows(results: list[dict]) -> tuple[list[tuple[str, ...]], list[str]]:
-    """One table row per pinned speedup/throughput; also collects floor violations."""
+    """One table row per pinned metric; also collects floor and ceiling violations."""
     rows: list[tuple[str, ...]] = []
     violations: list[str] = []
     for payload in results:
@@ -89,7 +91,7 @@ def trajectory_rows(results: list[dict]) -> tuple[list[tuple[str, ...]], list[st
             floor = floors.get(metric)
             if floor is not None and speedup < floor:
                 violations.append(
-                    f"{name}:{metric} speedup {speedup:.1f}x below floor {floor}x"
+                    f"FLOOR VIOLATION: {name}:{metric} speedup {speedup:.1f}x below floor {floor}x"
                 )
             rows.append(
                 (
@@ -106,7 +108,8 @@ def trajectory_rows(results: list[dict]) -> tuple[list[tuple[str, ...]], list[st
             floor = floors.get(metric)
             if floor is not None and throughput < floor:
                 violations.append(
-                    f"{name}:{metric} throughput {throughput:,.0f}/s below floor {floor:,.0f}/s"
+                    f"FLOOR VIOLATION: {name}:{metric} throughput {throughput:,.0f}/s "
+                    f"below floor {floor:,.0f}/s"
                 )
             rows.append(
                 (
@@ -115,6 +118,25 @@ def trajectory_rows(results: list[dict]) -> tuple[list[tuple[str, ...]], list[st
                     f"{throughput:,.0f}/s",
                     f"{floor:,.0f}/s" if floor is not None else "-",
                     f"{throughput / floor:,.0f}x" if floor else "-",
+                    date,
+                    workload,
+                )
+            )
+        ceilings = payload.get("ceilings", {})
+        for metric, overhead in sorted(payload.get("overheads", {}).items()):
+            ceiling = ceilings.get(metric)
+            if ceiling is not None and overhead > ceiling:
+                violations.append(
+                    f"CEILING VIOLATION: {name}:{metric} overhead {overhead:.2f}x "
+                    f"above ceiling {ceiling}x"
+                )
+            rows.append(
+                (
+                    name,
+                    metric,
+                    f"{overhead:.2f}x",
+                    f"max {ceiling:g}x" if ceiling is not None else "-",
+                    f"{ceiling / overhead:,.1f}x" if ceiling and overhead else "-",
                     date,
                     workload,
                 )
@@ -137,14 +159,14 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(
         format_table(
-            ("benchmark", "metric", "value", "floor", "margin", "measured", "workload"),
+            ("benchmark", "metric", "value", "bound", "margin", "measured", "workload"),
             rows,
         )
     )
     if violations:
         print()
         for violation in violations:
-            print(f"FLOOR VIOLATION: {violation}")
+            print(violation)
         return 1
     return 0
 

@@ -33,7 +33,7 @@ import dataclasses
 import hashlib
 import math
 from collections import OrderedDict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from typing import Any, Callable, Hashable
 
@@ -378,12 +378,20 @@ def table_key_from_fingerprint(
 
 def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     """Rough payload size: the ndarray bytes reachable through dataclass
-    fields, tuples and mappings, plus a small per-object overhead."""
+    fields, tuples and mappings, plus a small per-object overhead.
+
+    Scenarios and scenario grids are charged the flat overhead instead of
+    being walked: a fused grid table references the grid it was built from as
+    provenance, not payload, so sizing a fleet-scale table costs O(table
+    fields) rather than O(users).
+    """
     if _depth > 6:
         return 64
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 64
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if isinstance(obj, (_scenario_class(), _scenario_grid_class())):
+            return 64
         return 64 + sum(
             estimate_nbytes(getattr(obj, field.name), _depth + 1)
             for field in dataclasses.fields(obj)
@@ -464,6 +472,38 @@ class TableCache:
         self._entries[key] = (value, size)
         self._nbytes += size
         self._evict()
+
+    def put_many(self, keys: Sequence[Hashable], make: Callable[[int], Any], nbytes: int) -> None:
+        """Insert ``make(j)`` of size ``nbytes`` under ``keys[j]`` for every ``j``.
+
+        Leaves the cache exactly as ``put(keys[j], make(j), nbytes)`` in
+        order would: the same entries in the same LRU order and the same
+        counters.  When a batch of new, distinct keys overflows the cache by
+        itself, the prefix its own later insertions would evict is counted as
+        evicted without being stored, so ``make(j)`` runs only for stored
+        items.
+        """
+        keys = list(keys)
+        nbytes = int(nbytes)
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        # The newest items that fit together (at least one) survive.  If they
+        # leave a prefix out, that prefix and every entry resident before the
+        # batch are evicted by the time it ends -- unless a key repeats or is
+        # already resident: re-putting a key moves its entry and can free
+        # room, so such batches replay item by item.
+        fit = min(self.max_entries, self.max_bytes // nbytes if nbytes else len(keys))
+        start = max(len(keys) - max(fit, 1), 0)
+        if start:
+            distinct = set(keys)
+            if len(distinct) == len(keys) and distinct.isdisjoint(self._entries):
+                self._evictions += len(self._entries) + start
+                self._entries.clear()
+                self._nbytes = 0
+            else:
+                start = 0
+        for j in range(start, len(keys)):
+            self.put(keys[j], make(j), nbytes)
 
     def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Return the cached value, building and inserting it on a miss."""

@@ -58,6 +58,7 @@ import numpy as np
 from ..cache import (
     cached_fingerprint,
     canonical,
+    estimate_nbytes,
     seed_updated_grid_fingerprint,
     table_key_from_fingerprint,
 )
@@ -380,29 +381,26 @@ class GridCostTables:
         new_grid = ScenarioGrid(tuple(entries))  # re-validates name uniqueness
 
         order = sorted(normalized)
-        slices: dict[int, GridSlice] = {}
-        to_build: list[int] = []
+        served: dict[int, GridSlice] = {}
+        keys: dict[int, tuple] = {}
         if slice_cache is not None:
             for i in order:
-                hit = slice_cache.get(_slice_key(context, normalized[i]))
+                keys[i] = _slice_key(context, normalized[i])
+                hit = slice_cache.get(keys[i])
                 if hit is not None:
-                    slices[i] = hit
-                else:
-                    to_build.append(i)
-        else:
-            to_build = order
-        if to_build:
-            built = _scenario_slices(context, [normalized[i] for i in to_build])
-            for i, piece in zip(to_build, built):
-                slices[i] = piece
-                if slice_cache is not None:
-                    slice_cache.put(_slice_key(context, normalized[i]), piece)
+                    served[i] = hit
+        to_build = [i for i in order if i not in served]
+        built = _scenario_values(context, [normalized[i] for i in to_build]) if to_build else {}
+        if slice_cache is not None and to_build:
+            _cache_slices(slice_cache, [keys[i] for i in to_build], built)
 
         changes: dict[str, np.ndarray] = {}
         for name in _SLICE_FIELDS:
             arr = getattr(self, name).copy()
-            for i in order:
-                arr[i] = getattr(slices[i], name)
+            if to_build:
+                arr[to_build] = built[name]
+            for i, piece in served.items():
+                arr[i] = getattr(piece, name)
             changes[name] = arr
         new_context = replace(context, scenarios=new_grid)
         new_fingerprint = ""
@@ -949,9 +947,7 @@ def _fused_grid_tables(
                 arr[i] = getattr(piece, name)
             values[name] = arr
     if slice_cache is not None and need:
-        for pos, i in enumerate(need):
-            piece = GridSlice(**{name: sub[name][pos].copy() for name in _SLICE_FIELDS})
-            slice_cache.put(keys[i], piece)
+        _cache_slices(slice_cache, [keys[i] for i in need], sub)
 
     static = _static_value_arrays(costs, nonhost, m)
     return GridCostTables(
@@ -968,12 +964,27 @@ def _fused_grid_tables(
     )
 
 
-def _scenario_slices(context: GridBuildContext, entries: "Sequence[Scenario]") -> list[GridSlice]:
-    """Compute the condition slices of some scenarios of a build context.
+def _cache_slices(cache: "TableCache", keys: Sequence[tuple], values: Mapping[str, np.ndarray]) -> None:
+    """Seed ``cache`` with the condition slices of freshly computed rows.
+
+    ``values`` holds one row per key.  Every slice of one build has the same
+    shapes, so all are sized once; ``put_many`` copies out only the rows the
+    cache keeps.
+    """
+
+    def make(pos: int) -> GridSlice:
+        return GridSlice(**{name: values[name][pos].copy() for name in _SLICE_FIELDS})
+
+    nbytes = estimate_nbytes(GridSlice(**{name: values[name][0] for name in _SLICE_FIELDS}))
+    cache.put_many(keys, make, nbytes)
+
+
+def _scenario_values(context: GridBuildContext, entries: "Sequence[Scenario]") -> dict:
+    """The condition rows of some scenarios of a build context.
 
     Uses the fused array path when every axis is vectorized, the materializing
     apply_conditions path otherwise; either way the formula core is elementwise
-    per scenario row, so the slices match a full rebuild bitwise.
+    per scenario row, so the rows match a full rebuild bitwise.
     """
     from ..scenarios.conditions import apply_conditions, vectorized_axis
 
@@ -991,11 +1002,7 @@ def _scenario_slices(context: GridBuildContext, entries: "Sequence[Scenario]") -
     else:
         platforms = tuple(apply_conditions(platform, scenario) for scenario in entries)
         pa = _materialized_params(platforms, aliases, host, tuple(platform.devices))
-    values = _grid_value_arrays(context.task_costs, pa, nonhost)
-    return [
-        GridSlice(**{name: values[name][i].copy() for name in _SLICE_FIELDS})
-        for i in range(len(entries))
-    ]
+    return _grid_value_arrays(context.task_costs, pa, nonhost)
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,8 @@ def solve_contention(
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
     tables = executor.grid_cost_tables(chain, fleet.grid)
     aliases = tables.aliases

@@ -17,8 +17,11 @@ construction -- the guarantee the weight-validation sweep of this PR pins).
 :meth:`SampledFleet.resample_users` redraws a subset of users in place and
 returns the ``{index: Scenario}`` replacement map that
 :meth:`~repro.devices.simulator.SimulatedExecutor.update_grid_tables` /
-``GridCostTables.updated_many`` consume -- a drifted fleet is a delta
-rebuild, not a full build.
+``GridCostTables.updated_many`` consume -- through them a drifted fleet is a
+delta rebuild, not a full build.  Planning the drifted grid directly (for
+example ``search_grid`` on ``drifted.grid``) keys new tables instead: when the
+fleet has more users than the table cache has entries, that is a full build
+that finds only the most recently cached users' slices.
 """
 
 from __future__ import annotations

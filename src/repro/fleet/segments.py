@@ -96,6 +96,10 @@ class NormalAxis(AxisSampler):
             raise ValueError(f"normal parameters must be finite, got mean={self.mean!r} std={self.std!r}")
         if self.std < 0:
             raise ValueError(f"normal std must be non-negative, got {self.std}")
+        for name in ("low", "high"):
+            bound = getattr(self, name)
+            if bound is not None and math.isnan(bound):
+                raise ValueError(f"clip bound {name} must not be NaN (use None for an open side)")
         if self.low is not None and self.high is not None and self.low > self.high:
             raise ValueError(f"clip bounds must satisfy low <= high, got [{self.low}, {self.high}]")
 
@@ -127,6 +131,9 @@ class ChoiceAxis(AxisSampler):
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("ChoiceAxis needs at least one value")
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"choice values must be finite, got values[{i}]={v!r}")
         object.__setattr__(self, "values", values)
         if self.probs is not None:
             probs = tuple(float(p) for p in self.probs)

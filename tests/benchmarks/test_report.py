@@ -121,3 +121,27 @@ class TestThroughputRows:
         rows, violations = report.trajectory_rows(report.load_results(tmp_path))
         assert violations == []
         assert any(row[1] == "fleet_pairs_per_s" and row[3] == "-" for row in rows)
+
+
+OVERHEAD_PAYLOAD = dict(
+    THROUGHPUT_PAYLOAD,
+    overheads={"slice_cache_overhead": 1.1},
+    ceilings={"slice_cache_overhead": 1.5},
+)
+
+
+class TestOverheadRows:
+    def test_overheads_render_against_their_ceiling(self, tmp_path, capsys):
+        write(tmp_path, "BENCH_fleet.json", json.dumps(OVERHEAD_PAYLOAD))
+        assert report.main(["report.py", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "slice_cache_overhead" in out
+        assert "1.10x" in out and "max 1.5x" in out
+
+    def test_overhead_above_ceiling_is_a_violation(self, tmp_path, capsys):
+        payload = dict(OVERHEAD_PAYLOAD, overheads={"slice_cache_overhead": 2.4})
+        write(tmp_path, "BENCH_fleet.json", json.dumps(payload))
+        assert report.main(["report.py", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "CEILING VIOLATION" in out
+        assert "2.40x above ceiling 1.5x" in out

@@ -18,7 +18,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factories import random_chain, random_graph, random_platform
@@ -31,10 +31,18 @@ from repro.cache import (
     fingerprint,
     table_key,
 )
-from repro.devices import DeviceSpec, Platform
+from repro.devices import DeviceSpec, Platform, SimulatedExecutor, edge_cluster_platform
+from repro.devices.tables import build_tables
 from repro.faults import FaultProfile, RetryPolicy, TimeoutPolicy
-from repro.scenarios import Scenario, ScenarioGrid
-from repro.tasks import GemmLoopTask, TaskChain, TaskGraph
+from repro.fleet import FleetSpec, NormalAxis, UniformAxis, UserSegment, sample_fleet
+from repro.scenarios import (
+    DeviceLoadFactor,
+    LinkBandwidthScale,
+    LinkLatencyScale,
+    Scenario,
+    ScenarioGrid,
+)
+from repro.tasks import GemmLoopTask, RegularizedLeastSquaresTask, TaskChain, TaskGraph
 
 
 class TestCanonical:
@@ -287,3 +295,202 @@ class TestTableCache:
         assert stats.hit_rate == 0.75
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.hits = 5
+
+
+def _cache_state(cache: TableCache) -> tuple:
+    """Entries in LRU order (oldest first) with their sizes, plus counters."""
+    return [(key, value, size) for key, (value, size) in cache._entries.items()], cache.stats()
+
+
+def _filled_cache(max_entries: int, max_bytes: int, resident) -> TableCache:
+    cache = TableCache(max_entries=max_entries, max_bytes=max_bytes)
+    for key, size in resident:
+        cache.put(key, ("old", key), size)
+    return cache
+
+
+class TestPutMany:
+    """``put_many`` is a batched loop of ``put``: same entries, order and stats."""
+
+    @given(
+        max_entries=st.integers(1, 8),
+        max_bytes=st.integers(1, 300),
+        resident=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 60)), max_size=10),
+        batch=st.lists(st.integers(0, 9), max_size=30),
+        nbytes=st.integers(0, 60),
+        fresh=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    # batch larger than the cache, entry-bound: 4 of 20 survive
+    @example(4, 10**6, [(0, 1), (1, 1)], list(range(20)), 1, True)
+    # batch smaller than the cache: nothing is skipped
+    @example(8, 10**6, [(0, 1)], list(range(3)), 1, True)
+    # byte-bound-limited: only the newest 3 items fit in 100 bytes
+    @example(50, 100, [(0, 30)], list(range(12)), 30, True)
+    # a single oversized item still caches, evicting everything else
+    @example(8, 50, [(0, 10), (1, 10)], [3], 500, True)
+    # keys already resident, and duplicate keys within the batch
+    @example(3, 10**6, [(1, 5), (2, 5), (3, 5)], [2, 4, 2, 5], 5, False)
+    @example(2, 10, [], [0, 1, 1, 2], 3, False)
+    def test_matches_sequential_put(self, max_entries, max_bytes, resident, batch, nbytes, fresh):
+        # Fresh batches (new, distinct keys) take the path that skips the
+        # overflowed prefix; the others replay item by item.
+        keys = [f"new{j}" for j in range(len(batch))] if fresh else batch
+
+        expected = _filled_cache(max_entries, max_bytes, resident)
+        for j, key in enumerate(keys):
+            expected.put(key, ("new", j), nbytes)
+
+        actual = _filled_cache(max_entries, max_bytes, resident)
+        made = []
+
+        def make(j):
+            made.append(j)
+            return ("new", j)
+
+        actual.put_many(keys, make, nbytes)
+
+        assert _cache_state(actual) == _cache_state(expected)
+        assert made == sorted(set(made))  # in batch order, each at most once
+        if fresh:
+            entries, _ = _cache_state(actual)
+            assert set(made) == {value[1] for _, value, _ in entries if value[0] == "new"}
+
+    def test_overflowing_batch_builds_only_the_survivors(self):
+        cache = TableCache(max_entries=3)
+        cache.put("old", 0)
+        made = []
+        cache.put_many(range(10), lambda j: made.append(j) or j, 8)
+        assert made == [7, 8, 9]
+        stats = cache.stats()
+        assert (stats.entries, stats.evictions, stats.nbytes) == (3, 8, 24)
+        assert (stats.hits, stats.misses) == (0, 0)
+
+    def test_negative_size_is_rejected(self):
+        with pytest.raises(ValueError, match="nbytes"):
+            TableCache().put_many(["a"], lambda j: j, -1)
+
+
+def _three_segment_spec() -> FleetSpec:
+    return FleetSpec(
+        segments=(
+            UserSegment(
+                "wifi",
+                weight=6.0,
+                axes=(
+                    UniformAxis(LinkBandwidthScale(), 0.8, 1.3),
+                    UniformAxis(LinkLatencyScale(), 0.8, 1.5),
+                ),
+            ),
+            UserSegment(
+                "cell",
+                weight=3.0,
+                axes=(
+                    UniformAxis(LinkBandwidthScale(), 0.1, 0.45),
+                    UniformAxis(LinkLatencyScale(), 2.0, 6.0),
+                ),
+            ),
+            UserSegment(
+                "loaded",
+                weight=1.0,
+                axes=(
+                    NormalAxis(
+                        DeviceLoadFactor(devices=("D",)), mean=1.6, std=0.3, low=1.0, high=2.5
+                    ),
+                ),
+            ),
+        )
+    )
+
+
+def _rls_chain(n_tasks: int) -> TaskChain:
+    return TaskChain(
+        [
+            RegularizedLeastSquaresTask(
+                size=60 + 60 * i, iterations=8, name=f"L{i + 1}", generate_on_host=False
+            )
+            for i in range(n_tasks)
+        ],
+        name="cache-traffic",
+    )
+
+
+#: The per-scenario arrays of a grid table (bitwise-compared).
+_SLICE_FIELDS = (
+    "busy", "hostio_time", "energy_in", "energy_out", "penalty_time",
+    "penalty_energy", "first_penalty_time", "first_penalty_energy",
+    "power_active", "power_idle", "cost_per_hour", "extra_idle_power",
+)
+
+
+class TestFleetCacheTraffic:
+    def test_slice_cache_traffic_is_pinned(self):
+        """A fleet overflowing a 64-entry cache: fresh build, delta, full, delta.
+
+        The hit/miss/eviction counts and slice provenance were recorded with
+        one ``put`` per built slice; batch seeding must reproduce them, and
+        every grid must equal a build without a slice cache bitwise.
+        """
+        platform = edge_cluster_platform()
+        chain = _rls_chain(3)
+        cache = TableCache(max_entries=64)
+        executor = SimulatedExecutor(platform, table_cache=cache)
+        fleet = sample_fleet(_three_segment_spec(), 600, seed=7)
+
+        def check(tables):
+            reference = build_tables(chain, platform, scenarios=fleet.grid)
+            for name in _SLICE_FIELDS:
+                assert getattr(tables, name).tobytes() == getattr(reference, name).tobytes()
+            assert tables.fingerprint == reference.fingerprint
+
+        tables = executor.grid_cost_tables(chain, fleet.grid)
+        check(tables)
+        provenance = [(tables.cache_stats().served, tables.cache_stats().built)]
+        drifts = (range(0, 600, 40), range(590, 600), range(5, 600, 25))
+        for step, users in enumerate(drifts):
+            fleet, replacements = fleet.resample_users(users, seed=100 + step)
+            if step == 1:
+                tables = executor.grid_cost_tables(chain, fleet.grid)
+            else:
+                tables = executor.update_grid_tables(tables, replacements)
+            check(tables)
+            provenance.append((tables.cache_stats().served, tables.cache_stats().built))
+
+        assert provenance == [(0, 600), (0, 15), (51, 549), (0, 24)]
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (51, 1190, 1128)
+        assert stats.entries == 64
+
+    def test_estimate_nbytes_ignores_scenario_provenance(self):
+        """Equal table shapes size equally, however many settings scenarios carry."""
+        platform = edge_cluster_platform()
+        chain = _rls_chain(2)
+        one = ScenarioGrid(
+            tuple(
+                Scenario(f"u{i}", settings=((LinkBandwidthScale(), 0.5 + 0.1 * i),))
+                for i in range(8)
+            )
+        )
+        three = ScenarioGrid(
+            tuple(
+                Scenario(
+                    f"u{i}",
+                    settings=(
+                        (LinkBandwidthScale(), 0.5 + 0.1 * i),
+                        (LinkLatencyScale(), 1.5),
+                        (DeviceLoadFactor(devices=("D",)), 1.2),
+                    ),
+                )
+                for i in range(8)
+            )
+        )
+        small = build_tables(chain, platform, scenarios=one)
+        large = build_tables(chain, platform, scenarios=three)
+        assert small.build_context is not None and large.build_context is not None
+        assert estimate_nbytes(small) == estimate_nbytes(large)
+        arrays = sum(
+            getattr(small, f.name).nbytes
+            for f in dataclasses.fields(small)
+            if isinstance(getattr(small, f.name), np.ndarray)
+        )
+        assert estimate_nbytes(small) >= arrays

@@ -241,6 +241,19 @@ class TestValidation:
                     executor, chain, fleet, ContentionModel(), placements="DE", damping=damping
                 )
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12])
+    def test_tol_must_be_finite_and_non_negative(self, setup, tol):
+        executor, chain, fleet = setup
+        with pytest.raises(ValueError, match="tol"):
+            solve_contention(executor, chain, fleet, ContentionModel(), placements="DE", tol=tol)
+
+    def test_zero_tol_is_accepted(self, setup):
+        executor, chain, fleet = setup
+        res = solve_contention(
+            executor, chain, fleet, ContentionModel(alpha=0.2), placements="DE", tol=0.0
+        )
+        assert res.n_iterations >= 1
+
     def test_placement_shape_and_aliases(self, setup):
         executor, chain, fleet = setup
         with pytest.raises(ValueError, match="devices for"):

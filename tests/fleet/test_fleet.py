@@ -94,6 +94,16 @@ class TestSamplerValidation:
         with pytest.raises(ValueError, match="positive"):
             ChoiceAxis(LinkBandwidthScale(), values=(0.5, 1.0), probs=(0.0, 0.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_choice_values_must_be_finite(self, value):
+        with pytest.raises(ValueError, match=r"values\[1\]"):
+            ChoiceAxis(LinkBandwidthScale(), values=(0.5, value))
+
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_normal_clip_bounds_must_not_be_nan(self, side):
+        with pytest.raises(ValueError, match=f"clip bound {side}"):
+            NormalAxis(LinkLatencyScale(), mean=1.0, **{side: float("nan")})
+
     def test_choice_draws_come_from_the_menu(self):
         sampler = ChoiceAxis(LinkBandwidthScale(), values=(0.25, 0.5, 1.0), probs=(1.0, 1.0, 2.0))
         draws = sampler.sample(np.random.default_rng(3), 200)
