@@ -1,9 +1,10 @@
 """Benchmark the vectorized expected-cost-under-faults engine vs. a scalar loop.
 
-The fault-tolerance workload evaluates every placement of a chain under a
-fault profile with retries: per task, the truncated-geometric expected
-attempt count scales compute/transfer time and energy, plus expected backoff
-and a survival product for the placement's success probability.  The baseline
+The fault-tolerance workload evaluates every placement of a chain -- and of
+a fork-join DAG with as many tasks -- under a fault profile with retries:
+per task, the truncated-geometric expected attempt count scales
+compute/transfer time and energy, plus expected backoff and a survival
+product for the placement's success probability.  The baseline
 is the obvious implementation: call :func:`repro.faults.expected_record` (the
 sequential python-float reference the engine is differential-pinned against)
 once per placement.  The vectorized path (:func:`execute_fault_placements`)
@@ -37,10 +38,11 @@ from repro.faults import (
     expected_record,
 )
 from repro.offload import placement_matrix
-from repro.tasks import RegularizedLeastSquaresTask, TaskChain
+from repro.tasks import RegularizedLeastSquaresTask, TaskChain, fork_join_graph
 
 SMALL = os.environ.get("BENCH_FAULTS_SMALL", "") not in ("", "0")
 
+# The fork-join DAG has N_TASKS - 2 branches between its prep and join tasks.
 if SMALL:
     N_TASKS = 4  # 4**4 = 256 placements
     SPEEDUP_FLOOR = 2.0
@@ -83,24 +85,9 @@ def _vector_path(tables, matrix):
     return execute_fault_placements(tables, matrix)
 
 
-def test_fault_engine_matches_and_beats_scalar_loop(benchmark, bench_once, bench_json):
-    """Bitwise identical expected records, at a fraction of the loop's cost."""
-    platform = edge_cluster_platform()
-    chain = build_chain(N_TASKS)
-    tables = build_tables(
-        chain, platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT
-    )
-    matrix = placement_matrix(len(chain), len(platform.aliases))
-    n_placements = matrix.shape[0]
-
-    # Warm both paths on a tiny workload (lazy imports, allocator warm-up).
-    small_tables = build_tables(
-        build_chain(2), platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT
-    )
-    small_matrix = placement_matrix(2, 4)
-    _loop_path(small_tables, small_matrix)
-    _vector_path(small_tables, small_matrix)
-
+def _timed_paths(tables, matrix):
+    """Time the vectorized engine and the scalar loop on one workload, then
+    assert (untimed) that they agree bitwise on every placement and metric."""
     gc.collect()
     start = time.perf_counter()
     batch = _vector_path(tables, matrix)
@@ -111,7 +98,6 @@ def test_fault_engine_matches_and_beats_scalar_loop(benchmark, bench_once, bench
     records = _loop_path(tables, matrix)
     loop_s = time.perf_counter() - start
 
-    # -- equivalence (untimed): bitwise, every placement, every metric -------
     for index, record in enumerate(records):
         assert batch.total_time_s[index] == record.total_time_s
         assert batch.success_probability[index] == record.success_probability
@@ -120,34 +106,72 @@ def test_fault_engine_matches_and_beats_scalar_loop(benchmark, bench_once, bench
         assert batch.operating_cost[index] == record.operating_cost
         assert batch.transferred_bytes[index] == record.transferred_bytes
     assert np.all(batch.success_probability > 0.0)
+    return loop_s, vector_s
 
-    speedup = loop_s / vector_s
+
+def test_fault_engine_matches_and_beats_scalar_loop(benchmark, bench_once, bench_json):
+    """Bitwise identical expected records, at a fraction of the loop's cost,
+    for a chain and for a fork-join DAG of the same size."""
+    platform = edge_cluster_platform()
+    n_devices = len(platform.aliases)
+    # (speedup key, loop-seconds key, workload)
+    cases = (
+        ("fault_engine", "record_loop", build_chain(N_TASKS)),
+        ("fault_engine_dag", "dag_record_loop", fork_join_graph(branches=N_TASKS - 2)),
+    )
+    tables = {
+        name: build_tables(workload, platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT)
+        for name, _, workload in cases
+    }
+    matrix = placement_matrix(N_TASKS, n_devices)
+    n_placements = matrix.shape[0]
+
+    # Warm both paths on tiny workloads (lazy imports, allocator warm-up).
+    for tiny in (build_chain(2), fork_join_graph(branches=2)):
+        tiny_tables = build_tables(
+            tiny, platform, retry=RETRY, faults=build_profile(), timeout=TIMEOUT
+        )
+        tiny_matrix = placement_matrix(len(tiny), n_devices)
+        _loop_path(tiny_tables, tiny_matrix)
+        _vector_path(tiny_tables, tiny_matrix)
+
+    seconds, speedups = {}, {}
     print(
         f"\n{platform.name}: {n_placements} placements x {N_TASKS} tasks under faults "
         f"(retries={RETRY.max_attempts}, timeout={TIMEOUT.timeout_s:g}s)"
-        f"\n  scalar record loop:  {loop_s * 1e3:8.1f} ms"
-        f"\n  vectorized engine:   {vector_s * 1e3:8.1f} ms  "
-        f"({speedup:5.1f}x, floor {SPEEDUP_FLOOR}x)"
     )
+    for name, loop_key, workload in cases:
+        loop_s, vector_s = _timed_paths(tables[name], matrix)
+        speedups[name] = loop_s / vector_s
+        seconds[loop_key] = loop_s
+        seconds[name] = vector_s
+        print(
+            f"  {workload.name}:"
+            f"\n    scalar record loop:  {loop_s * 1e3:8.1f} ms"
+            f"\n    vectorized engine:   {vector_s * 1e3:8.1f} ms  "
+            f"({speedups[name]:5.1f}x, floor {SPEEDUP_FLOOR}x)"
+        )
 
     bench_json(
         "faults_small" if SMALL else "faults",
         {
             "workload": {
                 "platform": platform.name,
-                "n_devices": len(platform.aliases),
+                "n_devices": n_devices,
                 "n_tasks": N_TASKS,
                 "n_placements": n_placements,
+                "dag": cases[1][2].name,
                 "max_attempts": RETRY.max_attempts,
                 "small": SMALL,
             },
-            "seconds": {"record_loop": loop_s, "fault_engine": vector_s},
-            "speedups": {"fault_engine": speedup},
-            "floors": {"fault_engine": SPEEDUP_FLOOR},
+            "seconds": seconds,
+            "speedups": speedups,
+            "floors": {name: SPEEDUP_FLOOR for name in speedups},
         },
     )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"fault engine regressed: {speedup:.1f}x < {SPEEDUP_FLOOR}x vs the scalar loop"
-    )
+    for name, speedup in speedups.items():
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"{name} regressed: {speedup:.1f}x < {SPEEDUP_FLOOR}x vs the scalar loop"
+        )
 
-    bench_once(benchmark, _vector_path, tables, matrix)
+    bench_once(benchmark, _vector_path, tables["fault_engine"], matrix)

@@ -1148,28 +1148,6 @@ def _execute_row(tables: ChainCostTables, P: np.ndarray) -> BatchExecutionResult
     return _run_kernel(_row_view(tables), P)._row(0, tables)
 
 
-def _finalize_row(
-    tables: ChainCostTables,
-    P: np.ndarray,
-    total_time: np.ndarray,
-    transferred: np.ndarray,
-    transfer_energy: np.ndarray,
-    busy_by_device: np.ndarray,
-    flops_by_device: np.ndarray,
-) -> BatchExecutionResult:
-    """Energy/cost finalization of plain-table folds through :func:`_finalize_grid`."""
-    result = _finalize_grid(
-        _row_view(tables),
-        P,
-        total_time[None],
-        transferred,
-        transfer_energy[None],
-        busy_by_device[None],
-        flops_by_device,
-    )
-    return result._row(0, tables)
-
-
 def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
     """The chain kernel on fully linked platforms.
 

@@ -1,4 +1,4 @@
-"""Vectorized expected-cost-under-faults engine plus its sequential reference.
+"""Expected-cost-under-faults engine: one vectorized kernel plus its scalar reference.
 
 Per task and attempt, three things can go wrong: the device crashes or a
 transfer drops (per-attempt survival ``surv`` from the fault tables), the
@@ -7,7 +7,7 @@ overruns the per-attempt timeout ``c`` and is killed after exactly ``c``
 seconds.  With bounded retries the attempt count is truncated-geometric and
 every expectation below is closed-form -- no sampling.  Three regimes per
 ``(placement, task)`` element, selected by nested ``np.where`` in the
-vectorized engine and by the *same* ``if/elif/else`` in the scalar reference:
+vectorized kernel and by the *same* ``if/elif/else`` in the scalar reference:
 
 1. ``dur > c``: even a nominal attempt overruns -- every attempt fails at
    ``c`` and the task can never succeed (success probability 0).
@@ -24,14 +24,23 @@ wall-clock and idle energy but never the device's busy seconds or active
 energy.  Where success is impossible the time/energy/cost metrics are
 ``inf`` and the success probability is exactly ``0.0``.
 
+One kernel serves every shape.  It runs over
+:class:`~repro.faults.tables.FaultGridCostTables` with a leading scenario
+axis; :func:`execute_fault_placements` wraps plain fault tables as a
+one-scenario grid and hands back row 0, just as the classic
+:func:`~repro.devices.batch.execute_placements` runs on the grid kernels.  A
+chain is the DAG whose task ``t`` has the single predecessor ``t - 1``, so
+hop penalties and survivals fold over predecessors in edge order for both;
+only the time fold branches -- a sum for chains, the critical path for DAGs.
+
 The scalar helpers below perform the identical IEEE-754 operation sequence
-(powers by repeated multiplication, the same guarded divisions), so
-:func:`execute_fault_placements` is pinned bitwise by
-:func:`expected_record` -- and with an empty profile, no timeout and any
-retry policy, both collapse to the classic fault-free engine bit for bit.
+(powers by repeated multiplication, the same guarded divisions), so the
+kernel is pinned bitwise by :func:`expected_record` -- and with an empty
+profile, no timeout and any retry policy, both collapse to the classic
+fault-free engine bit for bit.
 
 For chains the expected total time is exact (expectation of a sum).  For
-DAGs the engine substitutes each task's *expected* duration into the
+DAGs the kernel substitutes each task's *expected* duration into the
 critical-path recurrence -- a deterministic-equivalent approximation, since
 ``E[max] >= max(E)``; the documented exactness boundary.  The Monte-Carlo
 sampler (:mod:`repro.faults.simulate`) is the statistical cross-check on
@@ -46,19 +55,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..devices.batch import (
-    BatchExecutionResult,
-    GraphCostTables,
-    as_placement_matrix,
-    placement_labels,
-)
+from ..devices.batch import BatchExecutionResult, GraphCostTables, as_placement_matrix
 from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
 from ..devices.grid import (
     GridExecutionResult,
     _finalize_grid,
-    _finalize_row,
     _raise_graph_missing_link,
+    _row_view,
 )
 from .retry import RetryPolicy, expected_attempts, expected_backoff
 from .tables import FaultChainCostTables, FaultGridCostTables
@@ -81,10 +85,10 @@ __all__ = [
 def _attempt_statistics(dur, surv, q, sigma, c, cfin, retry: RetryPolicy):
     """Vectorized per-task retry statistics.
 
-    ``dur``/``surv`` are arrays (placement axis, optionally with a leading
-    scenario axis); ``q``/``sigma`` are floats or ``(s, 1)`` columns; ``c``
-    is the timeout (``cfin`` its finite stand-in, used only in expressions
-    whose lanes are never selected when ``c`` is infinite).  Returns
+    ``dur``/``surv`` are ``(s, n)`` arrays (scenario, placement);
+    ``q``/``sigma`` are ``(s, 1)`` columns; ``c`` is the timeout (``cfin``
+    its finite stand-in, used only in expressions whose lanes are never
+    selected when ``c`` is infinite).  Returns
     ``(succ, n_succ, task_time)``: per-task success probability, guarded
     ``E[attempts | success]`` (exactly ``1.0`` where success is impossible,
     so energy scaling never manufactures ``0 * inf``), and the expected
@@ -261,9 +265,15 @@ class FaultGridExecutionResult(GridExecutionResult):
     idle_j: np.ndarray | None = None
 
     def batch(self, index: int) -> FaultBatchExecutionResult:
-        """One scenario's fault batch view (bitwise equal to a direct run)."""
+        """One scenario's fault batch view (bitwise equal to a direct run);
+        negative indices count from the end."""
+        index = self.tables._scenario_index(index)
+        return self._row(index, self.fault_tables.table(index))
+
+    def _row(self, index: int, tables: FaultChainCostTables) -> FaultBatchExecutionResult:
+        """Row ``index`` as a fault batch result over the given fault tables."""
         return FaultBatchExecutionResult(
-            tables=self.tables.table(index),
+            tables=tables.base,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
             busy_by_device=self.busy_by_device[index],
@@ -274,14 +284,14 @@ class FaultGridExecutionResult(GridExecutionResult):
             idle_j=self.idle_j[index],
             energy_total_j=self.energy_total_j[index],
             operating_cost=self.operating_cost[index],
-            fault_tables=self.fault_tables.table(index),
+            fault_tables=tables,
             success_probability=self.success_probability[index],
             expected_attempts=self.expected_attempts[index],
         )
 
 
 # ---------------------------------------------------------------------------
-# Vectorized engines
+# Vectorized engine
 # ---------------------------------------------------------------------------
 
 def execute_fault_placements(
@@ -290,221 +300,22 @@ def execute_fault_placements(
     """Expected cost of every placement under the fault profile, in one pass.
 
     The fault-aware analogue of
-    :func:`~repro.devices.batch.execute_placements`: identical gathers and
-    left folds, with each task's contribution replaced by its closed-form
-    retry expectation.  Graph tables route through the deterministic-
-    equivalent critical-path recurrence.
+    :func:`~repro.devices.batch.execute_placements`, and built the same way:
+    the plain fault tables run as a one-scenario grid on the grid kernel and
+    row 0 is handed back over the caller's own tables.
     """
     base = tables.base
     P = as_placement_matrix(placements, base.aliases, base.n_tasks, workload=base.workload)
-    P = P.astype(np.intp, copy=False)
-    if tables.is_graph:
-        return _execute_graph_fault_placements(tables, P)
-    n, k = P.shape
-    m = base.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = base.busy[task_idx, P]
-    hostio_time_pt = base.hostio_time[task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[task_idx, P]
-    energy_out_pt = base.energy_out[task_idx, P]
-    node_surv_pt = tables.node_survival[task_idx, P]
-    pen_time_pt = np.empty((n, k))
-    pen_energy_pt = np.empty((n, k))
-    pen_bytes_pt = np.empty((n, k))
-    edge_surv_pt = np.empty((n, k))
-    pen_time_pt[:, 0] = base.first_penalty_time[P[:, 0]]
-    pen_energy_pt[:, 0] = base.first_penalty_energy[P[:, 0]]
-    pen_bytes_pt[:, 0] = base.first_penalty_bytes[P[:, 0]]
-    edge_surv_pt[:, 0] = tables.first_edge_survival[P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, 1:] = base.penalty_time[src, dst]
-        pen_energy_pt[:, 1:] = base.penalty_energy[src, dst]
-        pen_bytes_pt[:, 1:] = base.penalty_bytes[src, dst]
-        edge_surv_pt[:, 1:] = tables.edge_survival[src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        # Same rejection as the classic engine: a placement that traverses a
-        # device pair without a link cannot run, faults or no faults.
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = base.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[i, t]):
-            a, b = base.platform.host, current
-        else:
-            a = base.platform.host if t == 0 else base.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], base.aliases)[0]!r})"
-        )
-
-    q = tables.profile.straggler_probability
-    sigma = tables.profile.straggler_slowdown
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
-
-    success = np.ones(n)
-    attempts_total = np.zeros(n)
-    total_time = np.zeros(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        dur = busy_pt[:, t] + transfer_pt[:, t]
-        surv = node_surv_pt[:, t] * edge_surv_pt[:, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        total_time += task_time
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, t] * n_succ
-        transfer_energy += energy_out_pt[:, t] * n_succ
-        transfer_energy += pen_energy_pt[:, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += (busy_pt[:, t] * n_succ) * mask
-            flops_by_device[:, d] += (base.task_flops[t] * n_succ) * mask
-
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_row(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
+    row = FaultGridCostTables(
+        base=_row_view(base),
+        profiles=(tables.profile,),
+        retry=tables.retry,
+        timeout=tables.timeout,
+        node_survival=tables.node_survival[None],
+        edge_survival=tables.edge_survival[None],
+        first_edge_survival=tables.first_edge_survival[None],
     )
-    return FaultBatchExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
-    )
-
-
-def _execute_graph_fault_placements(
-    tables: FaultChainCostTables, P: np.ndarray
-) -> FaultBatchExecutionResult:
-    """DAG expected-cost engine: expected durations in the critical-path fold."""
-    base = tables.base
-    n, k = P.shape
-    m = base.n_devices
-    task_idx = np.arange(k)
-    preds = base.pred_positions
-
-    busy_pt = base.busy[task_idx, P]
-    hostio_time_pt = base.hostio_time[task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[task_idx, P]
-    energy_out_pt = base.energy_out[task_idx, P]
-    node_surv_pt = tables.node_survival[task_idx, P]
-    pen_time_pt = np.zeros((n, k))
-    pen_energy_pt = np.zeros((n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    edge_surv_pt = np.ones((n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            # Fan-in join: every incoming penalty hop must survive; the
-            # survival factors fold left in the same canonical edge order as
-            # the penalty costs.
-            for p in preds[t]:
-                pen_time_pt[:, t] += base.penalty_time[P[:, p], dst]
-                pen_energy_pt[:, t] += base.penalty_energy[P[:, p], dst]
-                pen_bytes_pt[:, t] += base.penalty_bytes[P[:, p], dst]
-                edge_surv_pt[:, t] = edge_surv_pt[:, t] * tables.edge_survival[P[:, p], dst]
-        else:
-            pen_time_pt[:, t] = base.first_penalty_time[dst]
-            pen_energy_pt[:, t] = base.first_penalty_energy[dst]
-            pen_bytes_pt[:, t] = base.first_penalty_bytes[dst]
-            edge_surv_pt[:, t] = tables.first_edge_survival[dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            base.aliases,
-            base.platform.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[i, t])),
-            lambda p: bool(np.isnan(base.penalty_time[P[i, p], P[i, t]])),
-        )
-
-    q = tables.profile.straggler_probability
-    sigma = tables.profile.straggler_slowdown
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
-
-    success = np.ones(n)
-    attempts_total = np.zeros(n)
-    total_time = np.zeros(n)
-    finish = np.zeros((n, k))
-    available = np.zeros((n, m))
-    rows = np.arange(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        dur = busy_pt[:, t] + transfer_pt[:, t]
-        surv = node_surv_pt[:, t] * edge_surv_pt[:, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        ready = np.zeros(n)
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, p])
-        start = np.maximum(ready, available[rows, P[:, t]])
-        finish[:, t] = start + task_time
-        available[rows, P[:, t]] = finish[:, t]
-        total_time = np.maximum(total_time, finish[:, t])
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, t] * n_succ
-        transfer_energy += energy_out_pt[:, t] * n_succ
-        transfer_energy += pen_energy_pt[:, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += (busy_pt[:, t] * n_succ) * mask
-            flops_by_device[:, d] += (base.task_flops[t] * n_succ) * mask
-
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_row(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-    return FaultBatchExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
-    )
+    return _execute_fault_grid(row, P.astype(np.intp, copy=False))._row(0, tables)
 
 
 def execute_fault_placements_grid(
@@ -512,147 +323,71 @@ def execute_fault_placements_grid(
 ) -> FaultGridExecutionResult:
     """Expected cost of every placement under every fault regime, in one pass.
 
-    The grid analogue of :func:`execute_fault_placements`: a leading scenario
-    axis on every fold, per-scenario straggler parameters broadcast as
-    columns, so each scenario slice is bitwise identical to the chain fault
-    engine on ``tables.table(i)``.  Graph grids route through the
-    deterministic-equivalent DAG recurrence.
+    Per-scenario straggler parameters broadcast as columns over a leading
+    scenario axis, so each scenario slice is bitwise identical to
+    :func:`execute_fault_placements` on ``tables.table(i)``.
     """
     base = tables.base
     P = as_placement_matrix(placements, base.aliases, base.n_tasks, workload=base.workload)
-    P = P.astype(np.intp, copy=False)
-    if tables.is_graph:
-        return _execute_graph_fault_placements_grid(tables, P)
-    n, k = P.shape
-    s, m = base.n_scenarios, base.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = base.busy[:, task_idx, P]  # (s, n, k)
-    hostio_time_pt = base.hostio_time[:, task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]  # (n, k)
-    energy_in_pt = base.energy_in[:, task_idx, P]
-    energy_out_pt = base.energy_out[:, task_idx, P]
-    node_surv_pt = tables.node_survival[:, task_idx, P]  # (s, n, k)
-    pen_time_pt = np.empty((s, n, k))
-    pen_energy_pt = np.empty((s, n, k))
-    pen_bytes_pt = np.empty((n, k))
-    edge_surv_pt = np.empty((s, n, k))
-    pen_time_pt[:, :, 0] = base.first_penalty_time[:, P[:, 0]]
-    pen_energy_pt[:, :, 0] = base.first_penalty_energy[:, P[:, 0]]
-    pen_bytes_pt[:, 0] = base.first_penalty_bytes[P[:, 0]]
-    edge_surv_pt[:, :, 0] = tables.first_edge_survival[:, P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, :, 1:] = base.penalty_time[:, src, dst]
-        pen_energy_pt[:, :, 1:] = base.penalty_energy[:, src, dst]
-        pen_bytes_pt[:, 1:] = base.penalty_bytes[src, dst]
-        edge_surv_pt[:, :, 1:] = tables.edge_survival[:, src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = base.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[:, i, t]).any():
-            a, b = base.host, current
-        else:
-            a = base.host if t == 0 else base.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], base.aliases)[0]!r})"
-        )
-
-    q = np.array([profile.straggler_probability for profile in tables.profiles]).reshape(s, 1)
-    sigma = np.array([profile.straggler_slowdown for profile in tables.profiles]).reshape(s, 1)
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
-
-    success = np.ones((s, n))
-    attempts_total = np.zeros((s, n))
-    total_time = np.zeros((s, n))
-    transferred = np.zeros((s, n))
-    transfer_energy = np.zeros((s, n))
-    busy_by_device = np.zeros((s, n, m))
-    flops_by_device = np.zeros((s, n, m))
-    for t in range(k):
-        dur = busy_pt[:, :, t] + transfer_pt[:, :, t]
-        surv = node_surv_pt[:, :, t] * edge_surv_pt[:, :, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        total_time += task_time
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, :, t] * n_succ
-        transfer_energy += energy_out_pt[:, :, t] * n_succ
-        transfer_energy += pen_energy_pt[:, :, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, :, d] += (busy_pt[:, :, t] * n_succ) * mask
-            flops_by_device[:, :, d] += (base.task_flops[t] * n_succ) * mask
-
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_grid(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-    return FaultGridExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
-    )
+    return _execute_fault_grid(tables, P.astype(np.intp, copy=False))
 
 
-def _execute_graph_fault_placements_grid(
-    tables: FaultGridCostTables, P: np.ndarray
-) -> FaultGridExecutionResult:
-    """Grid DAG expected-cost engine (scenario axis over the critical path)."""
+def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGridExecutionResult:
+    """The one expected-cost kernel: chains and DAGs, every scenario at once.
+
+    A chain is the DAG whose task ``t`` has the single predecessor ``t - 1``:
+    hop penalties and survivals fold over the predecessors in edge order, and
+    only the time fold differs -- a sum of expected task times for chains, the
+    critical-path recurrence over expected durations for DAGs.
+    """
     base = tables.base
     n, k = P.shape
     s, m = base.n_scenarios, base.n_devices
-    task_idx = np.arange(k)
-    preds = base.pred_positions
+    is_graph = tables.is_graph
+    preds = base.pred_positions if is_graph else tuple((t - 1,) if t else () for t in range(k))
 
-    busy_pt = base.busy[:, task_idx, P]
-    hostio_time_pt = base.hostio_time[:, task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[:, task_idx, P]
-    energy_out_pt = base.energy_out[:, task_idx, P]
-    node_surv_pt = tables.node_survival[:, task_idx, P]
-    pen_time_pt = np.zeros((s, n, k))
-    pen_energy_pt = np.zeros((s, n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    edge_surv_pt = np.ones((s, n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            for p in preds[t]:
-                pen_time_pt[:, :, t] += base.penalty_time[:, P[:, p], dst]
-                pen_energy_pt[:, :, t] += base.penalty_energy[:, P[:, p], dst]
-                pen_bytes_pt[:, t] += base.penalty_bytes[P[:, p], dst]
-                edge_surv_pt[:, :, t] = (
-                    edge_surv_pt[:, :, t] * tables.edge_survival[:, P[:, p], dst]
-                )
-        else:
-            pen_time_pt[:, :, t] = base.first_penalty_time[:, dst]
-            pen_energy_pt[:, :, t] = base.first_penalty_energy[:, dst]
-            pen_bytes_pt[:, t] = base.first_penalty_bytes[dst]
-            edge_surv_pt[:, :, t] = tables.first_edge_survival[:, dst]
+    # Flat-index takes: one contiguous gather per (s, k, m) table.
+    flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
+
+    def per_task(table: np.ndarray) -> np.ndarray:
+        return table.reshape(s, k * m).take(flat_cols, axis=1).reshape(s, n, k)
+
+    busy_pt = per_task(base.busy)  # (s, n, k)
+    hostio_time_pt = per_task(base.hostio_time)
+    hostio_bytes_pt = base.hostio_bytes.ravel().take(flat_cols).reshape(n, k)  # (n, k)
+    energy_in_pt = per_task(base.energy_in)
+    energy_out_pt = per_task(base.energy_out)
+    node_surv_pt = per_task(tables.node_survival)
+
+    # Hop terms per task: a source is fed by the host; otherwise the first
+    # incoming edge is assigned and later ones added -- or, for survival,
+    # multiplied -- in the canonical edge order of the scalar reference.
+    edges = [[P[:, p] * m + P[:, t] for p in preds[t]] for t in range(k)]
+    hops = []
+    for pair, first, fold in (
+        (base.penalty_time, base.first_penalty_time, np.add),
+        (base.penalty_energy, base.first_penalty_energy, np.add),
+        (base.penalty_bytes, base.first_penalty_bytes, np.add),
+        (tables.edge_survival, tables.first_edge_survival, np.multiply),
+    ):
+        lead = first.shape[:-1]  # (s,) or () for the scenario-independent bytes
+        flat = pair.reshape(lead + (m * m,))
+        out = np.empty(lead + (n, k))
+        for t in range(k):
+            if not edges[t]:
+                out[..., t] = first.take(P[:, t], axis=-1)
+            for j, edge in enumerate(edges[t]):
+                if j:
+                    fold(out[..., t], flat.take(edge, axis=-1), out=out[..., t])
+                else:
+                    out[..., t] = flat.take(edge, axis=-1)
+        hops.append(out)
+    pen_time_pt, pen_energy_pt, pen_bytes_pt, edge_surv_pt = hops
     transfer_pt = hostio_time_pt + pen_time_pt
 
     if base.missing_links and np.isnan(transfer_pt).any():
+        # Same rejection as the classic engine: a placement that traverses a
+        # device pair without a link cannot run, faults or no faults.
         _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
         _raise_graph_missing_link(
             base.aliases,
@@ -674,35 +409,40 @@ def _execute_graph_fault_placements_grid(
     success = np.ones((s, n))
     attempts_total = np.zeros((s, n))
     total_time = np.zeros((s, n))
-    finish = np.zeros((s, n, k))
-    available = np.zeros((s, n, m))
-    rows = np.arange(n)
     transferred = np.zeros((s, n))
     transfer_energy = np.zeros((s, n))
     busy_by_device = np.zeros((s, n, m))
     flops_by_device = np.zeros((s, n, m))
+    rows = np.arange(n)
+    if is_graph:
+        finish = np.zeros((s, n, k))
+        available = np.zeros((s, n, m))
     for t in range(k):
         dur = busy_pt[:, :, t] + transfer_pt[:, :, t]
         surv = node_surv_pt[:, :, t] * edge_surv_pt[:, :, t]
         succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
         success = success * succ
         attempts_total += n_succ
-        ready = np.zeros((s, n))
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, :, p])
-        start = np.maximum(ready, available[:, rows, P[:, t]])
-        finish[:, :, t] = start + task_time
-        available[:, rows, P[:, t]] = finish[:, :, t]
-        total_time = np.maximum(total_time, finish[:, :, t])
+        col = P[:, t]
+        if is_graph:
+            ready = np.zeros((s, n))
+            for p in preds[t]:
+                ready = np.maximum(ready, finish[:, :, p])
+            start = np.maximum(ready, available[:, rows, col])
+            finish[:, :, t] = start + task_time
+            available[:, rows, col] = finish[:, :, t]
+            total_time = np.maximum(total_time, finish[:, :, t])
+        else:
+            total_time += task_time
         transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
         transfer_energy += energy_in_pt[:, :, t] * n_succ
         transfer_energy += energy_out_pt[:, :, t] * n_succ
         transfer_energy += pen_energy_pt[:, :, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, :, d] += (busy_pt[:, :, t] * n_succ) * mask
-            flops_by_device[:, :, d] += (base.task_flops[t] * n_succ) * mask
+        # Scatter-add: each placement row touches exactly one (row, device)
+        # cell per task (unique index pairs, so the fancy ``+=`` is exact) --
+        # the single per-device addition the scalar reference makes.
+        busy_by_device[:, rows, col] += busy_pt[:, :, t] * n_succ
+        flops_by_device[:, rows, col] += base.task_flops[t] * n_succ
 
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
@@ -761,6 +501,9 @@ def expected_record(
             f"placement {row!r} has {len(row)} entries but workload "
             f"{base.workload!r} has {base.n_tasks} tasks"
         )
+    # Index rows get the batch engine's range check: no negative wrap-around,
+    # no bare IndexError.
+    as_placement_matrix(np.array([row]), base.aliases, base.n_tasks, workload=base.workload)
     aliases_row = tuple(base.aliases[d] for d in row)
     is_graph = isinstance(base, GraphCostTables)
 

@@ -63,11 +63,22 @@ class RetryPolicy:
         cap = float(self.backoff_cap_s)
         if math.isnan(cap) or cap < 0.0:
             raise ValueError(f"backoff_cap_s must be >= 0 (inf allowed), got {cap!r}")
+        # Delays never shrink, so the last one bounds the schedule; an
+        # uncapped exponential overflows to inf on long budgets.
+        if attempts > 1 and not math.isfinite(self.delay(attempts - 1)):
+            raise ValueError(
+                f"backoff_cap_s={cap!r} lets the delay after failure {attempts - 1} "
+                f"overflow to inf; set a finite backoff_cap_s or fewer max_attempts"
+            )
 
     def delay(self, failures: int) -> float:
         """Backoff delay inserted after the ``failures``-th failed attempt."""
         if failures < 1:
             raise ValueError(f"delay() is defined for failures >= 1, got {failures}")
+        if self.backoff_base_s == 0.0:
+            # No backoff at all; the factor power alone may overflow, and
+            # 0.0 * inf is nan.
+            return 0.0
         scale = 1.0
         for _ in range(failures - 1):
             scale = scale * self.backoff_factor

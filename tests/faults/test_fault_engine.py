@@ -17,7 +17,7 @@ import pytest
 
 from factories import random_chain, random_graph, random_platform
 
-from repro.devices import build_tables, edge_cluster_platform, execute_placements
+from repro.devices import Platform, build_tables, edge_cluster_platform, execute_placements
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
@@ -194,29 +194,76 @@ class TestImpossibleTasks:
 
 
 class TestGridSlicing:
-    def test_grid_equals_per_scenario_tables_bitwise(self):
+    @pytest.mark.parametrize("build", ["platforms", "fused"])
+    @pytest.mark.parametrize("shape", ["chain", "graph"])
+    def test_grid_equals_per_scenario_tables_bitwise(self, shape, build):
         platform = edge_cluster_platform()
         rng = np.random.default_rng(5)
         chain = random_chain(rng, 3)
+        workload = chain
+        if shape == "graph":
+            workload = TaskGraph(chain.tasks, edges=[("L1", "L2"), ("L1", "L3")], name="fork")
         axis = DeviceFailureRate(devices=("E", "A"))
         scenarios = ScenarioGrid.cartesian([(axis, [0.0, 0.1, 0.3])])
         platforms = scenarios.platforms(platform)
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
-        gt = build_tables(chain, platforms, retry=retry)
-        matrix = placement_matrix(len(chain), len(platform.aliases))
+        if build == "fused":
+            gt = build_tables(workload, platform, scenarios=scenarios, retry=retry)
+        else:
+            gt = build_tables(workload, platforms, retry=retry)
+        assert gt.is_graph is (shape == "graph")
+        matrix = placement_matrix(len(workload), len(platform.aliases))
         grid = execute_fault_placements_grid(gt, matrix)
         for index in range(len(platforms)):
             single = execute_fault_placements(gt.table(index), matrix)
-            assert np.array_equal(grid.total_time_s[index], single.total_time_s)
-            assert np.array_equal(grid.success_probability[index], single.success_probability)
-            assert np.array_equal(grid.expected_attempts[index], single.expected_attempts)
-            assert np.array_equal(grid.energy_total_j[index], single.energy_total_j)
-            assert np.array_equal(grid.operating_cost[index], single.operating_cost)
-            assert np.array_equal(grid.transferred_bytes[index], single.transferred_bytes)
-            assert np.array_equal(grid.flops_by_device[index], single.flops_by_device)
+            view = grid.batch(index)
+            for field in SCALAR_FIELDS + ("busy_by_device", "flops_by_device", "idle_j"):
+                expected = getattr(single, field)
+                assert np.array_equal(getattr(grid, field)[index], expected), field
+                assert np.array_equal(getattr(view, field), expected), field
             # A direct build on the scenario platform matches the slice too.
-            direct = build_tables(chain, platforms[index], retry=retry)
+            direct = build_tables(workload, platforms[index], retry=retry)
             assert np.array_equal(gt.node_survival[index], direct.node_survival)
+
+
+class TestMissingLinksUnderFaults:
+    """Faults never rescue a placement that crosses a missing link: the fault
+    engine, row and grid, fails exactly where and how the classic engine does."""
+
+    @pytest.mark.parametrize("missing", [("A", "B"), ("B", "D")])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_placement_matches_the_classic_engine(self, seed, missing):
+        rng = np.random.default_rng(300 + seed)
+        base = random_platform(rng, 3)  # devices D (host), A, B
+        links = {pair: link for pair, link in base.links.items() if set(pair) != set(missing)}
+        platform = Platform(devices=base.devices, links=links, host="D", name="partial")
+        chain = random_chain(rng, 3)
+        join = TaskGraph(chain.tasks, edges=[("L1", "L3"), ("L2", "L3")], name="join")
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
+        faults = random_profile(rng, tuple(platform.aliases))
+        matrix = placement_matrix(3, 3)
+        for workload in (chain, join):
+            classic = build_tables(workload, platform)
+            fault_tables = (
+                build_tables(workload, platform, retry=retry, faults=faults),
+                build_tables(workload, [platform, platform], retry=retry, faults=faults),
+            )
+            outcomes = []
+            for rows in [matrix[i : i + 1] for i in range(len(matrix))] + [matrix]:
+                try:
+                    execute_placements(classic, rows)
+                    expected = None
+                except KeyError as exc:
+                    expected = str(exc)
+                outcomes.append(expected)
+                for tables in fault_tables:
+                    if expected is None:
+                        tables.execute(rows)
+                        continue
+                    with pytest.raises(KeyError) as error:
+                        tables.execute(rows)
+                    assert str(error.value) == expected
+            assert None in outcomes and any(outcomes)
 
 
 class TestExpectedRecordNormalisation:
@@ -246,3 +293,16 @@ class TestExpectedRecordNormalisation:
         tables = build_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match="has 2 entries but workload"):
             expected_record(tables, ("D", "E"))
+
+    @pytest.mark.parametrize("bad", [[-1, 0, 0], [7, 0, 0]])
+    def test_out_of_range_index_raises_the_batch_error(self, bad):
+        platform = edge_cluster_platform()
+        rng = np.random.default_rng(2)
+        chain = random_chain(rng, 3)
+        tables = build_tables(chain, platform, retry=RetryPolicy())
+        with pytest.raises(ValueError) as batch:
+            execute_fault_placements(tables, np.array([bad]))
+        with pytest.raises(ValueError) as record:
+            expected_record(tables, bad)
+        assert str(record.value) == str(batch.value)
+        assert "device indices in [0, 4)" in str(record.value)

@@ -14,7 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import RetryPolicy, TimeoutPolicy, expected_attempts, expected_backoff
+from factories import random_chain
+from repro.devices import build_tables, edge_cluster_platform
+from repro.faults import (
+    DeviceFailure,
+    FaultProfile,
+    RetryPolicy,
+    TimeoutPolicy,
+    expected_attempts,
+    expected_backoff,
+    expected_record,
+)
+from repro.offload import placement_matrix
 
 
 class TestRetryPolicyValidation:
@@ -55,6 +66,49 @@ class TestRetryPolicyValidation:
         assert policy.delays() == (1.0, 2.0, 3.0, 3.0)
         with pytest.raises(ValueError, match="failures >= 1"):
             policy.delay(0)
+
+
+class TestLongRetryBudgets:
+    """Budgets long enough for ``backoff_factor**j`` to overflow a float."""
+
+    def test_zero_base_delays_stay_zero_past_overflow(self):
+        # 2.0**1024 is inf; without backoff the delay must still be 0.0, not
+        # 0.0 * inf = nan.
+        policy = RetryPolicy(max_attempts=1026)
+        assert policy.delay(1025) == 0.0
+        assert set(policy.delays()) == {0.0}
+        assert expected_backoff(0.1, policy) == 0.0
+
+    def test_uncapped_overflowing_schedule_is_rejected(self):
+        with pytest.raises(ValueError, match="backoff_cap_s"):
+            RetryPolicy(max_attempts=1100, backoff_base_s=0.001)
+
+    def test_cap_bounds_a_long_schedule(self):
+        policy = RetryPolicy(max_attempts=1100, backoff_base_s=0.001, backoff_cap_s=5.0)
+        assert policy.delays()[-1] == 5.0
+        assert math.isfinite(expected_backoff(0.5, policy))
+
+    def test_longest_finite_uncapped_schedule_is_accepted(self):
+        # The factor power 2.0**1023 is the last finite one; the delay after
+        # failure 1025 would need 2.0**1024.
+        assert math.isfinite(RetryPolicy(max_attempts=1025, backoff_base_s=0.001).delay(1024))
+        with pytest.raises(ValueError, match="backoff_cap_s"):
+            RetryPolicy(max_attempts=1026, backoff_base_s=0.001)
+
+    def test_long_budget_without_backoff_scores_finite(self, rng):
+        chain = random_chain(rng, 2)
+        platform = edge_cluster_platform()
+        tables = build_tables(
+            chain,
+            platform,
+            retry=RetryPolicy(max_attempts=1026),
+            faults=FaultProfile(device_failure=DeviceFailure(rate=0.1)),
+        )
+        batch = tables.execute(placement_matrix(len(chain), len(platform.aliases)))
+        assert np.all(np.isfinite(batch.total_time_s))
+        assert np.all(batch.success_probability == 1.0)
+        record = expected_record(tables, batch.placements[-1])
+        assert record.total_time_s == batch.total_time_s[-1]
 
 
 class TestTimeoutPolicy:
