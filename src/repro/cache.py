@@ -387,6 +387,8 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     """
     if _depth > 6:
         return 64
+    if obj is None or isinstance(obj, (int, float)):
+        return 32  # the fallback's charge, minus its isinstance chain (hot: table scalars)
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 64
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -23,13 +23,11 @@ from .catalog import (
 from .batch import (
     BatchExecutionResult,
     ChainCostTables,
-    GraphCostTables,
     execute_placements,
 )
 from .device import DeviceSpec
 from .energy import EnergyBreakdown
 from .grid import (
-    GraphGridCostTables,
     GridCostTables,
     GridExecutionResult,
     execute_placements_grid,
@@ -51,10 +49,8 @@ __all__ = [
     "HostExecutor",
     "BatchExecutionResult",
     "ChainCostTables",
-    "GraphCostTables",
     "execute_placements",
     "GridCostTables",
-    "GraphGridCostTables",
     "GridExecutionResult",
     "execute_placements_grid",
     "CostTables",

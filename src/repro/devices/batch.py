@@ -7,10 +7,9 @@ about.  This module is the single-platform face of the vectorized engine:
 
 * :class:`ChainCostTables` holds, per ``(task, device)``, the busy time
   (compute + startup), the host<->device transfer time/energy/bytes, and, per
-  ``(device, device)``, the penalty-link costs of the scalar crossing devices;
-* :class:`GraphCostTables` adds a :class:`~repro.tasks.graph.TaskGraph`'s
-  dependency structure -- same per-entry values, evaluated level by level
-  along the DAG;
+  ``(device, device)``, the penalty-link costs of the scalar crossing devices,
+  plus the workload's dependency structure: ``pred_positions`` lists each
+  task's predecessors, ``(t - 1,)`` throughout for a chain;
 * :func:`execute_placements` takes an ``(n_placements, n_tasks)`` integer
   device-index matrix and computes every scalar field of an
   :class:`~repro.devices.simulator.ExecutionRecord` with array operations.
@@ -18,12 +17,11 @@ about.  This module is the single-platform face of the vectorized engine:
 Plain tables are the one-row case of the condition-stacked grid core
 (:mod:`repro.devices.grid`): :func:`~repro.devices.tables.build_tables` builds
 them as row 0 of a one-platform grid build, and :func:`execute_placements`
-runs the grid's chain or DAG kernel on a one-scenario view of them, so there
-is one placement kernel per workload shape.  The results are **bitwise
-identical** to the sequential loop: per-task quantities come from the same
-scalar formulas, and all accumulations fold left in task order exactly like
-the sequential accumulators (a plain ``np.sum`` would use pairwise summation
-and drift in the last ulp for long chains).
+runs the grid kernels on a one-scenario view of them.  The results are
+**bitwise identical** to the sequential loop: per-task quantities come from
+the same scalar formulas, and all accumulations fold left in task order
+exactly like the sequential accumulators (a plain ``np.sum`` would use
+pairwise summation and drift in the last ulp for long chains).
 
 For DAG workloads the timing model changes where the structure demands it:
 a task starts when its slowest predecessor has finished *and* its device is
@@ -32,15 +30,17 @@ branches placed on different devices overlap -- the total time is the
 critical path through the schedule), a fan-in join pays one penalty hop per
 incoming edge (summed in canonical edge order), source tasks are fed by the
 host exactly like a chain's first task, and energy/bytes/cost remain plain
-sums over tasks and edges.  On a *linear* graph every one of these rules
-degenerates to the chain rule -- the device-availability term never exceeds
-the predecessor's finish time there -- and the results are bitwise identical
-to the chain kernel.
+sums over tasks and edges.  On *linear* predecessors every one of these
+rules degenerates to the chain rule -- the device-availability term never
+exceeds the predecessor's finish time there -- so a chain and the same chain
+as a :class:`~repro.tasks.graph.TaskGraph` build the same tables and run the
+same kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ from .simulator import (
 
 __all__ = [
     "ChainCostTables",
-    "GraphCostTables",
     "BatchExecutionResult",
     "execute_placements",
     "as_placement_matrix",
@@ -74,12 +73,17 @@ class ChainCostTables:
     ``(n_tasks, n_devices)``; the penalty tables have shape
     ``(n_devices, n_devices)`` with the first-task (host -> device) costs kept
     in separate vectors so the host does not need to be a candidate device.
+    ``pred_positions`` carries the dependency structure: sources draw the
+    ``first_penalty`` host feed, later tasks one penalty hop per predecessor.
     """
 
     # Task names only (not the TaskChain): tables are cached under content
     # fingerprints, and a back-reference would keep every workload object
     # alive for as long as its tables sit in the cache.
     task_names: tuple[str, ...]
+    #: Per (topological) position, the positions of the task's predecessors
+    #: (ascending; empty = source task fed from the host).
+    pred_positions: tuple[tuple[int, ...], ...]
     platform: Platform
     aliases: tuple[str, ...]
     busy: np.ndarray
@@ -120,34 +124,21 @@ class ChainCostTables:
     def n_devices(self) -> int:
         return len(self.aliases)
 
+    @cached_property
+    def is_linear(self) -> bool:
+        """True when every task's only predecessor is the one before it: a
+        chain (or a linear graph), run on the fast chain kernel when every
+        candidate pair is linked."""
+        return _is_linear(self.pred_positions)
+
     def execute(self, placements: np.ndarray) -> "BatchExecutionResult":
         """Evaluate a placement batch against these tables (protocol entry)."""
         return execute_placements(self, placements)
 
 
-@dataclass(frozen=True)
-class GraphCostTables(ChainCostTables):
-    """Cost tables of a :class:`~repro.tasks.graph.TaskGraph` on a platform.
-
-    The per-(task, device) and per-(device, device) tables are *identical* to
-    :class:`ChainCostTables` built over the graph's tasks in topological
-    order -- what changes is how :func:`execute_placements` traverses them:
-    ``pred_positions`` carries each task's predecessors (by topological
-    position, ascending), sources draw the ``first_penalty`` host feed, and
-    the total time is the critical path instead of the serial sum.
-    """
-
-    #: Per topological position, the topological positions of the task's
-    #: predecessors (ascending; empty = source task fed from the host).
-    pred_positions: tuple[tuple[int, ...], ...] = ()
-
-
-def as_graph_tables(
-    base: ChainCostTables, pred_positions: tuple[tuple[int, ...], ...]
-) -> GraphCostTables:
-    """Attach DAG structure to already-built chain tables (shared with the grid)."""
-    values = {f.name: getattr(base, f.name) for f in fields(ChainCostTables)}
-    return GraphCostTables(**values, pred_positions=pred_positions)
+def _is_linear(pred_positions: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether every task ``t`` has exactly the predecessor ``t - 1``."""
+    return all(preds == ((t - 1,) if t else ()) for t, preds in enumerate(pred_positions))
 
 
 def as_placement_matrix(
@@ -303,12 +294,13 @@ class BatchExecutionResult:
         """Materialise the full :class:`ExecutionRecord` of one placement.
 
         Replays the sequential accumulation with scalars taken from the cost
-        tables, so every field -- including the per-task records -- is bitwise
-        identical to ``SimulatedExecutor.execute`` (or, for graph tables,
-        ``SimulatedExecutor.execute_graph``) on the same placement.
+        tables -- edge-ordered penalty sums, max-over-predecessors ready
+        times -- so every field, including the per-task records, is bitwise
+        identical to ``SimulatedExecutor.execute_graph`` on the same
+        placement, and to ``SimulatedExecutor.execute`` for a chain: with
+        linear predecessors a task starts exactly when the previous one ends,
+        so the critical path is the running sum.
         """
-        if isinstance(self.tables, GraphCostTables):
-            return _graph_record(self.tables, self.placements[index])
         t = self.tables
         platform = t.platform
         row = self.placements[index]
@@ -320,18 +312,28 @@ class BatchExecutionResult:
         transferred = 0.0
         transfer_energy = 0.0
         total_time = 0.0
+        finish: list[float] = []
+        available: dict[str, float] = {alias: 0.0 for alias in platform.devices}
         for pos, (task_name, d) in enumerate(zip(t.task_names, row)):
             alias = t.aliases[d]
+            preds = t.pred_positions[pos]
+            if preds:
+                pen_time = 0.0
+                pen_energy = 0.0
+                pen_bytes = 0.0
+                for p in preds:
+                    pen_time += float(t.penalty_time[row[p], d])
+                    pen_energy += float(t.penalty_energy[row[p], d])
+                    pen_bytes += float(t.penalty_bytes[row[p], d])
+            else:
+                pen_time = float(t.first_penalty_time[d])
+                pen_energy = float(t.first_penalty_energy[d])
+                pen_bytes = float(t.first_penalty_bytes[d])
+            ready = 0.0
+            for p in preds:
+                ready = max(ready, finish[p])
+            start = max(ready, available[alias])
             busy_time = float(t.busy[pos, d])
-            pen_time = float(t.first_penalty_time[d]) if pos == 0 else float(
-                t.penalty_time[row[pos - 1], d]
-            )
-            pen_bytes = float(t.first_penalty_bytes[d]) if pos == 0 else float(
-                t.penalty_bytes[row[pos - 1], d]
-            )
-            pen_energy = float(t.first_penalty_energy[d]) if pos == 0 else float(
-                t.penalty_energy[row[pos - 1], d]
-            )
             transfer_time = float(t.hostio_time[pos, d]) + pen_time
             task_bytes = float(t.hostio_bytes[pos, d]) + pen_bytes
             transfer_energy += float(t.energy_in[pos, d])
@@ -340,7 +342,10 @@ class BatchExecutionResult:
             busy[alias] += busy_time
             flops[alias] += float(t.task_flops[pos])
             transferred += task_bytes
-            total_time += busy_time + transfer_time
+            end = start + (busy_time + transfer_time)
+            finish.append(end)
+            available[alias] = end
+            total_time = max(total_time, end)
             task_records.append(
                 TaskExecutionRecord(
                     task_name=task_name,
@@ -375,88 +380,14 @@ def execute_placements(tables: ChainCostTables, placements: np.ndarray) -> Batch
 
     ``placements`` must be an ``(n_placements, n_tasks)`` integer matrix of
     positions into ``tables.aliases`` (see :func:`as_placement_matrix`).  The
-    grid core evaluates a one-scenario view of ``tables`` --
-    :class:`GraphCostTables` through its DAG kernel (critical-path latency,
-    per-edge penalty hops), :class:`ChainCostTables` through its chain
-    kernel -- and hands back row 0 as a :class:`BatchExecutionResult`, so
-    every downstream layer (search, selection, scenarios, measurements)
-    consumes chain and graph batches alike.
+    grid core evaluates a one-scenario view of ``tables`` -- fully linked
+    chains on its fast chain kernel, anything else on its checked kernel
+    (missing-link attribution, critical-path latency) -- and hands back row 0 as
+    a :class:`BatchExecutionResult`, so every downstream layer (search,
+    selection, scenarios, measurements) consumes chain and graph batches
+    alike.
     """
     from .grid import _execute_row
 
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
     return _execute_row(tables, P.astype(np.intp, copy=False))
-
-
-def _graph_record(tables: GraphCostTables, row: np.ndarray) -> ExecutionRecord:
-    """Replay ``SimulatedExecutor.execute_graph`` with scalars from the tables.
-
-    The graph analogue of :meth:`BatchExecutionResult.record`: identical fold
-    orders (edge-ordered penalty sums, max-over-predecessors ready times), so
-    every field is bitwise identical to the sequential graph executor.
-    """
-    platform = tables.platform
-    aliases_row = tuple(tables.aliases[d] for d in row)
-
-    task_records: list[TaskExecutionRecord] = []
-    busy: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    flops: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    transferred = 0.0
-    transfer_energy = 0.0
-    total_time = 0.0
-    finish: list[float] = []
-    available: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    for pos, (task_name, d) in enumerate(zip(tables.task_names, row)):
-        alias = tables.aliases[d]
-        preds = tables.pred_positions[pos]
-        if preds:
-            pen_time = 0.0
-            pen_energy = 0.0
-            pen_bytes = 0.0
-            for p in preds:
-                pen_time += float(tables.penalty_time[row[p], d])
-                pen_energy += float(tables.penalty_energy[row[p], d])
-                pen_bytes += float(tables.penalty_bytes[row[p], d])
-        else:
-            pen_time = float(tables.first_penalty_time[d])
-            pen_energy = float(tables.first_penalty_energy[d])
-            pen_bytes = float(tables.first_penalty_bytes[d])
-        ready = 0.0
-        for p in preds:
-            ready = max(ready, finish[p])
-        start = max(ready, available[alias])
-        busy_time = float(tables.busy[pos, d])
-        transfer_time = float(tables.hostio_time[pos, d]) + pen_time
-        task_bytes = float(tables.hostio_bytes[pos, d]) + pen_bytes
-        transfer_energy += float(tables.energy_in[pos, d])
-        transfer_energy += float(tables.energy_out[pos, d])
-        transfer_energy += pen_energy
-        busy[alias] += busy_time
-        flops[alias] += float(tables.task_flops[pos])
-        transferred += task_bytes
-        end = start + (busy_time + transfer_time)
-        finish.append(end)
-        available[alias] = end
-        total_time = max(total_time, end)
-        task_records.append(
-            TaskExecutionRecord(
-                task_name=task_name,
-                device=alias,
-                busy_time_s=busy_time,
-                transfer_time_s=transfer_time,
-                transferred_bytes=task_bytes,
-                flops=float(tables.task_flops[pos]),
-            )
-        )
-
-    energy, cost_total = finalize_execution(platform, busy, total_time, transfer_energy)
-    return ExecutionRecord(
-        placement=aliases_row,
-        tasks=tuple(task_records),
-        total_time_s=total_time,
-        busy_time_by_device=busy,
-        flops_by_device=flops,
-        transferred_bytes=transferred,
-        energy=energy,
-        operating_cost=cost_total,
-    )

@@ -16,12 +16,17 @@ scenario platform along a leading condition axis:
   metrics shaped ``(n_conditions, n_placements)`` that are bitwise identical
   to the sequential executor on each derived platform.
 
-This is the one evaluation core.  Plain single-platform tables
-(:class:`~repro.devices.batch.ChainCostTables` /
-:class:`~repro.devices.batch.GraphCostTables`) are row 0 of a one-platform
+This is the one evaluation core, with two kernels.  Chain vs DAG is not a
+table type but the ``pred_positions`` field every table carries (a chain's
+task ``t`` has the single predecessor ``t - 1``).  Fully linked *linear*
+tables -- chains, and graphs that are really chains -- run the fast chain
+kernel; everything else runs the one checked kernel, which gathers per-task
+cubes so a missing link can be attributed, folds hop penalties over the
+predecessors in edge order, and branches only in the time fold (a running
+sum when linear, the critical path otherwise).  Plain single-platform
+:class:`~repro.devices.batch.ChainCostTables` are row 0 of a one-platform
 materializing build, and :func:`~repro.devices.batch.execute_placements` runs
-the same chain and DAG kernels on a one-scenario view of them: one placement
-kernel per workload shape.
+the same kernels on a one-scenario view of them.
 
 Construction has two paths that agree bitwise.  The **fused** path (used by
 :func:`repro.devices.tables.build_tables` when given a base platform plus a
@@ -68,8 +73,7 @@ from . import costmodel
 from .batch import (
     BatchExecutionResult,
     ChainCostTables,
-    GraphCostTables,
-    as_graph_tables,
+    _is_linear,
     as_placement_matrix,
     placement_labels,
 )
@@ -88,7 +92,6 @@ __all__ = [
     "GridCostTables",
     "GridSlice",
     "GridSliceStats",
-    "GraphGridCostTables",
     "GridExecutionResult",
     "ScenarioPlatforms",
     "execute_placements_grid",
@@ -239,16 +242,19 @@ class GridBuildContext:
 
 @dataclass(frozen=True)
 class GridCostTables:
-    """Cost tables of one chain under every platform of a scenario grid.
+    """Cost tables of one workload under every platform of a scenario grid.
 
     Same layout as :class:`~repro.devices.batch.ChainCostTables` with a
     leading condition axis on every scenario-dependent array; scenario-
     independent arrays (``hostio_bytes``, ``task_flops``, penalty byte
-    counts) carry no condition axis.  ``table(i)`` slices out one scenario's
+    counts) and the dependency structure ``pred_positions`` carry no
+    condition axis.  ``table(i)`` slices out one scenario's
     :class:`ChainCostTables`, bitwise identical to building it directly.
     """
 
     task_names: tuple[str, ...]
+    #: Per topological position, the predecessors' topological positions.
+    pred_positions: tuple[tuple[int, ...], ...]
     #: Per-scenario platforms: a tuple for materializing builds, a lazy
     #: :class:`ScenarioPlatforms` view for fused builds.
     platforms: Sequence[Platform]
@@ -302,6 +308,11 @@ class GridCostTables:
     @property
     def host(self) -> str:
         return self.platforms[0].host
+
+    @cached_property
+    def is_linear(self) -> bool:
+        """True for chain tables: see :attr:`ChainCostTables.is_linear`."""
+        return _is_linear(self.pred_positions)
 
     def _scenario_index(self, index: int) -> int:
         """Normalize a scenario index (negative counts from the end)."""
@@ -428,24 +439,6 @@ class GridCostTables:
     def execute(self, placements: np.ndarray) -> "GridExecutionResult":
         """Evaluate a placement batch under every condition (protocol entry)."""
         return execute_placements_grid(self, placements)
-
-
-@dataclass(frozen=True)
-class GraphGridCostTables(GridCostTables):
-    """Condition-stacked cost tables of a :class:`~repro.tasks.graph.TaskGraph`.
-
-    Same value arrays as :class:`GridCostTables` (built over the graph's
-    topologically ordered tasks), plus the dependency structure.  Per-scenario
-    slices are :class:`~repro.devices.batch.GraphCostTables`, so
-    :meth:`GridExecutionResult.batch` views replay graph semantics.
-    """
-
-    #: Per topological position, the predecessors' topological positions.
-    pred_positions: tuple[tuple[int, ...], ...] = ()
-
-    def table(self, index: int) -> ChainCostTables:
-        """The :class:`~repro.devices.batch.GraphCostTables` of one scenario."""
-        return as_graph_tables(super().table(index), self.pred_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +786,7 @@ def _static_value_arrays(costs: Sequence, nonhost: np.ndarray, m: int) -> dict:
 
 
 def _materialized_grid_tables(
-    chain: TaskChain | TaskGraph,
+    workload: TaskChain | TaskGraph,
     platforms: Sequence[Platform],
     devices: Sequence[str] | None = None,
 ) -> GridCostTables:
@@ -805,21 +798,14 @@ def _materialized_grid_tables(
     are computed vectorized across the scenario axis through the
     :mod:`~repro.devices.costmodel` formulas, so each scenario's slice is
     bitwise identical to the scalar per-platform build.  A
-    :class:`~repro.tasks.graph.TaskGraph` workload yields
-    :class:`GraphGridCostTables` (same values over the topologically ordered
-    tasks, plus the dependency structure).
+    :class:`~repro.tasks.graph.TaskGraph`'s tables hold the same values over
+    its topologically ordered tasks; only ``pred_positions`` differs.
 
     This path gathers parameters from materialized ``Platform`` objects.  It
     builds every plain table (row 0 of a one-platform build) and serves as the
     differential reference (and custom-axis fallback) for the fused builder,
     which shares its formula core (:func:`_grid_value_arrays`).
     """
-    if isinstance(chain, TaskGraph):
-        base = _materialized_grid_tables(
-            TaskChain(chain.tasks, name=chain.name), platforms, devices
-        )
-        values = {f.name: getattr(base, f.name) for f in fields(GridCostTables)}
-        return GraphGridCostTables(**values, pred_positions=chain.predecessor_positions)
     platforms = tuple(platforms)
     if not platforms:
         raise ValueError("at least one platform is required")
@@ -845,7 +831,7 @@ def _materialized_grid_tables(
 
     aliases = resolve_aliases(base, devices)
     host = base.host
-    costs = chain.costs()
+    costs = workload.costs()
     nonhost = np.array([alias != host for alias in aliases])
 
     pa = _materialized_params(platforms, aliases, host, device_order)
@@ -853,12 +839,13 @@ def _materialized_grid_tables(
     static = _static_value_arrays(costs, nonhost, len(aliases))
 
     return GridCostTables(
-        task_names=tuple(chain.task_names),
+        task_names=tuple(workload.task_names),
+        pred_positions=workload.predecessor_positions,
         platforms=platforms,
         aliases=aliases,
         device_order=device_order,
         missing_links=pa.missing,
-        workload=chain.name,
+        workload=workload.name,
         slice_stats=GridSliceStats(served=0, built=len(platforms)),
         **values,
         **static,
@@ -887,17 +874,11 @@ def _try_fused_grid_tables(
             if not vectorized_axis(axis):
                 return None
     context = _grid_build_context(workload, platform, scenarios, devices)
-    if isinstance(workload, TaskGraph):
-        base = _fused_grid_tables(
-            TaskChain(workload.tasks, name=workload.name), platform, scenarios, devices, slice_cache, context
-        )
-        values = {f.name: getattr(base, f.name) for f in fields(GridCostTables)}
-        return GraphGridCostTables(**values, pred_positions=workload.predecessor_positions)
     return _fused_grid_tables(workload, platform, scenarios, devices, slice_cache, context)
 
 
 def _fused_grid_tables(
-    chain: TaskChain,
+    workload: TaskChain | TaskGraph,
     platform: Platform,
     scenarios: "ScenarioGrid",
     devices: Sequence[str] | None,
@@ -951,12 +932,13 @@ def _fused_grid_tables(
 
     static = _static_value_arrays(costs, nonhost, m)
     return GridCostTables(
-        task_names=tuple(chain.task_names),
+        task_names=tuple(workload.task_names),
+        pred_positions=workload.predecessor_positions,
         platforms=ScenarioPlatforms(platform, scenarios),
         aliases=aliases,
         device_order=tuple(platform.devices),
         missing_links=missing,
-        workload=chain.name,
+        workload=workload.name,
         build_context=context,
         slice_stats=GridSliceStats(served=len(served), built=len(need)),
         **values,
@@ -1109,24 +1091,24 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
 
     Every ``(scenario, placement)`` element undergoes the identical sequence
     of IEEE-754 operations as the sequential executor on that scenario's
-    platform -- bitwise equal results.  :class:`GraphGridCostTables` route
-    through the DAG kernel (critical path, per-edge joins) with the condition
-    axis vectorized alongside.
+    platform -- bitwise equal results.  Tables with non-linear
+    ``pred_positions`` run the critical-path time fold with per-edge joins,
+    the condition axis vectorized alongside.
     """
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
     return _run_kernel(tables, P.astype(np.intp, copy=False))
 
 
 def _run_kernel(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
-    """Dispatch a validated placement matrix to the chain or DAG kernel."""
-    if isinstance(tables, GraphGridCostTables):
-        return _execute_graph_placements_grid(tables, P)
-    if tables.missing_links:
-        # Missing links mean gathered transfer times can be NaN; the checked
-        # kernel materializes the full (s, n, k) gathers so the first NaN can
-        # be attributed to the exact (placement, task) that crosses the gap.
-        return _execute_chain_grid_checked(tables, P)
-    return _execute_chain_grid(tables, P)
+    """Dispatch a validated placement matrix to the chain or the checked kernel.
+
+    Missing links mean gathered transfer times can be NaN; the checked kernel
+    materializes the full (s, n, k) gathers so the first NaN can be
+    attributed to the exact (placement, task) that crosses the gap.
+    """
+    if tables.is_linear and not tables.missing_links:
+        return _execute_chain_grid(tables, P)
+    return _execute_checked_grid(tables, P)
 
 
 def _row_view(tables: ChainCostTables) -> GridCostTables:
@@ -1134,12 +1116,8 @@ def _row_view(tables: ChainCostTables) -> GridCostTables:
     values = {name: getattr(tables, name) for name in _ROW_FIELDS}
     for name in _SLICE_FIELDS:
         values[name] = values[name][None]
-    view = GridCostTables
-    if isinstance(tables, GraphCostTables):
-        values["pred_positions"] = tables.pred_positions
-        view = GraphGridCostTables
     platform = tables.platform
-    return view(platforms=(platform,), device_order=tuple(platform.devices), **values)
+    return GridCostTables(platforms=(platform,), device_order=tuple(platform.devices), **values)
 
 
 def _execute_row(tables: ChainCostTables, P: np.ndarray) -> BatchExecutionResult:
@@ -1156,8 +1134,8 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
     per (scenario, task) -- one per (previous device, device) pair.  The
     combine therefore runs on (s, m, m) tables and only the final gather and
     accumulator add touch (s, n).  Per element this is the identical
-    sequence of IEEE-754 operations as the checked kernel below (the gather
-    merely deduplicates them), so results stay bitwise equal.
+    sequence of IEEE-754 operations as the checked kernel's linear time fold
+    (the gather merely deduplicates them), so results stay bitwise equal.
     """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
@@ -1198,7 +1176,7 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
             pen_energy_t = tables.first_penalty_energy[:, col]
             # The accumulators start at 0.0 and every contribution is
             # non-negative, so seeding them from the first task's (owned)
-            # gathers equals the explicit zeros + add of the checked engine.
+            # gathers equals the explicit zeros + add of the checked kernel.
             total_time = combined[:, col]
             transfer_energy = energy_in_flat[:, cols_t]
         else:
@@ -1248,90 +1226,6 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
     )
 
 
-def _execute_chain_grid_checked(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
-    """The chain kernel for platforms with missing links.
-
-    Gathers the full ``(s, n, k)`` per-task cubes up front so a NaN transfer
-    time (a placement crossing an undefined link) can be located and reported
-    with the exact offending device pair.  Fold order matches the fast path,
-    so results are bitwise identical when no placement is rejected.
-    """
-    n, k = P.shape
-    s, m = tables.n_scenarios, tables.n_devices
-
-    # Flat-index takes: one contiguous gather per table instead of broadcast
-    # advanced indexing -- same elements, so bitwise identical, with far less
-    # index arithmetic.
-    flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
-
-    def take_sk(table: np.ndarray) -> np.ndarray:
-        return table.reshape(s, k * m).take(flat_cols, axis=1).reshape(s, n, k)
-
-    busy_pt = take_sk(tables.busy)  # (s, n, k)
-    hostio_time_pt = take_sk(tables.hostio_time)
-    hostio_bytes_pt = tables.hostio_bytes.ravel().take(flat_cols).reshape(n, k)  # (n, k)
-    energy_in_pt = take_sk(tables.energy_in)
-    energy_out_pt = take_sk(tables.energy_out)
-    pen_time_pt = np.empty((s, n, k))
-    pen_energy_pt = np.empty((s, n, k))
-    pen_bytes_pt = np.empty((n, k))
-    first_col = P[:, 0]
-    pen_time_pt[:, :, 0] = tables.first_penalty_time.take(first_col, axis=1)
-    pen_energy_pt[:, :, 0] = tables.first_penalty_energy.take(first_col, axis=1)
-    pen_bytes_pt[:, 0] = tables.first_penalty_bytes.take(first_col)
-    if k > 1:
-        pair_flat = (P[:, :-1] * m + P[:, 1:]).ravel()
-        pen_time_pt[:, :, 1:] = (
-            tables.penalty_time.reshape(s, m * m).take(pair_flat, axis=1).reshape(s, n, k - 1)
-        )
-        pen_energy_pt[:, :, 1:] = (
-            tables.penalty_energy.reshape(s, m * m).take(pair_flat, axis=1).reshape(s, n, k - 1)
-        )
-        pen_bytes_pt[:, 1:] = tables.penalty_bytes.ravel().take(pair_flat).reshape(n, k - 1)
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if np.isnan(transfer_pt).any():
-        # Same rejection as the sequential executor: only placements that
-        # actually traverse a missing link fail, with the offending pair named.
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = tables.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[:, i, t]).any():
-            a, b = tables.host, current
-        else:
-            a = tables.host if t == 0 else tables.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], tables.aliases)[0]!r})"
-        )
-
-    # Left folds in task order: bitwise identical to the per-scenario loop.
-    total_time = np.zeros((s, n))
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros((s, n))
-    busy_by_device = np.zeros((s, n, m))
-    flops_by_device = np.zeros((n, m))
-    rows = np.arange(n)
-    for t in range(k):
-        total_time += busy_pt[:, :, t] + transfer_pt[:, :, t]
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, :, t]
-        transfer_energy += energy_out_pt[:, :, t]
-        transfer_energy += pen_energy_pt[:, :, t]
-        col = P[:, t]
-        # Scatter-add instead of one masked add per device: each placement row
-        # touches exactly one (row, device) cell per task (the index pairs are
-        # unique, so plain fancy += is safe), and the accumulator never holds
-        # -0.0 (it starts at +0.0 and busy times are >= 0), so dropping the
-        # masked +0.0 additions of the other devices is bitwise neutral.
-        busy_by_device[:, rows, col] += busy_pt[:, :, t]
-        flops_by_device[rows, col] += tables.task_flops[t]
-
-    return _finalize_grid(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-
-
 def _finalize_grid(
     tables: GridCostTables,
     P: np.ndarray,
@@ -1342,7 +1236,7 @@ def _finalize_grid(
     flops_by_device: np.ndarray,
     busy_cols: tuple[np.ndarray, ...] | None = None,
 ) -> GridExecutionResult:
-    """Per-device energy/cost finalization shared by the chain and graph grid engines.
+    """Per-device energy/cost finalization shared by every grid kernel.
 
     ``busy_cols`` optionally supplies contiguous per-device ``(s, n)`` views of
     ``busy_by_device`` (the chain kernel's subset fold builds device-major planes);
@@ -1407,7 +1301,7 @@ def _finalize_grid(
     )
 
 
-def _raise_graph_missing_link(
+def _raise_missing_link(
     aliases: Sequence[str],
     host: str,
     preds: Sequence[int],
@@ -1419,10 +1313,11 @@ def _raise_graph_missing_link(
 ) -> None:
     """Reject placement ``i`` whose task ``t`` traverses a missing link.
 
-    Shared by the DAG kernel and the fault engine (which differ only in how
-    they detect a NaN entry): ``hostio_nan`` flags a missing host link at
+    Shared by the checked kernel and the fault engine (which differ only in
+    how they detect a NaN entry): ``hostio_nan`` flags a missing host link at
     ``(i, t)``, ``pen_nan(p)`` whether the hop from predecessor position
-    ``p`` is missing.  Names the offending device pair like the chain kernel.
+    ``p`` is missing.  Names the offending device pair as the sequential
+    executor does, plus the placement.
     """
     current = aliases[P[i, t]]
     a = host
@@ -1437,21 +1332,61 @@ def _raise_graph_missing_link(
     )
 
 
-def _execute_graph_placements_grid(
-    tables: GraphGridCostTables, P: np.ndarray
-) -> GridExecutionResult:
-    """The DAG kernel: every placement under every condition in one pass.
+def _hop_folder(P: np.ndarray, preds: Sequence[Sequence[int]], m: int):
+    """Per-task hop terms of a placement matrix, gathered by edge rank.
 
-    Edge-ordered penalty folds, max-over-predecessors ready times and a
-    running-max critical path, with a leading condition axis -- every
-    ``(scenario, placement)`` element is bitwise identical to
-    ``SimulatedExecutor.execute_graph`` on the scenario's platform.
+    Returns ``fold_hops(pair, first, fold=np.add)``, which maps an ``(..., m,
+    m)`` edge table and its ``(..., m)`` host-feed vector to ``(..., n, k)``
+    per-task terms: a source task draws the host feed, any other task folds
+    its incoming edges in canonical edge order -- the first edge assigned,
+    each later one combined by ``fold``.  The ``j``-th edges of all tasks
+    are gathered in one take, so each element still sees the sequential
+    executor's operation order.  Shared by the checked kernel and the fault
+    engine.
+    """
+    n, k = P.shape
+    sources = [t for t in range(k) if not preds[t]]
+    source_cols = P[:, sources]
+    ranks = []
+    for j in range(max(len(p) for p in preds)):
+        dst = [t for t in range(k) if len(preds[t]) > j]
+        src = [preds[t][j] for t in dst]
+        ranks.append((dst, P[:, src] * m + P[:, dst]))
+
+    def fold_hops(pair: np.ndarray, first: np.ndarray, fold=np.add) -> np.ndarray:
+        lead = first.shape[:-1]  # (s,) or () for the scenario-independent bytes
+        out = np.empty(lead + (n, k))
+        out[..., sources] = first.take(source_cols, axis=-1)
+        flat = pair.reshape(lead + (m * m,))
+        for j, (dst, edges) in enumerate(ranks):
+            hop = flat.take(edges, axis=-1)
+            out[..., dst] = fold(out[..., dst], hop) if j else hop
+        return out
+
+    return fold_hops
+
+
+def _execute_checked_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
+    """The checked kernel: any workload, any topology, every condition at once.
+
+    Gathers the full ``(s, n, k)`` per-task cubes so a NaN transfer time (a
+    placement crossing an undefined link) can be located and reported with
+    the exact offending device pair.  Hop penalties fold over the
+    predecessors in canonical edge order (the first incoming edge assigned,
+    later ones added); only the time fold branches -- a running sum for
+    linear tables, otherwise max-over-predecessors ready times and a
+    running-max critical path.  Every ``(scenario, placement)`` element is
+    bitwise identical to ``SimulatedExecutor.execute_graph`` (``execute``
+    for chains) on the scenario's platform.
     """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
     preds = tables.pred_positions
+    linear = tables.is_linear
 
-    # Flat-index takes, as in the chain kernel (bitwise-identical gathers).
+    # Flat-index takes: one contiguous gather per table instead of broadcast
+    # advanced indexing -- same elements, so bitwise identical, with far less
+    # index arithmetic.
     flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
 
     def take_sk(table: np.ndarray) -> np.ndarray:
@@ -1462,31 +1397,18 @@ def _execute_graph_placements_grid(
     hostio_bytes_pt = tables.hostio_bytes.ravel().take(flat_cols).reshape(n, k)  # (n, k)
     energy_in_pt = take_sk(tables.energy_in)
     energy_out_pt = take_sk(tables.energy_out)
-    pen_time_pt = np.zeros((s, n, k))
-    pen_energy_pt = np.zeros((s, n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    pen_time_flat = tables.penalty_time.reshape(s, m * m)
-    pen_energy_flat = tables.penalty_energy.reshape(s, m * m)
-    pen_bytes_flat = tables.penalty_bytes.ravel()
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            for p in preds[t]:
-                edge = P[:, p] * m + dst
-                pen_time_pt[:, :, t] += pen_time_flat.take(edge, axis=1)
-                pen_energy_pt[:, :, t] += pen_energy_flat.take(edge, axis=1)
-                pen_bytes_pt[:, t] += pen_bytes_flat.take(edge)
-        else:
-            pen_time_pt[:, :, t] = tables.first_penalty_time.take(dst, axis=1)
-            pen_energy_pt[:, :, t] = tables.first_penalty_energy.take(dst, axis=1)
-            pen_bytes_pt[:, t] = tables.first_penalty_bytes.take(dst)
+
+    fold_hops = _hop_folder(P, preds, m)
+    pen_time_pt = fold_hops(tables.penalty_time, tables.first_penalty_time)
+    pen_energy_pt = fold_hops(tables.penalty_energy, tables.first_penalty_energy)
+    pen_bytes_pt = fold_hops(tables.penalty_bytes, tables.first_penalty_bytes)
     transfer_pt = hostio_time_pt + pen_time_pt
 
     if tables.missing_links and np.isnan(transfer_pt).any():
         # Reject and attribute like the sequential executor, detecting NaNs
         # across the scenario axis.
         _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
+        _raise_missing_link(
             tables.aliases,
             tables.host,
             preds[t],
@@ -1498,29 +1420,36 @@ def _execute_graph_placements_grid(
         )
 
     total_time = np.zeros((s, n))
-    finish = np.zeros((s, n, k))
-    available = np.zeros((s, n, m))
     rows = np.arange(n)
     transferred = np.zeros(n)
     transfer_energy = np.zeros((s, n))
     busy_by_device = np.zeros((s, n, m))
     flops_by_device = np.zeros((n, m))
+    if not linear:
+        finish = np.zeros((s, n, k))
+        available = np.zeros((s, n, m))
     for t in range(k):
-        ready = np.zeros((s, n))
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, :, p])
-        # Device serialization, vectorized across the condition axis.
-        start = np.maximum(ready, available[:, rows, P[:, t]])
-        finish[:, :, t] = start + (busy_pt[:, :, t] + transfer_pt[:, :, t])
-        available[:, rows, P[:, t]] = finish[:, :, t]
-        total_time = np.maximum(total_time, finish[:, :, t])
+        col = P[:, t]
+        if linear:
+            total_time += busy_pt[:, :, t] + transfer_pt[:, :, t]
+        else:
+            ready = np.zeros((s, n))
+            for p in preds[t]:
+                ready = np.maximum(ready, finish[:, :, p])
+            # Device serialization, vectorized across the condition axis.
+            start = np.maximum(ready, available[:, rows, col])
+            finish[:, :, t] = start + (busy_pt[:, :, t] + transfer_pt[:, :, t])
+            available[:, rows, col] = finish[:, :, t]
+            total_time = np.maximum(total_time, finish[:, :, t])
         transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
         transfer_energy += energy_in_pt[:, :, t]
         transfer_energy += energy_out_pt[:, :, t]
         transfer_energy += pen_energy_pt[:, :, t]
-        col = P[:, t]
-        # Scatter-add: unique (row, device) pairs per task; see the chain
-        # kernel for the bitwise argument.
+        # Scatter-add instead of one masked add per device: each placement row
+        # touches exactly one (row, device) cell per task (the index pairs are
+        # unique, so plain fancy += is safe), and the accumulator never holds
+        # -0.0 (it starts at +0.0 and busy times are >= 0), so dropping the
+        # masked +0.0 additions of the other devices is bitwise neutral.
         busy_by_device[:, rows, col] += busy_pt[:, :, t]
         flops_by_device[rows, col] += tables.task_flops[t]
 

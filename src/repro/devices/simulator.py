@@ -437,9 +437,9 @@ class SimulatedExecutor:
     ) -> "ChainCostTables":
         """Precomputed (cached) cost tables of a workload on this platform.
 
-        ``chain`` may be a :class:`TaskChain` or a :class:`TaskGraph`; graphs
-        yield :class:`~repro.devices.batch.GraphCostTables`, which every batch
-        entry point below routes through the DAG engine automatically.  With
+        ``chain`` may be a :class:`TaskChain` or a :class:`TaskGraph`; the
+        tables' ``pred_positions`` carry the dependency structure, which every
+        batch entry point below evaluates automatically.  With
         ``retry=`` given, returns fault-augmented
         :class:`~repro.faults.tables.FaultChainCostTables` instead (``faults``
         defaulting to the platform's attached profile).

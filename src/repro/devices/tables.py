@@ -1,19 +1,22 @@
-"""Unified cost-table backend: one entry point for all six table families.
+"""Unified cost-table backend: one entry point for all four table types.
 
-The engine grew six near-parallel table families -- chain/graph tables
-(:mod:`repro.devices.batch`), their condition-stacked grid forms
-(:mod:`repro.devices.grid`) and the fault-augmented variants of both
-(:mod:`repro.faults.tables`) -- each with its own build function.
-:func:`build_tables` collapses the dispatch into one place:
+The engine has four table types -- plain and condition-stacked grid tables
+(:mod:`repro.devices.batch`, :mod:`repro.devices.grid`) and the
+fault-augmented variants of both (:mod:`repro.faults.tables`).
+:func:`build_tables` is the one place that dispatches between them:
 
-====================  ==========================  =============================
-configuration          fault-free                  under faults (``retry=...``)
-====================  ==========================  =============================
-one platform           ``ChainCostTables`` /       ``FaultChainCostTables``
-                       ``GraphCostTables``
-platform sequence or   ``GridCostTables`` /        ``FaultGridCostTables``
-``scenarios=...``      ``GraphGridCostTables``
-====================  ==========================  =============================
+====================  =====================  ==========================
+configuration          fault-free             under faults (``retry=...``)
+====================  =====================  ==========================
+one platform           ``ChainCostTables``    ``FaultChainCostTables``
+platform sequence or   ``GridCostTables``     ``FaultGridCostTables``
+``scenarios=...``
+====================  =====================  ==========================
+
+Chain vs DAG is not a type: every table carries the workload's
+``pred_positions`` (``((), (0,), ..., (k-2,))`` for a chain), and the kernels
+read that field -- fully linked linear tables run the fast chain kernel, all
+others the checked kernel with the critical-path time fold where needed.
 
 Every returned object satisfies the :class:`CostTables` protocol --
 ``execute(placements)``, ``.n_tasks``, ``.aliases`` and a content-addressed

@@ -29,9 +29,12 @@ One kernel serves every shape.  It runs over
 axis; :func:`execute_fault_placements` wraps plain fault tables as a
 one-scenario grid and hands back row 0, just as the classic
 :func:`~repro.devices.batch.execute_placements` runs on the grid kernels.  A
-chain is the DAG whose task ``t`` has the single predecessor ``t - 1``, so
-hop penalties and survivals fold over predecessors in edge order for both;
-only the time fold branches -- a sum for chains, the critical path for DAGs.
+chain is the DAG whose task ``t`` has the single predecessor ``t - 1`` (the
+tables' ``pred_positions`` say which), so hop penalties and survivals fold
+over predecessors in edge order for both; only the time fold branches -- a
+sum for linear tables, the critical path otherwise.  :func:`expected_record`
+always replays the critical path: with linear predecessors each task starts
+when the previous one ends, so that is the running sum, bit for bit.
 
 The scalar helpers below perform the identical IEEE-754 operation sequence
 (powers by repeated multiplication, the same guarded divisions), so the
@@ -55,13 +58,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..devices.batch import BatchExecutionResult, GraphCostTables, as_placement_matrix
+from ..devices.batch import BatchExecutionResult, as_placement_matrix
 from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
 from ..devices.grid import (
     GridExecutionResult,
     _finalize_grid,
-    _raise_graph_missing_link,
+    _hop_folder,
+    _raise_missing_link,
     _row_view,
 )
 from .retry import RetryPolicy, expected_attempts, expected_backoff
@@ -335,16 +339,16 @@ def execute_fault_placements_grid(
 def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGridExecutionResult:
     """The one expected-cost kernel: chains and DAGs, every scenario at once.
 
-    A chain is the DAG whose task ``t`` has the single predecessor ``t - 1``:
-    hop penalties and survivals fold over the predecessors in edge order, and
-    only the time fold differs -- a sum of expected task times for chains, the
-    critical-path recurrence over expected durations for DAGs.
+    Hop penalties and survivals fold over ``base.pred_positions`` in edge
+    order, and only the time fold differs -- a sum of expected task times
+    for linear tables (``base.is_linear``), the critical-path recurrence
+    over expected durations otherwise.
     """
     base = tables.base
     n, k = P.shape
     s, m = base.n_scenarios, base.n_devices
-    is_graph = tables.is_graph
-    preds = base.pred_positions if is_graph else tuple((t - 1,) if t else () for t in range(k))
+    preds = base.pred_positions
+    linear = base.is_linear
 
     # Flat-index takes: one contiguous gather per (s, k, m) table.
     flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
@@ -359,37 +363,20 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
     energy_out_pt = per_task(base.energy_out)
     node_surv_pt = per_task(tables.node_survival)
 
-    # Hop terms per task: a source is fed by the host; otherwise the first
-    # incoming edge is assigned and later ones added -- or, for survival,
-    # multiplied -- in the canonical edge order of the scalar reference.
-    edges = [[P[:, p] * m + P[:, t] for p in preds[t]] for t in range(k)]
-    hops = []
-    for pair, first, fold in (
-        (base.penalty_time, base.first_penalty_time, np.add),
-        (base.penalty_energy, base.first_penalty_energy, np.add),
-        (base.penalty_bytes, base.first_penalty_bytes, np.add),
-        (tables.edge_survival, tables.first_edge_survival, np.multiply),
-    ):
-        lead = first.shape[:-1]  # (s,) or () for the scenario-independent bytes
-        flat = pair.reshape(lead + (m * m,))
-        out = np.empty(lead + (n, k))
-        for t in range(k):
-            if not edges[t]:
-                out[..., t] = first.take(P[:, t], axis=-1)
-            for j, edge in enumerate(edges[t]):
-                if j:
-                    fold(out[..., t], flat.take(edge, axis=-1), out=out[..., t])
-                else:
-                    out[..., t] = flat.take(edge, axis=-1)
-        hops.append(out)
-    pen_time_pt, pen_energy_pt, pen_bytes_pt, edge_surv_pt = hops
+    # Hop terms per task, in the scalar reference's edge order; survivals
+    # multiply where penalties add.
+    fold_hops = _hop_folder(P, preds, m)
+    pen_time_pt = fold_hops(base.penalty_time, base.first_penalty_time)
+    pen_energy_pt = fold_hops(base.penalty_energy, base.first_penalty_energy)
+    pen_bytes_pt = fold_hops(base.penalty_bytes, base.first_penalty_bytes)
+    edge_surv_pt = fold_hops(tables.edge_survival, tables.first_edge_survival, np.multiply)
     transfer_pt = hostio_time_pt + pen_time_pt
 
     if base.missing_links and np.isnan(transfer_pt).any():
         # Same rejection as the classic engine: a placement that traverses a
         # device pair without a link cannot run, faults or no faults.
         _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
+        _raise_missing_link(
             base.aliases,
             base.host,
             preds[t],
@@ -414,7 +401,7 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
     busy_by_device = np.zeros((s, n, m))
     flops_by_device = np.zeros((s, n, m))
     rows = np.arange(n)
-    if is_graph:
+    if not linear:
         finish = np.zeros((s, n, k))
         available = np.zeros((s, n, m))
     for t in range(k):
@@ -424,7 +411,9 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
         success = success * succ
         attempts_total += n_succ
         col = P[:, t]
-        if is_graph:
+        if linear:
+            total_time += task_time
+        else:
             ready = np.zeros((s, n))
             for p in preds[t]:
                 ready = np.maximum(ready, finish[:, :, p])
@@ -432,8 +421,6 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
             finish[:, :, t] = start + task_time
             available[:, rows, col] = finish[:, :, t]
             total_time = np.maximum(total_time, finish[:, :, t])
-        else:
-            total_time += task_time
         transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
         transfer_energy += energy_in_pt[:, :, t] * n_succ
         transfer_energy += energy_out_pt[:, :, t] * n_succ
@@ -505,7 +492,6 @@ def expected_record(
     # no bare IndexError.
     as_placement_matrix(np.array([row]), base.aliases, base.n_tasks, workload=base.workload)
     aliases_row = tuple(base.aliases[d] for d in row)
-    is_graph = isinstance(base, GraphCostTables)
 
     q = tables.profile.straggler_probability
     sigma = tables.profile.straggler_slowdown
@@ -525,34 +511,22 @@ def expected_record(
     available: dict[str, float] = {alias: 0.0 for alias in platform.devices}
     for pos, (task_name, d) in enumerate(zip(base.task_names, row)):
         alias = base.aliases[d]
-        if is_graph:
-            preds = base.pred_positions[pos]
-            if preds:
-                pen_time = 0.0
-                pen_energy = 0.0
-                pen_bytes = 0.0
-                edge_surv = 1.0
-                for p in preds:
-                    pen_time += float(base.penalty_time[row[p], d])
-                    pen_energy += float(base.penalty_energy[row[p], d])
-                    pen_bytes += float(base.penalty_bytes[row[p], d])
-                    edge_surv = edge_surv * float(tables.edge_survival[row[p], d])
-            else:
-                pen_time = float(base.first_penalty_time[d])
-                pen_energy = float(base.first_penalty_energy[d])
-                pen_bytes = float(base.first_penalty_bytes[d])
-                edge_surv = float(tables.first_edge_survival[d])
+        preds = base.pred_positions[pos]
+        if preds:
+            pen_time = 0.0
+            pen_energy = 0.0
+            pen_bytes = 0.0
+            edge_surv = 1.0
+            for p in preds:
+                pen_time += float(base.penalty_time[row[p], d])
+                pen_energy += float(base.penalty_energy[row[p], d])
+                pen_bytes += float(base.penalty_bytes[row[p], d])
+                edge_surv = edge_surv * float(tables.edge_survival[row[p], d])
         else:
-            if pos == 0:
-                pen_time = float(base.first_penalty_time[d])
-                pen_energy = float(base.first_penalty_energy[d])
-                pen_bytes = float(base.first_penalty_bytes[d])
-                edge_surv = float(tables.first_edge_survival[d])
-            else:
-                pen_time = float(base.penalty_time[row[pos - 1], d])
-                pen_energy = float(base.penalty_energy[row[pos - 1], d])
-                pen_bytes = float(base.penalty_bytes[row[pos - 1], d])
-                edge_surv = float(tables.edge_survival[row[pos - 1], d])
+            pen_time = float(base.first_penalty_time[d])
+            pen_energy = float(base.first_penalty_energy[d])
+            pen_bytes = float(base.first_penalty_bytes[d])
+            edge_surv = float(tables.first_edge_survival[d])
         busy_time = float(base.busy[pos, d])
         transfer_time = float(base.hostio_time[pos, d]) + pen_time
         if math.isnan(transfer_time):
@@ -565,17 +539,14 @@ def expected_record(
         succ, n_succ, task_time = _scalar_attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
         success = success * succ
         attempts_total += n_succ
-        if is_graph:
-            ready = 0.0
-            for p in preds:
-                ready = max(ready, finish[p])
-            start = max(ready, available[alias])
-            end = start + task_time
-            finish.append(end)
-            available[alias] = end
-            total_time = max(total_time, end)
-        else:
-            total_time += task_time
+        ready = 0.0
+        for p in preds:
+            ready = max(ready, finish[p])
+        start = max(ready, available[alias])
+        end = start + task_time
+        finish.append(end)
+        available[alias] = end
+        total_time = max(total_time, end)
         transferred += (float(base.hostio_bytes[pos, d]) + pen_bytes) * n_succ
         transfer_energy += float(base.energy_in[pos, d]) * n_succ
         transfer_energy += float(base.energy_out[pos, d]) * n_succ

@@ -1,16 +1,16 @@
 """Fault-augmented cost tables: survival factors precomputed per table entry.
 
 A :class:`FaultChainCostTables` wraps the classic
-:class:`~repro.devices.batch.ChainCostTables` (or
-:class:`~repro.devices.batch.GraphCostTables`) with everything the
-expected-cost-under-faults engine needs per attempt:
+:class:`~repro.devices.batch.ChainCostTables` of a chain or a DAG (its
+``pred_positions`` tell which) with everything the expected-cost-under-faults
+engine needs per attempt:
 
 * ``node_survival[t, d]`` -- probability that one attempt of task ``t`` on
   device ``d`` survives its device-crash risk and its host I/O transfers,
 * ``edge_survival[src, dst]`` -- survival of the device-to-device penalty
   hop (``1.0`` on the diagonal: staying put sends nothing),
-* ``first_edge_survival[d]`` -- survival of the host feed into a chain's
-  first task (or a graph source).
+* ``first_edge_survival[d]`` -- survival of the host feed into a source
+  task (a chain's first task).
 
 Each entry is produced by the *scalar* helpers on
 :class:`~repro.faults.models.FaultProfile` -- the same calls the sequential
@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..devices.batch import ChainCostTables, GraphCostTables
-from ..devices.grid import GraphGridCostTables, GridCostTables
+from ..devices.batch import ChainCostTables
+from ..devices.grid import GridCostTables
 from ..devices.tables import build_tables
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
@@ -109,10 +109,6 @@ class FaultChainCostTables:
         from .engine import execute_fault_placements
 
         return execute_fault_placements(self, placements)
-
-    @property
-    def is_graph(self) -> bool:
-        return isinstance(self.base, GraphCostTables)
 
     @property
     def n_tasks(self) -> int:
@@ -204,10 +200,6 @@ class FaultGridCostTables:
         from .engine import execute_fault_placements_grid
 
         return execute_fault_placements_grid(self, placements)
-
-    @property
-    def is_graph(self) -> bool:
-        return isinstance(self.base, GraphGridCostTables)
 
     @property
     def n_scenarios(self) -> int:

@@ -65,11 +65,11 @@ import numpy as np
 
 from ..devices.batch import (
     ChainCostTables,
-    GraphCostTables,
     execute_placements,
     placement_labels,
 )
 from ..offload.space import indices_to_matrix, placement_matrix, space_size
+from ..tasks.graph import TaskGraph
 from .objectives import MetricObjective, Objective, WeightedSumObjective, as_objective
 from .pareto import pareto_mask
 
@@ -77,7 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..devices.grid import GridCostTables, GridExecutionResult
     from ..devices.simulator import SimulatedExecutor
     from ..tasks.chain import TaskChain
-    from ..tasks.graph import TaskGraph
 
 __all__ = [
     "PlanResult",
@@ -267,7 +266,7 @@ def decomposable_levels(
 
 
 def _level_serialize(
-    tables: GraphCostTables,
+    tables: ChainCostTables,
     level: Sequence[int],
     prev_level: Sequence[int] | None,
     states_prev: np.ndarray | None,
@@ -311,7 +310,7 @@ def _level_serialize(
 
 
 def _level_transition(
-    tables: GraphCostTables,
+    tables: ChainCostTables,
     level: Sequence[int],
     prev_level: Sequence[int] | None,
     states_prev: np.ndarray | None,
@@ -364,7 +363,7 @@ def _level_transition(
 
 
 def _plan_levels(
-    tables: GraphCostTables,
+    tables: ChainCostTables,
     levels: list[list[int]],
     weights: tuple[float, float, float],
 ) -> tuple[float, np.ndarray, int]:
@@ -533,7 +532,13 @@ def _plannable_reason(
     objective: Objective,
     max_level_states: int,
 ) -> tuple[str | None, list[list[int]] | None, tuple[float, float, float] | None]:
-    """Why the workload/objective pair cannot be DP-planned (``None`` if it can)."""
+    """Why the workload/objective pair cannot be DP-planned (``None`` if it can).
+
+    Judged from the tables alone, so every caller applies one rule: linear
+    tables (a chain, or a linear graph) plan like a chain, one task per level
+    and no state cap; anything else needs barrier-decomposable levels within
+    ``max_level_states``.  The levels are returned for the level DP.
+    """
     weights = planner_objective_weights(objective)
     if weights is None:
         return (
@@ -543,13 +548,11 @@ def _plannable_reason(
             None,
             None,
         )
-    levels: list[list[int]] | None = None
-    if isinstance(tables, GraphCostTables):
-        levels, why = decomposable_levels(
-            tables.pred_positions, tables.n_devices, max_level_states
-        )
-        if levels is None:
-            return f"graph workload is not barrier-decomposable: {why}", None, weights
+    if tables.is_linear:
+        return None, [[t] for t in range(tables.n_tasks)], weights
+    levels, why = decomposable_levels(tables.pred_positions, tables.n_devices, max_level_states)
+    if levels is None:
+        return f"graph workload is not barrier-decomposable: {why}", None, weights
     return None, levels, weights
 
 
@@ -585,7 +588,7 @@ def plan_workload(
     if reason is not None:
         return _enumeration_plan(executor, workload, obj, devices, tables, reason, fallback_limit)
 
-    if isinstance(tables, GraphCostTables):
+    if isinstance(workload, TaskGraph):
         dp_value, path, n_states = _plan_levels(tables, levels, weights)
         dp_method = "level-dp"
     else:
@@ -717,8 +720,6 @@ def _grid_chain_tables(
     workload: "TaskChain | TaskGraph", tables: "GridCostTables"
 ) -> str | None:
     """Why the robust planner cannot handle this workload (chains only)."""
-    from ..tasks.graph import TaskGraph
-
     if isinstance(workload, TaskGraph) and not workload.is_linear:
         return (
             "robust planning is exact for chain workloads only; fall back to "

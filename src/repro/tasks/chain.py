@@ -52,6 +52,12 @@ class TaskChain:
     def task_names(self) -> list[str]:
         return [task.name for task in self.tasks]
 
+    @property
+    def predecessor_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per task, its predecessors' positions: task ``t`` consumes ``t - 1``
+        (the :class:`~repro.tasks.graph.TaskGraph` attribute of the same name)."""
+        return tuple((t - 1,) if t else () for t in range(len(self.tasks)))
+
     # -- aggregate costs ----------------------------------------------------------
     def costs(self) -> list[TaskCost]:
         """Per-task analytic cost profiles, in execution order."""

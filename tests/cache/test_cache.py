@@ -290,6 +290,12 @@ class TestTableCache:
         assert estimate_nbytes(np.zeros(100)) >= 800
         assert estimate_nbytes((np.zeros(10), np.zeros(10))) >= 160
 
+    def test_estimate_nbytes_charges_scalars_like_any_leaf(self):
+        leaf = estimate_nbytes(object())
+        scalars = (None, 3, 2.5, True, np.float64(1.0), np.int64(1))
+        assert {estimate_nbytes(value) for value in scalars} == {leaf}
+        assert estimate_nbytes(((0,), (1, 2))) == 64 + (64 + leaf) + (64 + 2 * leaf)
+
     def test_stats_snapshot_is_frozen(self):
         stats = CacheStats(hits=3, misses=1)
         assert stats.hit_rate == 0.75

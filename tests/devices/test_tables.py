@@ -1,10 +1,11 @@
 """The unified table backend: dispatch, protocol, and bitwise pinning.
 
-``build_tables`` is the single construction path behind all six table
-families; these tests pin each dispatch branch bitwise against the family's
-own builder, check the :class:`~repro.devices.tables.CostTables` protocol
-surface, and verify that cache-served tables are the same objects (and
-bitwise the same results) as freshly built ones.
+``build_tables`` is the single construction path behind all four table
+types (chain vs DAG is the ``pred_positions`` field, not a type); these
+tests pin each dispatch branch bitwise against the type's own builder,
+check the :class:`~repro.devices.tables.CostTables` protocol surface, and
+verify that cache-served tables are the same objects (and bitwise the same
+results) as freshly built ones.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ import pytest
 from factories import random_chain, random_graph, random_platform
 from repro.cache import TableCache, table_key
 from repro.devices import SimulatedExecutor
-from repro.devices.batch import ChainCostTables, GraphCostTables
-from repro.devices.grid import (
-    GraphGridCostTables,
-    GridCostTables,
-    _materialized_grid_tables,
-)
+from repro.devices.batch import ChainCostTables
+from repro.devices.grid import GridCostTables, _materialized_grid_tables
 from repro.devices.tables import CostTables, build_tables, check_fault_args, resolve_aliases
 from repro.faults import DeviceFailure, FaultProfile, RetryPolicy, TimeoutPolicy
 from repro.faults.tables import (
@@ -67,7 +64,7 @@ def assert_tables_bitwise_equal(unified, direct):
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
 class TestDispatchBitwise:
-    """Each of the six families, dispatched vs built directly, bitwise."""
+    """Each dispatch branch, chain and DAG, vs a direct build, bitwise."""
 
     def _fixtures(self, seed):
         rng = np.random.default_rng(seed)
@@ -82,6 +79,7 @@ class TestDispatchBitwise:
         unified = build_tables(chain, platform)
         direct = _materialized_grid_tables(chain, (platform,)).table(0)
         assert isinstance(unified, ChainCostTables)
+        assert unified.pred_positions == chain.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
 
@@ -89,7 +87,8 @@ class TestDispatchBitwise:
         platform, _, graph, placements = self._fixtures(seed)
         unified = build_tables(graph, platform)
         direct = _materialized_grid_tables(graph, (platform,)).table(0)
-        assert isinstance(unified, GraphCostTables)
+        assert isinstance(unified, ChainCostTables)
+        assert unified.pred_positions == graph.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
 
@@ -107,7 +106,8 @@ class TestDispatchBitwise:
         platforms = scenario_grid().platforms(platform)
         unified = build_tables(graph, platforms)
         direct = _materialized_grid_tables(graph, platforms)
-        assert isinstance(unified, GraphGridCostTables)
+        assert isinstance(unified, GridCostTables)
+        assert unified.pred_positions == graph.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
 
@@ -155,12 +155,12 @@ class TestProtocolSurface:
         kinds = {type(t) for t in built}
         assert kinds == {
             ChainCostTables,
-            GraphCostTables,
             GridCostTables,
-            GraphGridCostTables,
             FaultChainCostTables,
             FaultGridCostTables,
         }
+        for tables, workload in zip(built[:4], (chain, graph, chain, graph)):
+            assert tables.pred_positions == workload.predecessor_positions
         for tables in built:
             assert isinstance(tables, CostTables)
             assert tables.fingerprint  # non-empty content key
@@ -210,14 +210,14 @@ class TestExecutorCacheServing:
         executor = SimulatedExecutor(platform)
         placements = placement_matrix(3, 2)
         requests = [
-            lambda: executor.cost_tables(chain),
-            lambda: executor.cost_tables(graph),
-            lambda: executor.grid_cost_tables(chain, grid),
-            lambda: executor.grid_cost_tables(graph, grid),
-            lambda: executor.cost_tables(chain, retry=retry),
-            lambda: executor.grid_cost_tables(chain, grid, retry=retry),
+            (chain, lambda: executor.cost_tables(chain)),
+            (graph, lambda: executor.cost_tables(graph)),
+            (chain, lambda: executor.grid_cost_tables(chain, grid)),
+            (graph, lambda: executor.grid_cost_tables(graph, grid)),
+            (chain, lambda: executor.cost_tables(chain, retry=retry)),
+            (chain, lambda: executor.grid_cost_tables(chain, grid, retry=retry)),
         ]
-        for request in requests:
+        for workload, request in requests:
             cold = request()
             hot = request()
             assert hot is cold  # served from the shared table cache
@@ -226,7 +226,6 @@ class TestExecutorCacheServing:
             )
             if isinstance(cold, (FaultChainCostTables, FaultGridCostTables)):
                 fresh_args["retry"] = retry
-            workload = graph if "Graph" in type(cold).__name__ else chain
             fresh = build_tables(workload, platform, **fresh_args)
             assert fresh.fingerprint == cold.fingerprint
             assert_results_bitwise_equal(cold.execute(placements), fresh.execute(placements))

@@ -211,7 +211,7 @@ class TestGridSlicing:
             gt = build_tables(workload, platform, scenarios=scenarios, retry=retry)
         else:
             gt = build_tables(workload, platforms, retry=retry)
-        assert gt.is_graph is (shape == "graph")
+        assert gt.base.pred_positions == workload.predecessor_positions
         matrix = placement_matrix(len(workload), len(platform.aliases))
         grid = execute_fault_placements_grid(gt, matrix)
         for index in range(len(platforms)):

@@ -8,7 +8,7 @@ Two claims, both **bitwise**:
     (``execute_placements``), the condition-stacked grid engine
     (``execute_placements_grid``) and the measurement path (same RNG stream);
 
-(b) for *arbitrary* DAGs, the vectorized ``GraphCostTables`` engine is
+(b) for *arbitrary* DAGs, the vectorized table engine is
     identical to the sequential ``execute_graph`` reference loop -- across
     random platforms, random graphs, random placements, device subsets and
     scenario grids.
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.devices import (
     ChainCostTables,
-    GraphCostTables,
+    GridCostTables,
     Platform,
     SimulatedExecutor,
     build_tables,
@@ -34,7 +34,6 @@ from repro.devices import (
     execute_placements,
     execute_placements_grid,
 )
-from repro.devices.grid import GraphGridCostTables
 from repro.offload import placement_matrix, space_size
 from repro.scenarios import (
     DeviceLoadFactor,
@@ -145,7 +144,7 @@ class TestLinearGraphEqualsChain:
         graph = TaskGraph.from_chain(chain)
         chain_batch = SimulatedExecutor(platform, seed=0).execute_batch(chain)
         graph_batch = SimulatedExecutor(platform, seed=0).execute_batch(graph)
-        assert isinstance(graph_batch.tables, GraphCostTables)
+        assert graph_batch.tables.pred_positions == graph.predecessor_positions
         assert graph_batch.labels() == chain_batch.labels()
         assert_batches_identical(chain_batch, graph_batch)
 
@@ -254,7 +253,8 @@ class TestGraphBatchEqualsSequential:
         graph = random_graph(rng, 4, edge_probability=0.6)
         matrix = placement_matrix(4, 3)
         tables = build_tables(graph, platforms)
-        assert isinstance(tables, GraphGridCostTables)
+        assert isinstance(tables, GridCostTables)
+        assert tables.pred_positions == graph.predecessor_positions
         grid = execute_placements_grid(tables, matrix)
         for index, platform in enumerate(platforms):
             scalar_tables = build_tables(graph, platform)
@@ -266,7 +266,7 @@ class TestGraphBatchEqualsSequential:
             assert np.array_equal(grid.transfer_energy_j[index], batch.transfer_energy_j)
             # the sliced tables replay sequential graph records
             view = grid.batch(index)
-            assert isinstance(view.tables, GraphCostTables)
+            assert view.tables.pred_positions == graph.predecessor_positions
             assert_records_identical(batch.record(7), view.record(7))
         assert np.array_equal(grid.flops_by_device, batch.flops_by_device)
         assert np.array_equal(grid.transferred_bytes, batch.transferred_bytes)
@@ -395,8 +395,8 @@ class TestGraphSemantics:
         graph = TaskGraph.from_chain(chain)
         assert type(build_tables(chain, platform)) is ChainCostTables
         tables = build_tables(graph, platform)
-        assert isinstance(tables, GraphCostTables)
-        assert tables.pred_positions == ((), (0,), (1,))
+        assert type(tables) is ChainCostTables
+        assert tables.pred_positions == graph.predecessor_positions == ((), (0,), (1,))
 
     def test_execute_routes_graphs_to_graph_semantics(self):
         """Regression: ``execute`` used to accept a TaskGraph via duck-typing

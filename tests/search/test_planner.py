@@ -50,7 +50,7 @@ from repro.search import (
     search_grid,
     search_space,
 )
-from repro.search.planner import decomposable_levels
+from repro.search.planner import decomposable_levels, dispatch_reason
 from repro.tasks import TaskGraph
 from repro.tasks.workloads import fork_join_graph
 
@@ -278,6 +278,32 @@ class TestGraphPlanner:
         graph_plan = plan_workload(executor, graph, "time", method="dp")
         assert graph_plan.method == "level-dp"
         assert graph_plan.value == chain_plan.value
+
+    def test_linear_tables_are_judged_as_a_chain_everywhere(self):
+        # A linear graph is plannable whatever ``max_level_states`` is, as its
+        # chain is: ``dispatch_reason`` (which only sees the tables) and
+        # ``plan_workload(method="dp")`` apply the same rule.
+        rng = np.random.default_rng(9)
+        executor = SimulatedExecutor(random_platform(rng, 3))
+        chain = random_chain(rng, 4)
+        graph = TaskGraph.from_chain(chain)
+        tables = executor.cost_tables(graph)
+        total = 3**4
+        why = dispatch_reason(
+            tables,
+            [as_objective("time")],
+            top_k=1,
+            frontier=None,
+            constraints=(),
+            start=0,
+            stop=total,
+            total=total,
+            max_level_states=2,
+        )
+        assert why is None
+        plan = plan_workload(executor, graph, "time", method="dp", max_level_states=2)
+        assert plan.method == "level-dp"
+        assert plan.value == plan_workload(executor, chain, "time").value
 
     def test_non_decomposable_graph_refuses_dp(self):
         # L1 -> L2 -> L4 and L1 -> L3 -> L4, plus the skip edge L1 -> L4:
