@@ -28,22 +28,25 @@ sum when linear, the critical path otherwise).  Plain single-platform
 materializing build, and :func:`~repro.devices.batch.execute_placements` runs
 the same kernels on a one-scenario view of them.
 
-Construction has two paths that agree bitwise.  The **fused** path (used by
-:func:`repro.devices.tables.build_tables` when given a base platform plus a
-:class:`~repro.scenarios.grid.ScenarioGrid` of vectorized axes) never derives
-per-scenario ``Platform`` objects: it broadcasts the base platform's
-parameters into :class:`~repro.devices.params.PlatformParams` arrays, applies
-each condition axis' ``scale_arrays`` hook across all scenario rows at once,
-and feeds the arrays to the same formula core.  The **materializing** path
-(``build_tables`` over pre-derived platforms, and every plain build) stays
-as the differential reference and the fallback for custom axes without the
-hook.
+Construction has one path.  Every build fills a
+:class:`~repro.devices.params.PlatformParams` bundle, gathers the candidate
+columns from it and feeds them to one formula core; builds differ only in how
+the bundle is filled.  Plain tables and platform sequences stack their
+pre-derived platforms (``PlatformParams.stack``).  A base platform plus a
+:class:`~repro.scenarios.grid.ScenarioGrid` never derives per-scenario
+``Platform`` objects when every pinned axis has the vectorized
+``scale_arrays`` hook: the base parameters are broadcast once and each axis
+scales all scenario rows at once.  When any scenario to be built pins a
+custom axis without the hook, those scenarios' platforms are derived through
+``apply_conditions`` and stacked instead -- the scalar reference the
+differential tests hold the hooks to, bit for bit.
 
-Fused builds carry a :class:`GridBuildContext`, which enables **delta
+Scenario builds carry a :class:`GridBuildContext`, which enables **delta
 rebuilds**: :meth:`GridCostTables.updated` / :meth:`~GridCostTables.updated_many`
 recompute only the replaced scenarios' condition slices and reuse every other
-row; with a :class:`~repro.cache.TableCache`, unchanged slices are
-content-fingerprint hits (see :meth:`GridCostTables.cache_stats`).
+row.  With a :class:`~repro.cache.TableCache`, full builds and delta rebuilds
+alike serve unchanged slices as content-fingerprint hits (see
+:meth:`GridCostTables.cache_stats`).
 
 Scenario-independent quantities (byte counts, FLOPs) are stored once without
 the condition axis -- conditions change speeds, powers and prices, never how
@@ -53,10 +56,10 @@ many bytes a placement moves.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence as SequenceABC
+from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -96,13 +99,6 @@ __all__ = [
     "ScenarioPlatforms",
     "execute_placements_grid",
 ]
-
-
-def _device_param(platforms: Sequence[Platform], aliases: Sequence[str], field: str) -> np.ndarray:
-    """Per-(scenario, device) array of one DeviceSpec parameter."""
-    return np.array(
-        [[getattr(platform.device(alias), field) for alias in aliases] for platform in platforms]
-    )
 
 
 class ScenarioPlatforms(SequenceABC):
@@ -215,7 +211,7 @@ class GridSlice:
 
 @dataclass(frozen=True)
 class GridBuildContext:
-    """The configuration a fused grid build was derived from.
+    """The base platform and scenario grid a grid build was derived from.
 
     Carried on :class:`GridCostTables` so delta rebuilds can recompute single
     condition slices (and re-key the result) without the original call site.
@@ -255,8 +251,8 @@ class GridCostTables:
     task_names: tuple[str, ...]
     #: Per topological position, the predecessors' topological positions.
     pred_positions: tuple[tuple[int, ...], ...]
-    #: Per-scenario platforms: a tuple for materializing builds, a lazy
-    #: :class:`ScenarioPlatforms` view for fused builds.
+    #: Per-scenario platforms: a tuple for platform-sequence builds, a lazy
+    #: :class:`ScenarioPlatforms` view for scenario builds.
     platforms: Sequence[Platform]
     aliases: tuple[str, ...]
     #: Device-iteration order shared by every platform (the energy/cost fold
@@ -287,7 +283,7 @@ class GridCostTables:
     #: :func:`repro.devices.tables.build_tables`); empty for hand-built tables.
     fingerprint: str = ""
     #: Build provenance enabling delta rebuilds; ``None`` for tables built
-    #: from pre-derived platform sequences.
+    #: from pre-derived platforms.
     build_context: "GridBuildContext | None" = None
     #: How this build sourced its scenario slices (cache-served vs computed);
     #: ``None`` for hand-built tables.
@@ -364,7 +360,11 @@ class GridCostTables:
         *,
         slice_cache: "TableCache | None" = None,
     ) -> "GridCostTables":
-        """Batched :meth:`updated`: replace several scenarios in one pass."""
+        """Batched :meth:`updated`: replace several scenarios in one pass.
+
+        Each scenario index may appear once (negative indices count from the
+        end); a repeated index raises, whether given as a mapping or as pairs.
+        """
         context = self.build_context
         if context is None:
             raise ValueError(
@@ -373,46 +373,31 @@ class GridCostTables:
                 "(build_tables(..., scenarios=...) or executor.grid_cost_tables) "
                 "rather than from pre-derived platforms"
             )
-        replacements = dict(replacements)
-        if not replacements:
-            return self
         Scenario, ScenarioGrid = _scenario_classes()
-
+        pairs = replacements.items() if isinstance(replacements, Mapping) else replacements
         normalized: dict[int, "Scenario"] = {}
-        for index, scenario in replacements.items():
+        for index, scenario in pairs:
             i = self._scenario_index(index)
             if i in normalized:
                 raise ValueError(f"duplicate replacement for scenario index {i}")
             if not isinstance(scenario, Scenario):
                 raise TypeError(f"expected a Scenario replacement, got {scenario!r}")
             normalized[i] = scenario
+        if not normalized:
+            return self
         entries = list(context.scenarios.scenarios)
         for i, scenario in normalized.items():
             entries[i] = scenario
         new_grid = ScenarioGrid(tuple(entries))  # re-validates name uniqueness
 
         order = sorted(normalized)
-        served: dict[int, GridSlice] = {}
-        keys: dict[int, tuple] = {}
-        if slice_cache is not None:
-            for i in order:
-                keys[i] = _slice_key(context, normalized[i])
-                hit = slice_cache.get(keys[i])
-                if hit is not None:
-                    served[i] = hit
-        to_build = [i for i in order if i not in served]
-        built = _scenario_values(context, [normalized[i] for i in to_build]) if to_build else {}
-        if slice_cache is not None and to_build:
-            _cache_slices(slice_cache, [keys[i] for i in to_build], built)
-
-        changes: dict[str, np.ndarray] = {}
-        for name in _SLICE_FIELDS:
-            arr = getattr(self, name).copy()
-            if to_build:
-                arr[to_build] = built[name]
-            for i, piece in served.items():
-                arr[i] = getattr(piece, name)
-            changes[name] = arr
+        changes, stats = _condition_rows(
+            context,
+            [normalized[i] for i in order],
+            slice_cache,
+            out={name: getattr(self, name).copy() for name in _SLICE_FIELDS},
+            at=order,
+        )
         new_context = replace(context, scenarios=new_grid)
         new_fingerprint = ""
         if self.fingerprint:
@@ -432,7 +417,7 @@ class GridCostTables:
             platforms=ScenarioPlatforms(context.platform, new_grid),
             build_context=new_context,
             fingerprint=new_fingerprint,
-            slice_stats=GridSliceStats(served=len(order) - len(to_build), built=len(to_build)),
+            slice_stats=stats,
             **changes,
         )
 
@@ -444,32 +429,6 @@ class GridCostTables:
 # ---------------------------------------------------------------------------
 # shared construction machinery
 # ---------------------------------------------------------------------------
-
-
-def _grid_build_context(
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-) -> GridBuildContext:
-    return GridBuildContext(
-        platform=platform,
-        scenarios=scenarios,
-        devices=tuple(devices) if devices is not None else None,
-        workload_fingerprint=cached_fingerprint(workload),
-        task_costs=tuple(workload.costs()),
-    )
-
-
-def _attach_build_context(
-    tables: GridCostTables,
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-) -> GridCostTables:
-    """Equip materializing-fallback tables with delta-rebuild provenance."""
-    return replace(tables, build_context=_grid_build_context(workload, platform, scenarios, devices))
 
 
 @lru_cache(maxsize=None)
@@ -514,7 +473,7 @@ def _missing_link_topology(
 
 @dataclass
 class _GridParamArrays:
-    """Gathered ``(scenario, ...)`` parameter arrays feeding the formula core."""
+    """Candidate-column ``(scenario, ...)`` parameters feeding the formula core."""
 
     peak: np.ndarray  # (s, m)
     half_saturation: np.ndarray  # (s, m)
@@ -528,6 +487,7 @@ class _GridParamArrays:
     host_lat: np.ndarray  # (s, m)
     host_epb: np.ndarray  # (s, m)
     host_missing: np.ndarray  # (m,) bool
+    nonhost: np.ndarray  # (m,) bool
     pair_bw: np.ndarray  # (s, m, m), NaN where absent
     pair_lat: np.ndarray  # (s, m, m)
     pair_epb: np.ndarray  # (s, m, m)
@@ -535,81 +495,11 @@ class _GridParamArrays:
     missing: frozenset
 
 
-def _materialized_params(
-    platforms: Sequence[Platform],
-    aliases: Sequence[str],
-    host: str,
-    device_order: Sequence[str],
-) -> _GridParamArrays:
-    """Parameter gather of the materializing path: per-platform getattr loops."""
-    s, m = len(platforms), len(aliases)
-    missing, host_missing = _missing_link_topology(platforms[0], aliases, host)
-
-    def link_params(a: str, b: str) -> list[tuple[float, float, float]]:
-        return [
-            (link.bandwidth_gbs, link.latency_s, link.energy_per_byte_j)
-            for platform in platforms
-            for link in (platform.link(a, b),)
-        ]
-
-    host_bw = np.full((s, m), np.nan)
-    host_lat = np.full((s, m), np.nan)
-    host_epb = np.full((s, m), np.nan)
-    for d, alias in enumerate(aliases):
-        if alias == host or host_missing[d]:
-            continue
-        params = link_params(host, alias)
-        host_bw[:, d] = [p[0] for p in params]
-        host_lat[:, d] = [p[1] for p in params]
-        host_epb[:, d] = [p[2] for p in params]
-
-    pair_bw = np.full((s, m, m), np.nan)
-    pair_lat = np.full((s, m, m), np.nan)
-    pair_epb = np.full((s, m, m), np.nan)
-    for i, a in enumerate(aliases):
-        for j, b in enumerate(aliases):
-            if a == b or (a, b) in missing:
-                continue
-            params = link_params(a, b)
-            pair_bw[:, i, j] = [p[0] for p in params]
-            pair_lat[:, i, j] = [p[1] for p in params]
-            pair_epb[:, i, j] = [p[2] for p in params]
-
-    extra = [alias for alias in device_order if alias not in aliases]
-    extra_idle_power = np.array(
-        [[platform.device(alias).power_idle_w for alias in extra] for platform in platforms]
-    ).reshape(s, len(extra))
-
-    return _GridParamArrays(
-        peak=_device_param(platforms, aliases, "peak_gflops"),
-        half_saturation=_device_param(platforms, aliases, "half_saturation_flops"),
-        mem_bw=_device_param(platforms, aliases, "memory_bandwidth_gbs"),
-        launch=_device_param(platforms, aliases, "kernel_launch_overhead_s"),
-        startup=_device_param(platforms, aliases, "task_startup_overhead_s"),
-        power_active=_device_param(platforms, aliases, "power_active_w"),
-        power_idle=_device_param(platforms, aliases, "power_idle_w"),
-        cost_per_hour=_device_param(platforms, aliases, "cost_per_hour"),
-        host_bw=host_bw,
-        host_lat=host_lat,
-        host_epb=host_epb,
-        host_missing=host_missing,
-        pair_bw=pair_bw,
-        pair_lat=pair_lat,
-        pair_epb=pair_epb,
-        extra_idle_power=extra_idle_power,
-        missing=missing,
-    )
-
-
-def _fused_params(
+def _candidate_params(
     params: PlatformParams, aliases: Sequence[str], host: str
 ) -> _GridParamArrays:
-    """Parameter gather of the fused path: column slices of the array bundle.
-
-    The arrays hold exactly the floats the scalar axis math would have put on
-    derived ``DeviceSpec``/``LinkSpec`` objects (elementwise float64 ops round
-    identically), so the result is bitwise the materializing gather.
-    """
+    """The candidate-column gather every grid build runs: column slices of
+    the parameter bundle, NaN where a link is absent."""
     s, m = params.n_scenarios, len(aliases)
     missing, host_missing = _missing_link_topology(params.base, aliases, host)
 
@@ -664,12 +554,32 @@ def _fused_params(
         host_lat=host_lat,
         host_epb=host_epb,
         host_missing=host_missing,
+        nonhost=np.array([alias != host for alias in aliases]),
         pair_bw=pair_bw,
         pair_lat=pair_lat,
         pair_epb=pair_epb,
         extra_idle_power=extra_idle_power,
         missing=missing,
     )
+
+
+def _condition_params(platform: Platform, entries: "Sequence[Scenario]") -> PlatformParams:
+    """The parameter rows of some scenarios of ``platform``.
+
+    When every pinned axis is vectorized, the base platform is broadcast once
+    and each axis' ``scale_arrays`` hook runs over all rows; otherwise each
+    scenario's platform is derived through ``apply_conditions`` and stacked.
+    Both fills hold the same floats bit for bit.
+    """
+    from ..scenarios.conditions import apply_conditions, vectorized_axis
+
+    # vectorized_axis judges an axis by its class, so ask once per class.
+    axes = {type(axis): axis for scenario in entries for axis, _ in scenario.settings}
+    if all(map(vectorized_axis, axes.values())):
+        params = PlatformParams.gather(platform, len(entries))
+        _apply_grid_conditions(params, entries)
+        return params
+    return PlatformParams.stack([apply_conditions(platform, scenario) for scenario in entries])
 
 
 def _apply_grid_conditions(params: PlatformParams, entries: "Sequence[Scenario]") -> None:
@@ -694,15 +604,16 @@ def _apply_grid_conditions(params: PlatformParams, entries: "Sequence[Scenario]"
             axis.scale_arrays(params, np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=float))
 
 
-def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays, nonhost: np.ndarray) -> dict:
+def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays) -> dict:
     """The scenario-dependent grid tables from gathered parameter arrays.
 
-    Shared formula core of the materializing and fused builders *and* of delta
-    rebuilds.  Every operation is elementwise along the scenario axis, so
-    computing any scenario subset reproduces the full build's rows bitwise.
+    The one formula core of every grid build and delta rebuild.  Every
+    operation is elementwise along the scenario axis, so computing any
+    scenario subset reproduces the full build's rows bitwise.
     """
     s, m = pa.peak.shape
     k = len(costs)
+    nonhost = pa.nonhost
 
     busy = np.empty((s, k, m))
     hostio_time = np.zeros((s, k, m))
@@ -792,107 +703,86 @@ def _materialized_grid_tables(
 ) -> GridCostTables:
     """The materializing grid builder: pre-derived platforms in, stacked tables out.
 
-    Every platform must share the base platform's *shape*: the same device
-    aliases (in the same order), the same host and the same link topology --
-    conditions re-parameterize a platform, they do not rewire it.  The tables
-    are computed vectorized across the scenario axis through the
-    :mod:`~repro.devices.costmodel` formulas, so each scenario's slice is
-    bitwise identical to the scalar per-platform build.  A
+    Every platform must share the first one's shape (see
+    :meth:`PlatformParams.stack`).  This builds every plain table (row 0 of a
+    one-platform build) and every platform-sequence grid, and is the
+    differential reference for scenario builds: scalar ``apply_conditions``
+    plus ``stack`` against the vectorized ``scale_arrays`` hooks, through the
+    same gather and formula core (:func:`_grid_value_arrays`).  A
     :class:`~repro.tasks.graph.TaskGraph`'s tables hold the same values over
     its topologically ordered tasks; only ``pred_positions`` differs.
-
-    This path gathers parameters from materialized ``Platform`` objects.  It
-    builds every plain table (row 0 of a one-platform build) and serves as the
-    differential reference (and custom-axis fallback) for the fused builder,
-    which shares its formula core (:func:`_grid_value_arrays`).
     """
     platforms = tuple(platforms)
-    if not platforms:
-        raise ValueError("at least one platform is required")
-    base = platforms[0]
-    device_order = tuple(base.devices)
-    link_keys = set(base.links)
-    for platform in platforms[1:]:
-        if tuple(platform.devices) != device_order:
-            raise ValueError(
-                f"platform {platform.name!r} has devices {list(platform.devices)}, "
-                f"expected {list(device_order)} -- scenario platforms must share "
-                f"the base platform's device set"
-            )
-        if platform.host != base.host:
-            raise ValueError(
-                f"platform {platform.name!r} has host {platform.host!r}, expected {base.host!r}"
-            )
-        if set(platform.links) != link_keys:
-            raise ValueError(
-                f"platform {platform.name!r} has links {sorted(platform.links)}, "
-                f"expected {sorted(link_keys)} -- conditions must not rewire the topology"
-            )
-
+    params = PlatformParams.stack(platforms)
+    base = params.base
     aliases = resolve_aliases(base, devices)
-    host = base.host
     costs = workload.costs()
-    nonhost = np.array([alias != host for alias in aliases])
-
-    pa = _materialized_params(platforms, aliases, host, device_order)
-    values = _grid_value_arrays(costs, pa, nonhost)
-    static = _static_value_arrays(costs, nonhost, len(aliases))
-
-    return GridCostTables(
-        task_names=tuple(workload.task_names),
-        pred_positions=workload.predecessor_positions,
-        platforms=platforms,
-        aliases=aliases,
-        device_order=device_order,
-        missing_links=pa.missing,
-        workload=workload.name,
-        slice_stats=GridSliceStats(served=0, built=len(platforms)),
-        **values,
-        **static,
+    pa = _candidate_params(params, aliases, base.host)
+    return _assemble_grid_tables(
+        workload,
+        base,
+        platforms,
+        aliases,
+        costs,
+        _grid_value_arrays(costs, pa),
+        pa.missing,
+        GridSliceStats(served=0, built=params.n_scenarios),
     )
-
-
-def _try_fused_grid_tables(
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None = None,
-    slice_cache: "TableCache | None" = None,
-) -> "GridCostTables | None":
-    """The fused array-space grid builder (base platform + scenario grid).
-
-    Returns ``None`` when any scenario pins an axis without the vectorized
-    ``scale_arrays`` hook -- the caller falls back to the materializing path.
-    With a ``slice_cache``, previously built scenario slices are served by
-    content fingerprint instead of recomputed (see
-    :meth:`GridCostTables.cache_stats`).
-    """
-    from ..scenarios.conditions import vectorized_axis
-
-    for scenario in scenarios.scenarios:
-        for axis, _ in scenario.settings:
-            if not vectorized_axis(axis):
-                return None
-    context = _grid_build_context(workload, platform, scenarios, devices)
-    return _fused_grid_tables(workload, platform, scenarios, devices, slice_cache, context)
 
 
 def _fused_grid_tables(
     workload: TaskChain | TaskGraph,
     platform: Platform,
     scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-    slice_cache: "TableCache | None",
-    context: GridBuildContext,
+    devices: Sequence[str] | None = None,
+    slice_cache: "TableCache | None" = None,
 ) -> GridCostTables:
-    aliases = resolve_aliases(platform, devices)
-    host = platform.host
-    costs = context.task_costs
-    entries = scenarios.scenarios
-    s, m = len(entries), len(aliases)
-    nonhost = np.array([alias != host for alias in aliases])
+    """The scenario grid builder (base platform + scenario grid).
 
-    keys: "list[tuple] | None" = None
+    Per-scenario platforms are derived lazily (:class:`ScenarioPlatforms`),
+    the tables carry a :class:`GridBuildContext` for delta rebuilds, and with
+    a ``slice_cache`` previously built scenario slices are served by content
+    fingerprint instead of recomputed (see :meth:`GridCostTables.cache_stats`).
+    """
+    aliases = resolve_aliases(platform, devices)
+    context = GridBuildContext(
+        platform=platform,
+        scenarios=scenarios,
+        devices=tuple(devices) if devices is not None else None,
+        workload_fingerprint=cached_fingerprint(workload),
+        task_costs=tuple(workload.costs()),
+    )
+    values, stats = _condition_rows(context, scenarios.scenarios, slice_cache)
+    return _assemble_grid_tables(
+        workload,
+        platform,
+        ScenarioPlatforms(platform, scenarios),
+        aliases,
+        context.task_costs,
+        values,
+        _missing_link_topology(platform, aliases, platform.host)[0],
+        stats,
+        context,
+    )
+
+
+def _condition_rows(
+    context: GridBuildContext,
+    entries: "Sequence[Scenario]",
+    slice_cache: "TableCache | None",
+    out: "dict[str, np.ndarray] | None" = None,
+    at: "Sequence[int] | None" = None,
+) -> "tuple[dict[str, np.ndarray], GridSliceStats]":
+    """The condition rows of some scenarios of a build context, and their provenance.
+
+    Slices already in ``slice_cache`` are served by content fingerprint; the
+    rest are computed in one pass (:func:`_condition_params`) and seeded into
+    the cache.  The formula core is elementwise per scenario row, so the rows
+    match a full build bitwise however they were sourced.  Row ``j`` lands in
+    ``out[name][at[j]]`` when ``out`` is given (a delta rebuild's copies);
+    otherwise fresh ``(len(entries), ...)`` arrays are returned.
+    """
+    keys: list[tuple] = []
     served: dict[int, GridSlice] = {}
     if slice_cache is not None:
         keys = [_slice_key(context, scenario) for scenario in entries]
@@ -900,50 +790,33 @@ def _fused_grid_tables(
             hit = slice_cache.get(key)
             if hit is not None:
                 served[i] = hit
-    need = [i for i in range(s) if i not in served]
+    need = [i for i in range(len(entries)) if i not in served]
+    stats = GridSliceStats(served=len(served), built=len(need))
 
-    sub = None
-    missing: "frozenset | None" = None
+    built: dict[str, np.ndarray] = {}
     if need:
-        params = PlatformParams.gather(platform, len(need))
-        _apply_grid_conditions(params, [entries[i] for i in need])
-        pa = _fused_params(params, aliases, host)
-        sub = _grid_value_arrays(costs, pa, nonhost)
-        missing = pa.missing
-    if missing is None:
-        missing = _missing_link_topology(platform, aliases, host)[0]
-
-    if not served:
-        values = sub if sub is not None else {}
-    else:
+        platform = context.platform
+        params = _condition_params(platform, [entries[i] for i in need])
+        aliases = resolve_aliases(platform, context.devices)
+        built = _grid_value_arrays(context.task_costs, _candidate_params(params, aliases, platform.host))
+        if slice_cache is not None:
+            _cache_slices(slice_cache, [keys[i] for i in need], built)
+    if out is None:
+        if not served:
+            return built, stats
         any_slice = next(iter(served.values()))
-        rows = np.asarray(need, dtype=np.intp)
-        values = {}
-        for name in _SLICE_FIELDS:
-            tail = sub[name].shape[1:] if sub is not None else getattr(any_slice, name).shape
-            arr = np.empty((s,) + tail)
-            if need:
-                arr[rows] = sub[name]
-            for i, piece in served.items():
-                arr[i] = getattr(piece, name)
-            values[name] = arr
-    if slice_cache is not None and need:
-        _cache_slices(slice_cache, [keys[i] for i in need], sub)
-
-    static = _static_value_arrays(costs, nonhost, m)
-    return GridCostTables(
-        task_names=tuple(workload.task_names),
-        pred_positions=workload.predecessor_positions,
-        platforms=ScenarioPlatforms(platform, scenarios),
-        aliases=aliases,
-        device_order=tuple(platform.devices),
-        missing_links=missing,
-        workload=workload.name,
-        build_context=context,
-        slice_stats=GridSliceStats(served=len(served), built=len(need)),
-        **values,
-        **static,
-    )
+        out = {
+            name: np.empty((len(entries),) + getattr(any_slice, name).shape)
+            for name in _SLICE_FIELDS
+        }
+        at = range(len(entries))
+    need_at = [at[i] for i in need]
+    for name, arr in out.items():
+        if need:
+            arr[need_at] = built[name]
+        for i, piece in served.items():
+            arr[at[i]] = getattr(piece, name)
+    return out, stats
 
 
 def _cache_slices(cache: "TableCache", keys: Sequence[tuple], values: Mapping[str, np.ndarray]) -> None:
@@ -961,30 +834,33 @@ def _cache_slices(cache: "TableCache", keys: Sequence[tuple], values: Mapping[st
     cache.put_many(keys, make, nbytes)
 
 
-def _scenario_values(context: GridBuildContext, entries: "Sequence[Scenario]") -> dict:
-    """The condition rows of some scenarios of a build context.
-
-    Uses the fused array path when every axis is vectorized, the materializing
-    apply_conditions path otherwise; either way the formula core is elementwise
-    per scenario row, so the rows match a full rebuild bitwise.
-    """
-    from ..scenarios.conditions import apply_conditions, vectorized_axis
-
-    platform = context.platform
-    aliases = resolve_aliases(platform, context.devices)
-    host = platform.host
-    nonhost = np.array([alias != host for alias in aliases])
-    fused = all(
-        vectorized_axis(axis) for scenario in entries for axis, _ in scenario.settings
+def _assemble_grid_tables(
+    workload: TaskChain | TaskGraph,
+    base: Platform,
+    platforms: Sequence[Platform],
+    aliases: tuple[str, ...],
+    costs: Sequence,
+    values: Mapping[str, np.ndarray],
+    missing: frozenset,
+    slice_stats: GridSliceStats,
+    build_context: "GridBuildContext | None" = None,
+) -> GridCostTables:
+    """Every grid build ends here: its condition rows plus the
+    scenario-independent arrays and the workload's structure."""
+    nonhost = np.array([alias != base.host for alias in aliases])
+    return GridCostTables(
+        task_names=tuple(workload.task_names),
+        pred_positions=workload.predecessor_positions,
+        platforms=platforms,
+        aliases=aliases,
+        device_order=tuple(base.devices),
+        missing_links=missing,
+        workload=workload.name,
+        build_context=build_context,
+        slice_stats=slice_stats,
+        **values,
+        **_static_value_arrays(costs, nonhost, len(aliases)),
     )
-    if fused:
-        params = PlatformParams.gather(platform, len(entries))
-        _apply_grid_conditions(params, entries)
-        pa = _fused_params(params, aliases, host)
-    else:
-        platforms = tuple(apply_conditions(platform, scenario) for scenario in entries)
-        pa = _materialized_params(platforms, aliases, host, tuple(platform.devices))
-    return _grid_value_arrays(context.task_costs, pa, nonhost)
 
 
 @dataclass(frozen=True)

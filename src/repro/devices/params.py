@@ -1,22 +1,31 @@
-"""Array-space platform parameters: the substrate of the fused grid build.
+"""Array-space platform parameters: the one source the grid formula core reads.
 
-The condition-stacked grid builder used to derive one ``Platform`` dataclass
-per scenario and re-gather every ``DeviceSpec``/``LinkSpec`` float with Python
-``getattr`` loops -- O(scenarios x devices) object churn before a single
-NumPy op ran.  :class:`PlatformParams` replaces that: every float parameter of
-the base platform is broadcast once into a ``(n_scenarios, ...)`` array, and
-condition axes transform the arrays in place through their vectorized
-``scale_arrays`` hook (see :class:`~repro.scenarios.conditions.ConditionAxis`).
+Every grid build -- plain, platform sequence, scenario grid or delta rebuild
+-- fills a :class:`PlatformParams` bundle and hands it to the same column
+gather and formula core (:mod:`repro.devices.grid`); builds differ only in
+how the arrays are filled:
+
+* :meth:`PlatformParams.gather` broadcasts one base platform's floats over a
+  scenario axis, and condition axes then transform the arrays in place
+  through their vectorized ``scale_arrays`` hook (see
+  :class:`~repro.scenarios.conditions.ConditionAxis`) -- no per-scenario
+  ``Platform`` objects are derived;
+* :meth:`PlatformParams.stack` reads pre-derived platforms row by row (plain
+  builds, platform sequences, and scenarios pinning an axis without the
+  hook, derived through ``apply_conditions``).
 
 Elementwise NumPy float64 arithmetic rounds exactly like scalar Python float
 arithmetic (both are IEEE-754 double operations), so a parameter array
-transformed here is bitwise identical to gathering the same parameter from
+transformed here is bitwise identical to stacking the same parameter from
 the scalar-derived platforms -- the invariant the differential tests pin.
+Both constructors store float64 arrays, so integer-valued specs such as
+``peak_gflops=100`` scale like their float spelling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +51,7 @@ LINK_FIELDS = ("bandwidth_gbs", "latency_s", "energy_per_byte_j")
 
 @dataclass
 class PlatformParams:
-    """One platform's float parameters, broadcast across a scenario axis.
+    """Platform float parameters over a scenario axis, one row per scenario.
 
     ``device[field]`` is a writable ``(n_scenarios, n_devices)`` array over
     the platform's device insertion order; ``link[field]`` a writable
@@ -61,25 +70,61 @@ class PlatformParams:
     @classmethod
     def gather(cls, platform: Platform, n_scenarios: int) -> "PlatformParams":
         """Broadcast every float parameter of ``platform`` over ``n_scenarios`` rows."""
-        device_order = tuple(platform.devices)
-        link_pairs = tuple(sorted(platform.links))
+        row = cls.stack((platform,))
+
+        def tile(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            return {name: np.tile(array, (n_scenarios, 1)) for name, array in arrays.items()}
+
+        return replace(row, n_scenarios=n_scenarios, device=tile(row.device), link=tile(row.link))
+
+    @classmethod
+    def stack(cls, platforms: Sequence[Platform]) -> "PlatformParams":
+        """Stack the float parameters of pre-derived platforms, one row each.
+
+        Every platform must share the first one's *shape*: the same device
+        aliases (in the same order), the same host and the same link topology
+        -- conditions re-parameterize a platform, they do not rewire it.
+        """
+        platforms = tuple(platforms)
+        if not platforms:
+            raise ValueError("at least one platform is required")
+        base = platforms[0]
+        device_order = tuple(base.devices)
+        link_pairs = tuple(sorted(base.links))
+        for platform in platforms[1:]:
+            if tuple(platform.devices) != device_order:
+                raise ValueError(
+                    f"platform {platform.name!r} has devices {list(platform.devices)}, "
+                    f"expected {list(device_order)} -- scenario platforms must share "
+                    f"the base platform's device set"
+                )
+            if platform.host != base.host:
+                raise ValueError(
+                    f"platform {platform.name!r} has host {platform.host!r}, expected {base.host!r}"
+                )
+            if tuple(sorted(platform.links)) != link_pairs:
+                raise ValueError(
+                    f"platform {platform.name!r} has links {sorted(platform.links)}, "
+                    f"expected {list(link_pairs)} -- conditions must not rewire the topology"
+                )
+        s = len(platforms)
         device = {
-            name: np.tile(
-                [getattr(platform.devices[alias], name) for alias in device_order],
-                (n_scenarios, 1),
-            )
+            name: np.array(
+                [[getattr(p.devices[alias], name) for alias in device_order] for p in platforms],
+                dtype=float,
+            ).reshape(s, len(device_order))
             for name in DEVICE_FIELDS
         }
         link = {
-            name: np.tile(
-                np.array([getattr(platform.links[pair], name) for pair in link_pairs]),
-                (n_scenarios, 1),
-            )
+            name: np.array(
+                [[getattr(p.links[pair], name) for pair in link_pairs] for p in platforms],
+                dtype=float,
+            ).reshape(s, len(link_pairs))
             for name in LINK_FIELDS
         }
         return cls(
-            base=platform,
-            n_scenarios=n_scenarios,
+            base=base,
+            n_scenarios=s,
             device_order=device_order,
             link_pairs=link_pairs,
             device=device,

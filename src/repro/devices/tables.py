@@ -128,11 +128,11 @@ def build_tables(
     scenarios:
         A :class:`~repro.scenarios.grid.ScenarioGrid` (or scenario sequence)
         to derive grid tables from ``platform``; mutually exclusive with
-        passing a platform sequence.  This is the **fused** grid path: when
-        every pinned axis implements the vectorized
-        :meth:`~repro.scenarios.conditions.ConditionAxis.scale_arrays` hook,
-        the tables are built in array space without deriving per-scenario
-        platforms (bitwise identical to the materializing build), and carry a
+        passing a platform sequence.  Scenarios whose pinned axes all
+        implement the vectorized
+        :meth:`~repro.scenarios.conditions.ConditionAxis.scale_arrays` hook
+        are built in array space without deriving per-scenario platforms
+        (bitwise identical to the materializing build); the tables carry a
         build context enabling :meth:`~repro.devices.grid.GridCostTables.updated`
         delta rebuilds.
     faults, retry, timeout:
@@ -141,7 +141,7 @@ def build_tables(
         (mirroring the executor).
     slice_cache:
         Optional :class:`~repro.cache.TableCache` for per-scenario condition
-        slices of fused grid builds; slices already cached (by content
+        slices of ``scenarios=`` builds; slices already cached (by content
         fingerprint) are served instead of recomputed.
 
     The returned object satisfies :class:`CostTables`; its ``fingerprint``
@@ -195,16 +195,9 @@ def build_tables(
                 workload, platform, devices, retry=retry, faults=faults, timeout=timeout
             )
     elif grid is not None:
-        from .grid import _attach_build_context, _materialized_grid_tables, _try_fused_grid_tables
+        from .grid import _fused_grid_tables
 
-        tables = _try_fused_grid_tables(
-            workload, platform, grid, devices, slice_cache=slice_cache
-        )
-        if tables is None:
-            # Some axis lacks the vectorized hook: materialize the per-scenario
-            # platforms, but keep the build context so delta rebuilds work.
-            tables = _materialized_grid_tables(workload, grid.platforms(platform), devices)
-            tables = _attach_build_context(tables, workload, platform, grid, devices)
+        tables = _fused_grid_tables(workload, platform, grid, devices, slice_cache)
     else:
         from .grid import _materialized_grid_tables
 

@@ -170,6 +170,11 @@ class TestBuildGrid:
         rehosted = Platform(devices=base.devices, links=base.links, host="E", name="rehosted")
         with pytest.raises(ValueError, match="host"):
             build_tables(chain, [base, rehosted])
+        dropped = dict(base.links)
+        dropped.pop(next(iter(dropped)))
+        relinked = Platform(devices=base.devices, links=dropped, host=base.host, name="relinked")
+        with pytest.raises(ValueError, match="must not rewire the topology"):
+            build_tables(chain, [base, relinked])
         with pytest.raises(ValueError, match="at least one platform"):
             build_tables(chain, [])
 

@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from repro.cache import TableCache
 from repro.devices import (
     ChainCostTables,
+    DeviceSpec,
+    LinkSpec,
     Platform,
     SimulatedExecutor,
     edge_cluster_platform,
@@ -154,6 +156,36 @@ def random_fused_scenarios(
     )
 
 
+def integer_platform() -> Platform:
+    """A platform whose every spec field is an ``int``, as the dataclasses allow."""
+    devices = {
+        "D": DeviceSpec(
+            name="host", peak_gflops=20, half_saturation_flops=1_000_000,
+            memory_bandwidth_gbs=10, kernel_launch_overhead_s=0,
+            task_startup_overhead_s=0, power_active_w=15, power_idle_w=3,
+            cost_per_hour=0,
+        ),
+        "G": DeviceSpec(
+            name="gpu", kind="gpu", peak_gflops=100, half_saturation_flops=10_000_000,
+            memory_bandwidth_gbs=200, kernel_launch_overhead_s=0,
+            task_startup_overhead_s=0, power_active_w=150, power_idle_w=20,
+            cost_per_hour=2,
+        ),
+        "C": DeviceSpec(
+            name="cloud", peak_gflops=400, half_saturation_flops=50_000_000,
+            memory_bandwidth_gbs=300, kernel_launch_overhead_s=0,
+            task_startup_overhead_s=0, power_active_w=300, power_idle_w=60,
+            cost_per_hour=3,
+        ),
+    }
+    links = {
+        ("C", "D"): LinkSpec(name="dc", bandwidth_gbs=1, latency_s=0, energy_per_byte_j=0),
+        ("D", "G"): LinkSpec(name="dg", bandwidth_gbs=8, latency_s=0, energy_per_byte_j=0),
+        ("C", "G"): LinkSpec(name="cg", bandwidth_gbs=2, latency_s=0, energy_per_byte_j=0),
+    }
+    return Platform(devices=devices, links=links, host="D", name="integer")
+
+
 class TestFusedEqualsMaterializing:
     def test_every_shipped_axis_individually(self):
         base = edge_cluster_platform()
@@ -178,6 +210,37 @@ class TestFusedEqualsMaterializing:
             assert fused.cache_stats() == GridSliceStats(served=0, built=len(grid))
             assert_bitwise_tables(fused, materialized)
             assert_bitwise_execution(fused, materialized, matrix)
+
+    def test_integer_valued_specs_scale_like_floats(self):
+        """Int-valued specs build float tables on every path, equal to the
+        scalar executor on each derived platform."""
+        base = integer_platform()
+        chain = small_chain()
+        pair = tuple(sorted(base.links))[0]
+        per_axis = [
+            (LinkBandwidthScale(), (1, 0.5)),
+            (LinkLatencyScale(), (1, 3)),
+            (DeviceLoadFactor(), (1, 2)),
+            (DvfsFrequencyScale(), (1, 0.5)),
+            (EnergyPriceScale(), (1, 3)),
+            (LinkInterpolation(links=(pair,), start=wifi_ac(), end=lte()), (0, 0.5)),
+            (DeviceFailureRate(), (0, 0.05)),
+            (LinkDropoutRate(), (0, 0.1)),
+        ]
+        matrix = placement_matrix(len(chain), len(base.aliases))
+        for axis, values in per_axis:
+            grid = ScenarioGrid.cartesian([(axis, list(values))])
+            fused = build_tables(chain, base, scenarios=grid)
+            materialized = build_tables(chain, grid.platforms(base))
+            assert_bitwise_tables(fused, materialized)
+            result = execute_placements_grid(fused, matrix)
+            for i, platform in enumerate(grid.platforms(base)):
+                executor = SimulatedExecutor(platform)
+                for n, row in enumerate(matrix):
+                    record = executor.execute(chain, [base.aliases[d] for d in row])
+                    assert result.total_time_s[i, n] == record.total_time_s, axis
+                    assert result.energy_total_j[i, n] == record.energy.total_j, axis
+                    assert result.operating_cost[i, n] == record.operating_cost, axis
 
     def test_mixed_axes_on_graph_workload(self, rng):
         base = edge_cluster_platform()
@@ -281,6 +344,25 @@ class TestMaterializingFallback:
         assert_bitwise_tables(updated, full)
         assert updated.fingerprint == full.fingerprint
 
+    def test_custom_axis_grids_use_the_slice_cache(self):
+        axis = _UnvectorizedBoost()
+        base = edge_cluster_platform()
+        chain = small_chain()
+        grid = ScenarioGrid.cartesian([(axis, [1.0, 2.0, 0.5])])
+        cache = TableCache()
+        first = build_tables(chain, base, scenarios=grid, slice_cache=cache)
+        assert first.cache_stats() == GridSliceStats(served=0, built=3)
+        second = build_tables(chain, base, scenarios=grid, slice_cache=cache)
+        assert second.cache_stats() == GridSliceStats(served=3, built=0)
+        assert_bitwise_tables(first, second)
+        new = Scenario(name="boosted", settings=((axis, 3.0),))
+        updated = first.updated(1, new, slice_cache=cache)
+        assert updated.cache_stats() == GridSliceStats(served=0, built=1)
+        reverted = updated.updated(1, grid.scenarios[1], slice_cache=cache)
+        assert reverted.cache_stats() == GridSliceStats(served=1, built=0)
+        assert_bitwise_tables(reverted, first)
+        assert reverted.fingerprint == first.fingerprint
+
     def test_base_axis_scale_arrays_raises_not_implemented(self):
         from repro.devices.params import PlatformParams
 
@@ -356,8 +438,12 @@ class TestDeltaRebuilds:
         grid = random_fused_scenarios(rng, base, 3)
         tables = build_tables(small_chain(), base, scenarios=grid)
         new = Scenario(name="x", settings=())
+        other = Scenario(name="y", settings=())
         with pytest.raises(ValueError, match="duplicate replacement"):
             tables.updated_many({0: new, -3: new})
+        for pairs in ([(1, new), (1, other)], [(1, new), (-2, other)]):
+            with pytest.raises(ValueError, match="duplicate replacement for scenario index 1"):
+                tables.updated_many(pairs)
         with pytest.raises(TypeError):
             tables.updated_many({0: "not a scenario"})
         with pytest.raises(IndexError, match=r"valid: -3\.\.2"):
