@@ -22,7 +22,6 @@ from .catalog import (
 )
 from .batch import (
     BatchExecutionResult,
-    ChainCostTables,
     execute_placements,
 )
 from .device import DeviceSpec
@@ -48,7 +47,6 @@ __all__ = [
     "TaskExecutionRecord",
     "HostExecutor",
     "BatchExecutionResult",
-    "ChainCostTables",
     "execute_placements",
     "GridCostTables",
     "GridExecutionResult",

@@ -1,27 +1,22 @@
-"""Plain (single-platform) cost tables and their batch results.
+"""Plain (single-platform) batch execution and its results.
 
 The sequential :meth:`~repro.devices.simulator.SimulatedExecutor.execute` walks
 a task chain in a Python loop, once per placement -- fine for the paper's
 ``2**3 = 8`` splits, hopeless for the ``m**k`` spaces its conclusion worries
 about.  This module is the single-platform face of the vectorized engine:
+:func:`execute_placements` takes an ``(n_placements, n_tasks)`` integer
+device-index matrix and computes every scalar field of an
+:class:`~repro.devices.simulator.ExecutionRecord` with array operations.
 
-* :class:`ChainCostTables` holds, per ``(task, device)``, the busy time
-  (compute + startup), the host<->device transfer time/energy/bytes, and, per
-  ``(device, device)``, the penalty-link costs of the scalar crossing devices,
-  plus the workload's dependency structure: ``pred_positions`` lists each
-  task's predecessors, ``(t - 1,)`` throughout for a chain;
-* :func:`execute_placements` takes an ``(n_placements, n_tasks)`` integer
-  device-index matrix and computes every scalar field of an
-  :class:`~repro.devices.simulator.ExecutionRecord` with array operations.
-
-Plain tables are the one-row case of the condition-stacked grid core
-(:mod:`repro.devices.grid`): :func:`~repro.devices.tables.build_tables` builds
-them as row 0 of a one-platform grid build, and :func:`execute_placements`
-runs the grid kernels on a one-scenario view of them.  The results are
-**bitwise identical** to the sequential loop: per-task quantities come from
-the same scalar formulas, and all accumulations fold left in task order
-exactly like the sequential accumulators (a plain ``np.sum`` would use
-pairwise summation and drift in the last ulp for long chains).
+Plain tables are not a type of their own: they are a one-row
+:class:`~repro.devices.grid.GridCostTables` marked ``plain``, built by
+:func:`~repro.devices.tables.build_tables` on one platform, and
+:func:`execute_placements` runs the grid kernels on them and hands back row 0
+as a :class:`BatchExecutionResult`.  The results are **bitwise identical** to
+the sequential loop: per-task quantities come from the same scalar formulas,
+and all accumulations fold left in task order exactly like the sequential
+accumulators (a plain ``np.sum`` would use pairwise summation and drift in
+the last ulp for long chains).
 
 For DAG workloads the timing model changes where the structure demands it:
 a task starts when its slowest predecessor has finished *and* its device is
@@ -40,105 +35,25 @@ same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .costmodel import finalize_execution
-from .platform import Platform
 from .simulator import (
     ExecutionRecord,
     TaskExecutionRecord,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only; grid imports this module
+    from .grid import GridCostTables
+
 __all__ = [
-    "ChainCostTables",
     "BatchExecutionResult",
     "execute_placements",
     "as_placement_matrix",
     "placement_labels",
 ]
-
-
-@dataclass(frozen=True)
-class ChainCostTables:
-    """Precomputed per-(task, device) and per-(device, device) cost tables.
-
-    One scenario's row of the grid tables (see
-    :meth:`~repro.devices.grid.GridCostTables.table`); build them with
-    :func:`~repro.devices.tables.build_tables`.  ``aliases`` fixes the
-    device-index encoding: placement matrices hold the position of each
-    task's device in this tuple.  All per-task tables have shape
-    ``(n_tasks, n_devices)``; the penalty tables have shape
-    ``(n_devices, n_devices)`` with the first-task (host -> device) costs kept
-    in separate vectors so the host does not need to be a candidate device.
-    ``pred_positions`` carries the dependency structure: sources draw the
-    ``first_penalty`` host feed, later tasks one penalty hop per predecessor.
-    """
-
-    # Task names only (not the TaskChain): tables are cached under content
-    # fingerprints, and a back-reference would keep every workload object
-    # alive for as long as its tables sit in the cache.
-    task_names: tuple[str, ...]
-    #: Per (topological) position, the positions of the task's predecessors
-    #: (ascending; empty = source task fed from the host).
-    pred_positions: tuple[tuple[int, ...], ...]
-    platform: Platform
-    aliases: tuple[str, ...]
-    busy: np.ndarray
-    hostio_time: np.ndarray
-    hostio_bytes: np.ndarray
-    energy_in: np.ndarray
-    energy_out: np.ndarray
-    task_flops: np.ndarray
-    penalty_time: np.ndarray
-    penalty_energy: np.ndarray
-    penalty_bytes: np.ndarray
-    first_penalty_time: np.ndarray
-    first_penalty_energy: np.ndarray
-    first_penalty_bytes: np.ndarray
-    #: Per-candidate power and price, ``(n_devices,)`` each, plus the idle
-    #: power of the platform devices outside the candidates (platform order):
-    #: what the energy/cost finalizer reads, taken once at build time.
-    power_active: np.ndarray
-    power_idle: np.ndarray
-    cost_per_hour: np.ndarray
-    extra_idle_power: np.ndarray
-    #: Device pairs without a platform link: their table entries are NaN, and
-    #: only placements that actually traverse such a pair are rejected (the
-    #: sequential executor likewise fails only when a transfer needs the link).
-    missing_links: frozenset = frozenset()
-    #: Name of the workload the tables were built from (chain/graph name);
-    #: used to attribute placement-shape errors to the offending workload.
-    workload: str = ""
-    #: Content fingerprint of the build configuration (see
-    #: :func:`repro.devices.tables.build_tables`); empty for hand-built tables.
-    fingerprint: str = ""
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_names)
-
-    @property
-    def n_devices(self) -> int:
-        return len(self.aliases)
-
-    @cached_property
-    def is_linear(self) -> bool:
-        """True when every task's only predecessor is the one before it: a
-        chain (or a linear graph), run on the fast chain kernel when every
-        candidate pair is linked."""
-        return _is_linear(self.pred_positions)
-
-    def execute(self, placements: np.ndarray) -> "BatchExecutionResult":
-        """Evaluate a placement batch against these tables (protocol entry)."""
-        return execute_placements(self, placements)
-
-
-def _is_linear(pred_positions: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether every task ``t`` has exactly the predecessor ``t - 1``."""
-    return all(preds == ((t - 1,) if t else ()) for t, preds in enumerate(pred_positions))
 
 
 def as_placement_matrix(
@@ -219,7 +134,8 @@ class BatchExecutionResult:
     sequential record.
     """
 
-    tables: ChainCostTables
+    #: The one-row tables the batch ran on.
+    tables: "GridCostTables"
     placements: np.ndarray
     total_time_s: np.ndarray
     busy_by_device: np.ndarray
@@ -303,6 +219,12 @@ class BatchExecutionResult:
         """
         t = self.tables
         platform = t.platform
+        # Row 0 of the one-row tables, as (k, m) / (m, m) / (m,) arrays.
+        busy_table, hostio_time = t.busy[0], t.hostio_time[0]
+        energy_in, energy_out = t.energy_in[0], t.energy_out[0]
+        penalty_time, penalty_energy = t.penalty_time[0], t.penalty_energy[0]
+        first_penalty_time = t.first_penalty_time[0]
+        first_penalty_energy = t.first_penalty_energy[0]
         row = self.placements[index]
         aliases_row = tuple(t.aliases[d] for d in row)
 
@@ -322,22 +244,22 @@ class BatchExecutionResult:
                 pen_energy = 0.0
                 pen_bytes = 0.0
                 for p in preds:
-                    pen_time += float(t.penalty_time[row[p], d])
-                    pen_energy += float(t.penalty_energy[row[p], d])
+                    pen_time += float(penalty_time[row[p], d])
+                    pen_energy += float(penalty_energy[row[p], d])
                     pen_bytes += float(t.penalty_bytes[row[p], d])
             else:
-                pen_time = float(t.first_penalty_time[d])
-                pen_energy = float(t.first_penalty_energy[d])
+                pen_time = float(first_penalty_time[d])
+                pen_energy = float(first_penalty_energy[d])
                 pen_bytes = float(t.first_penalty_bytes[d])
             ready = 0.0
             for p in preds:
                 ready = max(ready, finish[p])
             start = max(ready, available[alias])
-            busy_time = float(t.busy[pos, d])
-            transfer_time = float(t.hostio_time[pos, d]) + pen_time
+            busy_time = float(busy_table[pos, d])
+            transfer_time = float(hostio_time[pos, d]) + pen_time
             task_bytes = float(t.hostio_bytes[pos, d]) + pen_bytes
-            transfer_energy += float(t.energy_in[pos, d])
-            transfer_energy += float(t.energy_out[pos, d])
+            transfer_energy += float(energy_in[pos, d])
+            transfer_energy += float(energy_out[pos, d])
             transfer_energy += pen_energy
             busy[alias] += busy_time
             flops[alias] += float(t.task_flops[pos])
@@ -375,19 +297,22 @@ class BatchExecutionResult:
             yield self.record(index)
 
 
-def execute_placements(tables: ChainCostTables, placements: np.ndarray) -> BatchExecutionResult:
-    """Evaluate every placement row of the matrix against the cost tables.
+def execute_placements(tables: "GridCostTables", placements: np.ndarray) -> BatchExecutionResult:
+    """Evaluate every placement row of the matrix against one-row cost tables.
 
     ``placements`` must be an ``(n_placements, n_tasks)`` integer matrix of
     positions into ``tables.aliases`` (see :func:`as_placement_matrix`).  The
-    grid core evaluates a one-scenario view of ``tables`` -- fully linked
-    chains on its fast chain kernel, anything else on its checked kernel
-    (missing-link attribution, critical-path latency) -- and hands back row 0 as
-    a :class:`BatchExecutionResult`, so every downstream layer (search,
+    grid core evaluates the tables -- fully linked chains on its fast chain
+    kernel, anything else on its checked kernel (missing-link attribution,
+    critical-path latency) -- and hands back row 0 as a
+    :class:`BatchExecutionResult`, so every downstream layer (search,
     selection, scenarios, measurements) consumes chain and graph batches
-    alike.
+    alike.  Multi-row grid tables are rejected: evaluate them with
+    :func:`~repro.devices.grid.execute_placements_grid`, or take one row with
+    ``table(i)``.
     """
-    from .grid import _execute_row
+    from .grid import _run_kernel
 
+    tables._require_one_row("execute_placements")
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
-    return _execute_row(tables, P.astype(np.intp, copy=False))
+    return _run_kernel(tables, P.astype(np.intp, copy=False))._row(0, tables)

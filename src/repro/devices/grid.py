@@ -23,10 +23,11 @@ tables -- chains, and graphs that are really chains -- run the fast chain
 kernel; everything else runs the one checked kernel, which gathers per-task
 cubes so a missing link can be attributed, folds hop penalties over the
 predecessors in edge order, and branches only in the time fold (a running
-sum when linear, the critical path otherwise).  Plain single-platform
-:class:`~repro.devices.batch.ChainCostTables` are row 0 of a one-platform
-materializing build, and :func:`~repro.devices.batch.execute_placements` runs
-the same kernels on a one-scenario view of them.
+sum when linear, the critical path otherwise).  Plain vs grid is not a table
+type either: plain single-platform tables are a one-row
+:class:`GridCostTables` with ``plain=True``, and
+:func:`~repro.devices.batch.execute_placements` runs the same kernels on them
+and hands back row 0.
 
 Construction has one path.  Every build fills a
 :class:`~repro.devices.params.PlatformParams` bundle, gathers the candidate
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping, Sequence as SequenceABC
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -72,11 +73,9 @@ from ..cache import (
 )
 from ..tasks.chain import TaskChain
 from ..tasks.graph import TaskGraph
-from . import costmodel
+from . import batch, costmodel
 from .batch import (
     BatchExecutionResult,
-    ChainCostTables,
-    _is_linear,
     as_placement_matrix,
     placement_labels,
 )
@@ -184,12 +183,6 @@ _SLICE_FIELDS = (
     "extra_idle_power",
 )
 
-#: The fields a plain table shares with its grid row: everything but the
-#: platform (one per scenario) and the fingerprint (derived per row).
-_ROW_FIELDS = tuple(
-    f.name for f in fields(ChainCostTables) if f.name not in ("platform", "fingerprint")
-)
-
 
 @dataclass(frozen=True)
 class GridSlice:
@@ -240,14 +233,25 @@ class GridBuildContext:
 class GridCostTables:
     """Cost tables of one workload under every platform of a scenario grid.
 
-    Same layout as :class:`~repro.devices.batch.ChainCostTables` with a
-    leading condition axis on every scenario-dependent array; scenario-
-    independent arrays (``hostio_bytes``, ``task_flops``, penalty byte
-    counts) and the dependency structure ``pred_positions`` carry no
-    condition axis.  ``table(i)`` slices out one scenario's
-    :class:`ChainCostTables`, bitwise identical to building it directly.
+    Per ``(task, device)``: the busy time (compute + startup) and the
+    host<->device transfer time/energy/bytes; per ``(device, device)``: the
+    penalty-link costs of a device crossing, with the host feed of source
+    tasks in separate ``first_penalty_*`` vectors so the host need not be a
+    candidate.  ``aliases`` fixes the device-index encoding of placement
+    matrices.  Every scenario-dependent array has a leading condition axis;
+    scenario-independent arrays (``hostio_bytes``, ``task_flops``, penalty
+    byte counts) and the dependency structure ``pred_positions`` carry none.
+
+    Plain single-platform tables are the one-row case, marked ``plain``:
+    their :meth:`execute` returns a
+    :class:`~repro.devices.batch.BatchExecutionResult` instead of a
+    :class:`GridExecutionResult`.  ``table(i)`` slices out one scenario's
+    plain tables, bitwise identical to building them directly.
     """
 
+    # Task names only (not the TaskChain): tables are cached under content
+    # fingerprints, and a back-reference would keep every workload object
+    # alive for as long as its tables sit in the cache.
     task_names: tuple[str, ...]
     #: Per topological position, the predecessors' topological positions.
     pred_positions: tuple[tuple[int, ...], ...]
@@ -276,6 +280,9 @@ class GridCostTables:
     #: Idle power of platform devices outside the candidate aliases, keyed by
     #: position in ``device_order`` restricted to those devices: ``(s, n_extra)``.
     extra_idle_power: np.ndarray
+    #: Device pairs without a platform link: their table entries are NaN, and
+    #: only placements that actually traverse such a pair are rejected (the
+    #: sequential executor likewise fails only when a transfer needs the link).
     missing_links: frozenset = frozenset()
     #: Name of the workload the tables were built from (chain/graph name).
     workload: str = ""
@@ -288,6 +295,9 @@ class GridCostTables:
     #: How this build sourced its scenario slices (cache-served vs computed);
     #: ``None`` for hand-built tables.
     slice_stats: "GridSliceStats | None" = None
+    #: One-row tables of a single platform (``build_tables`` on one platform,
+    #: or ``table(i)``): :meth:`execute` returns a plain batch result.
+    plain: bool = False
 
     @property
     def n_scenarios(self) -> int:
@@ -305,10 +315,28 @@ class GridCostTables:
     def host(self) -> str:
         return self.platforms[0].host
 
+    @property
+    def platform(self) -> Platform:
+        """The platform of one-row (plain) tables."""
+        self._require_one_row("platform")
+        return self.platforms[0]
+
+    def _require_one_row(self, what: str) -> None:
+        """Reject multi-row tables where only plain (one-row) tables fit."""
+        if self.n_scenarios != 1:
+            raise ValueError(
+                f"{what} needs one-row (plain) tables, got grid tables with "
+                f"{self.n_scenarios} scenarios; take one scenario with table(i)"
+            )
+
     @cached_property
     def is_linear(self) -> bool:
-        """True for chain tables: see :attr:`ChainCostTables.is_linear`."""
-        return _is_linear(self.pred_positions)
+        """True when every task's only predecessor is the one before it: a
+        chain (or a linear graph), run on the fast chain kernel when every
+        candidate pair is linked."""
+        return all(
+            preds == ((t - 1,) if t else ()) for t, preds in enumerate(self.pred_positions)
+        )
 
     def _scenario_index(self, index: int) -> int:
         """Normalize a scenario index (negative counts from the end)."""
@@ -328,18 +356,20 @@ class GridCostTables:
             return self.slice_stats
         return GridSliceStats(served=0, built=self.n_scenarios)
 
-    def table(self, index: int) -> ChainCostTables:
-        """The :class:`ChainCostTables` of one scenario (bitwise identical to
+    def table(self, index: int) -> "GridCostTables":
+        """The plain one-row tables of one scenario (bitwise identical to
         ``build_tables(workload, platforms[index], devices=aliases)``); negative
-        indices count from the end, like :meth:`GridExecutionResult.batch`."""
+        indices count from the end, like :meth:`GridExecutionResult.batch`.
+        The row is a view and carries no build provenance."""
         index = self._scenario_index(index)
-        values = {name: getattr(self, name) for name in _ROW_FIELDS}
-        for name in _SLICE_FIELDS:
-            values[name] = values[name][index]
-        return ChainCostTables(
-            platform=self.platforms[index],
+        return replace(
+            self,
+            platforms=(self.platforms[index],),
             fingerprint=f"{self.fingerprint}#scenario{index}" if self.fingerprint else "",
-            **values,
+            build_context=None,
+            slice_stats=None,
+            plain=True,
+            **{name: getattr(self, name)[index : index + 1] for name in _SLICE_FIELDS},
         )
 
     def updated(
@@ -421,8 +451,11 @@ class GridCostTables:
             **changes,
         )
 
-    def execute(self, placements: np.ndarray) -> "GridExecutionResult":
-        """Evaluate a placement batch under every condition (protocol entry)."""
+    def execute(self, placements: np.ndarray) -> "GridExecutionResult | BatchExecutionResult":
+        """Evaluate a placement batch under every condition (protocol entry);
+        plain tables return their one row as a batch result."""
+        if self.plain:
+            return batch.execute_placements(self, placements)
         return execute_placements_grid(self, placements)
 
 
@@ -940,8 +973,8 @@ class GridExecutionResult:
         index = self.tables._scenario_index(index)
         return self._row(index, self.tables.table(index))
 
-    def _row(self, index: int, tables: ChainCostTables) -> BatchExecutionResult:
-        """Row ``index`` as a batch result over the given plain tables."""
+    def _row(self, index: int, tables: GridCostTables) -> BatchExecutionResult:
+        """Row ``index`` as a batch result over the given one-row tables."""
         return BatchExecutionResult(
             tables=tables,
             placements=self.placements,
@@ -985,21 +1018,6 @@ def _run_kernel(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
     if tables.is_linear and not tables.missing_links:
         return _execute_chain_grid(tables, P)
     return _execute_checked_grid(tables, P)
-
-
-def _row_view(tables: ChainCostTables) -> GridCostTables:
-    """Plain tables as a one-scenario grid: leading-axis views, no copies."""
-    values = {name: getattr(tables, name) for name in _ROW_FIELDS}
-    for name in _SLICE_FIELDS:
-        values[name] = values[name][None]
-    platform = tables.platform
-    return GridCostTables(platforms=(platform,), device_order=tuple(platform.devices), **values)
-
-
-def _execute_row(tables: ChainCostTables, P: np.ndarray) -> BatchExecutionResult:
-    """The engine behind :func:`~repro.devices.batch.execute_placements`: the
-    grid kernels on the one-row view of plain tables, row 0 handed back."""
-    return _run_kernel(_row_view(tables), P)._row(0, tables)
 
 
 def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:

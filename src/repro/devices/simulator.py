@@ -56,7 +56,8 @@ from .platform import Platform
 from .tables import check_fault_args
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
-    from .batch import BatchExecutionResult, ChainCostTables
+    from .batch import BatchExecutionResult
+    from .grid import GridCostTables
 
 __all__ = [
     "PENALTY_MESSAGE_BYTES",
@@ -434,14 +435,15 @@ class SimulatedExecutor:
         faults=None,
         retry=None,
         timeout=None,
-    ) -> "ChainCostTables":
+    ) -> "GridCostTables":
         """Precomputed (cached) cost tables of a workload on this platform.
 
-        ``chain`` may be a :class:`TaskChain` or a :class:`TaskGraph`; the
-        tables' ``pred_positions`` carry the dependency structure, which every
-        batch entry point below evaluates automatically.  With
-        ``retry=`` given, returns fault-augmented
-        :class:`~repro.faults.tables.FaultChainCostTables` instead (``faults``
+        Plain one-row :class:`~repro.devices.grid.GridCostTables`.  ``chain``
+        may be a :class:`TaskChain` or a :class:`TaskGraph`; the tables'
+        ``pred_positions`` carry the dependency structure, which every batch
+        entry point below evaluates automatically.  With ``retry=`` given,
+        returns one-row fault-augmented
+        :class:`~repro.faults.tables.FaultGridCostTables` instead (``faults``
         defaulting to the platform's attached profile).
 
         Tables come from :func:`repro.devices.tables.build_tables` and are

@@ -1,22 +1,25 @@
-"""Unified cost-table backend: one entry point for all four table types.
+"""Unified cost-table backend: one entry point for both table types.
 
-The engine has four table types -- plain and condition-stacked grid tables
-(:mod:`repro.devices.batch`, :mod:`repro.devices.grid`) and the
-fault-augmented variants of both (:mod:`repro.faults.tables`).
-:func:`build_tables` is the one place that dispatches between them:
+The engine has two table types, both with a leading scenario axis: the
+condition-stacked :class:`~repro.devices.grid.GridCostTables` and its
+fault-augmented :class:`~repro.faults.tables.FaultGridCostTables`.
+:func:`build_tables` is the one place that chooses between them:
 
-====================  =====================  ==========================
-configuration          fault-free             under faults (``retry=...``)
-====================  =====================  ==========================
-one platform           ``ChainCostTables``    ``FaultChainCostTables``
-platform sequence or   ``GridCostTables``     ``FaultGridCostTables``
+====================  ===========================  ==============================
+configuration          fault-free                   under faults (``retry=...``)
+====================  ===========================  ==============================
+one platform           ``GridCostTables``, plain    ``FaultGridCostTables``, plain
+platform sequence or   ``GridCostTables``           ``FaultGridCostTables``
 ``scenarios=...``
-====================  =====================  ==========================
+====================  ===========================  ==============================
 
-Chain vs DAG is not a type: every table carries the workload's
-``pred_positions`` (``((), (0,), ..., (k-2,))`` for a chain), and the kernels
-read that field -- fully linked linear tables run the fast chain kernel, all
-others the checked kernel with the critical-path time fold where needed.
+Neither chain vs DAG nor plain vs grid is a type.  Every table carries the
+workload's ``pred_positions`` (``((), (0,), ..., (k-2,))`` for a chain), and
+the kernels read that field -- fully linked linear tables run the fast chain
+kernel, all others the checked kernel with the critical-path time fold where
+needed.  Plain tables are one-row grid tables with ``plain=True``, whose
+``execute`` returns a :class:`~repro.devices.batch.BatchExecutionResult`
+(a :class:`~repro.faults.engine.FaultBatchExecutionResult` under faults).
 
 Every returned object satisfies the :class:`CostTables` protocol --
 ``execute(placements)``, ``.n_tasks``, ``.aliases`` and a content-addressed
@@ -136,9 +139,10 @@ def build_tables(
         build context enabling :meth:`~repro.devices.grid.GridCostTables.updated`
         delta rebuilds.
     faults, retry, timeout:
-        Fault-aware evaluation: passing ``retry`` selects the fault table
-        families; ``faults``/``timeout`` without ``retry`` is an error
-        (mirroring the executor).
+        Fault-aware evaluation: passing ``retry`` wraps the tables in
+        :class:`~repro.faults.tables.FaultGridCostTables`;
+        ``faults``/``timeout`` without ``retry`` is an error (mirroring the
+        executor).
     slice_cache:
         Optional :class:`~repro.cache.TableCache` for per-scenario condition
         slices of ``scenarios=`` builds; slices already cached (by content
@@ -172,28 +176,19 @@ def build_tables(
     )
 
     if retry is not None:
-        from ..faults.tables import _fault_grid_tables, _fault_tables
+        from ..faults.tables import _fault_grid_tables
 
-        if grid is not None:
-            tables = _fault_grid_tables(
-                workload,
-                None,
-                devices,
-                retry=retry,
-                faults=faults,
-                timeout=timeout,
-                platform=platform,
-                scenarios=grid,
-                slice_cache=slice_cache,
-            )
-        elif platforms is not None:
-            tables = _fault_grid_tables(
-                workload, platforms, devices, retry=retry, faults=faults, timeout=timeout
-            )
-        else:
-            tables = _fault_tables(
-                workload, platform, devices, retry=retry, faults=faults, timeout=timeout
-            )
+        # A platform iterator is spent by now: hand over the listed platforms.
+        tables = _fault_grid_tables(
+            workload,
+            platform if platforms is None else platforms,
+            devices,
+            retry=retry,
+            faults=faults,
+            timeout=timeout,
+            scenarios=grid,
+            slice_cache=slice_cache,
+        )
     elif grid is not None:
         from .grid import _fused_grid_tables
 

@@ -43,7 +43,6 @@ from .simulate import (
     summarize_fault_trials,
 )
 from .tables import (
-    FaultChainCostTables,
     FaultGridCostTables,
     resolve_fault_profile,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TimeoutPolicy",
     "expected_attempts",
     "expected_backoff",
-    "FaultChainCostTables",
     "FaultGridCostTables",
     "resolve_fault_profile",
     "ExpectedTaskFaults",

@@ -26,8 +26,8 @@ energy.  Where success is impossible the time/energy/cost metrics are
 
 One kernel serves every shape.  It runs over
 :class:`~repro.faults.tables.FaultGridCostTables` with a leading scenario
-axis; :func:`execute_fault_placements` wraps plain fault tables as a
-one-scenario grid and hands back row 0, just as the classic
+axis; plain fault tables are the one-row case, and
+:func:`execute_fault_placements` hands back their row 0, just as the classic
 :func:`~repro.devices.batch.execute_placements` runs on the grid kernels.  A
 chain is the DAG whose task ``t`` has the single predecessor ``t - 1`` (the
 tables' ``pred_positions`` say which), so hop penalties and survivals fold
@@ -53,6 +53,7 @@ chains.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -66,10 +67,9 @@ from ..devices.grid import (
     _finalize_grid,
     _hop_folder,
     _raise_missing_link,
-    _row_view,
 )
 from .retry import RetryPolicy, expected_attempts, expected_backoff
-from .tables import FaultChainCostTables, FaultGridCostTables
+from .tables import FaultGridCostTables
 
 __all__ = [
     "ExpectedTaskFaults",
@@ -232,7 +232,8 @@ class FaultBatchExecutionResult(BatchExecutionResult):
     works unchanged while ``success_probability`` adds the resilience axis.
     """
 
-    fault_tables: FaultChainCostTables | None = None
+    #: The one-row fault tables the batch ran on.
+    fault_tables: FaultGridCostTables | None = None
     #: Per placement, probability that every task succeeds within its budget.
     success_probability: np.ndarray | None = None
     #: Per placement, sum over tasks of ``E[attempts | success]``.
@@ -274,8 +275,8 @@ class FaultGridExecutionResult(GridExecutionResult):
         index = self.tables._scenario_index(index)
         return self._row(index, self.fault_tables.table(index))
 
-    def _row(self, index: int, tables: FaultChainCostTables) -> FaultBatchExecutionResult:
-        """Row ``index`` as a fault batch result over the given fault tables."""
+    def _row(self, index: int, tables: FaultGridCostTables) -> FaultBatchExecutionResult:
+        """Row ``index`` as a fault batch result over the given one-row fault tables."""
         return FaultBatchExecutionResult(
             tables=tables.base,
             placements=self.placements,
@@ -299,27 +300,20 @@ class FaultGridExecutionResult(GridExecutionResult):
 # ---------------------------------------------------------------------------
 
 def execute_fault_placements(
-    tables: FaultChainCostTables, placements: np.ndarray
+    tables: FaultGridCostTables, placements: np.ndarray
 ) -> FaultBatchExecutionResult:
     """Expected cost of every placement under the fault profile, in one pass.
 
     The fault-aware analogue of
     :func:`~repro.devices.batch.execute_placements`, and built the same way:
-    the plain fault tables run as a one-scenario grid on the grid kernel and
-    row 0 is handed back over the caller's own tables.
+    the one-row fault tables run on the grid kernel and row 0 is handed
+    back.  Multi-row tables are rejected (see
+    :func:`execute_fault_placements_grid`).
     """
     base = tables.base
+    base._require_one_row("execute_fault_placements")
     P = as_placement_matrix(placements, base.aliases, base.n_tasks, workload=base.workload)
-    row = FaultGridCostTables(
-        base=_row_view(base),
-        profiles=(tables.profile,),
-        retry=tables.retry,
-        timeout=tables.timeout,
-        node_survival=tables.node_survival[None],
-        edge_survival=tables.edge_survival[None],
-        first_edge_survival=tables.first_edge_survival[None],
-    )
-    return _execute_fault_grid(row, P.astype(np.intp, copy=False))._row(0, tables)
+    return _execute_fault_grid(tables, P.astype(np.intp, copy=False))._row(0, tables)
 
 
 def execute_fault_placements_grid(
@@ -459,17 +453,19 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
 # ---------------------------------------------------------------------------
 
 def expected_record(
-    tables: FaultChainCostTables, placement: Sequence[int] | np.ndarray
+    tables: FaultGridCostTables, placement: Sequence[int] | np.ndarray
 ) -> ExpectedFaultRecord:
     """Sequential fault-aware reference: one placement, scalar arithmetic.
 
     Replays the expected-cost accumulation with python floats in the same
     operation order as the vectorized engine, so every field is bitwise
     identical to the corresponding :func:`execute_fault_placements` array
-    element.  ``placement`` is a row of device indices into
-    ``tables.aliases`` or of the alias strings themselves.
+    element.  ``tables`` must be one-row (plain) fault tables; ``placement``
+    is a row of device indices into ``tables.aliases`` or of the alias
+    strings themselves.
     """
     base = tables.base
+    base._require_one_row("expected_record")
     platform = base.platform
     alias_index = {alias: i for i, alias in enumerate(base.aliases)}
     row: list[int] = []
@@ -481,8 +477,15 @@ def expected_record(
                     f"uses device {d!r}, not among the candidates {list(base.aliases)}"
                 )
             row.append(alias_index[d])
+        elif isinstance(d, (bool, np.bool_)) or not hasattr(d, "__index__"):
+            # The batch engine's integer-dtype rule: floats are not truncated
+            # and bools do not pose as device indices.
+            raise TypeError(
+                f"placement {tuple(placement)!r} entry {d!r} is not an integer device "
+                "index or a device alias"
+            )
         else:
-            row.append(int(d))
+            row.append(operator.index(d))
     if len(row) != base.n_tasks:
         raise ValueError(
             f"placement {row!r} has {len(row)} entries but workload "
@@ -492,9 +495,18 @@ def expected_record(
     # no bare IndexError.
     as_placement_matrix(np.array([row]), base.aliases, base.n_tasks, workload=base.workload)
     aliases_row = tuple(base.aliases[d] for d in row)
+    # Row 0 of the one-row tables, as (k, m) / (m, m) / (m,) arrays.
+    busy_table, hostio_time = base.busy[0], base.hostio_time[0]
+    energy_in, energy_out = base.energy_in[0], base.energy_out[0]
+    penalty_time, penalty_energy = base.penalty_time[0], base.penalty_energy[0]
+    first_penalty_time = base.first_penalty_time[0]
+    first_penalty_energy = base.first_penalty_energy[0]
+    node_survival = tables.node_survival[0]
+    edge_survival, first_edge_survival = tables.edge_survival[0], tables.first_edge_survival[0]
+    profile = tables.profiles[0]
 
-    q = tables.profile.straggler_probability
-    sigma = tables.profile.straggler_slowdown
+    q = profile.straggler_probability
+    sigma = profile.straggler_slowdown
     c = tables.timeout.timeout_s
     cfin = c if math.isfinite(c) else 0.0
     retry = tables.retry
@@ -518,24 +530,24 @@ def expected_record(
             pen_bytes = 0.0
             edge_surv = 1.0
             for p in preds:
-                pen_time += float(base.penalty_time[row[p], d])
-                pen_energy += float(base.penalty_energy[row[p], d])
+                pen_time += float(penalty_time[row[p], d])
+                pen_energy += float(penalty_energy[row[p], d])
                 pen_bytes += float(base.penalty_bytes[row[p], d])
-                edge_surv = edge_surv * float(tables.edge_survival[row[p], d])
+                edge_surv = edge_surv * float(edge_survival[row[p], d])
         else:
-            pen_time = float(base.first_penalty_time[d])
-            pen_energy = float(base.first_penalty_energy[d])
+            pen_time = float(first_penalty_time[d])
+            pen_energy = float(first_penalty_energy[d])
             pen_bytes = float(base.first_penalty_bytes[d])
-            edge_surv = float(tables.first_edge_survival[d])
-        busy_time = float(base.busy[pos, d])
-        transfer_time = float(base.hostio_time[pos, d]) + pen_time
+            edge_surv = float(first_edge_survival[d])
+        busy_time = float(busy_table[pos, d])
+        transfer_time = float(hostio_time[pos, d]) + pen_time
         if math.isnan(transfer_time):
             raise KeyError(
                 f"no link defined along placement {''.join(aliases_row)!r} "
                 f"(task {task_name!r} on {alias!r})"
             )
         dur = busy_time + transfer_time
-        surv = float(tables.node_survival[pos, d]) * edge_surv
+        surv = float(node_survival[pos, d]) * edge_surv
         succ, n_succ, task_time = _scalar_attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
         success = success * succ
         attempts_total += n_succ
@@ -548,8 +560,8 @@ def expected_record(
         available[alias] = end
         total_time = max(total_time, end)
         transferred += (float(base.hostio_bytes[pos, d]) + pen_bytes) * n_succ
-        transfer_energy += float(base.energy_in[pos, d]) * n_succ
-        transfer_energy += float(base.energy_out[pos, d]) * n_succ
+        transfer_energy += float(energy_in[pos, d]) * n_succ
+        transfer_energy += float(energy_out[pos, d]) * n_succ
         transfer_energy += pen_energy * n_succ
         busy[alias] += busy_time * n_succ
         flops[alias] += float(base.task_flops[pos]) * n_succ

@@ -1,15 +1,15 @@
 """Fault-augmented cost tables: survival factors precomputed per table entry.
 
-A :class:`FaultChainCostTables` wraps the classic
-:class:`~repro.devices.batch.ChainCostTables` of a chain or a DAG (its
+A :class:`FaultGridCostTables` wraps the classic
+:class:`~repro.devices.grid.GridCostTables` of a chain or a DAG (its
 ``pred_positions`` tell which) with everything the expected-cost-under-faults
-engine needs per attempt:
+engine needs per attempt, one slice per scenario:
 
-* ``node_survival[t, d]`` -- probability that one attempt of task ``t`` on
+* ``node_survival[s, t, d]`` -- probability that one attempt of task ``t`` on
   device ``d`` survives its device-crash risk and its host I/O transfers,
-* ``edge_survival[src, dst]`` -- survival of the device-to-device penalty
+* ``edge_survival[s, src, dst]`` -- survival of the device-to-device penalty
   hop (``1.0`` on the diagonal: staying put sends nothing),
-* ``first_edge_survival[d]`` -- survival of the host feed into a source
+* ``first_edge_survival[s, d]`` -- survival of the host feed into a source
   task (a chain's first task).
 
 Each entry is produced by the *scalar* helpers on
@@ -18,10 +18,11 @@ reference and the Monte-Carlo sampler make -- so the vectorized engine is
 bitwise pinned by construction, exactly like the base tables are pinned to
 the scalar cost model.
 
-:class:`FaultGridCostTables` stacks per-scenario survival tables over a
-:class:`~repro.devices.grid.GridCostTables`, one fault profile per scenario
-platform (drawn from ``platform.faults`` unless an explicit profile is
-given), for failure-regime sweeps.
+There is one profile per scenario platform (drawn from ``platform.faults``
+unless an explicit profile is given), so failure-regime sweeps are grids
+like any other.  Plain fault tables are the one-row case: their base is a
+plain :class:`~repro.devices.grid.GridCostTables` (``base.plain``), and
+``execute`` returns a :class:`~repro.faults.engine.FaultBatchExecutionResult`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..devices.batch import ChainCostTables
 from ..devices.grid import GridCostTables
 from ..devices.tables import build_tables
 from .models import FaultProfile
@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..tasks.graph import TaskGraph
 
 __all__ = [
-    "FaultChainCostTables",
     "FaultGridCostTables",
     "resolve_fault_profile",
 ]
@@ -60,14 +59,13 @@ def resolve_fault_profile(platform: "Platform", profile: FaultProfile | None) ->
 
 
 def _survival_tables(
-    base: ChainCostTables,
+    host: str,
+    aliases: Sequence[str],
     profile: FaultProfile,
     costs: Sequence,
     busy: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Survival arrays for one scenario slice (``busy`` is ``(k, m)``)."""
-    host = base.platform.host
-    aliases = base.aliases
     k, m = busy.shape
     node = np.empty((k, m))
     for t, cost in enumerate(costs):
@@ -83,58 +81,6 @@ def _survival_tables(
     return node, edge, first_edge
 
 
-@dataclass(frozen=True)
-class FaultChainCostTables:
-    """Classic cost tables plus per-attempt survival factors and policies.
-
-    Carries the retry/timeout semantics alongside the probabilities so one
-    object fully determines the expected-cost evaluation; the executor caches
-    it keyed by (devices, profile, retry, timeout) exactly like the base
-    tables are cached by devices.
-    """
-
-    base: ChainCostTables
-    profile: FaultProfile
-    retry: RetryPolicy
-    timeout: TimeoutPolicy
-    node_survival: np.ndarray  # (k, m)
-    edge_survival: np.ndarray  # (m, m)
-    first_edge_survival: np.ndarray  # (m,)
-    #: Content fingerprint of the build configuration (see
-    #: :func:`repro.devices.tables.build_tables`); empty for hand-built tables.
-    fingerprint: str = ""
-
-    def execute(self, placements: np.ndarray):
-        """Evaluate a placement batch under faults (protocol entry)."""
-        from .engine import execute_fault_placements
-
-        return execute_fault_placements(self, placements)
-
-    @property
-    def n_tasks(self) -> int:
-        return self.base.n_tasks
-
-    @property
-    def n_devices(self) -> int:
-        return self.base.n_devices
-
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        return self.base.aliases
-
-    @property
-    def platform(self) -> "Platform":
-        return self.base.platform
-
-    @property
-    def task_names(self) -> tuple[str, ...]:
-        return self.base.task_names
-
-    @property
-    def workload(self) -> str:
-        return self.base.workload
-
-
 def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> TimeoutPolicy:
     if not isinstance(retry, RetryPolicy):
         raise TypeError(f"retry must be a RetryPolicy, got {retry!r}")
@@ -145,43 +91,15 @@ def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> Timeou
     return timeout
 
 
-def _fault_tables(
-    workload: "TaskChain | TaskGraph",
-    platform: "Platform",
-    devices: Sequence[str] | None = None,
-    *,
-    retry: RetryPolicy,
-    faults: FaultProfile | None = None,
-    timeout: TimeoutPolicy | None = None,
-) -> FaultChainCostTables:
-    """Fault-augmented tables of a workload on a platform (``build_tables``
-    with ``retry=``).
-
-    ``faults`` defaults to the platform's attached profile (or the fault-free
-    profile if it has none); ``timeout`` defaults to no per-attempt budget.
-    """
-    timeout = _check_policies(retry, timeout)
-    profile = resolve_fault_profile(platform, faults)
-    base = build_tables(workload, platform, devices=devices)
-    node, edge, first_edge = _survival_tables(base, profile, workload.costs(), base.busy)
-    return FaultChainCostTables(
-        base=base,
-        profile=profile,
-        retry=retry,
-        timeout=timeout,
-        node_survival=node,
-        edge_survival=edge,
-        first_edge_survival=first_edge,
-    )
-
-
 @dataclass(frozen=True)
 class FaultGridCostTables:
     """Condition-stacked fault tables: one profile and survival slice per scenario.
 
-    ``table(i)`` slices out one scenario's :class:`FaultChainCostTables`,
-    bitwise identical to ``build_tables(..., retry=...)`` on that scenario's
-    platform -- the same slicing guarantee the base grid gives.
+    Carries the retry/timeout semantics alongside the probabilities so one
+    object fully determines the expected-cost evaluation.  ``table(i)``
+    slices out one scenario's plain fault tables, bitwise identical to
+    ``build_tables(..., retry=...)`` on that scenario's platform -- the same
+    slicing guarantee the base grid gives.
     """
 
     base: GridCostTables
@@ -196,10 +114,13 @@ class FaultGridCostTables:
     fingerprint: str = ""
 
     def execute(self, placements: np.ndarray):
-        """Evaluate a placement batch under every condition and fault profile."""
-        from .engine import execute_fault_placements_grid
+        """Evaluate a placement batch under every condition and fault profile;
+        plain tables return their one row as a fault batch result."""
+        from . import engine
 
-        return execute_fault_placements_grid(self, placements)
+        if self.base.plain:
+            return engine.execute_fault_placements(self, placements)
+        return engine.execute_fault_placements_grid(self, placements)
 
     @property
     def n_scenarios(self) -> int:
@@ -226,62 +147,60 @@ class FaultGridCostTables:
         :meth:`~repro.devices.grid.GridCostTables.cache_stats`)."""
         return self.base.cache_stats()
 
-    def table(self, index: int) -> FaultChainCostTables:
-        """One scenario's fault tables (bitwise identical to a direct build);
-        negative indices count from the end."""
+    def table(self, index: int) -> "FaultGridCostTables":
+        """One scenario's plain fault tables (bitwise identical to a direct
+        build); negative indices count from the end."""
         index = self.base._scenario_index(index)
-        return FaultChainCostTables(
+        row = slice(index, index + 1)
+        return FaultGridCostTables(
             base=self.base.table(index),
-            profile=self.profiles[index],
+            profiles=(self.profiles[index],),
             retry=self.retry,
             timeout=self.timeout,
-            node_survival=self.node_survival[index],
-            edge_survival=self.edge_survival[index],
-            first_edge_survival=self.first_edge_survival[index],
+            node_survival=self.node_survival[row],
+            edge_survival=self.edge_survival[row],
+            first_edge_survival=self.first_edge_survival[row],
             fingerprint=f"{self.fingerprint}#scenario{index}" if self.fingerprint else "",
         )
 
 
 def _fault_grid_tables(
     workload: "TaskChain | TaskGraph",
-    platforms: "Sequence[Platform] | None",
+    platform: "Platform | Sequence[Platform]",
     devices: Sequence[str] | None = None,
     *,
     retry: RetryPolicy,
     faults: FaultProfile | None = None,
     timeout: TimeoutPolicy | None = None,
-    platform: "Platform | None" = None,
     scenarios=None,
     slice_cache=None,
 ) -> FaultGridCostTables:
-    """Fault-augmented grid tables over scenario platforms (``build_tables``
-    with ``retry=`` and several platforms or ``scenarios=``).
+    """Fault-augmented tables (``build_tables`` with ``retry=``).
 
-    With ``faults=None`` each scenario evaluates under its own platform's
-    attached profile -- the shape produced by the failure-regime condition
-    axes -- so a single grid sweep spans fault regimes the same way it spans
-    link or clock drift.  Given ``platform`` + ``scenarios`` (the fused
-    form), the base grid routes
-    through the array-space builder and per-scenario platforms are derived
-    lazily, only for fault-profile resolution; otherwise ``platforms`` is the
-    classic pre-derived sequence.
+    The base tables come from :func:`~repro.devices.tables.build_tables` on
+    the same arguments: one platform gives plain one-row tables, a platform
+    sequence or ``platform`` + ``scenarios`` a grid (the latter through the
+    array-space builder, with per-scenario platforms derived lazily, only for
+    fault-profile resolution).  With ``faults=None`` each scenario evaluates
+    under its own platform's attached profile (or the fault-free profile if
+    it has none) -- the shape produced by the failure-regime condition axes --
+    so a single grid sweep spans fault regimes the same way it spans link or
+    clock drift.  ``timeout`` defaults to no per-attempt budget.
     """
     timeout = _check_policies(retry, timeout)
-    if scenarios is not None:
-        base = build_tables(
-            workload, platform, devices=devices, scenarios=scenarios, slice_cache=slice_cache
-        )
-    else:
-        base = build_tables(workload, platforms, devices=devices)
-    profiles = tuple(resolve_fault_profile(platform, faults) for platform in base.platforms)
+    base = build_tables(
+        workload, platform, devices=devices, scenarios=scenarios, slice_cache=slice_cache
+    )
+    profiles = tuple(resolve_fault_profile(p, faults) for p in base.platforms)
     costs = workload.costs()
+    host = base.host
     s = base.n_scenarios
     node = np.empty((s, base.n_tasks, base.n_devices))
     edge = np.empty((s, base.n_devices, base.n_devices))
     first_edge = np.empty((s, base.n_devices))
     for i in range(s):
         node[i], edge[i], first_edge[i] = _survival_tables(
-            base.table(i), profiles[i], costs, base.busy[i]
+            host, base.aliases, profiles[i], costs, base.busy[i]
         )
     return FaultGridCostTables(
         base=base,

@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..devices.batch import (
-    ChainCostTables,
     execute_placements,
     placement_labels,
 )
@@ -124,20 +123,21 @@ def planner_objective_weights(objective: "str | Objective") -> tuple[float, floa
     return None
 
 
-def _device_arrays(tables: ChainCostTables) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _device_arrays(tables: "GridCostTables") -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """``(P_idle_total, power_active, power_idle, cost_per_hour)`` over the candidates.
 
     ``P_idle_total`` sums the idle power of **all** platform devices --
     non-candidate devices never run a task, but they idle for the whole
-    execution and their energy enters the engine's total.
+    execution and their energy enters the engine's total.  ``tables`` are
+    one-row (plain) tables; the vectors are their row 0.
     """
     platform = tables.platform
     p_all = float(sum(platform.device(alias).power_idle_w for alias in platform.devices))
-    return p_all, tables.power_active, tables.power_idle, tables.cost_per_hour
+    return p_all, tables.power_active[0], tables.power_idle[0], tables.cost_per_hour[0]
 
 
 def _chain_lattice(
-    tables: ChainCostTables, weights: tuple[float, float, float]
+    tables: "GridCostTables", weights: tuple[float, float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compile one additive objective into lattice costs ``(first, trans)``.
 
@@ -147,14 +147,15 @@ def _chain_lattice(
     of the placement -- for pure ``time`` with the *identical* float fold as
     the engine (``busy + (hostio + pen)`` per stage), for energy/cost in real
     arithmetic.  Transitions crossing a missing platform link are ``+inf``.
+    ``tables`` are one-row (plain) tables, compiled from their row 0.
     """
     tw, ew, cw = weights
+    busy, hostio_time = tables.busy[0], tables.hostio_time[0]
+    penalty_time, first_penalty_time = tables.penalty_time[0], tables.first_penalty_time[0]
     # Time parts double as the missing-link carrier: hostio is NaN for a
     # missing host link, pen for a missing device pair.
-    first_time = tables.busy[0] + (tables.hostio_time[0] + tables.first_penalty_time)
-    trans_time = tables.busy[1:, None, :] + (
-        tables.hostio_time[1:, None, :] + tables.penalty_time[None, :, :]
-    )
+    first_time = busy[0] + (hostio_time[0] + first_penalty_time)
+    trans_time = busy[1:, None, :] + (hostio_time[1:, None, :] + penalty_time[None, :, :])
 
     first_parts: list[np.ndarray] = []
     trans_parts: list[np.ndarray] = []
@@ -164,19 +165,19 @@ def _chain_lattice(
     if ew:
         p_all, power_active, power_idle, _ = _device_arrays(tables)
         node = (
-            tables.energy_in
-            + tables.energy_out
-            + tables.busy * (power_active - power_idle + p_all)
-            + tables.hostio_time * p_all
+            tables.energy_in[0]
+            + tables.energy_out[0]
+            + busy * (power_active - power_idle + p_all)
+            + hostio_time * p_all
         )
-        edge = tables.penalty_energy + tables.penalty_time * p_all
+        edge = tables.penalty_energy[0] + penalty_time * p_all
         first_parts.append(
-            ew * (node[0] + (tables.first_penalty_energy + tables.first_penalty_time * p_all))
+            ew * (node[0] + (tables.first_penalty_energy[0] + first_penalty_time * p_all))
         )
         trans_parts.append(ew * (node[1:, None, :] + edge[None, :, :]))
     if cw:
         _, _, _, cost_per_hour = _device_arrays(tables)
-        node = (cost_per_hour[None, :] * tables.busy) / 3600.0
+        node = (cost_per_hour[None, :] * busy) / 3600.0
         first_parts.append(cw * node[0])
         trans_parts.append(cw * node[1:, None, :])
 
@@ -266,7 +267,7 @@ def decomposable_levels(
 
 
 def _level_serialize(
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     level: Sequence[int],
     prev_level: Sequence[int] | None,
     states_prev: np.ndarray | None,
@@ -282,7 +283,10 @@ def _level_serialize(
     in canonical edge order, and the returned ``(A, B)`` array is the max
     finish -- the next barrier, computed through the engine's exact float op
     sequence.  Infeasible (missing-link) combinations come out ``+inf``.
+    ``tables`` are one-row (plain) tables, read at row 0.
     """
+    busy, hostio_time = tables.busy[0], tables.hostio_time[0]
+    penalty_time, first_penalty_time = tables.penalty_time[0], tables.first_penalty_time[0]
     A = 1 if states_prev is None else states_prev.shape[0]
     B = states.shape[0]
     m = tables.n_devices
@@ -297,10 +301,10 @@ def _level_serialize(
         if preds:
             pen = np.zeros((A, B))
             for p in preds:
-                pen += tables.penalty_time[states_prev[:, column_of[p]][:, None], dst[None, :]]
+                pen += penalty_time[states_prev[:, column_of[p]][:, None], dst[None, :]]
         else:
-            pen = tables.first_penalty_time[dst][None, :]
-        dur = tables.busy[t, dst][None, :] + (tables.hostio_time[t, dst][None, :] + pen)
+            pen = first_penalty_time[dst][None, :]
+        dur = busy[t, dst][None, :] + (hostio_time[t, dst][None, :] + pen)
         dur = np.where(np.isnan(dur), np.inf, dur)
         start = avail[:, rows, dst]
         finish = start + dur
@@ -310,7 +314,7 @@ def _level_serialize(
 
 
 def _level_transition(
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     level: Sequence[int],
     prev_level: Sequence[int] | None,
     states_prev: np.ndarray | None,
@@ -324,10 +328,11 @@ def _level_transition(
     advance (the serialization with base 0) and ``coeff = tw + ew * P_idle_total``
     folds the time-proportional part of time and idle energy.  Exact in real
     arithmetic on barrier-decomposable graphs (winners are re-scored through
-    the engine).
+    the engine).  ``tables`` are one-row (plain) tables, read at row 0.
     """
     tw, ew, cw = weights
     p_all, power_active, power_idle, cost_per_hour = consts
+    busy = tables.busy[0]
     A = 1 if states_prev is None else states_prev.shape[0]
     B = states.shape[0]
     column_of = {p: c for c, p in enumerate(prev_level)} if prev_level else {}
@@ -337,22 +342,22 @@ def _level_transition(
         dst = states[:, j]
         if ew:
             node = (
-                tables.energy_in[t, dst]
-                + tables.energy_out[t, dst]
-                + tables.busy[t, dst] * (power_active[dst] - power_idle[dst])
+                tables.energy_in[0, t, dst]
+                + tables.energy_out[0, t, dst]
+                + busy[t, dst] * (power_active[dst] - power_idle[dst])
             )
             preds = tables.pred_positions[t]
             if preds:
                 edge = np.zeros((A, B))
                 for p in preds:
                     edge += tables.penalty_energy[
-                        states_prev[:, column_of[p]][:, None], dst[None, :]
+                        0, states_prev[:, column_of[p]][:, None], dst[None, :]
                     ]
             else:
-                edge = tables.first_penalty_energy[dst][None, :]
+                edge = tables.first_penalty_energy[0, dst][None, :]
             total = total + ew * (node[None, :] + edge)
         if cw:
-            total = total + cw * ((cost_per_hour[dst] * tables.busy[t, dst]) / 3600.0)[None, :]
+            total = total + cw * ((cost_per_hour[dst] * busy[t, dst]) / 3600.0)[None, :]
     coeff = tw + ew * p_all
     if coeff:
         total = total + coeff * delta
@@ -363,7 +368,7 @@ def _level_transition(
 
 
 def _plan_levels(
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     levels: list[list[int]],
     weights: tuple[float, float, float],
 ) -> tuple[float, np.ndarray, int]:
@@ -519,7 +524,7 @@ class GridPlanResult:
 # Chain / DAG planning
 # ----------------------------------------------------------------------------
 
-def _infeasible_error(tables: ChainCostTables, name: str) -> KeyError:
+def _infeasible_error(tables: "GridCostTables", name: str) -> KeyError:
     return KeyError(
         f"no feasible placement under objective {name!r}: every assignment of "
         f"{tables.n_tasks} tasks over {list(tables.aliases)} crosses a missing "
@@ -528,7 +533,7 @@ def _infeasible_error(tables: ChainCostTables, name: str) -> KeyError:
 
 
 def _plannable_reason(
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     objective: Objective,
     max_level_states: int,
 ) -> tuple[str | None, list[list[int]] | None, tuple[float, float, float] | None]:
@@ -621,7 +626,7 @@ def _enumeration_plan(
     workload: "TaskChain | TaskGraph",
     objective: Objective,
     devices: Sequence[str] | None,
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     reason: str,
     fallback_limit: int,
 ) -> PlanResult:
@@ -666,7 +671,7 @@ def _enumeration_plan(
 
 
 def dispatch_reason(
-    tables: ChainCostTables,
+    tables: "GridCostTables",
     objectives: Sequence[Objective],
     *,
     top_k: int,

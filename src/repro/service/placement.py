@@ -58,7 +58,7 @@ __all__ = [
 METHODS = ("auto", "planner", "stream")
 
 #: Metric names a string objective may spell (same set as
-#: ``ChainCostTables.metric``); richer criteria pass Objective /
+#: ``BatchExecutionResult.metric_values``); richer criteria pass Objective /
 #: RobustObjective instances.
 OBJECTIVE_METRICS = ("cost", "energy", "time")
 

@@ -197,11 +197,11 @@ class TestRefactorConsistency:
             for t, cost in enumerate(costs):
                 for d, alias in enumerate(tables.aliases):
                     entry = task_device_cost(platform, cost, alias)
-                    assert tables.busy[t, d] == entry.busy_s
-                    assert tables.hostio_time[t, d] == entry.hostio_time_s
+                    assert tables.busy[0, t, d] == entry.busy_s
+                    assert tables.hostio_time[0, t, d] == entry.hostio_time_s
                     assert tables.hostio_bytes[t, d] == entry.hostio_bytes
-                    assert tables.energy_in[t, d] == entry.energy_in_j
-                    assert tables.energy_out[t, d] == entry.energy_out_j
+                    assert tables.energy_in[0, t, d] == entry.energy_in_j
+                    assert tables.energy_out[0, t, d] == entry.energy_out_j
             # ... and the executor's records decompose into the same values.
             executor = SimulatedExecutor(platform, seed=0)
             for placement in enumerate_placements(n_tasks, platform.aliases)[:16]:

@@ -1,9 +1,10 @@
-"""Plain tables are the one-row view of the grid core.
+"""Plain tables are the one-row grid tables of the grid core.
 
-``execute_placements`` runs the grid's chain and checked kernels on a
-one-scenario view of plain tables.  These pins compare it with the public
-grid engine on an identity scenario grid (one scenario pinning no condition),
-every result field bitwise, at the shapes where the view changes behaviour:
+A plain build is a one-row ``GridCostTables`` (``plain=True``), and
+``execute_placements`` runs the grid's chain and checked kernels on it and
+hands back row 0.  These pins compare it with the public grid engine on an
+identity scenario grid (one scenario pinning no condition), every result
+field bitwise, at the shapes where one row changes behaviour:
 one task, one placement, both sides of the chain kernel's subset-sum fold
 threshold ``(1 << k) <= m * n`` at one scenario, and a partially linked
 platform.  There every route of the checked kernel -- chain, linear graph,

@@ -1,8 +1,9 @@
 """The unified table backend: dispatch, protocol, and bitwise pinning.
 
-``build_tables`` is the single construction path behind all four table
-types (chain vs DAG is the ``pred_positions`` field, not a type); these
-tests pin each dispatch branch bitwise against the type's own builder,
+``build_tables`` is the single construction path behind both table types
+(chain vs DAG is the ``pred_positions`` field and plain vs grid the
+``plain`` field, not types); these tests pin each dispatch branch bitwise
+against its own builder,
 check the :class:`~repro.devices.tables.CostTables` protocol surface, and
 verify that cache-served tables are the same objects (and bitwise the same
 results) as freshly built ones.
@@ -17,17 +18,12 @@ import pytest
 
 from factories import random_chain, random_graph, random_platform
 from repro.cache import TableCache, table_key
-from repro.devices import SimulatedExecutor
-from repro.devices.batch import ChainCostTables
+from repro.devices import SimulatedExecutor, execute_placements
 from repro.devices.grid import GridCostTables, _materialized_grid_tables
 from repro.devices.tables import CostTables, build_tables, check_fault_args, resolve_aliases
 from repro.faults import DeviceFailure, FaultProfile, RetryPolicy, TimeoutPolicy
-from repro.faults.tables import (
-    FaultChainCostTables,
-    FaultGridCostTables,
-    _fault_grid_tables,
-    _fault_tables,
-)
+from repro.faults.engine import execute_fault_placements, expected_record
+from repro.faults.tables import FaultGridCostTables, _fault_grid_tables
 from repro.offload import placement_matrix
 from repro.scenarios import DeviceLoadFactor, Scenario, ScenarioGrid
 
@@ -78,7 +74,7 @@ class TestDispatchBitwise:
         platform, chain, _, placements = self._fixtures(seed)
         unified = build_tables(chain, platform)
         direct = _materialized_grid_tables(chain, (platform,)).table(0)
-        assert isinstance(unified, ChainCostTables)
+        assert (type(unified), unified.plain) == (GridCostTables, True)
         assert unified.pred_positions == chain.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -87,7 +83,7 @@ class TestDispatchBitwise:
         platform, _, graph, placements = self._fixtures(seed)
         unified = build_tables(graph, platform)
         direct = _materialized_grid_tables(graph, (platform,)).table(0)
-        assert isinstance(unified, ChainCostTables)
+        assert (type(unified), unified.plain) == (GridCostTables, True)
         assert unified.pred_positions == graph.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -97,7 +93,7 @@ class TestDispatchBitwise:
         platforms = scenario_grid().platforms(platform)
         unified = build_tables(chain, platform, scenarios=scenario_grid())
         direct = _materialized_grid_tables(chain, platforms)
-        assert isinstance(unified, GridCostTables)
+        assert (type(unified), unified.plain) == (GridCostTables, False)
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
 
@@ -106,7 +102,7 @@ class TestDispatchBitwise:
         platforms = scenario_grid().platforms(platform)
         unified = build_tables(graph, platforms)
         direct = _materialized_grid_tables(graph, platforms)
-        assert isinstance(unified, GridCostTables)
+        assert (type(unified), unified.plain) == (GridCostTables, False)
         assert unified.pred_positions == graph.predecessor_positions
         assert_tables_bitwise_equal(unified, direct)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
@@ -116,8 +112,8 @@ class TestDispatchBitwise:
         retry = RetryPolicy(max_attempts=2)
         faults = FaultProfile(device_failure=DeviceFailure(rate=0.05))
         unified = build_tables(chain, platform, faults=faults, retry=retry)
-        direct = _fault_tables(chain, platform, faults=faults, retry=retry)
-        assert isinstance(unified, FaultChainCostTables)
+        direct = _fault_grid_tables(chain, platform, faults=faults, retry=retry)
+        assert (type(unified), unified.base.plain) == (FaultGridCostTables, True)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)
         assert np.array_equal(unified.edge_survival, direct.edge_survival)
@@ -131,7 +127,7 @@ class TestDispatchBitwise:
             chain, platform, scenarios=scenario_grid(), faults=faults, retry=retry
         )
         direct = _fault_grid_tables(chain, platforms, faults=faults, retry=retry)
-        assert isinstance(unified, FaultGridCostTables)
+        assert (type(unified), unified.base.plain) == (FaultGridCostTables, False)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)
 
@@ -152,12 +148,12 @@ class TestProtocolSurface:
             build_tables(chain, platform, retry=retry),
             build_tables(chain, platform, scenarios=grid, retry=retry),
         ]
-        kinds = {type(t) for t in built}
+        kinds = {(type(t), getattr(t, "base", t).plain) for t in built}
         assert kinds == {
-            ChainCostTables,
-            GridCostTables,
-            FaultChainCostTables,
-            FaultGridCostTables,
+            (GridCostTables, True),
+            (GridCostTables, False),
+            (FaultGridCostTables, True),
+            (FaultGridCostTables, False),
         }
         for tables, workload in zip(built[:4], (chain, graph, chain, graph)):
             assert tables.pred_positions == workload.predecessor_positions
@@ -221,10 +217,9 @@ class TestExecutorCacheServing:
             cold = request()
             hot = request()
             assert hot is cold  # served from the shared table cache
-            fresh_args = dict(
-                scenarios=grid if isinstance(cold, (GridCostTables, FaultGridCostTables)) else None
-            )
-            if isinstance(cold, (FaultChainCostTables, FaultGridCostTables)):
+            base = getattr(cold, "base", cold)
+            fresh_args = dict(scenarios=None if base.plain else grid)
+            if base is not cold:
                 fresh_args["retry"] = retry
             fresh = build_tables(workload, platform, **fresh_args)
             assert fresh.fingerprint == cold.fingerprint
@@ -270,3 +265,59 @@ class TestValidation:
         assert table_key(chain, platform) != table_key(
             chain, platform, scenarios=scenario_grid()
         )
+
+
+class TestPlainIsOneRow:
+    """Plain tables are one-row grid tables: the contract of the ``plain`` field."""
+
+    def _fixtures(self):
+        rng = np.random.default_rng(21)
+        return random_platform(rng, n_devices=3), random_chain(rng, n_tasks=3)
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=2)])
+    def test_platform_iterators_build_like_sequences(self, retry):
+        platform, chain = self._fixtures()
+        platforms = scenario_grid().platforms(platform)
+        from_list = build_tables(chain, platforms, retry=retry)
+        from_iter = build_tables(chain, iter(platforms), retry=retry)
+        assert from_iter.fingerprint == from_list.fingerprint
+        assert from_iter.n_scenarios == len(platforms)
+        placements = placement_matrix(3, 3)
+        assert_results_bitwise_equal(from_iter.execute(placements), from_list.execute(placements))
+
+    def test_table_rows_are_plain_and_carry_no_provenance(self):
+        platform, chain = self._fixtures()
+        grid_tables = build_tables(chain, platform, scenarios=scenario_grid())
+        assert grid_tables.build_context is not None and not grid_tables.plain
+        row = grid_tables.table(1)
+        assert row.plain and row.n_scenarios == 1
+        assert row.build_context is None and row.slice_stats is None
+        assert row.platform is grid_tables.platforms[1]
+        with pytest.raises(ValueError, match="no build context"):
+            row.updated(0, scenario_grid().scenarios[0])
+
+    def test_fault_table_rows_are_plain(self):
+        platform, chain = self._fixtures()
+        fault_grid = build_tables(
+            chain, platform, scenarios=scenario_grid(), retry=RetryPolicy(max_attempts=2)
+        )
+        row = fault_grid.table(-1)
+        assert row.base.plain and row.n_scenarios == 1
+        assert row.profiles == fault_grid.profiles[-1:]
+        placements = placement_matrix(3, 3)
+        expected = fault_grid.execute(placements).batch(-1)
+        assert_results_bitwise_equal(row.execute(placements), expected)
+
+    def test_multi_row_tables_are_rejected_where_one_row_fits(self):
+        platform, chain = self._fixtures()
+        placements = placement_matrix(3, 3)
+        grid_tables = build_tables(chain, platform, scenarios=scenario_grid())
+        fault_grid = build_tables(
+            chain, platform, scenarios=scenario_grid(), retry=RetryPolicy(max_attempts=2)
+        )
+        with pytest.raises(ValueError, match="execute_placements .* 2 scenarios"):
+            execute_placements(grid_tables, placements)
+        with pytest.raises(ValueError, match="execute_fault_placements .* 2 scenarios"):
+            execute_fault_placements(fault_grid, placements)
+        with pytest.raises(ValueError, match="expected_record .* 2 scenarios"):
+            expected_record(fault_grid, [0, 1, 2])

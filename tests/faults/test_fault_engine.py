@@ -12,6 +12,8 @@ Three equivalences anchor the subsystem:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,7 @@ class TestGridSlicing:
                 assert np.array_equal(getattr(view, field), expected), field
             # A direct build on the scenario platform matches the slice too.
             direct = build_tables(workload, platforms[index], retry=retry)
-            assert np.array_equal(gt.node_survival[index], direct.node_survival)
+            assert np.array_equal(gt.node_survival[index], direct.node_survival[0])
 
 
 class TestMissingLinksUnderFaults:
@@ -306,3 +308,17 @@ class TestExpectedRecordNormalisation:
             expected_record(tables, bad)
         assert str(record.value) == str(batch.value)
         assert "device indices in [0, 4)" in str(record.value)
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), True, np.True_])
+    def test_non_integer_entries_raise_instead_of_truncating(self, bad):
+        # The batch engine rejects float matrices; the scalar reference must
+        # not silently evaluate int(1.7) == 1 in their place.
+        platform = edge_cluster_platform()
+        rng = np.random.default_rng(2)
+        chain = random_chain(rng, 3)
+        tables = build_tables(chain, platform, retry=RetryPolicy())
+        with pytest.raises(TypeError, match="integer dtype"):
+            execute_fault_placements(tables, np.array([[0, 1, 1.7]]))
+        with pytest.raises(TypeError, match=re.escape(f"entry {bad!r}")):
+            expected_record(tables, [0, 1, bad])
+        assert expected_record(tables, [0, 1, np.int64(1)]) == expected_record(tables, [0, 1, 1])

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import (
-    ChainCostTables,
     GridCostTables,
     Platform,
     SimulatedExecutor,
@@ -393,9 +392,10 @@ class TestGraphSemantics:
         platform = edge_cluster_platform()
         chain = table1_chain(loop_size=1)
         graph = TaskGraph.from_chain(chain)
-        assert type(build_tables(chain, platform)) is ChainCostTables
+        chain_tables = build_tables(chain, platform)
+        assert type(chain_tables) is GridCostTables and chain_tables.plain
         tables = build_tables(graph, platform)
-        assert type(tables) is ChainCostTables
+        assert type(tables) is GridCostTables and tables.plain
         assert tables.pred_positions == graph.predecessor_positions == ((), (0,), (1,))
 
     def test_execute_routes_graphs_to_graph_semantics(self):

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.cache import TableCache
 from repro.devices import (
-    ChainCostTables,
     DeviceSpec,
     LinkSpec,
     Platform,
