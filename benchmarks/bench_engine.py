@@ -13,7 +13,9 @@ faithful replica of the seed implementation (direct per-call comparator
 binding, exactly the old ``bind_comparator``) on the acceptance workload
 (p = 12 algorithms, N = 30 measurements, Rep = 100, deterministic
 ``BootstrapComparator``), asserting a >= 5x wall-clock speedup with *identical*
-``ScoreTable`` and ``FinalClustering`` outputs.
+``ScoreTable`` and ``FinalClustering`` outputs.  It also records absolute
+seconds at the size of perfbench's ``select`` analyses (p = 16, N = 30,
+Rep = 100): one ``analyze`` and ``win_fraction_matrix`` alone, best of five.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ P_ALGORITHMS = 12
 N_MEASUREMENTS = 30
 REPETITIONS = 100
 SPEEDUP_FLOOR = 5.0
+#: Candidates per ``select`` job in perfbench (its top-16 sweep).
+P_SELECT = 16
 
 
 def _workload(p: int = P_ALGORITHMS, n: int = N_MEASUREMENTS) -> dict[str, np.ndarray]:
@@ -38,6 +42,15 @@ def _workload(p: int = P_ALGORITHMS, n: int = N_MEASUREMENTS) -> dict[str, np.nd
     return {
         f"alg{i:02d}": np.abs(rng.normal(2.0 + 0.04 * i, 0.25, size=n)) for i in range(p)
     }
+
+
+def _best_seconds(fn, *args, rounds: int = 5) -> float:
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _seed_analyze(measurements, comparator, repetitions, seed):
@@ -79,6 +92,16 @@ def test_engine_speedup_over_seed_implementation(benchmark, bench_once, bench_js
         f"speedup: {speedup:.1f}x  (floor: {SPEEDUP_FLOOR}x)"
     )
 
+    select_measurements = _workload(P_SELECT)
+    select_analyze = _best_seconds(analyzer.analyze, select_measurements)
+    select_matrix = _best_seconds(
+        BootstrapComparator(seed=seed).win_fraction_matrix, list(select_measurements.values())
+    )
+    print(
+        f"select size (p={P_SELECT}): analyze {select_analyze * 1e3:.1f} ms, "
+        f"win_fraction_matrix {select_matrix * 1e3:.1f} ms"
+    )
+
     bench_json(
         "engine",
         {
@@ -87,7 +110,17 @@ def test_engine_speedup_over_seed_implementation(benchmark, bench_once, bench_js
                 "n_measurements": N_MEASUREMENTS,
                 "repetitions": REPETITIONS,
             },
-            "seconds": {"seed": seed_elapsed, "engine": engine_elapsed},
+            "seconds": {
+                "seed": seed_elapsed,
+                "engine": engine_elapsed,
+                "select_analyze": select_analyze,
+                "select_win_fraction_matrix": select_matrix,
+            },
+            "select_workload": {
+                "p_algorithms": P_SELECT,
+                "n_measurements": N_MEASUREMENTS,
+                "repetitions": REPETITIONS,
+            },
             "speedups": {"engine": speedup},
             "floors": {"engine": SPEEDUP_FLOOR},
         },

@@ -94,8 +94,10 @@ class SingleStatisticRanker:
             raise ValueError(
                 f"unknown statistic {self.statistic!r}; choose from {sorted(named)} or pass a callable"
             )
-        if self.rel_tolerance < 0:
-            raise ValueError("rel_tolerance must be non-negative")
+        if not (np.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
+            raise ValueError(
+                f"rel_tolerance must be finite and non-negative, got {self.rel_tolerance!r}"
+            )
 
     @property
     def statistic_name(self) -> str:

@@ -16,12 +16,12 @@ the scores from better ranks (Section III, "Computing the relative scores").
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .scores import ClusterEntry, FinalClustering, ScoreTable, make_final_clustering
-from .sorting import SortResult, three_way_bubble_sort
+from .sorting import three_way_bubble_sort
 from .types import CompareFn, Label
 
 __all__ = [
@@ -135,12 +135,3 @@ def cluster_algorithms(
     """End-to-end clustering: relative scores plus the derived final assignment."""
     table = relative_scores(labels, compare, repetitions=repetitions, rng=rng, shuffle=shuffle)
     return table, final_assignment(table)
-
-
-def single_sort(
-    labels: Sequence[Label],
-    compare: CompareFn,
-    record_trace: bool = False,
-) -> SortResult:
-    """Convenience re-export of one sorting pass (Procedure 1) for callers of this module."""
-    return three_way_bubble_sort(labels, compare, record_trace=record_trace)

@@ -25,6 +25,8 @@ import numpy as np
 from scipy import stats
 
 from .bootstrap import (
+    _sorted_median,
+    _sorted_quantiles,
     batched_quantile_profiles,
     bootstrap_indices,
     bootstrap_quantiles,
@@ -180,12 +182,15 @@ class BootstrapComparator(Comparator):
 
     def __post_init__(self) -> None:
         q = np.asarray(self.quantiles, dtype=float)
-        if q.size == 0 or np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must be a non-empty sequence within [0, 1]")
+        if q.size == 0 or not np.all((q >= 0) & (q <= 1)):
+            raise ValueError("quantiles must be a non-empty sequence within [0, 1] (no NaN)")
         if not 0.0 <= self.equivalence_margin < 0.5:
             raise ValueError("equivalence_margin must lie in [0, 0.5)")
-        if self.min_relative_difference < 0:
-            raise ValueError("min_relative_difference must be non-negative")
+        if not (np.isfinite(self.min_relative_difference) and self.min_relative_difference >= 0):
+            raise ValueError(
+                f"min_relative_difference must be finite and non-negative, "
+                f"got {self.min_relative_difference!r}"
+            )
         if self.n_resamples <= 0:
             raise ValueError("n_resamples must be positive")
         if not 0.0 < self.confidence < 1.0:
@@ -197,21 +202,25 @@ class BootstrapComparator(Comparator):
         """Derive a per-pair generator so comparisons are reproducible regardless of call order."""
         return derive_pair_rng(self.seed, bytes_a, bytes_b)
 
-    def _level_scores(self, qa: np.ndarray, qb: np.ndarray, axis: int) -> np.ndarray:
+    def _level_scores(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         """Per-quantile-level scores for ``a`` (1 win, 0.5 tie, 0 loss) from
         paired bootstrap quantile profiles.
 
-        ``axis`` is the resample axis: 0 for a single pair's ``(n_resamples,
-        len(quantiles))`` profiles, 1 for a batch of pairs stacked as
-        ``(pairs, n_resamples, len(quantiles))``.  Both the per-call and the
-        batched matrix path go through this one implementation, so the two can
-        never diverge.
+        Profiles are ``(n_resamples, len(quantiles))`` for a single pair or
+        ``(pairs, n_resamples, len(quantiles))`` for a batch; the result drops
+        the resample axis.  Each profile stack is sorted once along the
+        resample axis and both interval bounds and the midpoint are read from
+        it.  The per-call and the batched matrix path both go through this
+        one implementation, so the two can never diverge.
         """
         alpha = 1.0 - self.confidence
-        lo_a, hi_a = np.quantile(qa, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-        lo_b, hi_b = np.quantile(qb, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-        mid_a = np.median(qa, axis=axis)
-        mid_b = np.median(qb, axis=axis)
+        bounds = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
+        summaries = []
+        for profiles in (qa, qb):
+            ordered = np.sort(np.swapaxes(profiles, -1, -2), axis=-1)
+            low, high = np.moveaxis(_sorted_quantiles(ordered, bounds), -1, 0)
+            summaries.append((low, high, _sorted_median(ordered)))
+        (lo_a, hi_a, mid_a), (lo_b, hi_b, mid_b) = summaries
         tol = self.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
         a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
         b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
@@ -221,7 +230,7 @@ class BootstrapComparator(Comparator):
         """Per-quantile-level scores for ``a``: 1 win, 0.5 tie, 0 loss."""
         qa = bootstrap_quantiles(va, self.quantiles, self.n_resamples, rng)
         qb = bootstrap_quantiles(vb, self.quantiles, self.n_resamples, rng)
-        return self._level_scores(qa, qb, axis=0)
+        return self._level_scores(qa, qb)
 
     def win_fraction(self, a: np.ndarray, b: np.ndarray) -> float:
         """Fraction of quantile levels won by ``a`` (ties count 0.5).
@@ -265,9 +274,9 @@ class BootstrapComparator(Comparator):
         Entry ``[i, j]`` equals ``win_fraction(arrays[i], arrays[j])`` bit for
         bit: per pair the same canonicalisation and per-pair generator are
         used, but the bootstrap quantile profiles of *all* pairs are stacked
-        into a single batch (:func:`repro.core.bootstrap.batched_quantile_profiles`)
-        and summarised with a handful of vectorized reductions instead of two
-        ``np.quantile`` round-trips per pair.  Only available in the
+        into a single batch (:func:`repro.core.bootstrap.batched_quantile_profiles`),
+        sorted once per stage and summarised with a handful of vectorized
+        reductions instead of per-pair round-trips.  Only available in the
         deterministic mode -- with ``stochastic=True`` every comparison must
         draw fresh resamples, so there is no fixed matrix to precompute.
         """
@@ -287,8 +296,8 @@ class BootstrapComparator(Comparator):
                     continue  # identical data: win fraction stays 0.5
                 slots.append((i, j) if blobs[i] < blobs[j] else (j, i))
         # Batch in chunks: peak memory is 2 * chunk * n_resamples * N floats
-        # regardless of p, while each chunk still amortises np.quantile over
-        # hundreds of pairs (per-slice results are independent, so chunking
+        # regardless of p, while each chunk still amortises the sorts over
+        # hundreds of pairs (per-row results are independent, so chunking
         # does not change a single bit).
         chunk_pairs = 256
         for start in range(0, len(slots), chunk_pairs):
@@ -305,7 +314,7 @@ class BootstrapComparator(Comparator):
                 )
             profiles = batched_quantile_profiles(sample_matrices, self.quantiles)
             qa, qb = profiles[0::2], profiles[1::2]  # (pairs, n_resamples, len(quantiles))
-            level_scores = self._level_scores(qa, qb, axis=1)
+            level_scores = self._level_scores(qa, qb)
             for (x, y), f in zip(chunk, level_scores.mean(axis=1)):
                 fractions[x, y] = float(f)
                 fractions[y, x] = 1.0 - float(f)
@@ -348,6 +357,12 @@ class SingleStatisticComparator(Comparator):
     # Pure function of the data: opts into engine caching (not a dataclass field).
     stochastic = False
 
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
+            raise ValueError(
+                f"rel_tolerance must be finite and non-negative, got {self.rel_tolerance!r}"
+            )
+
     def compare(self, a: np.ndarray, b: np.ndarray) -> Comparison:
         va, vb = _validate(a, b)
         sa = float(self.statistic(va))
@@ -387,6 +402,10 @@ class MannWhitneyComparator(Comparator):
 
     # Pure function of the data: opts into engine caching (not a dataclass field).
     stochastic = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha!r}")
 
     def compare(self, a: np.ndarray, b: np.ndarray) -> Comparison:
         va, vb = _validate(a, b)

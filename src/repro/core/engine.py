@@ -16,7 +16,10 @@ that redundancy without changing a single outcome:
   :class:`~repro.core.comparison.BootstrapComparator` stacks all pairs'
   bootstrap quantile profiles into one ``(pairs, n_resamples, quantiles)``
   batch), or lazily through a memoizing :class:`CachedCompareFn`; label-level
-  lookups are then O(1);
+  lookups are then O(1), and once the matrix is precomputed
+  :meth:`ComparisonEngine.outcome_rows` hands a whole sort its ``p x p``
+  outcome table, so the bubble sort reads list entries instead of calling
+  the engine per comparison;
 * **stochastic** comparators (``stochastic=True``) transparently bypass the
   cache: every call reaches the comparator and draws fresh resamples, which
   preserves the rank-switching behaviour Procedure 4 relies on bit for bit;
@@ -34,6 +37,7 @@ directly into :func:`~repro.core.sorting.three_way_bubble_sort`,
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -153,8 +157,11 @@ class ComparisonEngine:
         # Tri-state deterministic contract: cache only on an explicit False.
         self.stochastic = getattr(comparator, "stochastic", True) is not False
         self.comparator_calls = 0
-        self._precomputed = False
         self._cached: CachedCompareFn | None = None
+        # Precomputed outcomes by engine position, and lookups served from them.
+        self._rows: list[list[Comparison]] | None = None
+        self._position: dict[Label, int] = {}
+        self._table_lookups = 0
         if self.stochastic:
             if precompute:
                 raise ValueError(
@@ -188,7 +195,7 @@ class ComparisonEngine:
         """
         if self._cached is None:
             raise ValueError("cannot precompute outcomes for a stochastic comparator")
-        if self._precomputed:
+        if self._rows is not None:
             return
         if not hasattr(self.comparator, "outcome_matrix"):
             raise ValueError(
@@ -197,14 +204,23 @@ class ComparisonEngine:
                 "omit precompute=True to use lazy memoization instead"
             )
         matrix = self.comparator.outcome_matrix([self.arrays[label] for label in self.labels])
-        outcomes: dict[tuple[Label, Label], Comparison] = {}
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                outcomes[(a, b)] = matrix[i][j]
-        self._cached.seed_cache(outcomes)
+        rows = [list(row) for row in matrix]
+        if not all(isinstance(outcome, Comparison) for row in rows for outcome in row):
+            raise TypeError(
+                f"{type(self.comparator).__name__}.outcome_matrix returned an entry "
+                "that is not a Comparison"
+            )
+        self._cached.seed_cache(
+            {
+                (a, b): outcome
+                for a, row in zip(self.labels, rows)
+                for b, outcome in zip(self.labels, row)
+            }
+        )
         p = len(self.labels)
         self.comparator_calls += p * (p - 1) // 2
-        self._precomputed = True
+        self._rows = rows
+        self._position = {label: i for i, label in enumerate(self.labels)}
 
     # ------------------------------------------------------------------
     def compare(self, a: Label, b: Label) -> Comparison:
@@ -217,16 +233,34 @@ class ComparisonEngine:
 
     __call__ = compare
 
-    def as_compare_fn(self) -> CompareFn:
-        """The engine viewed through the :data:`CompareFn` protocol (it is one)."""
-        return self
+    def outcome_rows(self, labels: Sequence[Label]) -> list[Sequence[Comparison]] | None:
+        """Precomputed outcomes among ``labels``, for one three-way bubble sort.
+
+        ``rows[i][j]`` is ``compare(labels[i], labels[j])``.  Returns ``None``
+        -- the sort then calls the engine for every comparison -- unless the
+        full matrix has been precomputed and every label is known.  A bubble
+        sort of ``k`` labels reads ``k*(k-1)/2`` entries, which
+        :attr:`lookups` counts as served.
+        """
+        rows = self._rows
+        if rows is None:
+            return None
+        try:
+            positions = [self._position[label] for label in labels]
+        except KeyError:
+            return None
+        self._table_lookups += len(positions) * (len(positions) - 1) // 2
+        if len(positions) < 2:
+            return [[rows[i][i]] for i in positions]
+        gather = itemgetter(*positions)
+        return [gather(rows[i]) for i in positions]
 
     # ------------------------------------------------------------------
     @property
     def lookups(self) -> int:
         """Label-level comparisons served so far."""
         if self._cached is not None:
-            return self._cached.calls
+            return self._cached.calls + self._table_lookups
         return self.comparator_calls
 
     def outcome_table(self) -> dict[tuple[Label, Label], Comparison]:

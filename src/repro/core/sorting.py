@@ -23,6 +23,14 @@ Update rules (Section III of the paper, update rules 1, 2a and 2b):
   performance class" and is promoted above the algorithms it defeated).
 * A *better* outcome without a swap leaves the ranks untouched (rule 2a).
 
+The loop moves int positions rather than labels and stores the staircase as
+class-boundary flags (``step[j] = rank[j+1] - rank[j]``), so each merge or
+split flips one flag instead of shifting every later rank; ranks are rebuilt
+as ``1 + cumsum(step)``.  A compare function that exposes
+``outcome_rows(labels)`` -- a :class:`~repro.core.engine.ComparisonEngine`
+with a precomputed outcome matrix -- hands the loop its whole outcome table
+up front; any other compare function is called on every comparison.
+
 The module also records an optional step-by-step trace, which is used to
 regenerate the Figure 2 walk-through of the paper.
 """
@@ -30,6 +38,7 @@ regenerate the Figure 2 walk-through of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .types import CompareFn, Comparison, Label
@@ -136,28 +145,19 @@ def ranks_are_valid(ranks: Sequence[int]) -> bool:
     return True
 
 
-def _apply_equivalent(ranks: list[int], j: int) -> str:
-    """Rule 2a (equivalent, no swap): merge the class of ``j+1`` into the class of ``j``."""
-    if ranks[j] != ranks[j + 1]:
-        for k in range(j + 1, len(ranks)):
-            ranks[k] -= 1
-        return f"merge: ranks of positions {j + 1}.. decreased by 1"
-    return "no rank update (already same class)"
+def _ranks(step: list[int]) -> tuple[int, ...]:
+    """Positional ranks from class-boundary flags: ``1 + cumsum(step)``."""
+    return tuple(accumulate(step, initial=1))
 
 
-def _apply_post_swap(ranks: list[int], j: int) -> str:
-    """Rule 2b (after a swap placed the winner at position ``j``)."""
-    has_predecessor = j > 0
-    same_as_predecessor = has_predecessor and ranks[j] == ranks[j - 1]
-    same_as_successor = ranks[j] == ranks[j + 1]
-    if same_as_predecessor and not same_as_successor:
-        for k in range(j + 1, len(ranks)):
-            ranks[k] -= 1
+def _describe_update(outcome: Comparison, update: int, j: int) -> str:
+    """Trace text of the rank update one comparison applied."""
+    if update < 0:
         return f"merge: ranks of positions {j + 1}.. decreased by 1"
-    if same_as_successor and not same_as_predecessor:
-        for k in range(j + 1, len(ranks)):
-            ranks[k] += 1
+    if update > 0:
         return f"split: ranks of positions {j + 1}.. increased by 1"
+    if outcome is Comparison.EQUIVALENT:
+        return "no rank update (already same class)"
     return "no rank update"
 
 
@@ -189,47 +189,61 @@ def three_way_bubble_sort(
     if len(set(sequence)) != len(sequence):
         raise ValueError("algorithm labels must be unique")
     p = len(sequence)
-    ranks = list(range(1, p + 1))
+    outcome_rows = getattr(compare, "outcome_rows", None)
+    rows = outcome_rows(sequence) if outcome_rows is not None else None
+    # The loop moves int positions into ``sequence``.  ``step[j]`` is 1 when
+    # ``rank[j + 1] == rank[j] + 1`` (a class boundary) and 0 when the two
+    # positions share a class, so every merge or split flips one flag.
+    order = list(range(p))
+    step = [1] * max(p - 1, 0)
     trace: list[SortStep] = []
     n_comparisons = 0
+    worse, equivalent = Comparison.WORSE, Comparison.EQUIVALENT
 
     for pass_index in range(1, p):  # p-1 bubble passes
         for j in range(0, p - pass_index):
-            left, right = sequence[j], sequence[j + 1]
-            outcome = compare(left, right)
-            if not isinstance(outcome, Comparison):
-                raise TypeError(
-                    f"compare({left!r}, {right!r}) returned {outcome!r}, expected a Comparison"
-                )
+            a, b = order[j], order[j + 1]
+            if rows is not None:
+                outcome = rows[a][b]
+            else:
+                outcome = compare(sequence[a], sequence[b])
+                if not isinstance(outcome, Comparison):
+                    raise TypeError(
+                        f"compare({sequence[a]!r}, {sequence[b]!r}) returned {outcome!r}, "
+                        "expected a Comparison"
+                    )
             n_comparisons += 1
-            swapped = False
-            if outcome is Comparison.WORSE:
-                sequence[j], sequence[j + 1] = sequence[j + 1], sequence[j]
-                swapped = True
-                update = _apply_post_swap(ranks, j)
-            elif outcome is Comparison.EQUIVALENT:
-                update = _apply_equivalent(ranks, j)
-            else:  # BETTER without swap: rule 2a, ranks untouched
-                update = "no rank update"
+            update = 0  # -1 merge, +1 split, 0 none
+            if outcome is worse:
+                order[j], order[j + 1] = b, a
+                # Rule 2b: the winner now sits at j.
+                same_as_predecessor = j > 0 and not step[j - 1]
+                if step[j] and same_as_predecessor:
+                    step[j], update = 0, -1
+                elif not step[j] and not same_as_predecessor:
+                    step[j], update = 1, 1
+            elif outcome is equivalent and step[j]:
+                step[j], update = 0, -1  # rule 2a merge
             if record_trace:
                 trace.append(
                     SortStep(
                         pass_index=pass_index,
                         position=j,
-                        left=left,
-                        right=right,
+                        left=sequence[a],
+                        right=sequence[b],
                         outcome=outcome,
-                        swapped=swapped,
-                        rank_update=update,
-                        sequence_after=tuple(sequence),
-                        ranks_after=tuple(ranks),
+                        swapped=outcome is worse,
+                        rank_update=_describe_update(outcome, update, j),
+                        sequence_after=tuple(sequence[i] for i in order),
+                        ranks_after=_ranks(step),
                     )
                 )
 
+    ranks = _ranks(step) if p else ()
     assert ranks_are_valid(ranks), f"internal error: invalid rank staircase {ranks}"
     return SortResult(
-        sequence=tuple(sequence),
-        ranks=tuple(ranks),
+        sequence=tuple(sequence[i] for i in order),
+        ranks=ranks,
         trace=tuple(trace),
         n_comparisons=n_comparisons,
     )

@@ -38,6 +38,11 @@ class TestSingleStatisticRanker:
         with pytest.raises(ValueError):
             SingleStatisticRanker("mean", rel_tolerance=-1)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="rel_tolerance"):
+            SingleStatisticRanker("mean", rel_tolerance=tolerance)
+
     def test_empty_measurements_rejected(self):
         with pytest.raises(ValueError):
             SingleStatisticRanker("mean").rank({})

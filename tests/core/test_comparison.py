@@ -105,6 +105,17 @@ class TestBootstrapComparator:
         with pytest.raises(ValueError):
             BootstrapComparator(min_relative_difference=-0.1)
 
+    @pytest.mark.parametrize("quantiles", [(0.25, float("nan")), (float("nan"),)])
+    def test_nan_quantile_level_rejected_at_construction(self, quantiles):
+        with pytest.raises(ValueError, match="quantiles"):
+            BootstrapComparator(quantiles=quantiles)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_min_relative_difference_rejected(self, value):
+        """NaN used to call every pair equivalent: no level could clear the tolerance."""
+        with pytest.raises(ValueError, match="min_relative_difference"):
+            BootstrapComparator(min_relative_difference=value)
+
     @given(
         shift=st.floats(min_value=0.0, max_value=3.0),
         scale=st.floats(min_value=0.05, max_value=0.5),
@@ -144,6 +155,26 @@ class TestSingleStatisticComparators:
         comparator = MeanComparator()
         comparator.lower_is_better = False
         assert comparator.compare(a, b) is Comparison.BETTER
+
+
+class TestToleranceValidation:
+    """NaN or out-of-range tolerances used to be accepted and then compared
+    silently wrong (a NaN tolerance never holds, so tiny differences won)."""
+
+    @pytest.mark.parametrize("factory", [MeanComparator, MedianComparator, MinimumComparator])
+    @pytest.mark.parametrize("tolerance", [float("nan"), -0.01, float("inf")])
+    def test_rel_tolerance_rejected(self, factory, tolerance):
+        with pytest.raises(ValueError, match="rel_tolerance"):
+            factory(rel_tolerance=tolerance)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 2.0, -0.05])
+    def test_mann_whitney_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MannWhitneyComparator(alpha=alpha)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.05, 3.0])
+    def test_valid_rel_tolerance_accepted(self, tolerance):
+        assert MeanComparator(rel_tolerance=tolerance).rel_tolerance == tolerance
 
 
 class TestMannWhitneyComparator:
