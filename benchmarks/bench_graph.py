@@ -81,10 +81,11 @@ def _linear_graph_vs_chain(platform):
     matrix = placement_matrix(LINEAR_TASKS, len(platform.aliases))
     chain_batch = tables["chain"].execute(matrix)
     graph_batch = tables["linear_graph"].execute(matrix)
-    for field in dataclasses.fields(chain_batch):
-        a, b = getattr(chain_batch, field.name), getattr(graph_batch, field.name)
+    deferred = ["active_j", "idle_j", "energy_total_j", "operating_cost"]
+    for name in [field.name for field in dataclasses.fields(chain_batch)] + deferred:
+        a, b = getattr(chain_batch, name), getattr(graph_batch, name)
         if isinstance(a, np.ndarray):
-            assert a.tobytes() == b.tobytes(), field.name
+            assert a.tobytes() == b.tobytes(), name
     best = {name: float("inf") for name in tables}
     for _ in range(LINEAR_REPEATS):
         for name, built in tables.items():

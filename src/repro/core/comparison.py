@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bootstrap import (
     _sorted_median,
@@ -411,6 +410,7 @@ class MannWhitneyComparator(Comparator):
         va, vb = _validate(a, b)
         if np.array_equal(va, vb):
             return Comparison.EQUIVALENT
+        from scipy import stats  # deferred: scipy.stats would dominate `import repro`
         result = stats.mannwhitneyu(va, vb, alternative="two-sided")
         if result.pvalue >= self.alpha:
             return Comparison.EQUIVALENT

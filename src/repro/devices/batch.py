@@ -34,7 +34,7 @@ same kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ from .simulator import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; grid imports this module
-    from .grid import GridCostTables
+    from .grid import GridCostTables, GridExecutionResult
 
 __all__ = [
     "BatchExecutionResult",
@@ -120,6 +120,13 @@ def placement_labels(matrix: np.ndarray, aliases: Sequence[str]) -> list[str]:
     return ["".join(aliases[d] for d in row) for row in matrix.tolist()]
 
 
+def _grid_row(name: str) -> property:
+    """A batch field read from its grid's (deferred) value, at the batch's row."""
+    return property(
+        lambda batch: getattr(batch.grid, name)[batch.row], doc=f"Row of the grid's ``{name}``."
+    )
+
+
 @dataclass(frozen=True)
 class BatchExecutionResult:
     """Array-form execution records of one batch: one row per placement.
@@ -132,6 +139,11 @@ class BatchExecutionResult:
     candidate set have no column (they never run a task), but their idle
     energy is still folded into ``energy_total_j``, exactly like the
     sequential record.
+
+    A batch is row ``row`` of a :class:`~repro.devices.grid.GridExecutionResult`:
+    :attr:`energy_total_j`, :attr:`operating_cost`, :attr:`active_j` and
+    :attr:`idle_j` are read from that grid's deferred values, so a sweep that
+    ranks time alone never folds energy or cost.
     """
 
     #: The one-row tables the batch ran on.
@@ -142,10 +154,14 @@ class BatchExecutionResult:
     flops_by_device: np.ndarray
     transferred_bytes: np.ndarray
     transfer_energy_j: np.ndarray
-    active_j: np.ndarray
-    idle_j: np.ndarray
-    energy_total_j: np.ndarray
-    operating_cost: np.ndarray
+    #: The grid result this batch is a row of, and the row's index.
+    grid: "GridExecutionResult" = field(repr=False)
+    row: int
+
+    energy_total_j = _grid_row("energy_total_j")
+    operating_cost = _grid_row("operating_cost")
+    active_j = _grid_row("active_j")
+    idle_j = _grid_row("idle_j")
 
     def __len__(self) -> int:
         return self.placements.shape[0]

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping, Sequence as SequenceABC
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -907,10 +907,12 @@ class GridExecutionResult:
     :func:`~repro.devices.batch.execute_placements` on the scenario's derived
     platform -- :meth:`batch` materialises that view on demand.
 
-    The per-device energy breakdowns :attr:`active_j` / :attr:`idle_j` are
-    computed lazily on first access: the scalar totals already fold them in,
-    so the full ``(s, n, m)`` breakdown cubes only cost memory traffic when a
-    caller actually inspects them.
+    Only what every caller reads is computed eagerly: times, per-device busy
+    seconds, bytes, FLOPs and transfer energy.  :attr:`energy_total_j` and
+    :attr:`operating_cost` come from one per-device fold
+    (:func:`_finalize_grid`) run on first access, so a search ranking time
+    alone never pays for it; the per-device breakdown cubes :attr:`active_j`
+    / :attr:`idle_j` are likewise computed only when a caller inspects them.
     """
 
     tables: GridCostTables
@@ -920,8 +922,25 @@ class GridExecutionResult:
     flops_by_device: np.ndarray  # (n, m)
     transferred_bytes: np.ndarray  # (n,)
     transfer_energy_j: np.ndarray  # (s, n)
-    energy_total_j: np.ndarray  # (s, n)
-    operating_cost: np.ndarray  # (s, n)
+    #: Contiguous per-device ``(s, n)`` planes of ``busy_by_device`` when the
+    #: kernel built them (the chain kernel's subset fold); the energy fold
+    #: reads them instead of strided column views.
+    busy_cols: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+
+    @cached_property
+    def _energy_and_cost(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(energy_total_j, operating_cost)``, folded on first access."""
+        return _finalize_grid(self)
+
+    @property
+    def energy_total_j(self) -> np.ndarray:
+        """Total energy ``(s, n)``: active + idle + transfer."""
+        return self._energy_and_cost[0]
+
+    @property
+    def operating_cost(self) -> np.ndarray:
+        """Operating cost ``(s, n)`` of the busy device time."""
+        return self._energy_and_cost[1]
 
     @cached_property
     def active_j(self) -> np.ndarray:
@@ -983,10 +1002,8 @@ class GridExecutionResult:
             flops_by_device=self.flops_by_device,
             transferred_bytes=self.transferred_bytes,
             transfer_energy_j=self.transfer_energy_j[index],
-            active_j=self.active_j[index],
-            idle_j=self.idle_j[index],
-            energy_total_j=self.energy_total_j[index],
-            operating_cost=self.operating_cost[index],
+            grid=self,
+            row=index,
         )
 
     def batches(self):
@@ -1108,41 +1125,30 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
         busy_by_device = busy_block.transpose(1, 2, 0)
         busy_cols = tuple(busy_block)
 
-    return _finalize_grid(
-        tables,
-        P,
-        total_time,
-        transferred,
-        transfer_energy,
-        busy_by_device,
-        flops_by_device,
-        busy_cols=busy_cols,
+    return GridExecutionResult(
+        tables, P, total_time, busy_by_device, flops_by_device, transferred, transfer_energy,
+        busy_cols,
     )
 
 
-def _finalize_grid(
-    tables: GridCostTables,
-    P: np.ndarray,
-    total_time: np.ndarray,
-    transferred: np.ndarray,
-    transfer_energy: np.ndarray,
-    busy_by_device: np.ndarray,
-    flops_by_device: np.ndarray,
-    busy_cols: tuple[np.ndarray, ...] | None = None,
-) -> GridExecutionResult:
-    """Per-device energy/cost finalization shared by every grid kernel.
+def _finalize_grid(result: GridExecutionResult) -> tuple[np.ndarray, np.ndarray]:
+    """The per-device energy/cost fold: ``(energy_total_j, operating_cost)``.
 
-    ``busy_cols`` optionally supplies contiguous per-device ``(s, n)`` views of
-    ``busy_by_device`` (the chain kernel's subset fold builds device-major planes);
-    when absent, strided column views are taken.  The per-device active/idle
-    energy terms are summed column by column -- each column's elementwise
-    product and the fold order match the full-cube formulation exactly, so the
-    totals are bitwise unchanged while the ``(s, n, m)`` breakdown cubes are
-    deferred to :attr:`GridExecutionResult.active_j` / ``idle_j``.
+    Run once per result, on first access of either value
+    (:attr:`GridExecutionResult.energy_total_j` / ``operating_cost``).  It
+    reads the result's contiguous ``busy_cols`` planes when the kernel built
+    them, strided column views of ``busy_by_device`` otherwise.  The
+    per-device active/idle energy terms are summed column by column -- each
+    column's elementwise product and the fold order match the full-cube
+    formulation exactly, so the totals are bitwise unchanged while the
+    ``(s, n, m)`` breakdown cubes stay deferred to
+    :attr:`GridExecutionResult.active_j` / ``idle_j``.
     """
+    tables, total_time = result.tables, result.total_time_s
     s, n = total_time.shape
+    busy_cols = result.busy_cols
     if busy_cols is None:
-        busy_cols = tuple(busy_by_device[:, :, j] for j in range(tables.n_devices))
+        busy_cols = tuple(result.busy_by_device[:, :, j] for j in range(tables.n_devices))
 
     # Fold the per-device energy/cost terms in the shared device order,
     # exactly like the sequential executor walks platform.devices; candidate
@@ -1176,23 +1182,10 @@ def _finalize_grid(
         np.maximum(scratch, 0.0, out=scratch)
         np.multiply(scratch, tables.power_idle[:, j, None], out=scratch)
         np.add(idle_sum, scratch, out=idle_sum)
-    # energy_total = (active + idle) + transfer, folded in place (active_sum
-    # is not otherwise retained).
+    # energy_total = (active + idle) + transfer, folded in place.
     np.add(active_sum, idle_sum, out=active_sum)
-    np.add(active_sum, transfer_energy, out=active_sum)
-    energy_total = active_sum
-
-    return GridExecutionResult(
-        tables=tables,
-        placements=P,
-        total_time_s=total_time,
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        energy_total_j=energy_total,
-        operating_cost=operating_cost,
-    )
+    np.add(active_sum, result.transfer_energy_j, out=active_sum)
+    return active_sum, operating_cost
 
 
 def _raise_missing_link(
@@ -1347,6 +1340,6 @@ def _execute_checked_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutio
         busy_by_device[:, rows, col] += busy_pt[:, :, t]
         flops_by_device[rows, col] += tables.task_flops[t]
 
-    return _finalize_grid(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
+    return GridExecutionResult(
+        tables, P, total_time, busy_by_device, flops_by_device, transferred, transfer_energy
     )

@@ -64,7 +64,6 @@ from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
 from ..devices.grid import (
     GridExecutionResult,
-    _finalize_grid,
     _hop_folder,
     _raise_missing_link,
 )
@@ -268,6 +267,9 @@ class FaultGridExecutionResult(GridExecutionResult):
     #: success is impossible idle for 0.0 seconds, not for ``inf``.
     active_j: np.ndarray | None = None
     idle_j: np.ndarray | None = None
+    #: Eager ``(energy_total_j, operating_cost)``, ``inf`` where success is
+    #: impossible: overrides the classic grid's deferred fold.
+    _energy_and_cost: tuple[np.ndarray, np.ndarray] | None = None
 
     def batch(self, index: int) -> FaultBatchExecutionResult:
         """One scenario's fault batch view (bitwise equal to a direct run);
@@ -285,10 +287,8 @@ class FaultGridExecutionResult(GridExecutionResult):
             flops_by_device=self.flops_by_device[index],
             transferred_bytes=self.transferred_bytes[index],
             transfer_energy_j=self.transfer_energy_j[index],
-            active_j=self.active_j[index],
-            idle_j=self.idle_j[index],
-            energy_total_j=self.energy_total_j[index],
-            operating_cost=self.operating_cost[index],
+            grid=self,
+            row=index,
             fault_tables=tables,
             success_probability=self.success_probability[index],
             expected_attempts=self.expected_attempts[index],
@@ -427,8 +427,8 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
 
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_grid(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
+    finite = GridExecutionResult(
+        base, P, safe_total, busy_by_device, flops_by_device, transferred, transfer_energy
     )
     return FaultGridExecutionResult(
         tables=base,
@@ -438,10 +438,12 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
         flops_by_device=flops_by_device,
         transferred_bytes=transferred,
         transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
+        active_j=finite.active_j,
+        idle_j=finite.idle_j,
+        _energy_and_cost=(
+            np.where(impossible, np.inf, finite.energy_total_j),
+            np.where(impossible, np.inf, finite.operating_cost),
+        ),
         fault_tables=tables,
         success_probability=success,
         expected_attempts=attempts_total,

@@ -62,23 +62,42 @@ __all__ = [
 ]
 
 
-def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    """Coerce and validate per-scenario weights shared by weighted objectives.
+def _store_weights(objective: "RobustObjective") -> None:
+    """Coerce and validate an objective's explicit per-scenario weights once.
 
-    NaN compares ``False`` against every bound, so a bare ``w < 0`` check
-    would wave non-finite weights through into ``weights @ values`` and turn
-    every robust value into NaN with no error -- hence the explicit
-    finiteness guard.
+    The ``weights`` field keeps them as a tuple of floats; the reductions
+    read the float array converted here.  NaN compares ``False`` against
+    every bound, so a bare ``w < 0`` check would wave non-finite weights
+    through into ``weights @ values`` and turn every robust value into NaN
+    with no error -- hence the explicit finiteness guard.
     """
-    coerced = tuple(float(w) for w in weights)
-    for i, w in enumerate(coerced):
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(
-                f"scenario weights must be finite and non-negative, got weights[{i}]={w!r}"
-            )
-    if sum(coerced) <= 0:
+    if objective.weights is None:
+        return
+    weights = objective.weights
+    array = np.array(weights if isinstance(weights, np.ndarray) else list(weights), dtype=float)
+    if array.ndim != 1:
+        raise ValueError(f"scenario weights must be one-dimensional, got shape {array.shape}")
+    bad = ~(np.isfinite(array) & (array >= 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            "scenario weights must be finite and non-negative, "
+            f"got weights[{i}]={float(array[i])!r}"
+        )
+    if not (array > 0).any():
         raise ValueError("at least one scenario weight must be positive")
-    return coerced
+    array.flags.writeable = False
+    object.__setattr__(objective, "weights", tuple(array.tolist()))
+    object.__setattr__(objective, "_weight_array", array)
+
+
+def _scenario_weights(objective: "RobustObjective", n_scenarios: int) -> np.ndarray:
+    """An objective's weight array, checked against the scenario count."""
+    if len(objective.weights) != n_scenarios:
+        raise ValueError(
+            f"expected {n_scenarios} scenario weights, got {len(objective.weights)}"
+        )
+    return objective._weight_array
 
 
 def _base_values(base: "str | Objective", grid: "GridExecutionResult") -> np.ndarray:
@@ -176,12 +195,11 @@ class ExpectedValueObjective(RobustObjective):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _validate_weights(self.weights))
+        _store_weights(self)
 
     def with_weights(self, weights: Sequence[float]) -> "ExpectedValueObjective":
         """Copy with explicit weights (the driver binds grid weights here)."""
-        return ExpectedValueObjective(base=self.base, label=self.label, weights=tuple(weights))
+        return ExpectedValueObjective(base=self.base, label=self.label, weights=weights)
 
     def bind_weights(self, weights: Sequence[float]) -> "ExpectedValueObjective":
         return self if self.weights is not None else self.with_weights(weights)
@@ -189,11 +207,7 @@ class ExpectedValueObjective(RobustObjective):
     def reduce(self, values: np.ndarray, baselines: np.ndarray | None = None) -> np.ndarray:
         if self.weights is None:
             return values.mean(axis=0)
-        if len(self.weights) != values.shape[0]:
-            raise ValueError(
-                f"expected {values.shape[0]} scenario weights, got {len(self.weights)}"
-            )
-        weights = np.array(self.weights)
+        weights = _scenario_weights(self, values.shape[0])
         return weights @ values / weights.sum()
 
 
@@ -210,7 +224,30 @@ def _weighted_quantile_columns(
     carrying zero weight can never be picked ahead of the quantile point.
     The reduction touches each column independently, so it is invariant to
     how the placement axis is chunked.
+
+    When every weight equals the first (a sampled fleet's users), every
+    permutation accumulates the same weight sequence, so the pick is one
+    order statistic shared by all columns: an O(s) ``np.partition`` per
+    column finds it instead of an O(s log s) sort.  Values that compare equal
+    are bitwise equal except for signed zeros and NaN payloads, so columns
+    whose pick is ``0.0`` or NaN take the stable sort, which chooses among
+    equals by grid order.
     """
+    if weights.size and (weights == weights[0]).all():
+        cumulative = np.cumsum(weights)
+        pick = int((cumulative >= q * cumulative[-1]).argmax())
+        columns = values.T.copy()
+        columns.partition(pick, axis=1)
+        picked = columns[:, pick].copy()
+        ambiguous = (picked == 0.0) | np.isnan(picked)
+        if ambiguous.any():
+            picked[ambiguous] = _stable_quantile_columns(values[:, ambiguous], weights, q)
+        return picked
+    return _stable_quantile_columns(values, weights, q)
+
+
+def _stable_quantile_columns(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """:func:`_weighted_quantile_columns` through one stable sort per column."""
     order = np.argsort(values, axis=0, kind="stable")
     sorted_values = np.take_along_axis(values, order, axis=0)
     cumulative = np.cumsum(weights[order], axis=0)
@@ -245,17 +282,14 @@ class QuantileObjective(RobustObjective):
         super().__post_init__()
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"quantile q must lie in (0, 1], got {self.q!r}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _validate_weights(self.weights))
+        _store_weights(self)
 
     @property
     def name(self) -> str:
         return self.label or f"p{self.q * 100:g}-{_base_name(self.base)}"
 
     def with_weights(self, weights: Sequence[float]) -> "QuantileObjective":
-        return QuantileObjective(
-            base=self.base, label=self.label, q=self.q, weights=tuple(weights)
-        )
+        return QuantileObjective(base=self.base, label=self.label, q=self.q, weights=weights)
 
     def bind_weights(self, weights: Sequence[float]) -> "QuantileObjective":
         return self if self.weights is not None else self.with_weights(weights)
@@ -263,12 +297,8 @@ class QuantileObjective(RobustObjective):
     def reduce(self, values: np.ndarray, baselines: np.ndarray | None = None) -> np.ndarray:
         if self.weights is None:
             weights = np.ones(values.shape[0])
-        elif len(self.weights) != values.shape[0]:
-            raise ValueError(
-                f"expected {values.shape[0]} scenario weights, got {len(self.weights)}"
-            )
         else:
-            weights = np.array(self.weights)
+            weights = _scenario_weights(self, values.shape[0])
         return _weighted_quantile_columns(values, weights, self.q)
 
 
@@ -295,17 +325,14 @@ class SLOObjective(RobustObjective):
         super().__post_init__()
         if not math.isfinite(self.budget):
             raise ValueError(f"SLO budget must be finite, got {self.budget!r}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _validate_weights(self.weights))
+        _store_weights(self)
 
     @property
     def name(self) -> str:
         return self.label or f"slo-{_base_name(self.base)}@{self.budget:g}"
 
     def with_weights(self, weights: Sequence[float]) -> "SLOObjective":
-        return SLOObjective(
-            base=self.base, label=self.label, budget=self.budget, weights=tuple(weights)
-        )
+        return SLOObjective(base=self.base, label=self.label, budget=self.budget, weights=weights)
 
     def bind_weights(self, weights: Sequence[float]) -> "SLOObjective":
         return self if self.weights is not None else self.with_weights(weights)
@@ -314,11 +341,7 @@ class SLOObjective(RobustObjective):
         misses = (values > self.budget).astype(float)
         if self.weights is None:
             return misses.mean(axis=0)
-        if len(self.weights) != values.shape[0]:
-            raise ValueError(
-                f"expected {values.shape[0]} scenario weights, got {len(self.weights)}"
-            )
-        weights = np.array(self.weights)
+        weights = _scenario_weights(self, values.shape[0])
         return weights @ misses / weights.sum()
 
 

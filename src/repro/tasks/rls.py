@@ -21,7 +21,6 @@ forming an explicit inverse.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .flops import regularized_least_squares_flops
 from .task import FLOAT64_BYTES, MathTask, TaskCost
@@ -78,6 +77,7 @@ class RegularizedLeastSquaresTask(MathTask):
         )
 
     def run(self, penalty: float = 0.0, rng: np.random.Generator | None = None) -> float:
+        from scipy import linalg  # deferred: only running the task needs it
         generator = rng if rng is not None else np.random.default_rng()
         n = self.size
         for _ in range(self.iterations):

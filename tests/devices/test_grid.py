@@ -18,6 +18,7 @@ from repro.devices import (
     DeviceSpec,
     LinkSpec,
     Platform,
+    SimulatedExecutor,
     execute_placements,
     execute_placements_grid,
     edge_cluster_platform,
@@ -37,7 +38,7 @@ from repro.scenarios import (
 )
 from repro.tasks import GemmLoopTask, RegularizedLeastSquaresTask, TaskChain
 
-from factories import random_chain, random_platform
+from factories import random_chain, random_graph, random_platform
 
 SCENARIO_AXES = [
     (LinkBandwidthScale(), [1.0, 0.5, 0.2]),
@@ -247,3 +248,79 @@ class TestGridResult:
             assert grid.metric_values(metric).shape == (4, 16)
         with pytest.raises(ValueError, match="unknown metric"):
             grid.metric_values("latency")
+
+
+DEFERRED_FIELDS = ("energy_total_j", "operating_cost", "active_j", "idle_j")
+
+
+class TestDeferredEnergyFold:
+    """``energy_total_j``/``operating_cost`` come from one per-device fold run
+    on first access, and the active/idle cubes are computed on demand; their
+    values stay exactly the eager ones, on the grid, on its batch views and on
+    plain batches alike."""
+
+    @pytest.mark.parametrize("shape", ["chain", "graph"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deferred_fields_equal_plain_runs_and_the_scalar_oracle(self, seed, shape):
+        rng = np.random.default_rng(900 + seed)
+        base = random_platform(rng, 4)
+        n_tasks = 3
+        workload = random_chain(rng, n_tasks) if shape == "chain" else random_graph(rng, n_tasks)
+        # Device "C" is not a candidate: it only idles, through extra_idle_power.
+        devices = ("D", "A", "B")
+        scenarios = ScenarioGrid.cartesian(
+            [(LinkBandwidthScale(), [1.0, 0.4]), (EnergyPriceScale(), [1.0, 3.0])]
+        )
+        grid_tables = build_tables(workload, base, scenarios=scenarios, devices=devices)
+        matrix = placement_matrix(n_tasks, len(devices))
+        grid = execute_placements_grid(grid_tables, matrix)
+        rows = rng.choice(len(matrix), size=4, replace=False)
+        for index, platform in enumerate(scenarios.platforms(base)):
+            plain = execute_placements(grid_tables.table(index), matrix)
+            view = grid.batch(index)
+            # Reading cost before energy must not change either value.
+            for name in reversed(DEFERRED_FIELDS):
+                expected = getattr(plain, name)
+                assert getattr(grid, name)[index].tobytes() == expected.tobytes(), name
+                assert getattr(view, name).tobytes() == expected.tobytes(), name
+            executor = SimulatedExecutor(platform)
+            for i in rows:
+                # One-row batches skip the chain kernel's device-major busy
+                # planes; the fold over strided columns must agree.
+                single = execute_placements_grid(grid_tables, matrix[i : i + 1])
+                record = executor.execute(workload, grid.placement(i))
+                assert single.energy_total_j[index, 0] == grid.energy_total_j[index, i]
+                assert single.operating_cost[index, 0] == grid.operating_cost[index, i]
+                assert record.energy.total_j == grid.energy_total_j[index, i]
+                assert record.operating_cost == grid.operating_cost[index, i]
+                for j, alias in enumerate(devices):
+                    assert record.energy.active_j[alias] == grid.active_j[index, i, j]
+                    assert record.energy.idle_j[alias] == grid.idle_j[index, i, j]
+                assert record.energy.idle_j["C"] > 0.0
+
+    def test_the_fold_runs_once_and_only_on_demand(self, monkeypatch):
+        import repro.devices.grid as grid_module
+
+        calls = []
+        fold = grid_module._finalize_grid
+
+        def counting_fold(*args, **kwargs):
+            calls.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_finalize_grid", counting_fold)
+        scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=3)
+        grid_tables = build_tables(chain_of(3), edge_cluster_platform(), scenarios=scenarios)
+        grid = execute_placements_grid(grid_tables, placement_matrix(3, 4))
+        assert grid.batch(1).total_time_s.tobytes() == grid.total_time_s[1].tobytes()
+        plain = execute_placements(grid_tables.table(0), placement_matrix(3, 4))
+        assert plain.total_time_s.tobytes() == grid.total_time_s[0].tobytes()
+        assert calls == []
+        plain_cost = plain.operating_cost  # folds the plain batch's one-row grid
+        assert calls == [1]
+        energy, cost = grid.energy_total_j, grid.operating_cost
+        assert calls == [1, 1]
+        assert plain_cost.tobytes() == cost[0].tobytes()
+        assert grid.batch(2).energy_total_j.tobytes() == energy[2].tobytes()
+        assert grid.batch(0).operating_cost.tobytes() == cost[0].tobytes()
+        assert calls == [1, 1]

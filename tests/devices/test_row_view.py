@@ -48,16 +48,24 @@ def random_rows(rng: np.random.Generator, n_tasks: int, n_devices: int, n_rows: 
     return rng.integers(0, n_devices, size=(n_rows, n_tasks))
 
 
+#: Every array a batch exposes: its array fields plus the energy/cost values
+#: it reads from its grid row on first access.
+BATCH_ARRAYS = [
+    field.name
+    for field in dataclasses.fields(BatchExecutionResult)
+    if field.name not in ("tables", "grid", "row")
+] + ["active_j", "idle_j", "energy_total_j", "operating_cost"]
+
+
 def assert_row_view_matches_grid(workload, platform, matrix) -> None:
     plain = execute_placements(build_tables(workload, platform), matrix)
     row = build_tables(workload, platform, scenarios=IDENTITY).execute(matrix).batch(0)
     assert type(plain.tables) is type(row.tables)
-    for field in dataclasses.fields(BatchExecutionResult):
-        if field.name == "tables":
-            continue
-        a, b = getattr(plain, field.name), getattr(row, field.name)
-        assert a.shape == b.shape and a.dtype == b.dtype, field.name
-        assert a.tobytes() == b.tobytes(), field.name
+    assert (plain.row, row.row) == (0, 0)
+    for name in BATCH_ARRAYS:
+        a, b = getattr(plain, name), getattr(row, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -194,6 +194,43 @@ class TestImpossibleTasks:
         assert np.all(batch.success_probability == 0.0)
         assert np.all(np.isinf(batch.total_time_s))
 
+    @pytest.mark.parametrize("shape", ["chain", "graph"])
+    def test_impossible_grid_rows_stay_inf_through_the_deferred_fields(self, shape):
+        """The fault grid keeps its eager, inf-masked energy and cost: the
+        classic grid's deferred fold must not recompute them from the guarded
+        finite accounting, on the grid or on its batch views."""
+        platform = edge_cluster_platform()
+        rng = np.random.default_rng(2)
+        chain = random_chain(rng, 3)
+        workload = chain
+        if shape == "graph":
+            workload = TaskGraph(chain.tasks, edges=[("L1", "L2"), ("L1", "L3")], name="fork")
+        scenarios = ScenarioGrid.cartesian([(DeviceFailureRate(devices=("A",)), [0.0, 1.0])])
+        gt = build_tables(workload, platform, scenarios=scenarios, retry=RetryPolicy(max_attempts=3))
+        matrix = placement_matrix(3, len(platform.aliases))
+        grid = execute_fault_placements_grid(gt, matrix)
+        uses_a = (matrix == platform.aliases.index("A")).any(axis=1)
+        for name in ("total_time_s", "energy_total_j", "operating_cost"):
+            values = getattr(grid, name)
+            assert np.all(np.isinf(values[1, uses_a])), name
+            assert np.all(np.isfinite(values[1, ~uses_a])), name
+            assert np.all(np.isfinite(values[0])), name
+        assert np.all(np.isfinite(grid.active_j)) and np.all(np.isfinite(grid.idle_j))
+        for index in range(2):
+            single = execute_fault_placements(gt.table(index), matrix)
+            view = grid.batch(index)
+            for name in ("energy_total_j", "operating_cost", "active_j", "idle_j"):
+                expected = getattr(single, name)
+                assert getattr(grid, name)[index].tobytes() == expected.tobytes(), name
+                assert getattr(view, name).tobytes() == expected.tobytes(), name
+            for i in (0, int(np.flatnonzero(uses_a)[0]), len(matrix) - 1):
+                record = expected_record(gt.table(index), matrix[i])
+                assert record.energy_total_j == grid.energy_total_j[index, i]
+                assert record.operating_cost == grid.operating_cost[index, i]
+                for j, alias in enumerate(platform.aliases):
+                    assert record.energy.active_j[alias] == grid.active_j[index, i, j]
+                    assert record.energy.idle_j[alias] == grid.idle_j[index, i, j]
+
 
 class TestGridSlicing:
     @pytest.mark.parametrize("build", ["platforms", "fused"])

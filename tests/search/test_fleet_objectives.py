@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.devices.grid as grid_module
+import repro.search.robust as robust_module
 from repro.devices import SimulatedExecutor, edge_cluster_platform
 from repro.devices.grid import execute_placements_grid
+from repro.fleet import FleetSpec, UniformAxis, UserSegment, sample_fleet
 from repro.offload import placement_matrix
 from repro.scenarios import LinkBandwidthScale, LinkLatencyScale, Scenario, ScenarioGrid
 from repro.search import (
@@ -22,6 +25,44 @@ from repro.tasks import RegularizedLeastSquaresTask, TaskChain
 def random_values(seed: int, n_scenarios: int, n_placements: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.uniform(0.01, 10.0, size=(n_scenarios, n_placements))
+
+
+def stable_sort_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """Reference weighted quantile: one stable argsort per column, then the
+    first sorted value whose cumulative weight reaches ``q`` of the total."""
+    order = np.argsort(values, axis=0, kind="stable")
+    sorted_values = np.take_along_axis(values, order, axis=0)
+    cumulative = np.cumsum(weights[order], axis=0)
+    picks = (cumulative >= q * cumulative[-1]).argmax(axis=0)
+    return sorted_values[picks, np.arange(values.shape[1])]
+
+
+def nan_with_payload(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0])
+
+
+def assert_quantile_matches_reference(values: np.ndarray, weights: np.ndarray, q: float) -> None:
+    expected = stable_sort_quantile(values, weights, q)
+    for ours in (
+        robust_module._weighted_quantile_columns(values, weights, q),
+        QuantileObjective(q=q, weights=tuple(weights)).reduce(values),
+    ):
+        assert ours.dtype == expected.dtype
+        assert ours.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def stable_calls(monkeypatch):
+    """Record the shape of every matrix handed to the stable-sort path."""
+    calls = []
+    stable = robust_module._stable_quantile_columns
+
+    def recording(values, weights, q):
+        calls.append(values.shape)
+        return stable(values, weights, q)
+
+    monkeypatch.setattr(robust_module, "_stable_quantile_columns", recording)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +138,75 @@ class TestQuantileReduction:
             QuantileObjective(weights=(1.0, 1.0)).reduce(np.ones((3, 2)))
 
 
+class TestEqualWeightQuantile:
+    """Equal weights pick one order statistic per column with a partition;
+    every pick must be bitwise the stable sort's, down to signed zeros and
+    NaN payloads."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 10),
+        st.floats(0.01, 1.0),
+        st.sampled_from([1.0, 0.37, 3.0, 1.0 / 600.0, None]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_matrices_with_ties(self, seed, s, n, q, weight):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so most picks sit inside a run of ties.
+        values = rng.integers(1, 6, size=(s, n)) * 0.25
+        assert_quantile_matches_reference(values, np.full(s, weight or 1.0 / s), q)
+        assert_quantile_matches_reference(random_values(seed, s, n), np.full(s, 0.37), q)
+
+    def test_fleet_sized_matrix_takes_the_partition(self, stable_calls):
+        values = random_values(3, 6000, 64)
+        assert_quantile_matches_reference(values, np.full(6000, 1.0 / 600.0), 0.95)
+        assert stable_calls == []
+
+    def test_signed_zeros_at_the_pick_fall_back_to_the_stable_sort(self, stable_calls):
+        values = random_values(4, 8, 5)
+        values[:, 1] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 1.0]
+        values[:, 3] = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 2.0, 3.0]
+        weights = np.full(8, 0.5)
+        expected = stable_sort_quantile(values, weights, 0.5)
+        assert_quantile_matches_reference(values, weights, 0.5)
+        # Grid order decides among equal zeros: column 1 picks its 4th entry
+        # (-0.0), column 3 its 4th (0.0).
+        assert np.signbit(expected[1]) and not np.signbit(expected[3])
+        # Only the two ambiguous columns took the stable sort (once per call).
+        assert stable_calls == [(8, 2), (8, 2)]
+
+    def test_nan_and_inf_columns(self, stable_calls):
+        values = random_values(5, 6, 5)
+        values[:, 0] = [nan_with_payload(p) for p in (1, 2, 3, 4, 5, 6)]
+        values[:, 1] = [1.0, nan_with_payload(7), 2.0, nan_with_payload(9), 3.0, 4.0]
+        values[:, 2] = np.inf
+        values[:, 3] = [-np.inf, 1.0, np.inf, -np.inf, 2.0, np.inf]
+        for q in (0.2, 0.5, 0.95, 1.0):
+            assert_quantile_matches_reference(values, np.full(6, 2.0), q)
+        # NaNs sort last, so column 1 picks a NaN only at the top.
+        assert stable_calls and all(shape[1] <= 2 for shape in stable_calls)
+
+    def test_q1_equals_the_column_max(self):
+        values = random_values(6, 50, 9)
+        reduced = QuantileObjective(q=1.0, weights=(0.02,) * 50).reduce(values)
+        assert reduced.tobytes() == values.max(axis=0).tobytes()
+
+    def test_one_scenario(self, stable_calls):
+        values = random_values(7, 1, 6)
+        for q in (0.05, 1.0):
+            assert_quantile_matches_reference(values, np.array([4.0]), q)
+            assert QuantileObjective(q=q).reduce(values).tobytes() == values[0].tobytes()
+        assert stable_calls == []
+
+    def test_unequal_weights_take_the_stable_sort(self, stable_calls):
+        values = random_values(8, 12, 7)
+        weights = np.full(12, 0.5)
+        weights[3] = 0.5000000000000001
+        assert_quantile_matches_reference(values, weights, 0.9)
+        assert stable_calls == [(12, 7), (12, 7)]
+
+
 class TestSLOReduction:
     def test_miss_fraction_counts_strict_overruns_by_weight(self):
         values = np.array([[1.0, 3.0], [2.0, 1.0], [4.0, 1.0]])
@@ -146,6 +256,8 @@ class TestValidation:
                 factory((1.0, 1.0, -0.5))
             with pytest.raises(ValueError, match="positive"):
                 factory((0.0, 0.0))
+            with pytest.raises(ValueError, match="one-dimensional"):
+                factory([[1.0, 2.0]])
 
     def test_names(self):
         assert QuantileObjective().name == "p95-time"
@@ -276,3 +388,61 @@ class TestSearchGrid:
         tail, worst = result.top["tail"], result.top["worst-time"]
         assert tail.labels == worst.labels
         assert tail.values.tobytes() == worst.values.tobytes()
+
+
+class TestDeferredEnergyFold:
+    def test_time_only_search_never_folds_energy(self, setup, monkeypatch):
+        """Energy and operating cost are folded only when something reads them:
+        a search ranking time alone must never run the fold."""
+        calls = []
+        fold = grid_module._finalize_grid
+
+        def counting_fold(*args, **kwargs):
+            calls.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_finalize_grid", counting_fold)
+        executor, chain, grid = setup
+        objectives = (
+            QuantileObjective(q=0.95),
+            SLOObjective(budget=0.0375),
+            ExpectedValueObjective(),
+            WorstCaseObjective(),
+        )
+        search_grid(executor, chain, grid, objectives=objectives, top_k=2, batch_size=16)
+        assert calls == []
+        # The spy is live: ranking energy runs the fold once per chunk (4**3
+        # placements of the 4-device platform, 16 per chunk).
+        search_grid(
+            executor, chain, grid, objectives=(QuantileObjective(base="energy"),),
+            top_k=2, batch_size=16,
+        )
+        assert len(calls) == 4**3 // 16
+
+    def test_sampled_fleet_search_matches_the_stable_sort_reference(self):
+        """A sampled fleet's equal weights take the partition; the searched
+        top-k must equal a stable-sort reduction of the full time matrix."""
+        spec = FleetSpec(
+            segments=(
+                UserSegment("wifi", weight=3.0, axes=(UniformAxis(LinkBandwidthScale(), 0.5, 1.5),)),
+                UserSegment("cell", weight=1.0, axes=(UniformAxis(LinkLatencyScale(), 1.0, 6.0),)),
+            )
+        )
+        executor = SimulatedExecutor(edge_cluster_platform(), seed=0)
+        chain = small_chain(3)
+        for seed in range(3):
+            fleet = sample_fleet(spec, 400, seed=seed)
+            weights = np.array(fleet.grid.weights)
+            assert np.unique(weights).size == 1
+            result = search_grid(
+                executor, chain, fleet.grid, objectives=(QuantileObjective(q=0.95),), top_k=5
+            )
+            tables = executor.grid_cost_tables(chain, fleet.grid)
+            times = execute_placements_grid(
+                tables, placement_matrix(tables.n_tasks, tables.n_devices)
+            ).metric_values("time")
+            reduced = stable_sort_quantile(times, weights, 0.95)
+            order = np.lexsort((np.arange(reduced.size), reduced))[:5]
+            top = result.top["p95-time"]
+            assert top.indices.tolist() == order.tolist()
+            assert top.values.tobytes() == reduced[order].tobytes()
