@@ -29,6 +29,13 @@ Also pinned:
   slices, so seeding must cost little next to the build; the ceiling is
   1.5x.
 
+Also recorded, without a bound: ``fresh_split`` -- the untraced wall times of
+keying, building and executing a never-fingerprinted copy of the fleet grid.
+``key`` is ``table_key`` on the copy (every scenario's content digest), and
+``build`` is the fused build that follows, which reads those digests back
+from the copy; together they split what a newly sampled fleet pays for its
+cache key from what it pays for cost math.
+
 Set ``BENCH_FLEET_SMALL=1`` (the CI smoke job does) for a reduced fleet with
 relaxed floors (the overhead ceiling is the same).  Results land in
 ``BENCH_fleet.json`` / ``BENCH_fleet_small.json``.
@@ -42,7 +49,7 @@ import time
 
 import numpy as np
 
-from repro.cache import TableCache
+from repro.cache import TableCache, table_key
 from repro.devices import edge_cluster_platform
 from repro.devices.grid import execute_placements_grid
 from repro.devices.tables import build_tables
@@ -140,6 +147,13 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _fresh_copy(grid: ScenarioGrid) -> ScenarioGrid:
+    """An equal grid of new scenario objects: no content digest memoized yet."""
+    return ScenarioGrid(
+        tuple(Scenario(s.name, settings=s.settings, weight=s.weight) for s in grid.scenarios)
+    )
+
+
 def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tuple[float, float]:
     """Minimum wall times of fused builds of fresh copies of ``grid``: without
     a slice cache, and seeding a fresh default ``TableCache``.
@@ -151,9 +165,7 @@ def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tup
     best = {False: float("inf"), True: float("inf")}
     for _ in range(repeats):
         for seeded in (False, True):
-            copy = ScenarioGrid(
-                tuple(Scenario(s.name, settings=s.settings, weight=s.weight) for s in grid.scenarios)
-            )
+            copy = _fresh_copy(grid)
             cache = TableCache() if seeded else None
             gc.collect()
             gc.disable()
@@ -165,6 +177,29 @@ def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tup
                 gc.enable()
             del copy, cache
     return best[False], best[True]
+
+
+def _fresh_split(chain, platform, grid: ScenarioGrid, matrix: np.ndarray, repeats: int) -> dict:
+    """Minimum wall times of keying, building and executing fresh copies of ``grid``."""
+    best = {"key": float("inf"), "build": float("inf"), "execute": float("inf")}
+    for _ in range(repeats):
+        copy = _fresh_copy(grid)
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            table_key(chain, platform, scenarios=copy)
+            keyed = time.perf_counter()
+            tables = build_tables(chain, platform, scenarios=copy)
+            built = time.perf_counter()
+            execute_placements_grid(tables, matrix)
+            done = time.perf_counter()
+        finally:
+            gc.enable()
+        for phase, seconds in (("key", keyed - start), ("build", built - keyed), ("execute", done - built)):
+            best[phase] = min(best[phase], seconds)
+        del copy, tables
+    return best
 
 
 def _manual_weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
@@ -253,6 +288,7 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
 
     unseeded_s, seeded_s = _best_fresh_builds(chain, platform, fleet.grid, 3)
     slice_cache_overhead = seeded_s / unseeded_s
+    fresh_split = _fresh_split(chain, platform, fleet.grid, matrix, 3)
 
     print(
         f"\n{platform.name}: {N_USERS} users x {n_placements} placements "
@@ -269,6 +305,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
         f"full {full_rebuild_s:.2f} s  ({delta_speedup:.1f}x, floor {DELTA_FLOOR}x)"
         f"\n  slice-cache seeding: {seeded_s:.3f} s vs unseeded {unseeded_s:.3f} s  "
         f"({slice_cache_overhead:.2f}x, ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
+        f"\n  fresh grid split:    key {fresh_split['key']:.3f} s, "
+        f"build {fresh_split['build']:.3f} s, execute {fresh_split['execute']:.3f} s"
     )
 
     bench_json(
@@ -298,6 +336,7 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "unseeded_build": unseeded_s,
                 "seeded_build": seeded_s,
             },
+            "fresh_split": fresh_split,
             "throughputs": {
                 "fleet_pairs_per_s": pairs_per_s,
             },

@@ -14,6 +14,12 @@ must agree **bitwise** with the cold ones (asserted untimed) and every hot
 query must report ``served_from_cache``; hot throughput must beat cold
 throughput by the speedup floor.
 
+The hot pass replays the *same* clone objects every round, so after its
+first round each request's key is memoized on its objects.  A second hot
+pass builds every round's requests from new objects (untimed), as a serving
+client does, so each query pays its full request key: that is the response
+cache's hit path, and it has a floor of its own against the cold pass.
+
 Set ``BENCH_SERVICE_SMALL=1`` (the CI smoke job does) for a reduced stream
 with a relaxed floor.  Results land in ``BENCH_service.json`` /
 ``BENCH_service_small.json``.
@@ -38,11 +44,13 @@ if SMALL:
     N_POINTS = 3  # scenarios per grid request
     HOT_ROUNDS = 5
     SPEEDUP_FLOOR = 3.0
+    NEW_OBJECTS_FLOOR = 15.0
 else:
     CHAIN_SIZES = (5, 6, 7)
     N_POINTS = 5
     HOT_ROUNDS = 10
     SPEEDUP_FLOOR = 10.0
+    NEW_OBJECTS_FLOOR = 30.0
 
 RADIO = (("D", "E"), ("D", "A"), ("N", "E"), ("N", "A"), ("E", "A"))
 RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
@@ -105,18 +113,30 @@ def test_hot_queries_beat_cold_builds(benchmark, bench_once, bench_json):
         hot_responses = _submit_all(service, hot_queries)
     hot_s = (time.perf_counter() - start) / HOT_ROUNDS
 
+    new_objects_s = 0.0
+    for _ in range(HOT_ROUNDS):
+        queries = build_queries()  # every round's requests are new objects
+        gc.collect()
+        start = time.perf_counter()
+        new_object_responses = _submit_all(service, queries)
+        new_objects_s += time.perf_counter() - start
+    new_objects_s /= HOT_ROUNDS
+
     # -- equivalence (untimed): every hot answer bitwise the cold one --------
-    for cold, hot in zip(cold_responses, hot_responses):
-        assert hot.plan == cold.plan
-        assert hot.value == cold.value
-        assert hot.engine == cold.engine
+    for cold, hot, new in zip(cold_responses, hot_responses, new_object_responses):
+        assert hot.plan == cold.plan == new.plan
+        assert hot.value == cold.value == new.value
+        assert hot.engine == cold.engine == new.engine
         assert hot.cache_info.served_from_cache, hot.request
+        assert new.cache_info.response_hit, new.request
     assert any(not r.cache_info.served_from_cache for r in cold_responses)
 
     n_queries = len(cold_queries)
     cold_qps = n_queries / cold_s
     hot_qps = n_queries / hot_s
+    new_objects_qps = n_queries / new_objects_s
     speedup = hot_qps / cold_qps
+    new_objects_speedup = new_objects_qps / cold_qps
     stats = service.cache_stats()
     print(
         f"\nplacement service: {n_queries} mixed queries "
@@ -124,6 +144,8 @@ def test_hot_queries_beat_cold_builds(benchmark, bench_once, bench_json):
         f"\n  cold (table builds):  {cold_s * 1e3:8.1f} ms  ({cold_qps:8.1f} q/s)"
         f"\n  hot  (cache-served):  {hot_s * 1e3:8.1f} ms  ({hot_qps:8.1f} q/s, "
         f"{speedup:5.1f}x, floor {SPEEDUP_FLOOR}x)"
+        f"\n  hot, new objects:    {new_objects_s * 1e3:8.1f} ms  ({new_objects_qps:8.1f} q/s, "
+        f"{new_objects_speedup:5.1f}x, floor {NEW_OBJECTS_FLOOR}x)"
         f"\n  table cache: {stats.entries} entries, {stats.nbytes / 1e3:.1f} kB, "
         f"hit rate {stats.hit_rate:.2f}"
     )
@@ -139,15 +161,23 @@ def test_hot_queries_beat_cold_builds(benchmark, bench_once, bench_json):
                 "hot_rounds": HOT_ROUNDS,
                 "small": SMALL,
             },
-            "seconds": {"cold_pass": cold_s, "hot_pass": hot_s},
-            "queries_per_s": {"cold": cold_qps, "hot": hot_qps},
-            "speedups": {"hot_queries": speedup},
-            "floors": {"hot_queries": SPEEDUP_FLOOR},
+            "seconds": {
+                "cold_pass": cold_s,
+                "hot_pass": hot_s,
+                "hot_new_objects_pass": new_objects_s,
+            },
+            "queries_per_s": {"cold": cold_qps, "hot": hot_qps, "hot_new_objects": new_objects_qps},
+            "speedups": {"hot_queries": speedup, "hot_new_objects": new_objects_speedup},
+            "floors": {"hot_queries": SPEEDUP_FLOOR, "hot_new_objects": NEW_OBJECTS_FLOOR},
         },
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"service cache regressed: hot queries only {speedup:.1f}x cold "
         f"(floor {SPEEDUP_FLOOR}x)"
+    )
+    assert new_objects_speedup >= NEW_OBJECTS_FLOOR, (
+        f"request keying regressed: hot queries built from new objects only "
+        f"{new_objects_speedup:.1f}x cold (floor {NEW_OBJECTS_FLOOR}x)"
     )
 
     bench_once(benchmark, _submit_all, service, hot_queries)

@@ -10,7 +10,7 @@ The package is organised as:
 * :mod:`repro.measurement` -- measurement harness, datasets, noise injectors.
 * :mod:`repro.devices` -- simulated heterogeneous platform (edge devices,
   accelerators, interconnects, energy) plus a host-based executor.
-* :mod:`repro.cache` -- content fingerprints (SHA-256 over canonical
+* :mod:`repro.cache` -- content fingerprints (SHA-256 over tagged binary
   encodings) and the bounded LRU ``TableCache`` behind cost-table reuse.
 * :mod:`repro.tasks` -- linear-algebra workloads (GEMM / Regularised Least
   Squares loops), FLOP accounting, scientific-code task chains and DAGs.

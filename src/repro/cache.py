@@ -6,35 +6,49 @@ configuration and everything downstream is reuse.  This module provides the
 two pieces that make that reuse safe across object identities and process
 boundaries:
 
-* :func:`fingerprint` -- a **stable** SHA-256 content hash over canonicalized
-  field tuples.  Two structurally equal platforms (or workloads, scenarios,
-  fault profiles, policies) fingerprint identically regardless of object
-  identity, dict insertion order of *non-semantic* mappings, or Python
-  process (no salted ``hash()`` anywhere).  Orders that carry meaning are
-  kept: a platform's device insertion order defines its alias order, and a
-  scenario grid's row order defines the scenario axis of every grid table,
-  so both stay part of the content.  Graph node insertion order does *not*
-  carry meaning (:class:`~repro.tasks.graph.TaskGraph` reorders tasks into a
-  canonical topological order at construction), so permuting it leaves the
-  fingerprint unchanged.
+* :func:`fingerprint` -- a **stable** SHA-256 content hash over one tagged
+  binary encoding (below).  Two structurally equal platforms (or workloads,
+  scenarios, fault profiles, policies) fingerprint identically regardless of
+  object identity, dict insertion order of *non-semantic* mappings, or
+  Python process (no salted ``hash()`` anywhere).  Orders that carry meaning
+  are kept: a platform's device insertion order defines its alias order,
+  and a scenario grid's row order defines the scenario axis of every grid
+  table, so both stay part of the content.  Graph node insertion order does
+  *not* carry meaning (:class:`~repro.tasks.graph.TaskGraph` reorders tasks
+  into a canonical topological order at construction).
 * :class:`TableCache` -- a bounded LRU mapping composite fingerprints to
   built objects, capped by entry count and estimated byte size, with
   hit/miss/evict counters.  :class:`~repro.devices.simulator.SimulatedExecutor`
   keeps one for cost tables and one for execution records, and the service
   layer shares a single table cache across platform executors.
 
-Floats are canonicalized via :meth:`float.hex` (exact, bitwise, handles
-``inf``/``nan``), so fingerprints never depend on ``repr`` rounding.
+The key schema.  :func:`_encode` writes a one-byte type tag and a payload;
+sizes and counts are unsigned 64-bit little-endian, so the bytes are
+self-delimiting and values of different types never share them.  ``N``
+None; ``T``/``F`` booleans (never equal to 1/0); ``i`` an int64 and ``I`` a
+wider int (length, two's complement); ``f`` a float's 8 IEEE-754 bytes
+(bitwise, so ``-0.0 != 0.0``; every NaN is one canonical NaN); ``s`` a str
+(length, UTF-8); ``t`` a list or tuple (count, items); ``m`` a mapping and
+``u`` a set (count, entries sorted by their bytes, so mixed key types are
+fine); ``d`` a dataclass (type name, field count, name/value pairs); and
+the domain records ``P`` platform, ``C`` chain, ``G`` graph, ``K`` task (by
+its analytic cost), ``X`` scenario and ``g`` scenario grid.  NumPy scalars
+encode as the Python scalars they equal; other types raise ``TypeError``.
+A scenario is laid out as a row -- name, float64 weight, then per setting
+the axis bytes (memoized on the axis) and the float64 value -- so a
+columnar grid can emit the same bytes from its columns.  A grid is its
+rows' digests in order, so a delta rebuild re-keys only replaced rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
+import struct
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from operator import attrgetter, methodcaller
 from typing import Any, Callable, Hashable
 
 import numpy as np
@@ -42,7 +56,6 @@ import numpy as np
 __all__ = [
     "CacheStats",
     "TableCache",
-    "canonical",
     "estimate_nbytes",
     "fingerprint",
     "table_key",
@@ -51,158 +64,193 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# the key encoder
 # ---------------------------------------------------------------------------
 
-
-def _canonical_float(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "float:nan"
-    return f"float:{value.hex()}"
-
-
-def _canonical_dataclass(obj: Any) -> tuple:
-    pairs = tuple(
-        (field.name, canonical(getattr(obj, field.name)))
-        for field in dataclasses.fields(obj)
-    )
-    return (type(obj).__name__, pairs)
+_U64 = struct.Struct("<Q").pack
+_I64 = struct.Struct("<q").pack
+_F64 = struct.Struct("<d").pack
+_NAN = bytes.fromhex("000000000000f87f")  # what every NaN payload and sign encodes as
+_KEY_BYTES_ATTR = "_repro_key_bytes"
 
 
-_CANONICAL_ATTR = "_repro_canonical"
+def _f64(value: float) -> bytes:
+    return _F64(value) if value == value else _NAN
 
 
-@lru_cache(maxsize=None)
-def _condition_axis_class() -> type:
-    from .scenarios.conditions import ConditionAxis
-
-    return ConditionAxis
+def _str_bytes(value: str) -> bytes:
+    raw = value.encode("utf-8", "surrogatepass")
+    return _U64(len(raw)) + raw
 
 
-@lru_cache(maxsize=None)
-def _scenario_class() -> type:
-    from .scenarios.conditions import Scenario
+def _encode(obj: Any, out: bytearray) -> None:
+    """Append ``obj``'s tagged encoding to ``out`` (see the module docstring)."""
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is None:
+        encoder = _encoder_for(type(obj), obj)
+    encoder(obj, out)
 
-    return Scenario
+
+def _encode_int(obj: int, out: bytearray) -> None:
+    obj = int(obj)
+    try:
+        out += b"i" + _I64(obj)
+    except struct.error:
+        raw = obj.to_bytes(obj.bit_length() // 8 + 1, "little", signed=True)
+        out += b"I" + _U64(len(raw)) + raw
 
 
-def _canonical_scenario(obj: Any) -> tuple:
-    """Direct canonical form of a :class:`Scenario` -- the grid-fingerprint
-    hot path.
+def _encode_sequence(obj: Any, out: bytearray) -> None:
+    out += b"t" + _U64(len(obj))
+    for item in obj:
+        _encode(item, out)
 
-    Bitwise-identical to :func:`_canonical_dataclass` output (pinned by
-    tests), but assembled without the generic field walk: ``__post_init__``
-    guarantees ``settings`` is a tuple of ``(axis, float)`` pairs and axes
-    carry a memoized canonical form, so a 10**5-scenario fleet fingerprints
-    without 10**6 recursive ``canonical`` dispatches.
+
+def _encode_entries(tag: bytes, entries: Any, out: bytearray) -> None:
+    """Tagged count plus the entries' encodings, sorted bytewise."""
+    encoded = []
+    for entry in entries:
+        buffer = bytearray()
+        for value in entry:
+            _encode(value, buffer)
+        encoded.append(buffer)
+    encoded.sort()
+    out += tag + _U64(len(encoded)) + b"".join(encoded)
+
+
+def _dataclass_encoder(cls: type) -> Callable[[Any, bytearray], None]:
+    """Encoder of one dataclass type; its header and field labels are built once."""
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    head = b"d" + _str_bytes(cls.__name__) + _U64(len(names))
+    labels = tuple((name, b"s" + _str_bytes(name)) for name in names)
+
+    def encode(obj: Any, out: bytearray) -> None:
+        out += head
+        for name, label in labels:
+            out += label
+            _encode(getattr(obj, name), out)
+
+    return encode
+
+
+def _axis_encoder(cls: type) -> Callable[[Any, bytearray], None]:
+    """:func:`_dataclass_encoder` for a condition axis, memoized on the instance.
+
+    A sampled fleet references the *same* handful of frozen axis objects from
+    every one of its (possibly 10**5) scenarios, so each axis is walked once.
     """
-    settings = tuple(
-        (_canonical_condition_axis(axis), _canonical_float(value))
-        for axis, value in obj.settings
-    )
-    return (
-        "Scenario",
-        (
-            ("name", obj.name),
-            ("settings", settings),
-            ("weight", _canonical_float(obj.weight)),
-        ),
-    )
+    encode_fields = _dataclass_encoder(cls)
+
+    def encode(obj: Any, out: bytearray) -> None:
+        cached = getattr(obj, _KEY_BYTES_ATTR, None)
+        if cached is None:
+            buffer = bytearray()
+            encode_fields(obj, buffer)
+            cached = bytes(buffer)
+            try:
+                object.__setattr__(obj, _KEY_BYTES_ATTR, cached)
+            except (AttributeError, TypeError):
+                pass
+        out += cached
+
+    return encode
 
 
-@lru_cache(maxsize=None)
-def _domain_classes() -> tuple:
-    # Late imports memoized once: cache is a leaf module every layer above may
-    # import, but re-running the import machinery on every recursive
-    # ``canonical`` call dominates grid fingerprinting at fleet scale.
+def _encode_scenario(obj: Any, out: bytearray) -> None:
+    settings = obj.settings
+    out += b"X" + _str_bytes(obj.name) + _f64(float(obj.weight)) + _U64(len(settings))
+    for axis, value in settings:
+        cached = getattr(axis, _KEY_BYTES_ATTR, None)
+        if cached is None:
+            _encode(axis, out)
+        else:
+            out += cached
+        out += _f64(value)
+
+
+def _encode_grid(obj: Any, out: bytearray) -> None:
+    # Row digests are fixed-width hex, so their concatenation is injective.
+    parts = _grid_fingerprint_parts(obj)
+    out += b"g" + _U64(len(parts)) + "".join(parts).encode("ascii")
+
+
+def _record(tag: bytes, *fields: Callable[[Any], Any]) -> Callable[[Any, bytearray], None]:
+    """Encoder of a domain type: ``tag``, then the encoding of each ``field(obj)``."""
+
+    def encode(obj: Any, out: bytearray) -> None:
+        out += tag
+        for field in fields:
+            _encode(field(obj), out)
+
+    return encode
+
+
+_ENCODERS: dict = {
+    type(None): lambda obj, out: out.extend(b"N"),
+    bool: lambda obj, out: out.extend(b"T" if obj else b"F"),
+    int: _encode_int,
+    float: lambda obj, out: out.extend(b"f" + _f64(float(obj))),
+    str: lambda obj, out: out.extend(b"s" + _str_bytes(obj)),
+    tuple: _encode_sequence,
+    list: _encode_sequence,
+    dict: lambda obj, out: _encode_entries(b"m", obj.items(), out),
+    frozenset: lambda obj, out: _encode_entries(b"u", ((item,) for item in obj), out),
+}
+_ENCODERS[set] = _ENCODERS[frozenset]
+
+
+def _encoder_for(cls: type, obj: Any) -> Callable[[Any, bytearray], None]:
+    """Resolve (and remember) the encoder of a type not seen before."""
+    # Late imports: cache is a leaf module every layer above may import.
     from .devices.platform import Platform
+    from .scenarios.conditions import ConditionAxis, Scenario
+    from .scenarios.grid import ScenarioGrid
     from .tasks.chain import TaskChain
     from .tasks.graph import TaskGraph
     from .tasks.task import MathTask
 
-    return Platform, TaskChain, TaskGraph, MathTask
-
-
-def _canonical_condition_axis(obj: Any) -> tuple:
-    """Canonical form of a condition axis, memoized on the instance.
-
-    A sampled fleet references the *same* handful of frozen axis objects from
-    every one of its (possibly 10**5) scenarios; re-walking the axis dataclass
-    per scenario dominates grid fingerprinting at fleet scale.  Axes are
-    frozen value types with primitive fields, so the canonical tuple is stable
-    for the instance's lifetime and the memo cannot go stale.
-    """
-    cached = getattr(obj, _CANONICAL_ATTR, None)
-    if cached is None:
-        cached = _canonical_dataclass(obj)
-        object.__setattr__(obj, _CANONICAL_ATTR, cached)
-    return cached
-
-
-def canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to a nested tuple of primitives with a stable ``repr``.
-
-    The result contains only ``str``, ``int``, ``bool``, ``None`` and tuples,
-    so ``repr(canonical(obj))`` is identical across processes.  Domain types
-    get shape-aware treatment; unknown types raise ``TypeError`` rather than
-    silently fingerprinting an identity.
-    """
-    Platform, TaskChain, TaskGraph, MathTask = _domain_classes()
-
-    if obj is None or isinstance(obj, (str, int, bool)):
-        return obj
-    if isinstance(obj, float):
-        return _canonical_float(obj)
-    if isinstance(obj, np.floating):
-        return _canonical_float(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, Platform):
-        # Device insertion order is semantic (it defines the alias order of
-        # every table built from the platform); link-key order is not (links
-        # are looked up by canonical pair), so links are sorted.
-        devices = tuple((alias, canonical(spec)) for alias, spec in obj.devices.items())
-        links = tuple(
-            sorted((pair, canonical(spec)) for pair, spec in obj.links.items())
+    if cls is Scenario:
+        encoder = _encode_scenario
+    elif cls is ScenarioGrid:
+        encoder = _encode_grid
+    elif dataclasses.is_dataclass(cls) and not issubclass(cls, Platform):
+        encoder = (_axis_encoder if issubclass(cls, ConditionAxis) else _dataclass_encoder)(cls)
+    else:
+        name = attrgetter("name")
+        rules = (
+            (str, _ENCODERS[str]),
+            ((int, np.integer), _encode_int),
+            ((float, np.floating), _ENCODERS[float]),
+            # Device insertion order is semantic (it defines the alias order
+            # of every table built from the platform), link-key order is not.
+            (Platform, _record(b"P", name, attrgetter("host"), lambda p: tuple(p.devices.items()),
+                               attrgetter("links"), attrgetter("faults"))),
+            (TaskChain, _record(b"C", name, attrgetter("tasks"))),
+            (TaskGraph, _record(b"G", name, attrgetter("tasks"), attrgetter("edges"))),
+            (MathTask, _record(b"K", lambda t: type(t).__name__, name, methodcaller("cost"))),
+            (Mapping, _ENCODERS[dict]),
+            ((set, frozenset), _ENCODERS[frozenset]),
+            ((tuple, list), _encode_sequence),
         )
-        return ("Platform", obj.name, obj.host, devices, links, canonical(obj.faults))
-    if isinstance(obj, TaskChain):
-        tasks = tuple(canonical(task) for task in obj.tasks)
-        return ("TaskChain", obj.name, tasks)
-    if isinstance(obj, TaskGraph):
-        # Tasks are already in the canonical topological order -- a pure
-        # function of (names, edges) -- so node insertion order cannot leak.
-        tasks = tuple(canonical(task) for task in obj.tasks)
-        return ("TaskGraph", obj.name, tasks, tuple(obj.edges))
-    if isinstance(obj, MathTask):
-        return ("MathTask", type(obj).__name__, obj.name, canonical(obj.cost()))
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, _condition_axis_class()):
-            return _canonical_condition_axis(obj)
-        if type(obj) is _scenario_class():
-            return _canonical_scenario(obj)
-        return _canonical_dataclass(obj)
-    if isinstance(obj, Mapping):
-        return ("mapping", tuple(sorted((canonical(k), canonical(v)) for k, v in obj.items())))
-    if isinstance(obj, (frozenset, set)):
-        return ("set", tuple(sorted(canonical(item) for item in obj)))
-    if isinstance(obj, (tuple, list)):
-        return tuple(canonical(item) for item in obj)
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for fingerprinting: {obj!r}")
+        encoder = next((rule for types, rule in rules if issubclass(cls, types)), None)
+        if encoder is None:
+            raise TypeError(f"cannot fingerprint {cls.__name__}: {obj!r}")
+    _ENCODERS[cls] = encoder
+    return encoder
 
 
 def fingerprint(obj: Any) -> str:
-    """Stable SHA-256 hex digest of ``obj``'s canonical content."""
-    payload = repr(canonical(obj)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    """Stable SHA-256 hex digest of ``obj``'s encoded content."""
+    out = bytearray()
+    _encode(obj, out)
+    return hashlib.sha256(out).hexdigest()
 
 
 _FINGERPRINT_ATTR = "_repro_content_fingerprint"
 
-#: ``fingerprint(None)``, precomputed -- every table key digests three
-#: ``None`` parts (faults/retry/timeout) on the delta-rebuild hot path.
-_NONE_FINGERPRINT: str | None = None
+#: ``fingerprint(None)``: every table key digests three ``None`` parts
+#: (faults/retry/timeout) on the delta-rebuild hot path.
+_NONE_FINGERPRINT = fingerprint(None)
 
 
 def cached_fingerprint(obj: Any) -> str:
@@ -213,9 +261,6 @@ def cached_fingerprint(obj: Any) -> str:
     dataclasses); objects refusing attributes fall back to recomputing.
     """
     if obj is None:
-        global _NONE_FINGERPRINT
-        if _NONE_FINGERPRINT is None:
-            _NONE_FINGERPRINT = fingerprint(None)
         return _NONE_FINGERPRINT
     cached = getattr(obj, _FINGERPRINT_ATTR, None)
     if cached is not None:
@@ -228,17 +273,16 @@ def cached_fingerprint(obj: Any) -> str:
     return digest
 
 
-_GRID_FINGERPRINT_ATTR = "_repro_grid_fingerprint"
 _GRID_FINGERPRINT_PARTS_ATTR = "_repro_grid_fingerprint_parts"
 
 
-# Late imports memoized once: cache is a leaf module, but its hot keying paths
-# should not re-run the import machinery on every call.
 @lru_cache(maxsize=None)
-def _scenario_grid_class() -> type:
+def _scenario_classes() -> tuple:
+    """``(Scenario, ScenarioGrid)``, imported once off the hot paths."""
+    from .scenarios.conditions import Scenario
     from .scenarios.grid import ScenarioGrid
 
-    return ScenarioGrid
+    return Scenario, ScenarioGrid
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +293,11 @@ def _platform_class() -> type:
 
 
 def _grid_fingerprint_parts(scenarios: Any) -> tuple:
-    """Ordered per-scenario digests of a grid, memoized on the grid."""
+    """Ordered per-scenario digests of a grid, memoized on the grid.
+
+    Keying a grid by its rows' digests lets a delta rebuild that swaps a few
+    scenarios re-hash only those rows (:func:`seed_updated_grid_fingerprint`).
+    """
     cached = getattr(scenarios, _GRID_FINGERPRINT_PARTS_ATTR, None)
     if cached is not None:
         return cached
@@ -261,44 +309,13 @@ def _grid_fingerprint_parts(scenarios: Any) -> tuple:
     return parts
 
 
-def _grid_digest(parts: tuple) -> str:
-    # Parts are fixed-width hex digests, so a NUL join is injective and much
-    # cheaper than repr-ing a tuple of s strings.
-    payload = "\x00".join(("ScenarioGrid",) + parts).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _scenarios_fingerprint(scenarios: Any) -> str:
-    """Fingerprint of a table key's ``scenarios`` part.
-
-    A :class:`~repro.scenarios.grid.ScenarioGrid` is digested as the ordered
-    combination of its scenarios' :func:`cached_fingerprint` values (memoized
-    on the grid), so re-keying a grid that swaps one scenario -- the delta
-    rebuild hot path -- re-hashes ``s`` digests instead of re-canonicalizing
-    every axis of every scenario.
-    """
-    if scenarios is None:
-        return cached_fingerprint(None)
-    if not isinstance(scenarios, _scenario_grid_class()):
-        return cached_fingerprint(scenarios)
-    cached = getattr(scenarios, _GRID_FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    digest = _grid_digest(_grid_fingerprint_parts(scenarios))
-    try:
-        object.__setattr__(scenarios, _GRID_FINGERPRINT_ATTR, digest)
-    except (AttributeError, TypeError):
-        pass
-    return digest
-
-
 def seed_updated_grid_fingerprint(base: Any, updated: Any, changed: "Any") -> None:
     """Pre-seed ``updated``'s grid fingerprint from ``base``'s memoized parts.
 
     Delta rebuilds construct a fresh grid differing from ``base`` in a handful
     of rows; re-digesting only those rows (``changed`` is their index set)
     keeps re-keying O(changes) instead of O(scenarios).  The seeded digest is
-    exactly what :func:`_scenarios_fingerprint` would compute from scratch.
+    exactly what :func:`cached_fingerprint` would compute from scratch.
     """
     parts = list(_grid_fingerprint_parts(base))
     for i in changed:
@@ -306,7 +323,7 @@ def seed_updated_grid_fingerprint(base: Any, updated: Any, changed: "Any") -> No
     parts = tuple(parts)
     try:
         object.__setattr__(updated, _GRID_FINGERPRINT_PARTS_ATTR, parts)
-        object.__setattr__(updated, _GRID_FINGERPRINT_ATTR, _grid_digest(parts))
+        object.__setattr__(updated, _FINGERPRINT_ATTR, fingerprint(updated))
     except (AttributeError, TypeError):
         pass
 
@@ -352,23 +369,25 @@ def table_key_from_fingerprint(
 
     Delta rebuilds carry the workload's fingerprint in their build context
     rather than the workload object itself; this entry point lets them re-key
-    updated tables under the same scheme as :func:`table_key`.
+    updated tables under the same scheme as :func:`table_key`.  One platform
+    keys as its digest (a str), a platform sequence as a tuple of digests.
     """
     if platform is None or isinstance(platform, _platform_class()):
-        platform_part = ("platform", cached_fingerprint(platform))
+        platform_part = cached_fingerprint(platform)
     else:
-        platform_part = ("platforms", tuple(cached_fingerprint(p) for p in platform))
-    parts = (
-        "table",
-        workload_fingerprint,
-        platform_part,
-        ("devices", canonical(tuple(devices) if devices is not None else None)),
-        ("scenarios", _scenarios_fingerprint(scenarios)),
-        ("faults", cached_fingerprint(faults)),
-        ("retry", cached_fingerprint(retry)),
-        ("timeout", cached_fingerprint(timeout)),
+        platform_part = tuple(cached_fingerprint(p) for p in platform)
+    return fingerprint(
+        (
+            "table",
+            workload_fingerprint,
+            platform_part,
+            tuple(devices) if devices is not None else None,
+            cached_fingerprint(scenarios),
+            cached_fingerprint(faults),
+            cached_fingerprint(retry),
+            cached_fingerprint(timeout),
+        )
     )
-    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +411,7 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 64
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, (_scenario_class(), _scenario_grid_class())):
+        if isinstance(obj, _scenario_classes()):
             return 64
         return 64 + sum(
             estimate_nbytes(getattr(obj, field.name), _depth + 1)

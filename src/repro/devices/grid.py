@@ -59,15 +59,16 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..cache import (
+    _scenario_classes,
     cached_fingerprint,
-    canonical,
     estimate_nbytes,
+    fingerprint,
     seed_updated_grid_fingerprint,
     table_key_from_fingerprint,
 )
@@ -219,13 +220,15 @@ class GridBuildContext:
     task_costs: tuple
 
     @cached_property
-    def _slice_key_prefix(self) -> tuple:
-        """The scenario-independent part of every slice cache key."""
-        return (
-            "grid-slice",
-            self.workload_fingerprint,
-            cached_fingerprint(self.platform),
-            repr(canonical(self.devices)),
+    def _slice_key_prefix(self) -> str:
+        """Digest of the scenario-independent part of every slice cache key."""
+        return fingerprint(
+            (
+                "grid-slice",
+                self.workload_fingerprint,
+                cached_fingerprint(self.platform),
+                self.devices,
+            )
         )
 
 
@@ -464,18 +467,9 @@ class GridCostTables:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _scenario_classes() -> tuple:
-    """``(Scenario, ScenarioGrid)``, imported once off the delta hot path."""
-    from ..scenarios.conditions import Scenario
-    from ..scenarios.grid import ScenarioGrid
-
-    return Scenario, ScenarioGrid
-
-
 def _slice_key(context: GridBuildContext, scenario: "Scenario") -> tuple:
     """Content-addressed cache key of one scenario's condition slice."""
-    return context._slice_key_prefix + (cached_fingerprint(scenario),)
+    return (context._slice_key_prefix, cached_fingerprint(scenario))
 
 
 def _missing_link_topology(

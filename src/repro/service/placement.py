@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..cache import CacheStats, TableCache, cached_fingerprint
+from ..cache import CacheStats, TableCache, cached_fingerprint, fingerprint
 from ..devices.platform import Platform
 from ..devices.simulator import SimulatedExecutor
 from ..devices.tables import check_fault_args
@@ -305,26 +305,24 @@ class PlacementService:
 
     def _request_key(self, request: PlacementRequest, platform: Platform) -> str | None:
         """Content fingerprint of a whole request (``None`` if unkeyable)."""
-        from ..cache import canonical, fingerprint
-
-        objective = request.objective
         try:
-            parts = (
-                "placement-request",
-                cached_fingerprint(request.workload),
-                cached_fingerprint(platform),
-                cached_fingerprint(request.scenario_grid),
-                canonical(objective) if not isinstance(objective, str) else objective,
-                canonical(request.constraints),
-                canonical(request.devices),
-                cached_fingerprint(request.faults),
-                cached_fingerprint(request.retry),
-                cached_fingerprint(request.timeout),
-                request.method,
+            return fingerprint(
+                (
+                    "placement-request",
+                    cached_fingerprint(request.workload),
+                    cached_fingerprint(platform),
+                    cached_fingerprint(request.scenario_grid),
+                    request.objective,
+                    request.constraints,
+                    request.devices,
+                    cached_fingerprint(request.faults),
+                    cached_fingerprint(request.retry),
+                    cached_fingerprint(request.timeout),
+                    request.method,
+                )
             )
         except TypeError:
             return None  # e.g. a bare-callable objective: serve fresh each time
-        return fingerprint(parts)
 
     def submit(self, request: PlacementRequest) -> PlacementResponse:
         """Answer one placement query (see the module docstring for routing)."""

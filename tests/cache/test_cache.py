@@ -26,7 +26,6 @@ from repro.cache import (
     CacheStats,
     TableCache,
     cached_fingerprint,
-    canonical,
     estimate_nbytes,
     fingerprint,
     table_key,
@@ -45,30 +44,34 @@ from repro.scenarios import (
 from repro.tasks import GemmLoopTask, RegularizedLeastSquaresTask, TaskChain, TaskGraph
 
 
-class TestCanonical:
-    def test_primitives_pass_through(self):
-        assert canonical(None) is None
-        assert canonical(3) == 3
-        assert canonical(True) is True
-        assert canonical("x") == "x"
+class TestScalarEncoding:
+    def test_primitives_fingerprint_by_type_and_value(self):
+        assert fingerprint(None) != fingerprint("None")
+        assert fingerprint(3) == fingerprint(3)
+        assert fingerprint(3) != fingerprint(4)
+        assert fingerprint(True) != fingerprint(1)
+        assert fingerprint("x") == fingerprint("x")
+        assert fingerprint("x") != fingerprint(("x",))
 
     def test_floats_are_bitwise_exact(self):
-        assert canonical(0.1) == f"float:{(0.1).hex()}"
-        assert canonical(float("nan")) == "float:nan"
-        assert canonical(float("inf")) == f"float:{float('inf').hex()}"
-        # 0.1 + 0.2 != 0.3 bitwise: the canonical forms must differ too.
-        assert canonical(0.1 + 0.2) != canonical(0.3)
+        assert fingerprint(0.1) == fingerprint(float.fromhex((0.1).hex()))
+        assert fingerprint(float("nan")) == fingerprint(-float("nan"))
+        assert fingerprint(float("inf")) != fingerprint(float("-inf"))
+        assert fingerprint(-0.0) != fingerprint(0.0)
+        assert fingerprint(1.0) != fingerprint(1)
+        # 0.1 + 0.2 != 0.3 bitwise: the fingerprints must differ too.
+        assert fingerprint(0.1 + 0.2) != fingerprint(0.3)
 
     def test_numpy_scalars_match_python_scalars(self):
-        assert canonical(np.float64(0.25)) == canonical(0.25)
-        assert canonical(np.int64(7)) == canonical(7)
+        assert fingerprint(np.float64(0.25)) == fingerprint(0.25)
+        assert fingerprint(np.int64(7)) == fingerprint(7)
 
     def test_mapping_order_is_not_semantic(self):
-        assert canonical({"a": 1, "b": 2}) == canonical({"b": 2, "a": 1})
+        assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
     def test_unknown_types_raise(self):
-        with pytest.raises(TypeError, match="cannot canonicalize"):
-            canonical(object())
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            fingerprint(object())
 
 
 class TestFingerprintEquality:
