@@ -22,11 +22,16 @@ Also pinned:
   same weight, so the reduction picks one order statistic per placement with
   a partition instead of sorting; ``reduce_vs_manual`` pins it at 5x the
   per-column stable sort.
-* ``slice_cache_overhead`` -- the wall time of a fused build that seeds a
-  fresh 256-entry ``TableCache`` with its condition slices (the executor's
+* ``slice_cache_overhead`` -- the wall time of a fused build that registers
+  itself as the row source of a fresh default ``TableCache`` (the executor's
   path) over the same build without one, both on a never-fingerprinted copy
-  of the fleet grid.  A fleet larger than the cache keeps only its last
-  slices, so seeding must cost little next to the build; the ceiling is
+  of the fleet grid.  Registering maps each scenario digest to its row, so it
+  must cost little next to the build; the ceiling is 1.5x.
+* ``drift_reuse`` -- the executor path of a drifted fleet:
+  ``grid_cost_tables`` on the drifted grid right after the parent fleet's
+  build, which gathers every unchanged user's row from the parent's tables
+  (the row source), over a cold ``build_tables`` of the same grid.  Asserted
+  bitwise against the cold build before any timing counts; the floor is
   1.5x.
 
 Also recorded, without a bound: ``fresh_split`` -- the untraced wall times of
@@ -37,7 +42,8 @@ from the copy; together they split what a newly sampled fleet pays for its
 cache key from what it pays for cost math.
 
 Set ``BENCH_FLEET_SMALL=1`` (the CI smoke job does) for a reduced fleet with
-relaxed floors (the overhead ceiling is the same).  Results land in
+relaxed floors (the overhead ceiling and the drift-reuse floor are the
+same).  Results land in
 ``BENCH_fleet.json`` / ``BENCH_fleet_small.json``.
 """
 
@@ -50,7 +56,7 @@ import time
 import numpy as np
 
 from repro.cache import TableCache, table_key
-from repro.devices import edge_cluster_platform
+from repro.devices import SimulatedExecutor, edge_cluster_platform
 from repro.devices.grid import execute_placements_grid
 from repro.devices.tables import build_tables
 from repro.fleet import FleetSpec, NormalAxis, UniformAxis, UserSegment, sample_fleet
@@ -79,6 +85,7 @@ else:
     DELTA_FLOOR = 2.0
 
 SLICE_CACHE_OVERHEAD_CEILING = 1.5
+DRIFT_REUSE_FLOOR = 1.5
 REDUCE_FLOOR = 5.0
 SEED = 0
 N_TASKS = 2  # 4**2 = 16 placements on the 4-device edge cluster
@@ -156,7 +163,7 @@ def _fresh_copy(grid: ScenarioGrid) -> ScenarioGrid:
 
 def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tuple[float, float]:
     """Minimum wall times of fused builds of fresh copies of ``grid``: without
-    a slice cache, and seeding a fresh default ``TableCache``.
+    a cache, and registering as the row source of a fresh default ``TableCache``.
 
     The copies' scenarios are new objects, so every build pays the scenario
     fingerprints a newly sampled fleet pays.  The two kinds alternate, so
@@ -177,6 +184,37 @@ def _best_fresh_builds(chain, platform, grid: ScenarioGrid, repeats: int) -> tup
                 gc.enable()
             del copy, cache
     return best[False], best[True]
+
+
+def _best_drift_builds(
+    chain, platform, parent: ScenarioGrid, drifted: ScenarioGrid, repeats: int
+) -> tuple[float, float]:
+    """Minimum wall times of the drifted grid's tables: from an executor
+    whose cache holds the parent grid's build, and from a cold build.
+
+    Each round starts a new executor and builds the parent untimed, so every
+    timed executor call reads the parent as its row source.  The two kinds
+    alternate which runs first, so drift in the host's speed hits both alike.
+    """
+    best = {"reuse": float("inf"), "cold": float("inf")}
+    for round_ in range(repeats):
+        executor = SimulatedExecutor(platform)
+        executor.grid_cost_tables(chain, parent)
+        runs = {
+            "reuse": lambda: executor.grid_cost_tables(chain, drifted),
+            "cold": lambda: build_tables(chain, platform, scenarios=drifted),
+        }
+        for kind in ("reuse", "cold") if round_ % 2 == 0 else ("cold", "reuse"):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                runs[kind]()
+                best[kind] = min(best[kind], time.perf_counter() - start)
+            finally:
+                gc.enable()
+        del executor, runs
+    return best["reuse"], best["cold"]
 
 
 def _fresh_split(chain, platform, grid: ScenarioGrid, matrix: np.ndarray, repeats: int) -> dict:
@@ -286,6 +324,20 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
     )
     delta_speedup = full_rebuild_s / delta_s
 
+    # Drift through the executor: the drifted grid's build reads the parent's rows.
+    executor = SimulatedExecutor(platform)
+    executor.grid_cost_tables(chain, fleet.grid)
+    reused = executor.grid_cost_tables(chain, drifted.grid)
+    cold = build_tables(chain, platform, scenarios=drifted.grid)
+    for field in SLICE_FIELDS:
+        assert getattr(reused, field).tobytes() == getattr(cold, field).tobytes()
+    assert reused.fingerprint == cold.fingerprint
+    stats = reused.cache_stats()
+    assert (stats.served, stats.built) == (N_USERS - len(replacements), len(replacements))
+    del executor, reused, cold
+    drift_reuse_s, drift_cold_s = _best_drift_builds(chain, platform, fleet.grid, drifted.grid, 3)
+    drift_reuse = drift_cold_s / drift_reuse_s
+
     unseeded_s, seeded_s = _best_fresh_builds(chain, platform, fleet.grid, 3)
     slice_cache_overhead = seeded_s / unseeded_s
     fresh_split = _fresh_split(chain, platform, fleet.grid, matrix, 3)
@@ -303,7 +355,9 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
         f"\n  fleet p95 optimum:   placement #{pick}"
         f"\n  drift ({len(replacements)} users): delta {delta_s:.2f} s vs "
         f"full {full_rebuild_s:.2f} s  ({delta_speedup:.1f}x, floor {DELTA_FLOOR}x)"
-        f"\n  slice-cache seeding: {seeded_s:.3f} s vs unseeded {unseeded_s:.3f} s  "
+        f"\n  drift via executor:  {drift_reuse_s:.3f} s vs cold build {drift_cold_s:.3f} s  "
+        f"({drift_reuse:.1f}x, floor {DRIFT_REUSE_FLOOR}x)"
+        f"\n  row-source register: {seeded_s:.3f} s vs unseeded {unseeded_s:.3f} s  "
         f"({slice_cache_overhead:.2f}x, ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
         f"\n  fresh grid split:    key {fresh_split['key']:.3f} s, "
         f"build {fresh_split['build']:.3f} s, execute {fresh_split['execute']:.3f} s"
@@ -335,6 +389,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "full_rebuild": full_rebuild_s,
                 "unseeded_build": unseeded_s,
                 "seeded_build": seeded_s,
+                "drift_reuse_build": drift_reuse_s,
+                "drift_cold_build": drift_cold_s,
             },
             "fresh_split": fresh_split,
             "throughputs": {
@@ -343,11 +399,13 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
             "speedups": {
                 "delta_rebuild": delta_speedup,
                 "reduce_vs_manual": reduce_speedup,
+                "drift_reuse": drift_reuse,
             },
             "floors": {
                 "fleet_pairs_per_s": PAIRS_PER_S_FLOOR,
                 "delta_rebuild": DELTA_FLOOR,
                 "reduce_vs_manual": REDUCE_FLOOR,
+                "drift_reuse": DRIFT_REUSE_FLOOR,
             },
             "overheads": {
                 "slice_cache_overhead": slice_cache_overhead,
@@ -369,9 +427,14 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
         f"equal-weight p95 reduce regressed: {reduce_speedup:.1f}x < {REDUCE_FLOOR}x "
         f"vs the per-column stable sort"
     )
+    assert drift_reuse >= DRIFT_REUSE_FLOOR, (
+        f"drift row reuse regressed: the executor builds a drifted grid only "
+        f"{drift_reuse:.1f}x faster than a cold build (floor {DRIFT_REUSE_FLOOR}x)"
+    )
     assert slice_cache_overhead <= SLICE_CACHE_OVERHEAD_CEILING, (
-        f"slice-cache seeding regressed: a seeded fused build takes "
-        f"{slice_cache_overhead:.2f}x an unseeded one (ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
+        f"row-source registration regressed: a registering fused build takes "
+        f"{slice_cache_overhead:.2f}x an unregistered one "
+        f"(ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
     )
 
     bench_once(benchmark, bound.reduce, times)

@@ -494,38 +494,6 @@ class TableCache:
         self._nbytes += size
         self._evict()
 
-    def put_many(self, keys: Sequence[Hashable], make: Callable[[int], Any], nbytes: int) -> None:
-        """Insert ``make(j)`` of size ``nbytes`` under ``keys[j]`` for every ``j``.
-
-        Leaves the cache exactly as ``put(keys[j], make(j), nbytes)`` in
-        order would: the same entries in the same LRU order and the same
-        counters.  When a batch of new, distinct keys overflows the cache by
-        itself, the prefix its own later insertions would evict is counted as
-        evicted without being stored, so ``make(j)`` runs only for stored
-        items.
-        """
-        keys = list(keys)
-        nbytes = int(nbytes)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        # The newest items that fit together (at least one) survive.  If they
-        # leave a prefix out, that prefix and every entry resident before the
-        # batch are evicted by the time it ends -- unless a key repeats or is
-        # already resident: re-putting a key moves its entry and can free
-        # room, so such batches replay item by item.
-        fit = min(self.max_entries, self.max_bytes // nbytes if nbytes else len(keys))
-        start = max(len(keys) - max(fit, 1), 0)
-        if start:
-            distinct = set(keys)
-            if len(distinct) == len(keys) and distinct.isdisjoint(self._entries):
-                self._evictions += len(self._entries) + start
-                self._entries.clear()
-                self._nbytes = 0
-            else:
-                start = 0
-        for j in range(start, len(keys)):
-            self.put(keys[j], make(j), nbytes)
-
     def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Return the cached value, building and inserting it on a miss."""
         entry = self._entries.get(key)

@@ -44,10 +44,11 @@ differential tests hold the hooks to, bit for bit.
 
 Scenario builds carry a :class:`GridBuildContext`, which enables **delta
 rebuilds**: :meth:`GridCostTables.updated` / :meth:`~GridCostTables.updated_many`
-recompute only the replaced scenarios' condition slices and reuse every other
-row.  With a :class:`~repro.cache.TableCache`, full builds and delta rebuilds
-alike serve unchanged slices as content-fingerprint hits (see
-:meth:`GridCostTables.cache_stats`).
+recompute only the replaced scenarios' condition rows and reuse every other
+row.  With a :class:`~repro.cache.TableCache`, the latest scenario build of
+each workload, platform and device set is that prefix's **row source**: the
+next build gathers every row whose scenario the source holds (by content
+fingerprint) and computes only the rest (see :meth:`GridCostTables.cache_stats`).
 
 Scenario-independent quantities (byte counts, FLOPs) are stored once without
 the condition axis -- conditions change speeds, powers and prices, never how
@@ -57,14 +58,17 @@ many bytes a placement moves.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
 from ..cache import (
+    _grid_fingerprint_parts,
     _scenario_classes,
     cached_fingerprint,
     estimate_nbytes,
@@ -93,7 +97,6 @@ if TYPE_CHECKING:
 __all__ = [
     "GridBuildContext",
     "GridCostTables",
-    "GridSlice",
     "GridSliceStats",
     "GridExecutionResult",
     "ScenarioPlatforms",
@@ -155,11 +158,11 @@ class ScenarioPlatforms(SequenceABC):
 
 @dataclass(frozen=True)
 class GridSliceStats:
-    """How one grid build (or delta rebuild) sourced its scenario slices."""
+    """How one grid build (or delta rebuild) sourced its scenario rows."""
 
-    #: Scenario slices served from the table cache by content fingerprint.
+    #: Scenario rows gathered from the prefix's row source by content fingerprint.
     served: int = 0
-    #: Scenario slices computed fresh.
+    #: Scenario rows computed fresh.
     built: int = 0
 
     @property
@@ -186,24 +189,6 @@ _SLICE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class GridSlice:
-    """One scenario's row of every per-scenario grid table (cache unit)."""
-
-    busy: np.ndarray  # (k, m)
-    hostio_time: np.ndarray  # (k, m)
-    energy_in: np.ndarray  # (k, m)
-    energy_out: np.ndarray  # (k, m)
-    penalty_time: np.ndarray  # (m, m)
-    penalty_energy: np.ndarray  # (m, m)
-    first_penalty_time: np.ndarray  # (m,)
-    first_penalty_energy: np.ndarray  # (m,)
-    power_active: np.ndarray  # (m,)
-    power_idle: np.ndarray  # (m,)
-    cost_per_hour: np.ndarray  # (m,)
-    extra_idle_power: np.ndarray  # (n_extra,)
-
-
-@dataclass(frozen=True)
 class GridBuildContext:
     """The base platform and scenario grid a grid build was derived from.
 
@@ -221,15 +206,8 @@ class GridBuildContext:
 
     @cached_property
     def _slice_key_prefix(self) -> str:
-        """Digest of the scenario-independent part of every slice cache key."""
-        return fingerprint(
-            (
-                "grid-slice",
-                self.workload_fingerprint,
-                cached_fingerprint(self.platform),
-                self.devices,
-            )
-        )
+        """Cache key of this build prefix's row source (workload, platform, devices)."""
+        return _row_source_key(self.workload_fingerprint, self.platform, self.devices)
 
 
 @dataclass(frozen=True)
@@ -295,7 +273,7 @@ class GridCostTables:
     #: Build provenance enabling delta rebuilds; ``None`` for tables built
     #: from pre-derived platforms.
     build_context: "GridBuildContext | None" = None
-    #: How this build sourced its scenario slices (cache-served vs computed);
+    #: How this build sourced its scenario rows (gathered vs computed);
     #: ``None`` for hand-built tables.
     slice_stats: "GridSliceStats | None" = None
     #: One-row tables of a single platform (``build_tables`` on one platform,
@@ -353,8 +331,8 @@ class GridCostTables:
         return j
 
     def cache_stats(self) -> GridSliceStats:
-        """Slice provenance of this build: how many of its scenario slices
-        came out of the table cache vs were computed fresh."""
+        """Row provenance of this build: how many of its scenario rows were
+        gathered from the prefix's row source vs computed fresh."""
         if self.slice_stats is not None:
             return self.slice_stats
         return GridSliceStats(served=0, built=self.n_scenarios)
@@ -380,10 +358,10 @@ class GridCostTables:
     ) -> "GridCostTables":
         """Delta rebuild: these tables with one scenario replaced.
 
-        Only the replaced scenario's condition slice is recomputed (or served
-        from ``slice_cache`` by content fingerprint); every other row is
-        reused as-is, which the differential tests pin bitwise against a full
-        rebuild.  Negative indices count from the end.
+        Only the replaced scenario's condition row is recomputed (or gathered
+        from the row source in ``slice_cache`` when it holds that scenario);
+        every other row is reused as-is, which the differential tests pin
+        bitwise against a full rebuild.  Negative indices count from the end.
         """
         return self.updated_many({scenario_index: scenario}, slice_cache=slice_cache)
 
@@ -397,6 +375,10 @@ class GridCostTables:
 
         Each scenario index may appear once (negative indices count from the
         end); a repeated index raises, whether given as a mapping or as pairs.
+        With ``slice_cache``, replacements the prefix's row source holds are
+        gathered from it, and the result becomes the row source only when
+        the prefix has none: an existing source still holds the rows this
+        rebuild replaced, so reverting them stays a gather.
         """
         context = self.build_context
         if context is None:
@@ -424,10 +406,13 @@ class GridCostTables:
         new_grid = ScenarioGrid(tuple(entries))  # re-validates name uniqueness
 
         order = sorted(normalized)
+        replaced = [normalized[i] for i in order]
+        source = None if slice_cache is None else slice_cache.get(context._slice_key_prefix)
         changes, stats = _condition_rows(
             context,
-            [normalized[i] for i in order],
-            slice_cache,
+            replaced,
+            [cached_fingerprint(scenario) for scenario in replaced],
+            source,
             out={name: getattr(self, name).copy() for name in _SLICE_FIELDS},
             at=order,
         )
@@ -445,7 +430,7 @@ class GridCostTables:
                 devices=context.devices,
                 scenarios=new_grid,
             )
-        return replace(
+        updated = replace(
             self,
             platforms=ScenarioPlatforms(context.platform, new_grid),
             build_context=new_context,
@@ -453,6 +438,9 @@ class GridCostTables:
             slice_stats=stats,
             **changes,
         )
+        if slice_cache is not None and source is None:
+            _register_row_source(slice_cache, updated)
+        return updated
 
     def execute(self, placements: np.ndarray) -> "GridExecutionResult | BatchExecutionResult":
         """Evaluate a placement batch under every condition (protocol entry);
@@ -467,9 +455,30 @@ class GridCostTables:
 # ---------------------------------------------------------------------------
 
 
-def _slice_key(context: GridBuildContext, scenario: "Scenario") -> tuple:
-    """Content-addressed cache key of one scenario's condition slice."""
-    return (context._slice_key_prefix, cached_fingerprint(scenario))
+class _RowSource(NamedTuple):
+    """The latest scenario build of one prefix, as cached: its tables and
+    the row of each of its scenarios, by content fingerprint."""
+
+    tables: GridCostTables
+    rows: dict[str, int]
+
+
+def _row_source_key(workload_fingerprint: str, platform: Platform, devices) -> str:
+    """Cache key of the row source of one build prefix: rows are shared only
+    between builds of the same workload, platform and candidate devices."""
+    devices = tuple(devices) if devices is not None else None
+    return fingerprint(("grid-rows", workload_fingerprint, cached_fingerprint(platform), devices))
+
+
+def _register_row_source(cache: "TableCache", tables: GridCostTables) -> None:
+    """Make scenario-built ``tables`` the row source of their prefix in
+    ``cache``, replacing the previous one: only the latest build of each
+    prefix is a row source, so a stream of drifted grids holds one table."""
+    context = tables.build_context
+    digests = _grid_fingerprint_parts(context.scenarios)
+    rows = dict(zip(digests, range(len(digests))))
+    nbytes = estimate_nbytes(tables) + sys.getsizeof(rows)
+    cache.put(context._slice_key_prefix, _RowSource(tables, rows), nbytes)
 
 
 def _missing_link_topology(
@@ -763,13 +772,13 @@ def _fused_grid_tables(
     scenarios: "ScenarioGrid",
     devices: Sequence[str] | None = None,
     slice_cache: "TableCache | None" = None,
+    key: str = "",
 ) -> GridCostTables:
     """The scenario grid builder (base platform + scenario grid).
 
     Per-scenario platforms are derived lazily (:class:`ScenarioPlatforms`),
     the tables carry a :class:`GridBuildContext` for delta rebuilds, and with
-    a ``slice_cache`` previously built scenario slices are served by content
-    fingerprint instead of recomputed (see :meth:`GridCostTables.cache_stats`).
+    a ``slice_cache`` they read rows from and then become the row source.
     """
     aliases = resolve_aliases(platform, devices)
     context = GridBuildContext(
@@ -779,8 +788,10 @@ def _fused_grid_tables(
         workload_fingerprint=cached_fingerprint(workload),
         task_costs=tuple(workload.costs()),
     )
-    values, stats = _condition_rows(context, scenarios.scenarios, slice_cache)
-    return _assemble_grid_tables(
+    source = None if slice_cache is None else slice_cache.get(context._slice_key_prefix)
+    digests = _grid_fingerprint_parts(scenarios) if source is not None else ()
+    values, stats = _condition_rows(context, scenarios.scenarios, digests, source)
+    tables = _assemble_grid_tables(
         workload,
         platform,
         ScenarioPlatforms(platform, scenarios),
@@ -790,75 +801,61 @@ def _fused_grid_tables(
         _missing_link_topology(platform, aliases, platform.host)[0],
         stats,
         context,
+        key,
     )
+    if slice_cache is not None:
+        _register_row_source(slice_cache, tables)
+    return tables
 
 
 def _condition_rows(
     context: GridBuildContext,
     entries: "Sequence[Scenario]",
-    slice_cache: "TableCache | None",
+    digests: Sequence[str],
+    source: "_RowSource | None",
     out: "dict[str, np.ndarray] | None" = None,
     at: "Sequence[int] | None" = None,
 ) -> "tuple[dict[str, np.ndarray], GridSliceStats]":
     """The condition rows of some scenarios of a build context, and their provenance.
 
-    Slices already in ``slice_cache`` are served by content fingerprint; the
-    rest are computed in one pass (:func:`_condition_params`) and seeded into
-    the cache.  The formula core is elementwise per scenario row, so the rows
-    match a full build bitwise however they were sourced.  Row ``j`` lands in
+    Rows of scenarios whose content fingerprint (``digests``, one per entry)
+    the row ``source`` holds are gathered from its tables, one ``take`` per
+    array; the rest are computed in one pass (:func:`_condition_params`).
+    The formula core is elementwise per scenario row, so the rows match a
+    full build bitwise however they were sourced.  Row ``j`` lands in
     ``out[name][at[j]]`` when ``out`` is given (a delta rebuild's copies);
     otherwise fresh ``(len(entries), ...)`` arrays are returned.
     """
-    keys: list[tuple] = []
-    served: dict[int, GridSlice] = {}
-    if slice_cache is not None:
-        keys = [_slice_key(context, scenario) for scenario in entries]
-        for i, key in enumerate(keys):
-            hit = slice_cache.get(key)
-            if hit is not None:
-                served[i] = hit
-    need = [i for i in range(len(entries)) if i not in served]
-    stats = GridSliceStats(served=len(served), built=len(need))
+    n = len(entries)
+    need: "Sequence[int] | np.ndarray" = range(n)
+    if source is not None:
+        # -1 marks a scenario the source does not hold: computed below, while
+        # its gather reads row 0 as a placeholder that is overwritten.
+        take = np.fromiter(map(source.rows.get, digests, repeat(-1, n)), dtype=np.intp, count=n)
+        need = np.flatnonzero(take < 0)
+        take[need] = 0
+    stats = GridSliceStats(served=n - len(need), built=len(need))
 
     built: dict[str, np.ndarray] = {}
-    if need:
+    if len(need):
         platform = context.platform
-        params = _condition_params(platform, [entries[i] for i in need])
+        todo = entries if stats.served == 0 else [entries[j] for j in need]
+        params = _condition_params(platform, todo)
         aliases = resolve_aliases(platform, context.devices)
         built = _grid_value_arrays(context.task_costs, _candidate_params(params, aliases, platform.host))
-        if slice_cache is not None:
-            _cache_slices(slice_cache, [keys[i] for i in need], built)
     if out is None:
-        if not served:
+        if not stats.served:
             return built, stats
-        any_slice = next(iter(served.values()))
-        out = {
-            name: np.empty((len(entries),) + getattr(any_slice, name).shape)
-            for name in _SLICE_FIELDS
-        }
-        at = range(len(entries))
-    need_at = [at[i] for i in need]
-    for name, arr in out.items():
-        if need:
+        out = {name: getattr(source.tables, name).take(take, axis=0) for name in _SLICE_FIELDS}
+        at = range(n)
+    elif stats.served:
+        for name, arr in out.items():
+            arr[at] = getattr(source.tables, name).take(take, axis=0)
+    if len(need):
+        need_at = np.asarray(at)[need]
+        for name, arr in out.items():
             arr[need_at] = built[name]
-        for i, piece in served.items():
-            arr[at[i]] = getattr(piece, name)
     return out, stats
-
-
-def _cache_slices(cache: "TableCache", keys: Sequence[tuple], values: Mapping[str, np.ndarray]) -> None:
-    """Seed ``cache`` with the condition slices of freshly computed rows.
-
-    ``values`` holds one row per key.  Every slice of one build has the same
-    shapes, so all are sized once; ``put_many`` copies out only the rows the
-    cache keeps.
-    """
-
-    def make(pos: int) -> GridSlice:
-        return GridSlice(**{name: values[name][pos].copy() for name in _SLICE_FIELDS})
-
-    nbytes = estimate_nbytes(GridSlice(**{name: values[name][0] for name in _SLICE_FIELDS}))
-    cache.put_many(keys, make, nbytes)
 
 
 def _assemble_grid_tables(
@@ -871,6 +868,7 @@ def _assemble_grid_tables(
     missing: frozenset,
     slice_stats: GridSliceStats,
     build_context: "GridBuildContext | None" = None,
+    key: str = "",
 ) -> GridCostTables:
     """Every grid build ends here: its condition rows plus the
     scenario-independent arrays and the workload's structure."""
@@ -885,6 +883,7 @@ def _assemble_grid_tables(
         workload=workload.name,
         build_context=build_context,
         slice_stats=slice_stats,
+        fingerprint=key,
         **values,
         **_static_value_arrays(costs, nonhost, len(aliases)),
     )

@@ -481,11 +481,13 @@ class SimulatedExecutor:
         :class:`~repro.devices.grid.GridCostTables`
         (:class:`~repro.faults.tables.FaultGridCostTables` with ``retry=``),
         served from the same content-addressed :attr:`table_cache` as
-        :meth:`cost_tables` -- a sweep over scenarios rebuilds only what
-        changed.  Scenario-driven builds route through the fused array-space
-        path and reuse :attr:`table_cache` for per-scenario condition slices,
-        so overlapping grids share slice work too.
+        :meth:`cost_tables`.  Scenario grid tables are cached only as the
+        **row source** of their workload, platform and devices: handed back
+        for an equal grid, else the rows the next build gathers, so a drifted
+        fleet pays only for its changed users and holds one cache entry.
+        Fault (``retry=``) and platform-sequence tables are cached by key.
         """
+        from .grid import _row_source_key
         from .tables import build_tables
 
         check_fault_args(retry, faults, timeout)
@@ -507,9 +509,9 @@ class SimulatedExecutor:
             retry=retry,
             timeout=timeout,
         )
-        return self.table_cache.get_or_build(
-            key,
-            lambda: build_tables(
+
+        def build():
+            return build_tables(
                 chain,
                 platform_arg,
                 devices=devices,
@@ -518,23 +520,32 @@ class SimulatedExecutor:
                 retry=retry,
                 timeout=timeout,
                 slice_cache=self.table_cache,
-            ),
-        )
+            )
+
+        if retry is not None or scenario_arg is None:
+            return self.table_cache.get_or_build(key, build)
+        prefix = _row_source_key(cached_fingerprint(chain), self.platform, devices)
+        source = self.table_cache.get(prefix)
+        if source is not None and source.tables.fingerprint == key:
+            return source.tables
+        return build()
 
     def update_grid_tables(self, tables, replacements: Mapping[int, object]):
         """Delta-rebuild grid tables after swapping out some scenarios.
 
         ``replacements`` maps scenario indices (negative indices count from
         the end) to their new :class:`~repro.scenarios.conditions.Scenario`
-        definitions.  Only the affected condition slices are recomputed --
-        unchanged slices (and replacement slices seen before) are served from
-        :attr:`table_cache` by content fingerprint -- and the rebuilt tables
-        are registered in the cache under their new fingerprint, so a later
-        :meth:`grid_cost_tables` call with the updated grid is a cache hit.
+        definitions.  Only the replaced rows are recomputed -- or gathered
+        from the prefix's row source in :attr:`table_cache` when it holds
+        those scenarios -- and every other row is copied from ``tables``.
+        The rebuilt tables become the prefix's row source, so a later
+        :meth:`grid_cost_tables` call with the updated grid returns them.
         """
+        from .grid import _register_row_source
+
         updated = tables.updated_many(replacements, slice_cache=self.table_cache)
         if updated is not tables and updated.fingerprint:
-            self.table_cache.put(updated.fingerprint, updated)
+            _register_row_source(self.table_cache, updated)
         return updated
 
     def plan(

@@ -144,9 +144,11 @@ def build_tables(
         ``faults``/``timeout`` without ``retry`` is an error (mirroring the
         executor).
     slice_cache:
-        Optional :class:`~repro.cache.TableCache` for per-scenario condition
-        slices of ``scenarios=`` builds; slices already cached (by content
-        fingerprint) are served instead of recomputed.
+        Optional :class:`~repro.cache.TableCache` holding one row source per
+        workload, platform and device set: the latest ``scenarios=`` build
+        with that prefix.  Rows of scenarios the source holds (by content
+        fingerprint) are gathered from it instead of recomputed, and the new
+        tables replace it as the source.
 
     The returned object satisfies :class:`CostTables`; its ``fingerprint``
     is :func:`repro.cache.table_key` of the configuration, which is also the
@@ -192,7 +194,8 @@ def build_tables(
     elif grid is not None:
         from .grid import _fused_grid_tables
 
-        tables = _fused_grid_tables(workload, platform, grid, devices, slice_cache)
+        # Keyed inside: the registered row source must be the object returned.
+        return _fused_grid_tables(workload, platform, grid, devices, slice_cache, key)
     else:
         from .grid import _materialized_grid_tables
 

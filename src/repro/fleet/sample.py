@@ -5,8 +5,9 @@ seeded generator and materialises them as one weighted
 :class:`~repro.scenarios.ScenarioGrid` -- one scenario per user, named
 ``"<segment>/u<index>"``, carrying the user's sampled axis values as ordinary
 scenario settings.  The grid flows through the existing vectorized grid
-engine *unchanged*: fused array-space builds, ``TableCache`` slice caching,
-scenario sharding, and robust objectives all apply to fleets for free.
+engine *unchanged*: fused array-space builds, row reuse through the
+``TableCache`` row source, scenario sharding, and robust objectives all
+apply to fleets for free.
 
 Scenario weights are ``segment.weight / n_segment_users``: each segment's
 probability mass is split evenly over its sampled users, so the fleet's
@@ -19,9 +20,10 @@ returns the ``{index: Scenario}`` replacement map that
 :meth:`~repro.devices.simulator.SimulatedExecutor.update_grid_tables` /
 ``GridCostTables.updated_many`` consume -- through them a drifted fleet is a
 delta rebuild, not a full build.  Planning the drifted grid directly (for
-example ``search_grid`` on ``drifted.grid``) keys new tables instead: when the
-fleet has more users than the table cache has entries, that is a full build
-that finds only the most recently cached users' slices.
+example ``search_grid`` on ``drifted.grid``) costs about the same: the
+executor's table cache holds the previous fleet's tables as the row source of
+their workload and platform, so the build gathers every unchanged user's row
+from them and computes only the redrawn users.
 """
 
 from __future__ import annotations
@@ -123,9 +125,11 @@ class SampledFleet:
         Returns the drifted fleet plus the ``{index: Scenario}`` replacement
         map for :meth:`GridCostTables.updated_many` /
         :meth:`SimulatedExecutor.update_grid_tables` -- the delta-rebuild
-        path: untouched users' condition slices are reused, only the redrawn
-        ones are recomputed.  Weights and segment membership are preserved
-        (drift moves a user's conditions, not its probability mass).
+        path: untouched users' condition rows are reused, only the redrawn
+        ones are recomputed.  Planning ``drifted.grid`` through an executor
+        that built the previous fleet reuses the same rows from its row
+        source.  Weights and segment membership are preserved (drift moves a
+        user's conditions, not its probability mass).
         """
         rng = _as_rng(seed)
         indices = list(dict.fromkeys(int(i) for i in indices))

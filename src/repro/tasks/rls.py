@@ -20,12 +20,19 @@ forming an explicit inverse.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .flops import regularized_least_squares_flops
 from .task import FLOAT64_BYTES, MathTask, TaskCost
 
 __all__ = ["RegularizedLeastSquaresTask"]
+
+#: One iteration's FLOPs per matrix size, memoized: the formula is pure, and a
+#: request key over new task objects calls ``cost()`` once per task.  Invalid
+#: sizes still raise on every call, since exceptions are not cached.
+_iteration_flops = lru_cache(maxsize=1024)(regularized_least_squares_flops)
 
 
 class RegularizedLeastSquaresTask(MathTask):
@@ -67,7 +74,7 @@ class RegularizedLeastSquaresTask(MathTask):
             2.0 * matrix_bytes * self.iterations if self.generate_on_host else FLOAT64_BYTES
         )
         return TaskCost(
-            flops=regularized_least_squares_flops(n) * self.iterations,
+            flops=_iteration_flops(n) * self.iterations,
             input_bytes=input_bytes,
             output_bytes=float(FLOAT64_BYTES),  # only the scalar penalty returns
             working_set_bytes=5.0 * matrix_bytes,  # A, B, Gram, RHS, Z

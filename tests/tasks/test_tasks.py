@@ -112,6 +112,39 @@ class TestRegularizedLeastSquaresTask:
         with pytest.raises(ValueError):
             RegularizedLeastSquaresTask(size=5, iterations=-1)
 
+    @given(
+        size=st.integers(1, 5000),
+        iterations=st.integers(1, 50),
+        generate_on_host=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_cost_is_bitwise_the_formula(self, size, iterations, generate_on_host):
+        task = RegularizedLeastSquaresTask(
+            size=size, iterations=iterations, generate_on_host=generate_on_host
+        )
+        matrix_bytes = size * size * FLOAT64_BYTES
+        expected = TaskCost(
+            flops=regularized_least_squares_flops(size) * iterations,
+            input_bytes=(
+                2.0 * matrix_bytes * iterations if generate_on_host else FLOAT64_BYTES
+            ),
+            output_bytes=float(FLOAT64_BYTES),
+            working_set_bytes=5.0 * matrix_bytes,
+            kernel_calls=6 * iterations,
+        )
+        for _ in range(2):  # computed, then memoized
+            cost = task.cost()
+            for field in ("flops", "input_bytes", "output_bytes", "working_set_bytes"):
+                assert float(getattr(cost, field)).hex() == float(getattr(expected, field)).hex()
+            assert cost == expected
+
+    def test_memoized_cost_still_rejects_an_invalid_size(self):
+        task = RegularizedLeastSquaresTask(size=4)
+        task.size = 0
+        for _ in range(2):  # a raise is never memoized
+            with pytest.raises(ValueError, match=r"^size must be positive, got 0$"):
+                task.cost()
+
 
 class TestTaskChain:
     def _chain(self) -> TaskChain:
