@@ -286,6 +286,15 @@ def _scenario_classes() -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _provenance_classes() -> tuple:
+    """Scenarios, scenario grids and grid build contexts: what a table
+    references as provenance, not payload."""
+    from .devices.grid import GridBuildContext
+
+    return (*_scenario_classes(), GridBuildContext)
+
+
+@lru_cache(maxsize=None)
 def _platform_class() -> type:
     from .devices.platform import Platform
 
@@ -399,10 +408,11 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     """Rough payload size: the ndarray bytes reachable through dataclass
     fields, tuples and mappings, plus a small per-object overhead.
 
-    Scenarios and scenario grids are charged the flat overhead instead of
-    being walked: a fused grid table references the grid it was built from as
-    provenance, not payload, so sizing a fleet-scale table costs O(table
-    fields) rather than O(users).
+    Scenarios, scenario grids and grid build contexts are charged the flat
+    overhead instead of being walked: a fused grid table references the grid,
+    base platform and task costs it was built from as provenance, not
+    payload, so sizing a fleet-scale table costs O(table fields) rather than
+    O(users + platform).
     """
     if _depth > 6:
         return 64
@@ -411,7 +421,7 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 64
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, _scenario_classes()):
+        if isinstance(obj, _provenance_classes()):
             return 64
         return 64 + sum(
             estimate_nbytes(getattr(obj, field.name), _depth + 1)
@@ -484,6 +494,11 @@ class TableCache:
         self._entries.move_to_end(key)
         self._hits += 1
         return entry[0]
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """The cached value, without counting a lookup or refreshing recency."""
+        entry = self._entries.get(key)
+        return default if entry is None else entry[0]
 
     def put(self, key: Hashable, value: Any, nbytes: int | None = None) -> None:
         if key in self._entries:

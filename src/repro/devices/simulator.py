@@ -524,10 +524,12 @@ class SimulatedExecutor:
 
         if retry is not None or scenario_arg is None:
             return self.table_cache.get_or_build(key, build)
+        # One counted lookup per request: the full-match check peeks, and
+        # either the hit or the build's own row-source read counts.
         prefix = _row_source_key(cached_fingerprint(chain), self.platform, devices)
-        source = self.table_cache.get(prefix)
+        source = self.table_cache.peek(prefix)
         if source is not None and source.tables.fingerprint == key:
-            return source.tables
+            return self.table_cache.get(prefix).tables
         return build()
 
     def update_grid_tables(self, tables, replacements: Mapping[int, object]):

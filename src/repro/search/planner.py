@@ -721,18 +721,6 @@ def _grid_lattices(
     return np.stack(firsts), np.stack(transes)
 
 
-def _grid_chain_tables(
-    workload: "TaskChain | TaskGraph", tables: "GridCostTables"
-) -> str | None:
-    """Why the robust planner cannot handle this workload (chains only)."""
-    if isinstance(workload, TaskGraph) and not workload.is_linear:
-        return (
-            "robust planning is exact for chain workloads only; fall back to "
-            "search_grid for non-linear graphs"
-        )
-    return None
-
-
 def grid_baselines(tables: "GridCostTables", base: "str | Objective") -> np.ndarray:
     """Exact per-scenario optima of a plannable base objective (one DP each).
 
@@ -886,9 +874,11 @@ def plan_grid(
     # (base platform, scenario grid) fingerprints, so a sweep re-planning the
     # same configuration skips the rebuild (grids build in array space).
     tables = executor.grid_cost_tables(workload, grid, devices)
-    reason = _grid_chain_tables(workload, tables)
-    if reason is not None:
-        raise ValueError(reason)
+    if not tables.is_linear:
+        raise ValueError(
+            "robust planning is exact for chain workloads only; fall back to "
+            "search_grid for non-linear graphs"
+        )
 
     firsts, transes = _grid_lattices(tables, weights)
     baselines: np.ndarray | None = None

@@ -13,10 +13,13 @@ across a whole :class:`~repro.scenarios.ScenarioGrid`:
   maximum regret against each scenario's own best placement
   (:class:`RegretObjective`);
 * :func:`search_grid` streams the placement space chunk by chunk through the
-  sweep core (:mod:`repro.search.sweep`), folds each chunk into bounded
-  :class:`~repro.search.topk.StreamingTopK` state per robust objective, and
-  tracks each scenario's individual winner so condition drift is visible in
-  the result.
+  sweep core (:mod:`repro.search.sweep`) into the search layer's one
+  selection accumulator, :class:`~repro.search.driver.SpaceSearch` -- the
+  same one :func:`~repro.search.driver.search_space` folds plain batches
+  into, a plain batch being the one-row grid chunk.  It keeps the top-K per
+  robust objective and each scenario's individual winner, so condition
+  drift is visible in the result; the streamed regret-baseline pass is an
+  accumulator of those winners alone.
 
 Everything is free of lambdas and mutable shared state, like the rest of the
 search layer: objective specs are value-type dataclasses that survive
@@ -27,19 +30,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..devices.tables import check_fault_args
-from ..offload.space import indices_to_matrix, space_size
-from .constraints import Constraint, feasible_mask
-from .driver import TopSelection
+from .constraints import Constraint
+from .driver import (
+    ScenarioBest,
+    SpaceSearch,
+    TopSelection,
+    _base_name,
+    _base_values,
+    _placement_range,
+    _RankedResult,
+)
 from .objectives import Objective, as_objective
 from .sweep import ShardPool, check_n_workers, shard_ranges, sweep
-from .topk import StreamingTopK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..devices.grid import GridExecutionResult
@@ -98,21 +105,6 @@ def _scenario_weights(objective: "RobustObjective", n_scenarios: int) -> np.ndar
             f"expected {n_scenarios} scenario weights, got {len(objective.weights)}"
         )
     return objective._weight_array
-
-
-def _base_values(base: "str | Objective", grid: "GridExecutionResult") -> np.ndarray:
-    """``(n_conditions, n_placements)`` values of the base objective.
-
-    Metric names read the grid columns directly; general objectives are
-    evaluated on each scenario's batch view and stacked.
-    """
-    if isinstance(base, str):
-        return grid.metric_values(base)
-    return np.stack([base(batch) for batch in grid.batches()], axis=0)
-
-
-def _base_name(base: "str | Objective") -> str:
-    return base if isinstance(base, str) else base.name
 
 
 @dataclass(frozen=True)
@@ -398,25 +390,7 @@ def as_robust_objectives(
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScenarioBest:
-    """Each scenario's individual best feasible placement under one base objective."""
-
-    objective: str
-    scenario_names: tuple[str, ...]
-    indices: np.ndarray
-    values: np.ndarray
-    labels: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.scenario_names)
-
-    def drift(self) -> dict[str, str]:
-        """``scenario -> winning label``, the condition-drift view."""
-        return dict(zip(self.scenario_names, self.labels))
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(_RankedResult):
     """Outcome of one streaming robust sweep over (scenario, placement) pairs."""
 
     n_tasks: int
@@ -429,59 +403,17 @@ class GridSearchResult:
     #: Per-scenario minima used as regret baselines, keyed by base-objective name.
     baselines: Mapping[str, np.ndarray]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "top", MappingProxyType(dict(self.top)))
-        object.__setattr__(self, "scenario_best", MappingProxyType(dict(self.scenario_best)))
-        object.__setattr__(self, "baselines", MappingProxyType(dict(self.baselines)))
-
-    def __reduce__(self):
-        # MappingProxyType cannot be pickled; rebuild through __init__.
-        return (
-            self.__class__,
-            (
-                self.n_tasks,
-                self.aliases,
-                self.scenario_names,
-                self.n_evaluated,
-                self.n_feasible,
-                dict(self.top),
-                dict(self.scenario_best),
-                dict(self.baselines),
-            ),
-        )
-
-    @property
-    def space_size(self) -> int:
-        return space_size(self.n_tasks, len(self.aliases))
-
     @property
     def n_scenarios(self) -> int:
         return len(self.scenario_names)
-
-    def best(self, objective: str | None = None) -> str:
-        """Label of the robust top-1 under one objective (the only one if unambiguous)."""
-        if objective is None:
-            if len(self.top) != 1:
-                raise ValueError(
-                    f"result ranks {sorted(self.top)} -- name the objective explicitly"
-                )
-            objective = next(iter(self.top))
-        return self.top[objective].best
 
     def summary(self) -> str:
         lines = [
             f"searched {self.n_evaluated} of {self.space_size} placements under "
             f"{self.n_scenarios} scenarios ({self.n_feasible} robust-feasible) over "
-            f"{len(self.aliases)} devices x {self.n_tasks} tasks"
+            f"{len(self.aliases)} devices x {self.n_tasks} tasks",
+            *self._top_lines(),
         ]
-        for name, selection in self.top.items():
-            if len(selection):
-                lines.append(
-                    f"  top-{len(selection)} by {name}: best {selection.labels[0]} "
-                    f"({selection.values[0]:.6g})"
-                )
-            else:
-                lines.append(f"  top-K by {name}: no feasible placement")
         for name, best in self.scenario_best.items():
             shifts = len(dict.fromkeys(best.labels))
             lines.append(
@@ -519,160 +451,6 @@ def _scenario_entries(scenarios) -> tuple["ScenarioGrid", tuple[str, ...], np.nd
     return scenarios, names, weights
 
 
-def _feasible(
-    grid: "GridExecutionResult", constraints: Sequence[Constraint]
-) -> np.ndarray:
-    """Robust feasibility: a placement must satisfy the constraints in *every* scenario."""
-    if not constraints:
-        return np.ones(len(grid), dtype=bool)
-    mask = np.ones(len(grid), dtype=bool)
-    for batch in grid.batches():
-        mask &= feasible_mask(batch, constraints)
-    return mask
-
-
-def _evaluate_chunk(
-    bases: Mapping[str, "str | Objective"],
-    constraints: Sequence[Constraint],
-    grid: "GridExecutionResult",
-) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """``(feasible_mask, base_values)`` of one executed grid chunk.
-
-    ``base_values`` maps base-objective names to their raw ``(s, n)`` value
-    matrices -- **unmasked**, so the chunks of a scenario-sharded sweep can be
-    concatenated along the scenario axis before the merged mask is applied
-    (reductions like the weighted expectation are chunk-width dependent in
-    floating point, so every path must reduce the exact same matrix).  It is
-    ``None`` when no placement of the chunk is feasible.
-    """
-    mask = _feasible(grid, constraints)
-    if not mask.any():
-        return mask, None
-    return mask, {name: _base_values(base, grid) for name, base in bases.items()}
-
-
-class _GridPass:
-    """One mergeable pass of :func:`search_grid` over grid chunks.
-
-    :meth:`update` is the sweep-core entry: it evaluates an executed chunk and
-    folds it.  Scenario-sharded sweeps evaluate each scenario block in its
-    worker through :attr:`evaluate` and feed the stitched chunk to
-    :meth:`fold` directly.
-    """
-
-    def __init__(self, bases: Mapping[str, "str | Objective"], constraints: Sequence[Constraint]):
-        self.bases = dict(bases)
-        self.constraints = tuple(constraints)
-
-    @property
-    def evaluate(self):
-        """Picklable ``grid -> (feasible_mask, base_values)`` of this pass."""
-        return partial(_evaluate_chunk, self.bases, self.constraints)
-
-    def update(self, grid: "GridExecutionResult", start_index: int) -> None:
-        self.fold(start_index, len(grid), *_evaluate_chunk(self.bases, self.constraints, grid))
-
-    def fold(
-        self, chunk_start: int, n: int, mask: np.ndarray, values: dict[str, np.ndarray] | None
-    ) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class _BaselinePass(_GridPass):
-    """Per-scenario minima of the regret bases over the feasible placements."""
-
-    def __init__(self, n_scenarios: int, bases, constraints):
-        super().__init__(bases, constraints)
-        self.minima = {name: np.full(n_scenarios, np.inf) for name in self.bases}
-        self.any_feasible = False
-
-    def fold(self, chunk_start, n, mask, values) -> None:
-        if values is None:
-            return
-        self.any_feasible = True
-        for name, minimum in self.minima.items():
-            np.minimum(minimum, values[name][:, mask].min(axis=1), out=minimum)
-
-    def merge(self, other: "_BaselinePass") -> None:
-        for name, values in self.minima.items():
-            np.minimum(values, other.minima[name], out=values)
-        self.any_feasible = self.any_feasible or other.any_feasible
-
-
-class _SelectionPass(_GridPass):
-    """Top-K selections per robust objective and each scenario's winner.
-
-    Merging is associative and order-independent: top-K accumulators merge
-    through :meth:`StreamingTopK.merge`, counters add, and each scenario's
-    winner merges under the serial sweep's exact tie rule -- strictly smaller
-    value wins, equal values keep the smaller placement index (the serial loop
-    streams ascending indices and replaces only on strict ``<``).
-    """
-
-    def __init__(
-        self,
-        n_scenarios: int,
-        bases,
-        constraints,
-        objectives: Sequence[RobustObjective],
-        top_k: int,
-        baselines: Mapping[str, np.ndarray],
-    ):
-        super().__init__(bases, constraints)
-        self.objectives = tuple(objectives)
-        self.baselines = baselines
-        self.selectors = {objective.name: StreamingTopK(top_k) for objective in self.objectives}
-        self.scenario_best_idx = {
-            name: np.full(n_scenarios, -1, dtype=np.int64) for name in self.bases
-        }
-        self.scenario_best_val = {name: np.full(n_scenarios, np.inf) for name in self.bases}
-        self.n_evaluated = 0
-        self.n_feasible = 0
-
-    def fold(self, chunk_start, n, mask, raw_values) -> None:
-        self.n_evaluated += n
-        feasible_count = int(np.count_nonzero(mask))
-        self.n_feasible += feasible_count
-        if not feasible_count or raw_values is None:
-            return
-        indices = np.arange(n, dtype=np.int64)[mask] + np.int64(chunk_start)
-        chunk_values = {name: raw_values[name][:, mask] for name in self.bases}
-        for objective in self.objectives:
-            base = _base_name(objective.base)
-            values = chunk_values[base]
-            reduced = (
-                objective.reduce(values, self.baselines.get(base))
-                if objective.requires_baseline
-                else objective.reduce(values)
-            )
-            self.selectors[objective.name].update(reduced, indices)
-        for name, values in chunk_values.items():
-            rows = np.arange(values.shape[0])
-            arg = values.argmin(axis=1)
-            candidate = values[rows, arg]
-            best_val = self.scenario_best_val[name]
-            better = candidate < best_val
-            best_val[better] = candidate[better]
-            self.scenario_best_idx[name][better] = indices[arg[better]]
-
-    def merge(self, other: "_SelectionPass") -> None:
-        for name, selector in self.selectors.items():
-            selector.merge(other.selectors[name])
-        for name, current_val in self.scenario_best_val.items():
-            current_idx = self.scenario_best_idx[name]
-            other_val = other.scenario_best_val[name]
-            other_idx = other.scenario_best_idx[name]
-            better = (other_val < current_val) | (
-                (other_val == current_val)
-                & (other_idx >= 0)
-                & ((current_idx < 0) | (other_idx < current_idx))
-            )
-            current_val[better] = other_val[better]
-            current_idx[better] = other_idx[better]
-        self.n_evaluated += other.n_evaluated
-        self.n_feasible += other.n_feasible
-
-
 def _scenario_sharded_chunks(
     pools: Sequence[ShardPool], evaluate, batch_size: int, start: int, stop: int
 ) -> Iterator[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]:
@@ -703,34 +481,38 @@ def _scenario_sharded_chunks(
 
 
 def _planner_baseline_reason(
-    chain: "TaskChain | TaskGraph",
+    tables,
+    bases: Sequence["str | Objective"],
     constraints: Sequence[Constraint],
     start: int,
     stop: int,
     total: int,
-    bases: Mapping[str, "str | Objective"],
-    baseline_names: Sequence[str],
-    fault_aware: bool = False,
+    fault_aware: bool,
 ) -> str | None:
-    """Why the regret baselines cannot come from the exact per-scenario DP."""
-    from ..tasks.graph import TaskGraph
-    from .planner import planner_objective_weights
+    """Why the regret baselines cannot come from the exact per-scenario DP.
+
+    Judged from the tables by the planner's own dispatch rule, plus linear
+    tables: :func:`~repro.search.planner.grid_baselines` runs the chain DP.
+    """
+    from .planner import dispatch_reason
 
     if fault_aware:
         return (
             "expected-cost-under-faults bases are outside the DP planner "
             "boundary (survival factors couple consecutive tasks)"
         )
-    if constraints:
-        return "feasibility constraints require the streaming baseline pass"
-    if (start, stop) != (0, total):
-        return "baselines over an index slice require the streaming pass"
-    if isinstance(chain, TaskGraph) and not chain.is_linear:
+    if not tables.is_linear:
         return "planner baselines are exact for chain workloads only"
-    for name in baseline_names:
-        if planner_objective_weights(bases[name]) is None:
-            return f"base objective {name!r} is not DP-plannable"
-    return None
+    return dispatch_reason(
+        tables,
+        [as_objective(base) for base in bases],
+        top_k=1,
+        frontier=None,
+        constraints=constraints,
+        start=start,
+        stop=stop,
+        total=total,
+    )
 
 
 def search_grid(
@@ -756,10 +538,11 @@ def search_grid(
 
     Chunks of the placement space are evaluated against the whole condition
     grid in one vectorized pass each (the sweep core of
-    :mod:`repro.search.sweep` runs ``tables.execute``); per robust objective
-    a :class:`StreamingTopK` keeps the best ``top_k`` placements, and each
-    scenario's individual winner is tracked per base objective so the drift
-    between conditions is part of the result.  Peak memory is one
+    :mod:`repro.search.sweep` runs ``tables.execute``) and folded into a
+    :class:`~repro.search.driver.SpaceSearch`: per robust objective it keeps
+    the best ``top_k`` placements, and each scenario's individual winner is
+    tracked per base objective so the drift between conditions is part of
+    the result.  Peak memory is one
     ``(n_scenarios, batch_size)`` chunk plus the O(top_k) selection state.
     The serial sweep fetches the tables once and runs in-process.
 
@@ -781,8 +564,9 @@ def search_grid(
     Constraints are enforced *robustly*: a placement is feasible only if it
     satisfies every constraint under every scenario.  Regret objectives need
     each scenario's best feasible value over the searched range --
-    ``baseline_method`` picks how it is found: ``"stream"`` runs the classic
-    extra streaming pass over the whole range; ``"planner"`` computes each
+    ``baseline_method`` picks how it is found: ``"stream"`` runs an
+    extra streaming pass over the whole range that tracks only the regret
+    bases' per-scenario winners; ``"planner"`` computes each
     scenario's optimum with one exact chain DP
     (:func:`repro.search.planner.grid_baselines`, bitwise the streamed
     minimum, at ``O(s * k * m**2)`` instead of ``O(s * m**k)``), raising when
@@ -812,15 +596,7 @@ def search_grid(
         retry=retry,
         timeout=timeout,
     )
-    total = space_size(tables.n_tasks, tables.n_devices)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"invalid slice [{start}, {stop}) of a space of {total} placements")
-    if start == stop:
-        raise ValueError("cannot search an empty placement range")
-    if top_k <= 0:
-        raise ValueError("top_k must be positive")
+    total, stop = _placement_range(tables, start, stop)
     if baseline_method not in ("auto", "planner", "stream"):
         raise ValueError(
             f"unknown baseline_method {baseline_method!r}; choose 'auto', 'planner' or 'stream'"
@@ -830,18 +606,9 @@ def search_grid(
     # Bind the grid's scenario weights to weighted objectives left unbound
     # (expectation, quantile, SLO -- each decides through bind_weights).
     coerced = tuple(objective.bind_weights(grid_weights) for objective in coerced)
-    # Objectives sharing a base *name* must share the base itself: chunk values
-    # are computed once per base name, so a silent last-wins collision would
-    # rank one objective by another's values.
-    bases: dict[str, "str | Objective"] = {}
-    for objective in coerced:
-        name = _base_name(objective.base)
-        if name in bases and bases[name] != objective.base:
-            raise ValueError(
-                f"robust objectives disagree on the base objective named {name!r}: "
-                f"{bases[name]!r} vs {objective.base!r}"
-            )
-        bases.setdefault(name, objective.base)
+    search = SpaceSearch(coerced, top_k, frontier=None, constraints=constraints)
+    if not search.top_k:
+        raise ValueError("top_k must be positive")
 
     ranges = shard_ranges(start, stop, n_workers) if n_workers else []
     sharded = len(ranges) > 1
@@ -868,12 +635,13 @@ def search_grid(
             block = ScenarioGrid(grid.scenarios[lo:hi])
             pools.append(ShardPool({**spec, "scenarios": block}, 1))
 
-    def run(accumulator: _GridPass) -> _GridPass:
-        """Fold the whole range into one pass: placement shards, scenario
-        shards, or in-process."""
+    def run(accumulator: SpaceSearch) -> SpaceSearch:
+        """Fold the whole range into one accumulator: placement shards,
+        scenario shards, or in-process."""
         if sharded:
             return pools[0].fold(accumulator, ranges, batch_size)
         if pools:
+            accumulator._bind_space(tables.n_tasks, tables.aliases)
             chunks = _scenario_sharded_chunks(
                 pools, accumulator.evaluate, batch_size, start, stop
             )
@@ -883,60 +651,32 @@ def search_grid(
         return sweep(tables, accumulator, batch_size, start, stop)
 
     try:
-        baselines = _regret_baselines(
-            run, tables, chain, coerced, bases, constraints, start, stop, total,
+        search.baselines = _regret_baselines(
+            run, tables, coerced, search.bases, constraints, start, stop, total,
             baseline_method, fault_aware=retry is not None,
         )
-        selection = run(
-            _SelectionPass(tables.n_scenarios, bases, constraints, coerced, top_k, baselines)
-        )
+        search = run(search)
     finally:
         for pool in pools:
             pool.shutdown()
 
-    def _labels(indices: np.ndarray) -> tuple[str, ...]:
-        from ..devices.batch import placement_labels
-
-        matrix = indices_to_matrix(indices, tables.n_tasks, tables.n_devices)
-        return tuple(placement_labels(matrix, tables.aliases))
-
-    top: dict[str, TopSelection] = {}
-    for objective in coerced:
-        selector = selection.selectors[objective.name]
-        top[objective.name] = TopSelection(
-            objective=objective.name,
-            indices=selector.indices.copy(),
-            values=selector.values.copy(),
-            labels=_labels(selector.indices),
-        )
-    scenario_best: dict[str, ScenarioBest] = {}
-    if selection.n_feasible:
-        for name in bases:
-            idx = selection.scenario_best_idx[name]
-            scenario_best[name] = ScenarioBest(
-                objective=name,
-                scenario_names=scenario_names,
-                indices=idx.copy(),
-                values=selection.scenario_best_val[name].copy(),
-                labels=_labels(idx),
-            )
+    result = search.result()
     return GridSearchResult(
-        n_tasks=tables.n_tasks,
-        aliases=tables.aliases,
+        n_tasks=result.n_tasks,
+        aliases=result.aliases,
         scenario_names=scenario_names,
-        n_evaluated=selection.n_evaluated,
-        n_feasible=selection.n_feasible,
-        top=top,
-        scenario_best=scenario_best,
-        baselines=baselines,
+        n_evaluated=result.n_evaluated,
+        n_feasible=result.n_feasible,
+        top=result.top,
+        scenario_best=search.scenario_best(scenario_names),
+        baselines=search.baselines,
     )
 
 
 def _regret_baselines(
     run,
     tables,
-    chain: "TaskChain | TaskGraph",
-    coerced: Sequence[RobustObjective],
+    objectives: Sequence[RobustObjective],
     bases: Mapping[str, "str | Objective"],
     constraints: Sequence[Constraint],
     start: int,
@@ -947,19 +687,18 @@ def _regret_baselines(
 ) -> dict[str, np.ndarray]:
     """Per-scenario minima of every regret base: exact DPs or a streamed pass.
 
-    Empty when no objective needs baselines, and when no placement of the
-    range is feasible.
+    The streamed pass is an accumulator tracking only the regret bases'
+    per-scenario winners, whose values are the minima.  Empty when no
+    objective needs baselines, and when no placement of the range is
+    feasible.
     """
-    baseline_names = tuple(
-        dict.fromkeys(
-            _base_name(objective.base) for objective in coerced if objective.requires_baseline
-        )
-    )
-    if not baseline_names:
+    regret = tuple(objective for objective in objectives if objective.requires_baseline)
+    if not regret:
         return {}
+    names = tuple(dict.fromkeys(_base_name(objective.base) for objective in regret))
     planner_reason = _planner_baseline_reason(
-        chain, tuple(constraints), start, stop, total, bases, baseline_names,
-        fault_aware=fault_aware,
+        tables, [bases[name] for name in names], tuple(constraints), start, stop, total,
+        fault_aware,
     )
     if baseline_method == "planner" and planner_reason is not None:
         raise ValueError(
@@ -970,14 +709,12 @@ def _regret_baselines(
         from .planner import grid_baselines
 
         try:
-            return {name: grid_baselines(tables, bases[name]) for name in baseline_names}
+            return {name: grid_baselines(tables, bases[name]) for name in names}
         except KeyError:
             # No feasible placement at all: same contract as the streaming
             # pass, which leaves the baselines empty.
             return {}
-    sweep_pass = run(
-        _BaselinePass(
-            tables.n_scenarios, {name: bases[name] for name in baseline_names}, constraints
-        )
+    winners = run(
+        SpaceSearch(regret, 0, frontier=None, constraints=constraints)
     )
-    return sweep_pass.minima if sweep_pass.any_feasible else {}
+    return dict(winners.winner_values) if winners.n_feasible else {}

@@ -10,18 +10,36 @@ feeding chunks in any order, or merging independently filled accumulators
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["StreamingTopK"]
+
+
+def _read_count(value, name: str) -> int:
+    """``value`` as a non-negative int: no silent truncation, no bools.
+
+    Raises ``TypeError``/``ValueError`` naming ``name``.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 class StreamingTopK:
     """Retain the ``k`` smallest (value, index) pairs of a stream."""
 
     def __init__(self, k: int):
-        if k <= 0:
+        self.k = _read_count(k, "k")
+        if not self.k:
             raise ValueError("k must be positive")
-        self.k = int(k)
         self._values = np.empty(0, dtype=float)
         self._indices = np.empty(0, dtype=np.int64)
 

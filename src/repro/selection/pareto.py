@@ -12,8 +12,10 @@ into one ``(p, c)`` matrix and the non-dominated mask is computed by
 :func:`~repro.search.pareto.pareto_mask` (the previous implementation called
 :func:`dominates` for every ordered pair -- O(p**2 * c) in pure Python).  For
 spaces too large to materialise profiles at all, stream chunks through
-:class:`repro.search.SpaceSearch` instead; both paths share the same kernel
-and return element-for-element identical frontiers.
+:class:`repro.search.SpaceSearch` -- the one selection accumulator behind
+``search_space`` and ``search_grid`` -- with a ``frontier``; its frontier
+criteria rank plain (one-row) chunks.  Both paths share the same kernel and
+return element-for-element identical frontiers.
 """
 
 from __future__ import annotations

@@ -366,7 +366,8 @@ class TestFleetCacheTraffic:
         fleet has.  The delta makes its result the source, so the full build
         of the next drifted grid gathers every row but the 10 redrawn ones;
         every grid must equal a build without a cache bitwise.  Each executor
-        request reads the source once, and a full build reads it again.
+        request counts one lookup of the source: the full build's read, or the
+        hit that hands back an equal grid.
         """
         platform = edge_cluster_platform()
         chain = _rls_chain(3)
@@ -395,7 +396,7 @@ class TestFleetCacheTraffic:
 
         assert provenance == [(0, 600), (0, 15), (590, 10), (0, 24)]
         stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.evictions) == (4, 2, 0)
+        assert (stats.hits, stats.misses, stats.evictions) == (3, 1, 0)
         assert stats.entries == 1
 
     def test_estimate_nbytes_ignores_scenario_provenance(self):
@@ -431,3 +432,9 @@ class TestFleetCacheTraffic:
             if isinstance(getattr(small, f.name), np.ndarray)
         )
         assert estimate_nbytes(small) >= arrays
+        # The build context (base platform, task costs) is provenance too: it
+        # is charged a scenario's flat size, however much it references.
+        context = small.build_context
+        richer = dataclasses.replace(context, task_costs=context.task_costs * 50)
+        flat = estimate_nbytes(one.scenarios[0])
+        assert estimate_nbytes(context) == estimate_nbytes(richer) == flat

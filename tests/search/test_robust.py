@@ -12,7 +12,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factories import random_chain, random_graph, random_platform
 from repro.devices import (
     build_tables,
     SimulatedExecutor,
@@ -21,6 +24,7 @@ from repro.devices import (
     lte,
     wifi_ac,
 )
+from repro.faults import RetryPolicy, TimeoutPolicy
 from repro.measurement.noise import NoNoise
 from repro.offload import placement_matrix
 from repro.scenarios import (
@@ -34,13 +38,19 @@ from repro.search import (
     DeadlineConstraint,
     EnergyBudgetConstraint,
     ExpectedValueObjective,
+    MaxOffloadedConstraint,
     QuantileObjective,
     RegretObjective,
     SLOObjective,
+    SpaceSearch,
+    WeightedSumObjective,
     WorstCaseObjective,
+    as_objective,
     as_robust_objectives,
     search_grid,
+    search_space,
 )
+from repro.search.sweep import shard_ranges, sweep
 from repro.selection import DecisionModel, RobustDecisionModel
 from repro.tasks import RegularizedLeastSquaresTask, TaskChain
 
@@ -283,6 +293,139 @@ class TestSearchGrid:
         text = result.summary()
         assert "per-scenario winners" in text and "worst-time" in text
         assert result.best() == result.best("worst-time")
+
+
+    @pytest.mark.parametrize("top_k", [2.7, True, float("nan")])
+    def test_top_k_must_be_an_integer(self, setup, top_k):
+        platform, chain, scenarios, executor, _ = setup
+        with pytest.raises(TypeError, match="top_k"):
+            search_grid(executor, chain, scenarios, top_k=top_k)
+        with pytest.raises(ValueError, match="top_k"):
+            search_grid(executor, chain, scenarios, top_k=0)
+
+
+PLAIN_OBJECTIVES = ("time", "energy", "cost", WeightedSumObjective(1.0, 0.3, 2.0, label="mix"))
+
+
+def _constraints(index: int, executor, workload) -> tuple:
+    times = executor.execute_batch(workload)
+    return (
+        (),
+        (MaxOffloadedConstraint(1),),
+        (DeadlineConstraint(float(np.median(times.total_time_s))),),
+        (EnergyBudgetConstraint(float(np.median(times.energy_total_j))), MaxOffloadedConstraint(2)),
+    )[index]
+
+
+def _merged(tables, make, ranges, order) -> SpaceSearch:
+    """Fold each range into its own accumulator, then merge them in ``order``."""
+    shards = [sweep(tables, make(), 16, start, stop) for start, stop in ranges]
+    merged = shards[order[0]]
+    for index in order[1:]:
+        merged.merge(shards[index])
+    return merged
+
+
+class TestOneSelectionAccumulator:
+    """A plain sweep is the one-row grid sweep, and the streamed regret
+    baselines are the selection pass's per-scenario winners."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        graph=st.booleans(),
+        objective_index=st.integers(0, len(PLAIN_OBJECTIVES) - 1),
+        constraint_index=st.integers(0, 3),
+        top_k=st.integers(1, 6),
+        batch_size=st.integers(1, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plain_search_is_the_one_row_grid_search(
+        self, seed, graph, objective_index, constraint_index, top_k, batch_size
+    ):
+        rng = np.random.default_rng(seed)
+        executor = SimulatedExecutor(random_platform(rng, 3))
+        workload = (random_graph if graph else random_chain)(rng, 4)
+        objective = as_objective(PLAIN_OBJECTIVES[objective_index])
+        constraints = _constraints(constraint_index, executor, workload)
+        plain = search_space(
+            executor, workload, objectives=(objective,), top_k=top_k, frontier=None,
+            constraints=constraints, batch_size=batch_size,
+        )
+        one_row = search_grid(
+            executor, workload, [Scenario("identity")],
+            objectives=(WorstCaseObjective(objective, label=objective.name),),
+            top_k=top_k, constraints=constraints, batch_size=batch_size,
+        )
+        a, b = plain.top[objective.name], one_row.top[objective.name]
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.labels == b.labels
+        assert (plain.n_evaluated, plain.n_feasible) == (one_row.n_evaluated, one_row.n_feasible)
+
+    def test_scenarios_with_only_infinite_values_still_have_winners(self):
+        """When no attempt can finish in time, every expected time is inf: the
+        grid search answers like the plain one (the first placement, at inf)
+        instead of failing to decode a winner that never beat its start value."""
+        rng = np.random.default_rng(0)
+        executor = SimulatedExecutor(random_platform(rng, 2))
+        chain = random_chain(rng, 2)
+        kwargs = dict(top_k=2, retry=RetryPolicy(max_attempts=1), timeout=TimeoutPolicy(1e-9))
+        plain = search_space(executor, chain, frontier=None, **kwargs)
+        grid = search_grid(executor, chain, [Scenario("a"), Scenario("b")], **kwargs)
+        assert np.isinf(grid.top["worst-time"].values).all()
+        assert grid.top["worst-time"].labels == plain.top["time"].labels
+        assert grid.scenario_best["time"].labels == (plain.best("time"),) * 2
+        assert np.isinf(grid.scenario_best["time"].values).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_scenarios=st.integers(1, 4),
+        n_shards=st.integers(1, 5),
+        order_seed=st.integers(0, 2**32 - 1),
+        constrained=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_streamed_baselines_are_the_selection_winners_in_any_merge_order(
+        self, seed, n_scenarios, n_shards, order_seed, constrained
+    ):
+        rng = np.random.default_rng(seed)
+        executor = SimulatedExecutor(random_platform(rng, 3))
+        chain = random_chain(rng, 4)
+        scenarios = [
+            Scenario(f"s{i}", settings=((LinkBandwidthScale(), float(rng.uniform(0.3, 1.5))),))
+            for i in range(n_scenarios)
+        ]
+        constraints = (MaxOffloadedConstraint(2),) if constrained else ()
+        objectives = (RegretObjective(), WorstCaseObjective(base="energy"))
+        serial = search_grid(
+            executor, chain, scenarios, objectives=objectives, top_k=3,
+            constraints=constraints, baseline_method="stream",
+        )
+        tables = executor.grid_cost_tables(chain, scenarios)
+        ranges = shard_ranges(0, 3**4, n_shards)
+        orders = np.random.default_rng(order_seed)
+        baseline = _merged(
+            tables,
+            lambda: SpaceSearch(objectives[:1], 0, frontier=None, constraints=constraints),
+            ranges,
+            orders.permutation(len(ranges)),
+        )
+        streamed = baseline.winner_values["time"].tobytes()
+        assert streamed == serial.baselines["time"].tobytes()
+        assert streamed == serial.scenario_best["time"].values.tobytes()
+
+        def selection() -> SpaceSearch:
+            search = SpaceSearch(objectives, 3, frontier=None, constraints=constraints)
+            search.baselines = serial.baselines
+            return search
+
+        merged = _merged(tables, selection, ranges, orders.permutation(len(ranges)))
+        for name, best in serial.scenario_best.items():
+            assert merged.winner_indices[name].tobytes() == best.indices.tobytes()
+            assert merged.winner_values[name].tobytes() == best.values.tobytes()
+        for name, top in serial.top.items():
+            assert merged.result().top[name].indices.tobytes() == top.indices.tobytes()
+            assert merged.result().top[name].values.tobytes() == top.values.tobytes()
 
 
 class TestRobustDecisionModel:

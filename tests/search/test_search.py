@@ -248,6 +248,11 @@ class TestStreamingTopK:
         top.update(np.empty(0), np.empty(0))
         assert len(top) == 0
 
+    @pytest.mark.parametrize("k", [2.7, True, float("nan")])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            StreamingTopK(k)
+
 
 class TestStreamingFrontier:
     @given(
@@ -575,6 +580,23 @@ class TestSearchSpaceAPI:
         constrained = SpaceSearch(top_k=2, constraints=(MaxOffloadedConstraint(1),))
         with pytest.raises(ValueError):
             search.merge(constrained)
+
+    @pytest.mark.parametrize("top_k", [2.7, 2.0, True, np.bool_(True), float("nan"), "3"])
+    def test_top_k_must_be_an_integer(self, small_space, top_k):
+        """No silent truncation (2.7 -> 2) and no bool-as-int (True -> 1)."""
+        _, executor, chain, *_ = small_space
+        with pytest.raises(TypeError, match="top_k"):
+            search_space(executor, chain, top_k=top_k)
+        with pytest.raises(TypeError, match="top_k"):
+            search_space(executor, chain, top_k=top_k, frontier=None, method="auto")
+        with pytest.raises(TypeError, match="top_k"):
+            SpaceSearch(top_k=top_k)
+
+    def test_top_k_accepts_integer_likes_and_rejects_negatives(self, small_space):
+        _, executor, chain, *_ = small_space
+        assert len(search_space(executor, chain, top_k=np.int64(3)).top["time"]) == 3
+        with pytest.raises(ValueError, match="top_k"):
+            search_space(executor, chain, top_k=-1)
 
     def test_custom_constraint_survives_sharded_merge(self, small_space):
         """Identity-only equality must not spuriously reject cross-process merges."""
