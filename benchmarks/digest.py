@@ -28,8 +28,12 @@ Usage, from the repository root::
 
 ``--check`` exits 1 on a mismatch when the recorded environment matches this
 one, and only warns when it does not.  ``--base`` extracts ``src/`` of the
-revision with ``git archive`` into a temporary directory, digests it in a
-subprocess with the same inputs, and exits 1 if any section differs.
+revision with ``git archive`` into a temporary directory (no worktree is
+registered, so an interrupted run leaves nothing behind), digests it in a
+subprocess with the same inputs, and compares section by section, also with
+error messages and dispatch reasons left out; it lists every reworded one.
+It exits 0 when every section matches, 2 when only wording differs, and 1
+when any value differs.
 """
 
 from __future__ import annotations
@@ -82,11 +86,22 @@ def _canon(value):
     raise TypeError(f"cannot canonicalize {value!r}")
 
 
+#: Record fields holding prose -- error messages and dispatch reasons.
+TEXT_KEYS = ("message", "reason")
+
+
 class Section:
-    """One section's hash, fed one record per case."""
+    """One section's hashes, fed one record per case.
+
+    ``hexdigest`` covers every field; ``values_digest`` leaves out the
+    :data:`TEXT_KEYS` fields, so a change that only rewords messages keeps
+    it, and ``texts`` keeps those fields per case to name what changed.
+    """
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
+        self._values = hashlib.sha256()
+        self.texts: dict[str, list] = {}
         self.cases = 0
 
     def case(self, label: str, call) -> None:
@@ -96,12 +111,18 @@ class Section:
                 record = call()
         except Exception as exc:  # noqa: BLE001 - errors are part of the output
             record = {"error": type(exc).__name__, "message": str(exc)}
-        line = json.dumps([label, _canon(record)], sort_keys=True)
-        self._hash.update(line.encode() + b"\n")
+        record = _canon(record)
+        values = {k: v for k, v in record.items() if k not in TEXT_KEYS}
+        self._hash.update(json.dumps([label, record], sort_keys=True).encode() + b"\n")
+        self._values.update(json.dumps([label, values], sort_keys=True).encode() + b"\n")
+        self.texts[label] = [record.get(key) for key in TEXT_KEYS]
         self.cases += 1
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
+
+    def values_digest(self) -> str:
+        return self._values.hexdigest()
 
 
 # ----------------------------------------------------------------------------
@@ -486,18 +507,30 @@ def environment() -> dict:
 def compute(src: Path) -> dict:
     """Every section digest of the ``repro`` package under ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "tests")]
-    digests = {}
-    counts = {}
+    out = {"sections": {}, "values": {}, "cases": {}, "texts": {}}
     for name in SECTIONS:
         section = Section()
         DIGESTERS[name](section)
-        digests[name] = section.hexdigest()
-        counts[name] = section.cases
-    return {"sections": digests, "cases": counts, "env": environment()}
+        out["sections"][name] = section.hexdigest()
+        out["values"][name] = section.values_digest()
+        out["cases"][name] = section.cases
+        out["texts"][name] = section.texts
+    return {**out, "env": environment()}
 
 
 def _compare(expected: dict, actual: dict) -> list[str]:
     return [name for name in SECTIONS if expected.get(name) != actual.get(name)]
+
+
+def _changed_texts(base: dict, current: dict) -> dict:
+    """``(section, old text, new text) -> cases`` for every reworded field."""
+    changed: dict = {}
+    for name in SECTIONS:
+        for label, texts in current["texts"][name].items():
+            for old, new in zip(base["texts"][name].get(label, ()), texts):
+                if old != new:
+                    changed[(name, old, new)] = changed.get((name, old, new), 0) + 1
+    return changed
 
 
 def _run_base(rev: str) -> dict:
@@ -536,7 +569,8 @@ def main(argv=None) -> int:
 
     if args.write:
         DIGEST_FILE.write_text(
-            json.dumps({"env": current["env"], "sections": current["sections"]}, indent=2) + "\n"
+            json.dumps({key: current[key] for key in ("env", "sections", "values")}, indent=2)
+            + "\n"
         )
         print(f"wrote {DIGEST_FILE.relative_to(ROOT)}")
         return 0
@@ -547,7 +581,9 @@ def main(argv=None) -> int:
             print("digest check: every section matches")
             return 0
         same_env = committed["env"] == current["env"]
+        drifted = _compare(committed["values"], current["values"])
         print(f"digest check: mismatched sections: {', '.join(mismatched)}")
+        print(f"  of which values differ in: {', '.join(drifted) or 'none (wording only)'}")
         if not same_env:
             print(
                 "warning: DIGEST.json was recorded in another environment "
@@ -558,10 +594,17 @@ def main(argv=None) -> int:
     if args.base:
         base = _run_base(args.base)
         mismatched = _compare(base["sections"], current["sections"])
+        drifted = _compare(base["values"], current["values"])
         for name in SECTIONS:
-            status = "differs" if name in mismatched else "matches"
+            status = "matches"
+            if name in drifted:
+                status = "DIFFERS"
+            elif name in mismatched:
+                status = "values match; messages or reasons reworded"
             print(f"{name:<20} base {base['sections'][name][:16]}... {status}")
-        return 1 if mismatched else 0
+        for (name, old, new), count in _changed_texts(base, current).items():
+            print(f"\n[{name}] {count} case(s):\n  - {old}\n  + {new}")
+        return 1 if drifted else 2 if mismatched else 0
     return 0
 
 

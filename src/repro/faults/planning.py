@@ -7,7 +7,7 @@ but "gone"), execution degrades to a pre-computed feasible plan instead of
 re-planning under fire.  Each backup is itself optimal over the reduced
 device set, verified by the same engines as the primary.
 
-Dispatch boundary (the PR-6 pattern, extended):
+Dispatch boundary:
 
 * **Fault-free plans** (``retry=None``) delegate to
   :func:`repro.search.planner.plan_workload` -- exact polynomial DP where
@@ -17,10 +17,10 @@ Dispatch boundary (the PR-6 pattern, extended):
   *expected cost under faults*.  That objective couples consecutive tasks
   through survival factors but is still evaluated exactly by the vectorized
   fault engine; the DP lattice, however, compiles from the classic tables
-  only, so fault-aware planning always **streams** the sub-space
-  (``method="auto"``/``"enumerate"``) and ``method="dp"`` raises with the
-  reason.  The sub-space is bounded by ``fallback_limit`` exactly like the
-  classic enumeration fallback.
+  only.  So each component plan is a top-1 ``search_space(..., retry=)``
+  that :func:`repro.search.planner.route` streams, in bounded memory, over
+  cached tables; ``method="dp"`` raises with the rule's reason.  The
+  sub-space is bounded by ``fallback_limit`` like the classic fallback.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .engine import execute_fault_placements
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
-from ..devices.tables import build_tables
+from ..devices.tables import check_fault_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..devices.simulator import SimulatedExecutor
@@ -114,52 +114,6 @@ class FallbackPlan:
         return "\n".join(lines)
 
 
-def _fault_stream_plan(
-    executor: "SimulatedExecutor",
-    workload: "TaskChain | TaskGraph",
-    objective: str,
-    aliases: tuple[str, ...],
-    retry: RetryPolicy,
-    faults: FaultProfile | None,
-    timeout: TimeoutPolicy | None,
-    min_success: float,
-    fallback_limit: int,
-) -> DevicePlan:
-    """Expected-cost-under-faults optimum of one device subset, by enumeration."""
-    from ..offload.space import placement_matrix, space_size
-
-    n_tasks = len(workload)
-    size = space_size(n_tasks, len(aliases))
-    if size > fallback_limit:
-        raise ValueError(
-            f"fault-aware planning would enumerate {size} placements over "
-            f"{list(aliases)} (limit {fallback_limit}); shrink the device set "
-            f"or use search_space(..., retry=...) to stream the space in shards"
-        )
-    tables = build_tables(
-        workload, executor.platform, devices=aliases, retry=retry, faults=faults, timeout=timeout
-    )
-    batch = execute_fault_placements(tables, placement_matrix(n_tasks, len(aliases)))
-    values = batch.metric_values(objective)
-    feasible = batch.success_probability >= min_success if min_success > 0.0 else np.isfinite(values)
-    feasible = feasible & np.isfinite(values)
-    if not feasible.any():
-        raise ValueError(
-            f"no placement of {workload.name!r} over {list(aliases)} reaches "
-            f"success probability {min_success} under the fault profile"
-        )
-    index = int(np.argmin(np.where(feasible, values, np.inf)))
-    return DevicePlan(
-        objective=objective,
-        placement=batch.placement(index),
-        label=batch.label(index),
-        value=float(values[index]),
-        aliases=aliases,
-        method="fault-stream",
-        success_probability=float(batch.success_probability[index]),
-    )
-
-
 def plan_with_fallback(
     executor: "SimulatedExecutor",
     workload: "TaskChain | TaskGraph",
@@ -186,11 +140,7 @@ def plan_with_fallback(
     """
     if method not in ("auto", "dp", "enumerate"):
         raise ValueError(f"unknown method {method!r}; choose 'auto', 'dp' or 'enumerate'")
-    if retry is None and (faults is not None or timeout is not None):
-        raise ValueError(
-            "fault-aware planning needs retry=RetryPolicy(...); "
-            "got faults/timeout without a retry policy"
-        )
+    check_fault_args(retry, faults, timeout)
     if not 0.0 <= float(min_success) <= 1.0:
         raise ValueError(f"min_success must be in [0, 1], got {min_success!r}")
     platform = executor.platform
@@ -207,22 +157,50 @@ def plan_with_fallback(
 
     dispatch_reason: str | None = None
     if retry is not None:
+        from ..offload.space import indices_to_matrix, space_size
+        from ..search.constraints import SuccessProbabilityConstraint
+        from ..search.driver import search_space
+        from ..search.planner import _FAULT_REASON
+
         if method == "dp":
             raise ValueError(
-                "method='dp' cannot serve fault-aware planning: expected cost "
-                "under faults couples tasks through survival factors outside "
-                "the DP lattice; use method='auto' (streams) or drop retry= "
-                "for the classic exact planner"
+                f"method='dp' cannot serve fault-aware planning: {_FAULT_REASON}; "
+                "use method='auto' (streams) or drop retry= for the classic exact planner"
             )
-        dispatch_reason = (
-            "expected-cost-under-faults objectives stream the sub-space "
-            "(outside the DP planner boundary)"
-        )
+        dispatch_reason = _FAULT_REASON
+        fault_args = dict(faults=faults, retry=retry, timeout=timeout)
+        constraints = (SuccessProbabilityConstraint(min_success),) if min_success else ()
 
         def component(subset: tuple[str, ...]) -> DevicePlan:
-            return _fault_stream_plan(
-                executor, workload, objective, subset, retry, faults, timeout,
-                float(min_success), fallback_limit,
+            size = space_size(len(workload), len(subset))
+            if size > fallback_limit:
+                raise ValueError(
+                    f"fault-aware planning would enumerate {size} placements over "
+                    f"{list(subset)} (limit {fallback_limit}); shrink the device set "
+                    f"or use search_space(..., retry=...) to stream the space in shards"
+                )
+            selection = search_space(
+                executor, workload, objectives=(objective,), top_k=1, frontier=None,
+                constraints=constraints, devices=subset, method="auto", **fault_args,
+            ).top[objective]
+            if not len(selection) or not np.isfinite(selection.values[0]):
+                raise ValueError(
+                    f"no placement of {workload.name!r} over {list(subset)} reaches "
+                    f"success probability {float(min_success)} under the fault profile"
+                )
+            # Only the winner is re-executed, for its success probability.
+            row = indices_to_matrix(selection.indices, len(workload), len(subset))
+            batch = execute_fault_placements(
+                executor.cost_tables(workload, subset, **fault_args), row
+            )
+            return DevicePlan(
+                objective=objective,
+                placement=batch.placement(0),
+                label=selection.labels[0],
+                value=float(selection.values[0]),
+                aliases=subset,
+                method="fault-stream",
+                success_probability=float(batch.success_probability[0]),
             )
 
     else:
@@ -241,16 +219,11 @@ def plan_with_fallback(
                 method=plan.method,
             )
 
-    primary = component(aliases)
-    backups: dict[str, DevicePlan] = {}
-    for alias in covered:
-        subset = tuple(a for a in aliases if a != alias)
-        backups[alias] = component(subset)
     return FallbackPlan(
         objective=objective,
         workload=workload.name,
         aliases=aliases,
-        primary=primary,
-        backups=backups,
+        primary=component(aliases),
+        backups={alias: component(tuple(a for a in aliases if a != alias)) for alias in covered},
         dispatch_reason=dispatch_reason,
     )

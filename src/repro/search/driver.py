@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ..offload.space import MAX_ENUMERABLE_INDEX, indices_to_matrix, space_size
+from ..tasks.graph import TaskGraph
 from .constraints import Constraint, feasible_mask
 from .frontier import StreamingFrontier
 from .objectives import Objective, as_objectives
@@ -43,7 +44,6 @@ from .topk import StreamingTopK, _read_count
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..devices.simulator import SimulatedExecutor
     from ..tasks.chain import TaskChain
-    from ..tasks.graph import TaskGraph
 
 __all__ = [
     "SpaceSearch",
@@ -56,6 +56,9 @@ __all__ = [
 
 #: Default criteria of the streaming frontier -- the three axes of Section IV.
 DEFAULT_FRONTIER = ("time", "energy", "cost")
+
+#: Placements per streamed chunk of a plain sweep.
+_BATCH_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,8 @@ def _evaluate_chunk(
     return mask, {name: _base_values(base, result) for name, base in bases.items()}
 
 
-def _placement_range(tables, start: int, stop: int | None) -> tuple[int, int]:
-    """``(space size, stop)`` of a validated, non-empty placement-index range."""
+def _placement_range(tables, start: int, stop: int | None) -> int:
+    """The stop of a validated, non-empty placement-index range."""
     total = space_size(tables.n_tasks, tables.n_devices)
     if stop is None:
         stop = total
@@ -261,7 +264,7 @@ def _placement_range(tables, start: int, stop: int | None) -> tuple[int, int]:
         raise ValueError(f"invalid slice [{start}, {stop}) of a space of {total} placements")
     if start == stop:
         raise ValueError("cannot search an empty placement range")
-    return total, stop
+    return stop
 
 
 class SpaceSearch:
@@ -511,13 +514,7 @@ class SpaceSearch:
 # Driver
 # ----------------------------------------------------------------------------
 
-def _planner_search(
-    executor: "SimulatedExecutor",
-    chain: "TaskChain | TaskGraph",
-    objectives: Sequence[Objective],
-    devices: Sequence[str] | None,
-    tables,
-) -> SearchResult:
+def _planner_search(tables, objectives: Sequence[Objective], graph: bool) -> SearchResult:
     """Serve a top-1 full-space request with one exact DP per objective.
 
     The :class:`SearchResult` shape is preserved with two documented semantic
@@ -526,22 +523,22 @@ def _planner_search(
     index is ``-1`` when the space is too large for the lexicographic
     placement index to fit an int64 (the label and value are still exact).
     """
-    from .planner import plan_workload
+    from .planner import _dp_plan
 
-    top: dict[str, TopSelection] = {}
-    n_states = 0
-    for objective in objectives:
-        plan = plan_workload(executor, chain, objective, devices=devices, method="dp")
-        n_states += plan.n_states
-        index = plan.placement_index
-        top[objective.name] = TopSelection(
-            objective=objective.name,
+    plans = {objective.name: _dp_plan(tables, objective, graph) for objective in objectives}
+    n_states = sum(plan.n_states for plan in plans.values())
+    top = {
+        name: TopSelection(
+            objective=name,
             indices=np.array(
-                [index if index <= MAX_ENUMERABLE_INDEX else -1], dtype=np.int64
+                [plan.placement_index if plan.placement_index <= MAX_ENUMERABLE_INDEX else -1],
+                dtype=np.int64,
             ),
             values=np.array([plan.value]),
             labels=(plan.label,),
         )
+        for name, plan in plans.items()
+    }
     return SearchResult(
         n_tasks=tables.n_tasks,
         aliases=tables.aliases,
@@ -561,7 +558,7 @@ def search_space(
     frontier: Sequence[str | Objective] | None = DEFAULT_FRONTIER,
     constraints: Sequence[Constraint] = (),
     devices: Sequence[str] | None = None,
-    batch_size: int = 65536,
+    batch_size: int = _BATCH_SIZE,
     start: int = 0,
     stop: int | None = None,
     n_workers: int | None = None,
@@ -587,61 +584,42 @@ def search_space(
     the result is identical to the serial sweep, independent of worker count
     and chunking.  ``n_workers`` below 1 is rejected.
 
-    ``method`` selects the engine: ``"stream"`` (default) enumerates;
-    ``"planner"`` answers through :mod:`repro.search.planner`'s exact DP --
-    requiring a top-1, full-range, unconstrained, frontier-free request over
-    DP-plannable objectives and workloads, and raising with the violated
-    requirement otherwise; ``"auto"`` plans when those conditions hold and
-    streams when they do not.
+    ``method`` picks the engine through :func:`repro.search.planner.route`:
+    ``"stream"`` (default) enumerates; ``"planner"`` answers through the
+    exact DP -- requiring a top-1, full-range, unconstrained, frontier-free
+    request over DP-plannable objectives and workloads, and raising with the
+    violated requirement otherwise; ``"auto"`` plans when those conditions
+    hold and streams when they do not.
 
     With ``retry=`` given the sweep ranks placements by *expected* cost under
     the fault profile (``faults`` defaulting to the platform's attached one);
     fault-aware batches carry success probabilities, so
     :class:`~repro.search.constraints.SuccessProbabilityConstraint` filters
-    work.  Expected-cost objectives are outside the DP planner boundary:
+    work.  Expected-cost objectives are outside the planner boundary:
     ``method="planner"`` raises, ``"auto"`` streams.
     """
+    from .planner import route
+
     if method not in ("stream", "planner", "auto"):
         raise ValueError(f"unknown method {method!r}; choose 'stream', 'planner' or 'auto'")
     check_n_workers(n_workers)
-    if retry is not None and method == "planner":
-        raise ValueError(
-            "method='planner' cannot serve fault-aware search: expected cost "
-            "under faults couples tasks through survival factors outside the "
-            "DP planner boundary; use method='stream' (or 'auto') to enumerate"
-        )
     tables = executor.cost_tables(chain, devices, faults=faults, retry=retry, timeout=timeout)
-    total, stop = _placement_range(tables, start, stop)
-
+    stop = _placement_range(tables, start, stop)
     # The accumulator reads and validates the selection options once, before
-    # the planner dispatch sees them.
+    # the dispatch rule sees them.
     search = SpaceSearch(
         objectives=objectives,
         top_k=top_k,
         frontier=frontier,
         constraints=constraints,
     )
-
-    if method in ("planner", "auto") and retry is None:
-        from .planner import dispatch_reason
-
-        reason = dispatch_reason(
-            tables,
-            search._objectives,
-            top_k=search.top_k,
-            frontier=search._criteria,
-            constraints=search._constraints,
-            start=start,
-            stop=stop,
-            total=total,
-        )
-        if reason is None:
-            return _planner_search(executor, chain, search._objectives, devices, tables)
-        if method == "planner":
-            raise ValueError(
-                f"method='planner' cannot serve this request: {reason}; "
-                "use method='stream' (or 'auto') to enumerate"
-            )
+    engine, _ = route(
+        tables, search._objectives, top_k=search.top_k, frontier=search._criteria,
+        constraints=search._constraints, span=(start, stop), faults=retry is not None,
+        method=method,
+    )
+    if engine == "planner":
+        return _planner_search(tables, search._objectives, isinstance(chain, TaskGraph))
 
     ranges = shard_ranges(start, stop, n_workers) if n_workers else []
     if len(ranges) > 1:

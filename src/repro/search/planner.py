@@ -533,32 +533,48 @@ def _infeasible_error(tables: "GridCostTables", name: str) -> KeyError:
 
 
 def _plannable_reason(
-    tables: "GridCostTables",
-    objective: Objective,
-    max_level_states: int,
-) -> tuple[str | None, list[list[int]] | None, tuple[float, float, float] | None]:
-    """Why the workload/objective pair cannot be DP-planned (``None`` if it can).
+    tables: "GridCostTables", objective: Objective, max_level_states: int
+) -> str | None:
+    """Why the DP cannot plan ``objective`` over plain ``tables`` (``None`` if it can).
 
     Judged from the tables alone, so every caller applies one rule: linear
     tables (a chain, or a linear graph) plan like a chain, one task per level
     and no state cap; anything else needs barrier-decomposable levels within
-    ``max_level_states``.  The levels are returned for the level DP.
+    ``max_level_states``.
     """
-    weights = planner_objective_weights(objective)
-    if weights is None:
+    if planner_objective_weights(objective) is None:
         return (
             f"objective {objective.name!r} is not additive over the placement "
             "lattice (the planner handles 'time'/'energy'/'cost' and "
-            "WeightedSumObjective)",
-            None,
-            None,
+            "WeightedSumObjective)"
         )
     if tables.is_linear:
-        return None, [[t] for t in range(tables.n_tasks)], weights
-    levels, why = decomposable_levels(tables.pred_positions, tables.n_devices, max_level_states)
-    if levels is None:
-        return f"graph workload is not barrier-decomposable: {why}", None, weights
-    return None, levels, weights
+        return None
+    _, why = decomposable_levels(tables.pred_positions, tables.n_devices, max_level_states)
+    return None if why is None else f"graph workload is not barrier-decomposable: {why}"
+
+
+def _grid_refusal(tables: "GridCostTables", robust) -> str | None:
+    """Why the robust chain DP cannot plan ``robust`` over grid ``tables``."""
+    from .robust import ExpectedValueObjective, RegretObjective, WorstCaseObjective
+
+    base = as_objective(robust.base)
+    if planner_objective_weights(base) is None:
+        return (
+            f"base objective {base.name!r} is not DP-plannable; fall back "
+            "to search_grid's streaming enumeration"
+        )
+    if not tables.is_linear:
+        return (
+            "robust planning is exact for chain workloads only; fall back to "
+            "search_grid for non-linear graphs"
+        )
+    if not isinstance(robust, (ExpectedValueObjective, RegretObjective, WorstCaseObjective)):
+        return (
+            f"robust objective {robust.name!r} is not DP-plannable; fall back "
+            "to search_grid's streaming enumeration"
+        )
+    return None
 
 
 def plan_workload(
@@ -585,52 +601,14 @@ def plan_workload(
         raise ValueError(f"unknown method {method!r}; choose 'auto', 'dp' or 'enumerate'")
     tables = executor.cost_tables(workload, devices)
     obj = as_objective(objective)
-    reason, levels, weights = _plannable_reason(tables, obj, max_level_states)
+    reason = _plannable_reason(tables, obj, max_level_states)
     if method == "dp" and reason is not None:
         raise ValueError(f"method='dp' cannot plan this workload: {reason}")
     if method == "enumerate":
         reason = reason or "enumeration requested"
-    if reason is not None:
-        return _enumeration_plan(executor, workload, obj, devices, tables, reason, fallback_limit)
-
-    if isinstance(workload, TaskGraph):
-        dp_value, path, n_states = _plan_levels(tables, levels, weights)
-        dp_method = "level-dp"
-    else:
-        first, trans = _chain_lattice(tables, weights)
-        dp_value, path = _viterbi(first, trans)
-        n_states = tables.n_tasks * tables.n_devices
-        dp_method = "chain-dp"
-    if not np.isfinite(dp_value):
-        raise _infeasible_error(tables, obj.name)
-    batch = execute_placements(tables, path[None, :])
-    value = float(obj(batch)[0])
-    return PlanResult(
-        objective=obj.name,
-        placement=tuple(tables.aliases[d] for d in path),
-        label=placement_labels(path[None, :], tables.aliases)[0],
-        value=value,
-        dp_value=dp_value,
-        method=dp_method,
-        exact=True,
-        fallback_reason=None,
-        n_tasks=tables.n_tasks,
-        aliases=tables.aliases,
-        n_states=n_states,
-        batch=batch,
-    )
-
-
-def _enumeration_plan(
-    executor: "SimulatedExecutor",
-    workload: "TaskChain | TaskGraph",
-    objective: Objective,
-    devices: Sequence[str] | None,
-    tables: "GridCostTables",
-    reason: str,
-    fallback_limit: int,
-) -> PlanResult:
-    """The documented fallback: a streaming top-1 sweep of the whole space."""
+    if reason is None:
+        return _dp_plan(tables, obj, isinstance(workload, TaskGraph), max_level_states)
+    # The documented fallback: a streaming top-1 sweep of the whole space.
     total = space_size(tables.n_tasks, tables.n_devices)
     if total > fallback_limit:
         raise ValueError(
@@ -641,33 +619,71 @@ def _enumeration_plan(
         )
     from .driver import search_space
 
-    result = search_space(
-        executor,
-        workload,
-        objectives=(objective,),
-        top_k=1,
-        frontier=None,
-        devices=devices,
-    )
-    selection = result.top[objective.name]
+    selection = search_space(
+        executor, workload, objectives=(obj,), top_k=1, frontier=None, devices=devices
+    ).top[obj.name]
     if not len(selection):
+        raise _infeasible_error(tables, obj.name)
+    path = indices_to_matrix(selection.indices, tables.n_tasks, tables.n_devices)[0]
+    return _plan_result(tables, obj, path, "enumeration", float(selection.values[0]), total, reason)
+
+
+def _dp_plan(
+    tables: "GridCostTables", objective: Objective, graph: bool,
+    max_level_states: int = DEFAULT_MAX_LEVEL_STATES,
+) -> PlanResult:
+    """The exact DP over plain tables the dispatch rule admitted.
+
+    A graph workload runs the level DP (a linear one level per task), a
+    chain the Viterbi lattice; the winner is re-scored through the engine.
+    """
+    weights = planner_objective_weights(objective)
+    if graph:
+        if tables.is_linear:
+            levels = [[t] for t in range(tables.n_tasks)]
+        else:
+            levels, _ = decomposable_levels(
+                tables.pred_positions, tables.n_devices, max_level_states
+            )
+        dp_value, path, n_states = _plan_levels(tables, levels, weights)
+        method = "level-dp"
+    else:
+        first, trans = _chain_lattice(tables, weights)
+        dp_value, path = _viterbi(first, trans)
+        n_states = tables.n_tasks * tables.n_devices
+        method = "chain-dp"
+    if not np.isfinite(dp_value):
         raise _infeasible_error(tables, objective.name)
-    row = indices_to_matrix(selection.indices[:1], tables.n_tasks, tables.n_devices)
-    batch = execute_placements(tables, row)
+    return _plan_result(tables, objective, path, method, dp_value, n_states)
+
+
+def _plan_result(
+    tables: "GridCostTables", objective: Objective, path: np.ndarray, method: str,
+    dp_value: float, n_states: int, reason: str | None = None,
+) -> PlanResult:
+    """A plan of one device path, scored through the engine."""
+    batch = execute_placements(tables, path[None, :])
     return PlanResult(
         objective=objective.name,
-        placement=tuple(tables.aliases[d] for d in row[0]),
-        label=selection.labels[0],
-        value=float(selection.values[0]),
-        dp_value=float(selection.values[0]),
-        method="enumeration",
+        placement=tuple(tables.aliases[d] for d in path),
+        label=placement_labels(path[None, :], tables.aliases)[0],
+        value=float(objective(batch)[0]),
+        dp_value=dp_value,
+        method=method,
         exact=True,
         fallback_reason=reason,
         n_tasks=tables.n_tasks,
         aliases=tables.aliases,
-        n_states=total,
+        n_states=n_states,
         batch=batch,
     )
+
+
+#: Why a fault-aware request never reaches the planner.
+_FAULT_REASON = (
+    "fault-aware expected cost is outside the DP planner boundary: survival "
+    "factors couple consecutive tasks outside the DP lattice"
+)
 
 
 def dispatch_reason(
@@ -682,12 +698,13 @@ def dispatch_reason(
     total: int,
     max_level_states: int = DEFAULT_MAX_LEVEL_STATES,
 ) -> str | None:
-    """Why ``search_space(..., method="planner")`` cannot serve this request.
+    """Why the exact planner cannot serve this request (``None`` if it can).
 
-    ``None`` means the planner can answer it exactly; otherwise the returned
-    string names the first violated requirement (the documented boundary:
-    top-1 selection over additive objectives on the full space, no frontier,
-    no constraints, decomposable workload).
+    The documented boundary: top-1 selection on the full space, no frontier,
+    no constraints, and DP-plannable objectives -- additive ones over a
+    decomposable workload on plain tables, and on scenario-grid tables the
+    worst case, expectation or regret of an additive base over a chain.  The
+    returned string names the first violated requirement.
     """
     if constraints:
         return "feasibility constraints require streaming enumeration"
@@ -698,10 +715,64 @@ def dispatch_reason(
     if (start, stop) != (0, total):
         return "the planner optimises over the full space, not an index slice"
     for objective in objectives:
-        reason, _, _ = _plannable_reason(tables, objective, max_level_states)
+        if tables.plain:
+            reason = _plannable_reason(tables, objective, max_level_states)
+        else:
+            reason = _grid_refusal(tables, objective)
         if reason is not None:
             return reason
     return None
+
+
+def route(
+    tables: "GridCostTables",
+    objectives: Sequence[Objective],
+    *,
+    top_k: int,
+    frontier: Sequence[Objective] | None,
+    constraints: Sequence[object],
+    span: tuple[int, int] | None,
+    faults: bool,
+    method: str,
+    option: str = "method",
+) -> tuple[str, str]:
+    """The one dispatch rule of every planning entry point: ``(engine, reason)``.
+
+    ``engine`` is ``"planner"`` (the exact DP) or ``"stream"`` (the streaming
+    enumerator); ``reason`` records why.  ``span`` is the searched
+    ``(start, stop)`` index range (``None`` for the full space) and
+    ``faults`` whether the request ranks expected cost under faults, which
+    only the enumerator evaluates.  ``method="stream"`` streams without
+    consulting the rule, ``"auto"`` plans where :func:`dispatch_reason`
+    admits the request and streams otherwise, and ``"planner"`` raises the
+    violated requirement, naming the caller's ``option``.
+    """
+    if method == "stream":
+        return "stream", "stream requested"
+    if faults:
+        reason = _FAULT_REASON
+    else:
+        total = space_size(tables.n_tasks, tables.n_devices)
+        start, stop = span or (0, total)
+        reason = dispatch_reason(
+            tables, objectives, top_k=top_k, frontier=frontier,
+            constraints=constraints, start=start, stop=stop, total=total,
+        )
+    if reason is None:
+        if method == "planner":
+            return "planner", "planner requested"
+        return "planner", f"exact {'' if tables.plain else 'robust '}DP serves this top-1 request"
+    if method == "planner":
+        raise _refusal(reason, option)
+    return "stream", reason
+
+
+def _refusal(reason: str, option: str = "method") -> ValueError:
+    """The error of a request forced onto the planner outside its boundary."""
+    return ValueError(
+        f"{option}='planner' cannot serve this request: {reason}; "
+        f"use {option}='stream' (or 'auto') to enumerate"
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -843,43 +914,32 @@ def plan_grid(
     placement.  Non-linear graphs and non-plannable bases raise with a
     pointer to ``search_grid``.
     """
-    from ..devices.grid import execute_placements_grid
-    from .robust import (
-        ExpectedValueObjective,
-        RegretObjective,
-        RobustObjective,
-        WorstCaseObjective,
-        _scenario_entries,
-    )
+    from .robust import _scenario_entries, as_robust_objectives
 
-    if isinstance(objective, str):
-        robust: RobustObjective = WorstCaseObjective(base=objective)
-    elif isinstance(objective, RobustObjective):
-        robust = objective
-    else:
-        raise TypeError(
-            f"cannot interpret {objective!r} as a robust objective; pass a metric "
-            "name (planned by worst case) or a RobustObjective instance"
-        )
-    base_obj = as_objective(robust.base)
-    weights = planner_objective_weights(base_obj)
-    if weights is None:
-        raise ValueError(
-            f"base objective {base_obj.name!r} is not DP-plannable; fall back "
-            "to search_grid's streaming enumeration"
-        )
-
+    (robust,) = as_robust_objectives((objective,))
     grid, scenario_names, grid_weights = _scenario_entries(scenarios)
     # Served from the executor's content-addressed table cache: keyed by the
     # (base platform, scenario grid) fingerprints, so a sweep re-planning the
     # same configuration skips the rebuild (grids build in array space).
     tables = executor.grid_cost_tables(workload, grid, devices)
-    if not tables.is_linear:
-        raise ValueError(
-            "robust planning is exact for chain workloads only; fall back to "
-            "search_grid for non-linear graphs"
-        )
+    reason = _grid_refusal(tables, robust)
+    if reason is not None:
+        raise ValueError(reason)
+    return _plan_grid_tables(tables, robust, scenario_names, grid_weights, max_labels)
 
+
+def _plan_grid_tables(
+    tables: "GridCostTables", robust, scenario_names: tuple[str, ...],
+    grid_weights: np.ndarray, max_labels: int = DEFAULT_MAX_LABELS,
+) -> GridPlanResult:
+    """The robust chain DP over grid tables the dispatch rule admitted; raises
+    ``ValueError`` for what shows only as it runs (the label budget, or
+    expectation weights that miss the scenario count)."""
+    from ..devices.grid import execute_placements_grid
+    from .robust import ExpectedValueObjective, RegretObjective
+
+    base_obj = as_objective(robust.base)
+    weights = planner_objective_weights(base_obj)
     firsts, transes = _grid_lattices(tables, weights)
     baselines: np.ndarray | None = None
     n_labels = 0
@@ -912,18 +972,13 @@ def plan_grid(
 
         dp_value, path, n_labels = _label_dp(firsts, transes, regret_score, max_labels)
         method = "label-dp"
-    elif isinstance(robust, WorstCaseObjective):
+    else:
 
         def worst_score(labels: np.ndarray) -> np.ndarray:
             return labels.max(axis=1)
 
         dp_value, path, n_labels = _label_dp(firsts, transes, worst_score, max_labels)
         method = "label-dp"
-    else:
-        raise ValueError(
-            f"robust objective {robust.name!r} is not DP-plannable; fall back "
-            "to search_grid's streaming enumeration"
-        )
 
     grid = execute_placements_grid(tables, path[None, :])
     values = robust.values(grid)  # (s, 1)

@@ -55,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tasks.chain import TaskChain
     from ..tasks.graph import TaskGraph
 
+#: Placements per streamed chunk of a grid sweep (weighted expectations round
+#: by chunk width, so sweeps that must agree bitwise share it).
+_GRID_BATCH_SIZE = 16384
+
 __all__ = [
     "RobustObjective",
     "WorstCaseObjective",
@@ -346,7 +350,9 @@ class RegretObjective(RobustObjective):
     the objective is the maximum over scenarios.  The minima are taken over
     the feasible placements actually searched, so under :func:`search_grid`
     the space is streamed twice: one pass to find the per-scenario baselines,
-    one to select.
+    one to select.  A scenario whose best value is ``inf`` (every placement
+    fails there) gives every placement an ``inf`` regret, as the worst case
+    does, instead of the NaN of ``inf - inf``.
     """
 
     requires_baseline = True
@@ -363,7 +369,9 @@ class RegretObjective(RobustObjective):
             raise ValueError(
                 f"expected {values.shape[0]} baselines, got shape {baselines.shape}"
             )
-        return (values - baselines[:, None]).max(axis=0)
+        regret = np.full(values.shape, np.inf)
+        np.subtract(values, baselines[:, None], out=regret, where=np.isfinite(baselines)[:, None])
+        return regret.max(axis=0)
 
 
 def as_robust_objectives(
@@ -480,41 +488,6 @@ def _scenario_sharded_chunks(
         yield chunk_start, chunk_stop - chunk_start, mask, values
 
 
-def _planner_baseline_reason(
-    tables,
-    bases: Sequence["str | Objective"],
-    constraints: Sequence[Constraint],
-    start: int,
-    stop: int,
-    total: int,
-    fault_aware: bool,
-) -> str | None:
-    """Why the regret baselines cannot come from the exact per-scenario DP.
-
-    Judged from the tables by the planner's own dispatch rule, plus linear
-    tables: :func:`~repro.search.planner.grid_baselines` runs the chain DP.
-    """
-    from .planner import dispatch_reason
-
-    if fault_aware:
-        return (
-            "expected-cost-under-faults bases are outside the DP planner "
-            "boundary (survival factors couple consecutive tasks)"
-        )
-    if not tables.is_linear:
-        return "planner baselines are exact for chain workloads only"
-    return dispatch_reason(
-        tables,
-        [as_objective(base) for base in bases],
-        top_k=1,
-        frontier=None,
-        constraints=constraints,
-        start=start,
-        stop=stop,
-        total=total,
-    )
-
-
 def search_grid(
     executor: "SimulatedExecutor",
     chain: "TaskChain | TaskGraph",
@@ -524,7 +497,7 @@ def search_grid(
     top_k: int = 10,
     constraints: Sequence[Constraint] = (),
     devices: Sequence[str] | None = None,
-    batch_size: int = 16384,
+    batch_size: int = _GRID_BATCH_SIZE,
     start: int = 0,
     stop: int | None = None,
     n_workers: int | None = None,
@@ -564,22 +537,23 @@ def search_grid(
     Constraints are enforced *robustly*: a placement is feasible only if it
     satisfies every constraint under every scenario.  Regret objectives need
     each scenario's best feasible value over the searched range --
-    ``baseline_method`` picks how it is found: ``"stream"`` runs an
-    extra streaming pass over the whole range that tracks only the regret
-    bases' per-scenario winners; ``"planner"`` computes each
+    ``baseline_method`` picks how it is found (through
+    :func:`repro.search.planner.route`): ``"stream"`` runs an extra
+    streaming pass that tracks only the regret bases' per-scenario winners;
+    ``"planner"`` computes each
     scenario's optimum with one exact chain DP
     (:func:`repro.search.planner.grid_baselines`, bitwise the streamed
     minimum, at ``O(s * k * m**2)`` instead of ``O(s * m**k)``), raising when
     the request is outside the planner boundary (constraints, index slices,
-    non-linear graphs, non-plannable bases); ``"auto"`` (default) plans when
-    eligible and streams otherwise.
+    non-linear graphs, non-plannable bases, faults); ``"auto"`` (default)
+    plans when eligible and streams otherwise.
 
     With ``retry=`` given every (scenario, placement) pair is evaluated under
     faults: each scenario uses its own platform's attached profile (the shape
     the :class:`~repro.scenarios.DeviceFailureRate` /
     :class:`~repro.scenarios.LinkDropoutRate` axes produce) unless an
     explicit ``faults`` profile overrides them all.  Fault-aware bases are
-    outside the DP planner boundary, so regret baselines stream
+    outside the planner boundary, so regret baselines stream
     (``baseline_method="planner"`` raises with that reason).
     """
     check_fault_args(retry, faults, timeout)
@@ -596,7 +570,7 @@ def search_grid(
         retry=retry,
         timeout=timeout,
     )
-    total, stop = _placement_range(tables, start, stop)
+    stop = _placement_range(tables, start, stop)
     if baseline_method not in ("auto", "planner", "stream"):
         raise ValueError(
             f"unknown baseline_method {baseline_method!r}; choose 'auto', 'planner' or 'stream'"
@@ -652,8 +626,7 @@ def search_grid(
 
     try:
         search.baselines = _regret_baselines(
-            run, tables, coerced, search.bases, constraints, start, stop, total,
-            baseline_method, fault_aware=retry is not None,
+            run, tables, search, (start, stop), baseline_method, fault_aware=retry is not None
         )
         search = run(search)
     finally:
@@ -676,45 +649,32 @@ def search_grid(
 def _regret_baselines(
     run,
     tables,
-    objectives: Sequence[RobustObjective],
-    bases: Mapping[str, "str | Objective"],
-    constraints: Sequence[Constraint],
-    start: int,
-    stop: int,
-    total: int,
+    search: SpaceSearch,
+    span: tuple[int, int] | None,
     baseline_method: str,
     fault_aware: bool,
 ) -> dict[str, np.ndarray]:
-    """Per-scenario minima of every regret base: exact DPs or a streamed pass.
-
-    The streamed pass is an accumulator tracking only the regret bases'
-    per-scenario winners, whose values are the minima.  Empty when no
-    objective needs baselines, and when no placement of the range is
-    feasible.
+    """Per-scenario minima of the regret bases of ``search``: exact DPs or a
+    streamed pass of their per-scenario winners, as
+    :func:`~repro.search.planner.route` decides.  Empty when no objective
+    needs baselines, and when no placement of the range is feasible.
     """
-    regret = tuple(objective for objective in objectives if objective.requires_baseline)
+    from .planner import grid_baselines, route
+
+    regret = tuple(r for _, _, r in search._ranked if r is not None and r.requires_baseline)
     if not regret:
         return {}
-    names = tuple(dict.fromkeys(_base_name(objective.base) for objective in regret))
-    planner_reason = _planner_baseline_reason(
-        tables, [bases[name] for name in names], tuple(constraints), start, stop, total,
-        fault_aware,
+    engine, _ = route(
+        tables, regret, top_k=1, frontier=None, constraints=search._constraints,
+        span=span, faults=fault_aware, method=baseline_method, option="baseline_method",
     )
-    if baseline_method == "planner" and planner_reason is not None:
-        raise ValueError(
-            f"baseline_method='planner' cannot serve this request: {planner_reason}; "
-            "use baseline_method='stream' (or 'auto')"
-        )
-    if baseline_method in ("auto", "planner") and planner_reason is None:
-        from .planner import grid_baselines
-
+    if engine == "planner":
+        names = dict.fromkeys(_base_name(objective.base) for objective in regret)
         try:
-            return {name: grid_baselines(tables, bases[name]) for name in names}
+            return {name: grid_baselines(tables, search.bases[name]) for name in names}
         except KeyError:
             # No feasible placement at all: same contract as the streaming
             # pass, which leaves the baselines empty.
             return {}
-    winners = run(
-        SpaceSearch(regret, 0, frontier=None, constraints=constraints)
-    )
+    winners = run(SpaceSearch(regret, 0, frontier=None, constraints=search._constraints))
     return dict(winners.winner_values) if winners.n_feasible else {}

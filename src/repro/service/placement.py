@@ -7,18 +7,16 @@ builds its cost tables through :func:`repro.devices.tables.build_tables`, and
 every later query with the same *content* -- across object identities,
 process restarts notwithstanding equal inputs -- is served from the cache.
 
-Each :class:`PlacementRequest` is routed through the existing engine
-dispatch:
-
-* plain requests (no scenario grid) go to the exact DP planner
-  (:func:`repro.search.planner.plan_workload`) when the request is inside
-  the planner boundary, and to the streaming enumerator
-  (:func:`repro.search.search_space`) otherwise;
-* grid requests go to :func:`repro.search.planner.plan_grid` or
-  :func:`repro.search.robust.search_grid` the same way;
-* ``method='planner'`` / ``method='stream'`` force an engine (raising with
-  the violated requirement when the planner cannot serve), ``'auto'``
-  dispatches and reports why in ``PlacementResponse.dispatch_reason``.
+Each :class:`PlacementRequest` fetches its tables once and asks the planning
+layer's one dispatch rule, :func:`repro.search.planner.route`, for the
+engine -- the exact DP of :func:`~repro.search.planner.plan_workload` /
+:func:`~repro.search.planner.plan_grid` or the streaming enumerator of
+:func:`~repro.search.search_space` / :func:`~repro.search.robust.search_grid`
+-- which then runs on those tables.  ``method='planner'`` /
+``method='stream'`` force an engine (raising with the violated requirement
+when the planner cannot serve), ``'auto'`` dispatches and reports why in
+``PlacementResponse.dispatch_reason``; a grid DP whose label frontier
+outgrows its budget, known only once it runs, streams with that reason.
 
 Responses carry the winning placement, its exact objective value (bitwise
 the engine's value), the engine used, the dispatch reason, per-request cache
@@ -27,7 +25,8 @@ traffic (:class:`CacheInfo`) and wall-clock timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -189,23 +188,6 @@ class PlacementResponse:
         )
 
 
-def _decode_placement(index: int, label: str, aliases: tuple[str, ...], n_tasks: int) -> tuple[str, ...]:
-    """Winning placement as an alias tuple, from its space index (or label)."""
-    if index >= 0:
-        digits = []
-        remaining = int(index)
-        for _ in range(n_tasks):
-            remaining, digit = divmod(remaining, len(aliases))
-            digits.append(digit)
-        return tuple(aliases[d] for d in reversed(digits))
-    # Indices beyond int64 are reported as -1; labels concatenate single-char
-    # aliases, so the label itself decodes (multi-char aliases cap the space
-    # well below int64 in practice).
-    if all(len(alias) == 1 for alias in aliases):
-        return tuple(label)
-    raise ValueError(f"cannot decode placement {label!r} over aliases {list(aliases)}")
-
-
 class PlacementService:
     """Serve placement queries from a shared content-addressed table cache.
 
@@ -335,10 +317,7 @@ class PlacementService:
         response_hit = core is not None
         before = self.table_cache.stats()
         if core is None:
-            if request.is_grid:
-                core = self._serve_grid(executor, request)
-            else:
-                core = self._serve_plain(executor, request)
+            core = self._serve(executor, request)
             if key is not None:
                 self.response_cache.put(key, core)
         engine, reason, label, placement, value, name = core
@@ -363,156 +342,60 @@ class PlacementService:
             timing_s=perf_counter() - start,
         )
 
-    def _serve_plain(self, executor: SimulatedExecutor, request: PlacementRequest):
-        from ..offload.space import space_size
-        from ..search.driver import search_space
+    def _serve(self, executor: SimulatedExecutor, request: PlacementRequest):
+        """Fetch the request's tables once, ask :func:`~repro.search.planner.route`
+        for the engine, and run it on those tables."""
+        from ..offload.space import indices_to_matrix, space_size
+        from ..search.driver import _BATCH_SIZE, SpaceSearch
         from ..search.objectives import as_objective
-        from ..search.planner import dispatch_reason, plan_workload
+        from ..search.planner import _dp_plan, _plan_grid_tables, _refusal, route
+        from ..search.robust import (
+            _GRID_BATCH_SIZE,
+            _regret_baselines,
+            _scenario_entries,
+            as_robust_objectives,
+        )
+        from ..search.sweep import sweep
 
-        objective = as_objective(request.objective)
-        engine = "stream"
-        if request.method == "stream":
-            reason = "stream requested"
-        elif request.retry is not None:
-            if request.method == "planner":
-                raise ValueError(
-                    "method='planner' cannot serve fault-aware requests: expected "
-                    "cost under faults couples tasks through survival factors "
-                    "outside the DP planner boundary; use method='stream' (or "
-                    "'auto') to enumerate"
-                )
-            reason = (
-                "expected cost under faults is outside the DP planner boundary"
-            )
+        fault_aware = request.retry is not None
+        fault_args = dict(faults=request.faults, retry=request.retry, timeout=request.timeout)
+        if not request.is_grid:
+            objective = as_objective(request.objective)
+            tables = executor.cost_tables(request.workload, request.devices, **fault_args)
+            batch_size = _BATCH_SIZE
         else:
-            tables = executor.cost_tables(request.workload, request.devices)
-            total = space_size(tables.n_tasks, tables.n_devices)
-            why = dispatch_reason(
-                tables,
-                (objective,),
-                top_k=1,
-                frontier=None,
-                constraints=request.constraints,
-                start=0,
-                stop=total,
-                total=total,
+            grid, names, weights = _scenario_entries(request.scenario_grid)
+            objective = as_robust_objectives((request.objective,))[0].bind_weights(weights)
+            tables = executor.grid_cost_tables(
+                request.workload, grid, request.devices, **fault_args
             )
-            if why is None:
-                engine = "planner"
-                reason = (
-                    "planner requested"
-                    if request.method == "planner"
-                    else "exact DP serves this top-1 request"
-                )
-            elif request.method == "planner":
-                raise ValueError(
-                    f"method='planner' cannot serve this request: {why}; "
-                    "use method='stream' (or 'auto') to enumerate"
-                )
-            else:
-                reason = why
-        if engine == "planner":
-            plan = plan_workload(
-                executor,
-                request.workload,
-                objective,
-                devices=request.devices,
-                method="dp",
-            )
+            batch_size = _GRID_BATCH_SIZE
+        engine, reason = route(
+            tables, (objective,), top_k=1, frontier=None, constraints=request.constraints,
+            span=None, faults=fault_aware, method=request.method,
+        )
+        if engine == "planner" and not request.is_grid:
+            plan = _dp_plan(tables, objective, isinstance(request.workload, TaskGraph))
             return engine, reason, plan.label, plan.placement, plan.value, plan.objective
-        result = search_space(
-            executor,
-            request.workload,
-            objectives=(objective,),
-            top_k=1,
-            frontier=None,
-            constraints=request.constraints,
-            devices=request.devices,
-            method="stream",
-            faults=request.faults,
-            retry=request.retry,
-            timeout=request.timeout,
-        )
-        selection = result.top[objective.name]
-        label = selection.best  # raises if nothing was feasible
-        placement = _decode_placement(
-            int(selection.indices[0]), label, result.aliases, result.n_tasks
-        )
-        return engine, reason, label, placement, float(selection.values[0]), objective.name
-
-    def _serve_grid(self, executor: SimulatedExecutor, request: PlacementRequest):
-        from ..search.planner import plan_grid
-        from ..search.robust import RobustObjective, WorstCaseObjective, search_grid
-
-        if isinstance(request.objective, str):
-            robust: RobustObjective = WorstCaseObjective(base=request.objective)
-        elif isinstance(request.objective, RobustObjective):
-            robust = request.objective
-        else:
-            raise TypeError(
-                f"grid requests need a metric name or a RobustObjective, got "
-                f"{request.objective!r}"
-            )
-        engine = "stream"
-        reason = "stream requested"
-        if request.method != "stream":
-            why: str | None = None
-            if request.retry is not None:
-                why = "expected cost under faults is outside the DP planner boundary"
-            elif request.constraints:
-                why = (
-                    "constraints are enforced by the streaming enumerator, "
-                    "outside the DP planner boundary"
-                )
+        if engine == "planner":
+            try:
+                plan = _plan_grid_tables(tables, objective, names, weights)
+            except ValueError as exc:  # the label budget shows only once the DP runs
+                if request.method == "planner":
+                    raise _refusal(str(exc)) from None
+                engine, reason = "stream", str(exc)
             else:
-                try:
-                    plan = plan_grid(
-                        executor,
-                        request.workload,
-                        request.scenario_grid,
-                        robust,
-                        devices=request.devices,
-                    )
-                except ValueError as exc:
-                    why = str(exc)
-                else:
-                    reason = (
-                        "planner requested"
-                        if request.method == "planner"
-                        else "exact robust DP serves this top-1 request"
-                    )
-                    return (
-                        "planner",
-                        reason,
-                        plan.label,
-                        plan.placement,
-                        plan.value,
-                        plan.objective,
-                    )
-            if request.method == "planner":
-                raise ValueError(
-                    f"method='planner' cannot serve this request: {why}; "
-                    "use method='stream' (or 'auto') to enumerate"
-                )
-            reason = why
-        result = search_grid(
-            executor,
-            request.workload,
-            request.scenario_grid,
-            objectives=(robust,),
-            top_k=1,
-            constraints=request.constraints,
-            devices=request.devices,
-            faults=request.faults,
-            retry=request.retry,
-            timeout=request.timeout,
-        )
-        selection = result.top[robust.name]
-        label = selection.best
-        placement = _decode_placement(
-            int(selection.indices[0]), label, result.aliases, result.n_tasks
-        )
-        return engine, reason, label, placement, float(selection.values[0]), robust.name
+                return engine, reason, plan.label, plan.placement, plan.value, plan.objective
+
+        total = space_size(tables.n_tasks, tables.n_devices)
+        run = partial(sweep, tables, batch_size=batch_size, start=0, stop=total)
+        search = SpaceSearch((objective,), 1, frontier=None, constraints=request.constraints)
+        search.baselines = _regret_baselines(run, tables, search, None, "auto", fault_aware)
+        selection = run(search).result().top[objective.name]
+        label = selection.best  # raises if nothing was feasible
+        path = indices_to_matrix(selection.indices, tables.n_tasks, tables.n_devices)[0]
+        placement = tuple(tables.aliases[d] for d in path)
+        return engine, reason, label, placement, float(selection.values[0]), objective.name
 
     # -- introspection ---------------------------------------------------
 

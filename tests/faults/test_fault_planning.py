@@ -75,6 +75,20 @@ class TestFaultAwareDifferential:
             assert backup.aliases == subset
         assert plan.dispatch_reason is not None
 
+    def test_repeated_plans_read_their_tables_from_the_cache(self, platform):
+        # Each component plan streams through search_space on the executor's
+        # table cache, so an identical second call builds no table.
+        chain = random_chain(np.random.default_rng(6), 3)
+        executor = SimulatedExecutor(platform)
+        kwargs = dict(retry=RETRY, faults=PROFILE, min_success=0.5)
+        first = plan_with_fallback(executor, chain, "time", **kwargs)
+        before = executor.table_cache.stats()
+        second = plan_with_fallback(executor, chain, "time", **kwargs)
+        after = executor.table_cache.stats()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+        assert second == first
+
     def test_min_success_filters_the_subspace(self, platform):
         rng = np.random.default_rng(5)
         chain = random_chain(rng, 3)

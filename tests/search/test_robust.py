@@ -377,6 +377,22 @@ class TestOneSelectionAccumulator:
         assert grid.scenario_best["time"].labels == (plain.best("time"),) * 2
         assert np.isinf(grid.scenario_best["time"].values).all()
 
+    def test_regret_over_infinite_scenarios_is_infinite(self):
+        """A scenario whose best value is inf gives every placement an inf
+        regret (not the NaN of inf - inf), matching the worst case."""
+        rng = np.random.default_rng(0)
+        executor = SimulatedExecutor(random_platform(rng, 2))
+        chain = random_chain(rng, 3)
+        kwargs = dict(top_k=1, retry=RetryPolicy(max_attempts=1), timeout=TimeoutPolicy(1e-9))
+        scenarios = [Scenario("a"), Scenario("b")]
+        regret = search_grid(executor, chain, scenarios, objectives=[RegretObjective()], **kwargs)
+        worst = search_grid(executor, chain, scenarios, **kwargs)
+        assert np.isinf(regret.baselines["time"]).all()
+        assert np.isinf(regret.top["regret-time"].values).all()
+        assert regret.top["regret-time"].labels == worst.top["worst-time"].labels
+        values = np.array([[np.inf, np.inf], [1.0, 3.0]])
+        assert RegretObjective().reduce(values, np.array([np.inf, 1.0])).tolist() == [np.inf] * 2
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_scenarios=st.integers(1, 4),
