@@ -1,7 +1,13 @@
-"""A committed bitwise digest of the planning entry points' outputs.
+"""A committed bitwise digest of the execution and planning entry points' outputs.
 
 One SHA-256 per section, so a mismatch names the entry point that drifted:
 
+* ``execute`` -- ``execute_placements_grid`` and ``execute_placements``:
+  every result field (time, per-device busy seconds, FLOPs, bytes, transfer
+  energy, energy, cost and the active/idle breakdowns), the ``batch(i)``
+  views and ``record(i)``; plain and scenario-grid tables, full spaces and
+  small batches, chains, random DAGs and fork-join graphs, and platforms
+  with a missing link;
 * ``search_space`` -- ``method=`` auto/planner/stream, constraints, the
   frontier, ``top_k > 1``, index slices and ``retry=``;
 * ``search_grid`` -- the robust objectives, streamed and planned regret
@@ -52,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = Path(__file__).resolve().parent / "DIGEST.json"
 SECTIONS = (
+    "execute",
     "search_space",
     "search_grid",
     "plan_workload",
@@ -179,6 +186,121 @@ def _selection(top):
 # ----------------------------------------------------------------------------
 # Sections
 # ----------------------------------------------------------------------------
+
+#: Every array field of an execution result, read in this order.
+RESULT_FIELDS = (
+    "total_time_s",
+    "busy_by_device",
+    "flops_by_device",
+    "transferred_bytes",
+    "transfer_energy_j",
+    "energy_total_j",
+    "operating_cost",
+    "active_j",
+    "idle_j",
+)
+
+
+def _result(result) -> dict:
+    return {name: getattr(result, name) for name in RESULT_FIELDS}
+
+
+def _record(record) -> dict:
+    """Every field of a scalar :class:`~repro.devices.simulator.ExecutionRecord`."""
+    return {
+        "placement": list(record.placement),
+        "tasks": [
+            [t.task_name, t.device, t.busy_time_s, t.transfer_time_s, t.transferred_bytes, t.flops]
+            for t in record.tasks
+        ],
+        "time": record.total_time_s,
+        "busy": dict(record.busy_time_by_device),
+        "flops": dict(record.flops_by_device),
+        "bytes": record.transferred_bytes,
+        "active": dict(record.energy.active_j),
+        "idle": dict(record.energy.idle_j),
+        "transfer": record.energy.transfer_j,
+        "energy": record.energy.total_j,
+        "cost": record.operating_cost,
+    }
+
+
+def _batch(batch) -> dict:
+    """A batch's fields plus the records of its first, middle and last rows."""
+    n = len(batch)
+    return {**_result(batch), "records": [_record(batch.record(i)) for i in sorted({0, n // 2, n - 1})]}
+
+
+def _without_link(platform):
+    """The platform minus its link between the second and third device."""
+    from repro.devices import Platform
+
+    a, b = platform.aliases[1], platform.aliases[2]
+    links = {pair: link for pair, link in platform.links.items() if set(pair) != {a, b}}
+    return Platform(devices=platform.devices, links=links, host=platform.host, name="partial")
+
+
+def _linked_rows(matrix, preds, pair):
+    """Rows of a placement matrix whose hops never join the two devices of ``pair``."""
+    import numpy as np
+
+    a, b = pair
+    safe = np.ones(matrix.shape[0], dtype=bool)
+    for t, sources in enumerate(preds):
+        for p in sources:
+            ends = matrix[:, p] + matrix[:, t]
+            safe &= ~((ends == a + b) & ((matrix[:, p] == a) | (matrix[:, p] == b)))
+    return matrix[safe]
+
+
+def digest_execute(section: Section) -> None:
+    import numpy as np
+
+    from repro.devices import SimulatedExecutor, execute_placements, execute_placements_grid
+    from repro.offload import placement_matrix
+    from repro.scenarios import ScenarioGrid
+    from repro.tasks.workloads import fork_join_graph
+    from factories import random_platform
+
+    def grid_record(result):
+        return {
+            **_result(result),
+            "batches": [_batch(result.batch(i)) for i in range(result.n_scenarios)],
+        }
+
+    def run(label, executor, workload, scenarios, rng, linked=None):
+        plain = executor.cost_tables(workload)
+        grid = executor.grid_cost_tables(workload, ScenarioGrid(scenarios))
+        full = placement_matrix(plain.n_tasks, plain.n_devices)
+        if linked is not None:
+            full = _linked_rows(full, plain.pred_positions, linked)
+        # Single rows and a three-row sample run the kernels' small-batch
+        # branches; the full space runs their subset folds.
+        batches = {
+            "full": full,
+            "last": full[-1:],
+            "sample": full[np.sort(rng.choice(full.shape[0], min(3, full.shape[0]), replace=False))],
+        }
+        for name, matrix in batches.items():
+            section.case(f"{label}/plain/{name}", lambda: _batch(execute_placements(plain, matrix)))
+            section.case(f"{label}/grid/{name}", lambda: grid_record(execute_placements_grid(grid, matrix)))
+        if linked is not None:
+            every = placement_matrix(plain.n_tasks, plain.n_devices)
+            section.case(f"{label}/plain/unlinked", lambda: _batch(execute_placements(plain, every)))
+            section.case(f"{label}/grid/unlinked", lambda: _result(execute_placements_grid(grid, every)))
+
+    for seed, n_devices, n_tasks, graph in CASES:
+        rng, executor, workload = _inputs(seed, n_devices, n_tasks, graph)
+        scenarios = _scenarios(rng, 1 + seed % 3)
+        run(f"{seed}", executor, workload, scenarios, rng)
+        if n_devices >= 3:
+            partial = SimulatedExecutor(_without_link(executor.platform))
+            run(f"{seed}/partial", partial, workload, scenarios, rng, linked=(1, 2))
+    for n_devices in (3, 4):
+        rng = np.random.default_rng([99, n_devices])
+        executor = SimulatedExecutor(random_platform(rng, n_devices))
+        run(f"fork-join/{n_devices}", executor, fork_join_graph(), _scenarios(rng, 2), rng)
+
 
 def digest_search_space(section: Section) -> None:
     from repro.search import (
@@ -468,6 +590,7 @@ def digest_service(section: Section) -> None:
 
 
 DIGESTERS = {
+    "execute": digest_execute,
     "search_space": digest_search_space,
     "search_grid": digest_search_grid,
     "plan_workload": digest_plan_workload,
