@@ -127,6 +127,11 @@ def _grid_row(name: str) -> property:
     )
 
 
+def _grid_value(name: str) -> property:
+    """A batch field read from its grid's (deferred) value, which has no scenario axis."""
+    return property(lambda batch: getattr(batch.grid, name), doc=f"The grid's ``{name}``.")
+
+
 @dataclass(frozen=True)
 class BatchExecutionResult:
     """Array-form execution records of one batch: one row per placement.
@@ -140,24 +145,27 @@ class BatchExecutionResult:
     energy is still folded into ``energy_total_j``, exactly like the
     sequential record.
 
-    A batch is row ``row`` of a :class:`~repro.devices.grid.GridExecutionResult`:
+    A batch is row ``row`` of a :class:`~repro.devices.grid.GridExecutionResult`
+    and holds only that row's total time.  Every other field --
+    :attr:`busy_by_device`, :attr:`flops_by_device`,
+    :attr:`transferred_bytes`, :attr:`transfer_energy_j`,
     :attr:`energy_total_j`, :attr:`operating_cost`, :attr:`active_j` and
-    :attr:`idle_j` are read from that grid's deferred values, so a sweep that
-    ranks time alone never folds energy or cost.
+    :attr:`idle_j` -- is read from that grid's deferred values on access, so
+    a sweep that ranks time alone never folds them.
     """
 
     #: The one-row tables the batch ran on.
     tables: "GridCostTables"
     placements: np.ndarray
     total_time_s: np.ndarray
-    busy_by_device: np.ndarray
-    flops_by_device: np.ndarray
-    transferred_bytes: np.ndarray
-    transfer_energy_j: np.ndarray
     #: The grid result this batch is a row of, and the row's index.
     grid: "GridExecutionResult" = field(repr=False)
     row: int
 
+    busy_by_device = _grid_row("busy_by_device")
+    flops_by_device = _grid_value("flops_by_device")
+    transferred_bytes = _grid_value("transferred_bytes")
+    transfer_energy_j = _grid_row("transfer_energy_j")
     energy_total_j = _grid_row("energy_total_j")
     operating_cost = _grid_row("operating_cost")
     active_j = _grid_row("active_j")

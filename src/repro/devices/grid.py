@@ -889,6 +889,24 @@ def _assemble_grid_tables(
     )
 
 
+class _KernelOutputs(NamedTuple):
+    """Everything a kernel folds besides the total time."""
+
+    busy_by_device: np.ndarray  # (s, n, m)
+    flops_by_device: np.ndarray  # (n, m)
+    transferred_bytes: np.ndarray  # (n,)
+    transfer_energy_j: np.ndarray  # (s, n)
+    #: Contiguous per-device ``(s, n)`` planes of ``busy_by_device`` when the
+    #: kernel built them (the chain kernel's subset fold); the energy fold
+    #: reads them instead of strided column views.
+    busy_cols: tuple[np.ndarray, ...] | None = None
+
+
+def _output(name: str) -> property:
+    """A result field read from the kernel outputs, folded on first read."""
+    return property(lambda result: getattr(result._outputs, name), doc=f"The kernel's ``{name}``.")
+
+
 @dataclass(frozen=True)
 class GridExecutionResult:
     """Array-form execution records of one batch under every condition.
@@ -900,25 +918,37 @@ class GridExecutionResult:
     :func:`~repro.devices.batch.execute_placements` on the scenario's derived
     platform -- :meth:`batch` materialises that view on demand.
 
-    Only what every caller reads is computed eagerly: times, per-device busy
-    seconds, bytes, FLOPs and transfer energy.  :attr:`energy_total_j` and
+    Only the total time is computed eagerly, because every search ranks by
+    it.  The chain kernel folds :attr:`busy_by_device` (and
+    :attr:`busy_cols`), :attr:`flops_by_device`, :attr:`transferred_bytes`
+    and :attr:`transfer_energy_j` in one output fold (:func:`_chain_outputs`)
+    run on first read of any of them; :attr:`energy_total_j` and
     :attr:`operating_cost` come from one per-device fold
-    (:func:`_finalize_grid`) run on first access, so a search ranking time
-    alone never pays for it; the per-device breakdown cubes :attr:`active_j`
-    / :attr:`idle_j` are likewise computed only when a caller inspects them.
+    (:func:`_finalize_grid`) over those outputs, run on first read of
+    either; the breakdown cubes :attr:`active_j` / :attr:`idle_j` likewise
+    wait for a caller.  A search that ranks time alone runs none of these
+    folds.  The checked and fault kernels compute their outputs eagerly and
+    hand them in as ``_eager_outputs``.
     """
 
     tables: GridCostTables
     placements: np.ndarray
     total_time_s: np.ndarray  # (s, n)
-    busy_by_device: np.ndarray  # (s, n, m)
-    flops_by_device: np.ndarray  # (n, m)
-    transferred_bytes: np.ndarray  # (n,)
-    transfer_energy_j: np.ndarray  # (s, n)
-    #: Contiguous per-device ``(s, n)`` planes of ``busy_by_device`` when the
-    #: kernel built them (the chain kernel's subset fold); the energy fold
-    #: reads them instead of strided column views.
-    busy_cols: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    #: The eager kernels' outputs; ``None`` from the chain kernel.
+    _eager_outputs: _KernelOutputs | None = field(default=None, repr=False)
+
+    @cached_property
+    def _outputs(self) -> _KernelOutputs:
+        """The kernel outputs, folded on first read unless handed in."""
+        if self._eager_outputs is not None:
+            return self._eager_outputs
+        return _chain_outputs(self.tables, self.placements)
+
+    busy_by_device = _output("busy_by_device")
+    flops_by_device = _output("flops_by_device")
+    transferred_bytes = _output("transferred_bytes")
+    transfer_energy_j = _output("transfer_energy_j")
+    busy_cols = _output("busy_cols")
 
     @cached_property
     def _energy_and_cost(self) -> tuple[np.ndarray, np.ndarray]:
@@ -991,10 +1021,6 @@ class GridExecutionResult:
             tables=tables,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
-            busy_by_device=self.busy_by_device[index],
-            flops_by_device=self.flops_by_device,
-            transferred_bytes=self.transferred_bytes,
-            transfer_energy_j=self.transfer_energy_j[index],
             grid=self,
             row=index,
         )
@@ -1031,7 +1057,7 @@ def _run_kernel(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
 
 
 def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
-    """The chain kernel on fully linked platforms.
+    """The chain kernel on fully linked platforms: the time fold.
 
     Condition math runs in compact space: a task's time contribution is
     ``busy + (hostio + penalty)``, which takes at most m*m distinct values
@@ -1040,6 +1066,29 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
     accumulator add touch (s, n).  Per element this is the identical
     sequence of IEEE-754 operations as the checked kernel's linear time fold
     (the gather merely deduplicates them), so results stay bitwise equal.
+    Every other output waits for :func:`_chain_outputs`.
+    """
+    k = P.shape[1]
+    s, m = tables.n_scenarios, tables.n_devices
+    combined = tables.hostio_time[:, 0, :] + tables.first_penalty_time  # (s, m)
+    combined += tables.busy[:, 0, :]
+    # The accumulator starts at 0.0 and every contribution is non-negative,
+    # so seeding it from the first task's (owned) gather equals the explicit
+    # zeros + add of the checked kernel.
+    total_time = combined[:, P[:, 0]]
+    for t in range(1, k):
+        combined = tables.hostio_time[:, t, None, :] + tables.penalty_time  # (s, m, m)
+        combined += tables.busy[:, t, None, :]
+        pair = P[:, t - 1] * m + P[:, t]
+        np.add(total_time, combined.reshape(s, m * m)[:, pair], out=total_time)
+    return GridExecutionResult(tables, P, total_time)
+
+
+def _chain_outputs(tables: GridCostTables, P: np.ndarray) -> _KernelOutputs:
+    """The chain kernel's output fold: busy seconds, FLOPs, bytes and transfer energy.
+
+    Run once per result, on first read of any of them.  Each accumulator
+    folds in task order exactly as the checked kernel's does.
     """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
@@ -1049,8 +1098,6 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
     hostio_bytes_flat = tables.hostio_bytes.ravel()
     pen_bytes_flat = tables.penalty_bytes.ravel()
 
-    total_time: np.ndarray | None = None
-    transfer_energy: np.ndarray | None = None
     transferred = np.zeros(n)
     flops_by_device = np.zeros((n, m))
     # A placement's busy time (and FLOPs) on device d is the task-order sum
@@ -1074,22 +1121,14 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
         col = P[:, t]
         cols_t = t * m + col
         if t == 0:
-            combined = tables.hostio_time[:, 0, :] + tables.first_penalty_time  # (s, m)
-            combined += tables.busy[:, 0, :]
             pen_bytes_t = tables.first_penalty_bytes.take(col)
             pen_energy_t = tables.first_penalty_energy[:, col]
-            # The accumulators start at 0.0 and every contribution is
-            # non-negative, so seeding them from the first task's (owned)
-            # gathers equals the explicit zeros + add of the checked kernel.
-            total_time = combined[:, col]
+            # Seeded from the first task's (owned) gather, as the time fold is.
             transfer_energy = energy_in_flat[:, cols_t]
         else:
             pair = P[:, t - 1] * m + col
-            combined = tables.hostio_time[:, t, None, :] + tables.penalty_time  # (s, m, m)
-            combined += tables.busy[:, t, None, :]
             pen_bytes_t = pen_bytes_flat.take(pair)
             pen_energy_t = pen_energy_flat[:, pair]
-            np.add(total_time, combined.reshape(s, m * m)[:, pair], out=total_time)
             np.add(transfer_energy, energy_in_flat[:, cols_t], out=transfer_energy)
         transferred += hostio_bytes_flat.take(cols_t) + pen_bytes_t
         np.add(transfer_energy, energy_out_flat[:, cols_t], out=transfer_energy)
@@ -1098,9 +1137,6 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
             busy_by_device[:, rows, col] += busy_flat[:, cols_t]
             flops_by_device[rows, col] += tables.task_flops[t]
 
-    if total_time is None:  # zero-task workload: nothing to fold
-        total_time = np.zeros((s, n))
-        transfer_energy = np.zeros((s, n))
     busy_cols = None
     if subset_fold:
         subset_weights = 1 << np.arange(k)
@@ -1118,10 +1154,7 @@ def _execute_chain_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutionR
         busy_by_device = busy_block.transpose(1, 2, 0)
         busy_cols = tuple(busy_block)
 
-    return GridExecutionResult(
-        tables, P, total_time, busy_by_device, flops_by_device, transferred, transfer_energy,
-        busy_cols,
-    )
+    return _KernelOutputs(busy_by_device, flops_by_device, transferred, transfer_energy, busy_cols)
 
 
 def _finalize_grid(result: GridExecutionResult) -> tuple[np.ndarray, np.ndarray]:
@@ -1334,5 +1367,6 @@ def _execute_checked_grid(tables: GridCostTables, P: np.ndarray) -> GridExecutio
         flops_by_device[rows, col] += tables.task_flops[t]
 
     return GridExecutionResult(
-        tables, P, total_time, busy_by_device, flops_by_device, transferred, transfer_energy
+        tables, P, total_time,
+        _KernelOutputs(busy_by_device, flops_by_device, transferred, transfer_energy),
     )

@@ -59,11 +59,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..devices.batch import BatchExecutionResult, as_placement_matrix
+from ..devices.batch import BatchExecutionResult, _grid_row, as_placement_matrix
 from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
 from ..devices.grid import (
     GridExecutionResult,
+    _KernelOutputs,
     _hop_folder,
     _raise_missing_link,
 )
@@ -238,6 +239,10 @@ class FaultBatchExecutionResult(BatchExecutionResult):
     #: Per placement, sum over tasks of ``E[attempts | success]``.
     expected_attempts: np.ndarray | None = None
 
+    # Expected attempts differ per fault regime, so these carry a scenario axis.
+    flops_by_device = _grid_row("flops_by_device")
+    transferred_bytes = _grid_row("transferred_bytes")
+
     def record(self, index: int) -> ExpectedFaultRecord:
         """Materialise the scalar expected record of one placement.
 
@@ -283,10 +288,6 @@ class FaultGridExecutionResult(GridExecutionResult):
             tables=tables.base,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
-            busy_by_device=self.busy_by_device[index],
-            flops_by_device=self.flops_by_device[index],
-            transferred_bytes=self.transferred_bytes[index],
-            transfer_energy_j=self.transfer_energy_j[index],
             grid=self,
             row=index,
             fault_tables=tables,
@@ -427,17 +428,13 @@ def _execute_fault_grid(tables: FaultGridCostTables, P: np.ndarray) -> FaultGrid
 
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
-    finite = GridExecutionResult(
-        base, P, safe_total, busy_by_device, flops_by_device, transferred, transfer_energy
-    )
+    outputs = _KernelOutputs(busy_by_device, flops_by_device, transferred, transfer_energy)
+    finite = GridExecutionResult(base, P, safe_total, outputs)
     return FaultGridExecutionResult(
         tables=base,
         placements=P,
         total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
+        _eager_outputs=outputs,
         active_j=finite.active_j,
         idle_j=finite.idle_j,
         _energy_and_cost=(

@@ -324,3 +324,38 @@ class TestDeferredEnergyFold:
         assert grid.batch(2).energy_total_j.tobytes() == energy[2].tobytes()
         assert grid.batch(0).operating_cost.tobytes() == cost[0].tobytes()
         assert calls == [1, 1]
+
+
+class TestDeferredOutputFold:
+    """The chain kernel folds busy seconds, FLOPs, bytes and transfer energy
+    only when one of them is read: a search ranking time alone never runs
+    that fold, an energy-ranked one runs it once per chunk."""
+
+    def test_time_only_searches_never_run_the_output_fold(self, monkeypatch):
+        import repro.devices.grid as grid_module
+        from repro.search import WorstCaseObjective, search_grid, search_space
+
+        calls = []
+        fold = grid_module._chain_outputs
+
+        def counting_fold(*args, **kwargs):
+            calls.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_chain_outputs", counting_fold)
+        executor = SimulatedExecutor(edge_cluster_platform())
+        chain = chain_of(3)  # 4**3 = 64 placements: four chunks of 16
+        scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=3)
+        timed = search_grid(
+            executor, chain, scenarios, objectives=(WorstCaseObjective(),), top_k=2, batch_size=16
+        )
+        search_space(executor, chain, objectives=("time",), top_k=3, frontier=None, batch_size=16)
+        assert calls == []
+        energy = search_grid(
+            executor, chain, scenarios, objectives=(WorstCaseObjective(base="energy"),),
+            top_k=1, batch_size=16,
+        )
+        assert calls == [1] * 4
+        search_space(executor, chain, objectives=("energy",), top_k=1, frontier=None, batch_size=16)
+        assert calls == [1] * 8
+        assert timed.n_evaluated == energy.n_evaluated == 64
