@@ -17,9 +17,9 @@ Dispatch boundary:
   *expected cost under faults*.  That objective couples consecutive tasks
   through survival factors but is still evaluated exactly by the vectorized
   fault engine; the DP lattice, however, compiles from the classic tables
-  only.  So each component plan is a top-1 ``search_space(..., retry=)``
-  that :func:`repro.search.planner.route` streams, in bounded memory, over
-  cached tables; ``method="dp"`` raises with the rule's reason.  The
+  only.  So each component plan is the top-1 streamed sweep that
+  ``search_space(..., retry=)`` runs, in bounded memory, over cached fault
+  tables fetched once; ``method="dp"`` raises with the rule's reason.  The
   sub-space is bounded by ``fallback_limit`` like the classic fallback.
 """
 
@@ -159,8 +159,9 @@ def plan_with_fallback(
     if retry is not None:
         from ..offload.space import indices_to_matrix, space_size
         from ..search.constraints import SuccessProbabilityConstraint
-        from ..search.driver import search_space
+        from ..search.driver import _BATCH_SIZE, SpaceSearch
         from ..search.planner import _FAULT_REASON
+        from ..search.sweep import sweep
 
         if method == "dp":
             raise ValueError(
@@ -179,10 +180,11 @@ def plan_with_fallback(
                     f"{list(subset)} (limit {fallback_limit}); shrink the device set "
                     f"or use search_space(..., retry=...) to stream the space in shards"
                 )
-            selection = search_space(
-                executor, workload, objectives=(objective,), top_k=1, frontier=None,
-                constraints=constraints, devices=subset, method="auto", **fault_args,
-            ).top[objective]
+            # Expected-cost objectives always stream; one table-cache lookup
+            # serves the sweep and the winner's re-execution.
+            tables = executor.cost_tables(workload, subset, **fault_args)
+            search = SpaceSearch((objective,), 1, frontier=None, constraints=constraints)
+            selection = sweep(tables, search, _BATCH_SIZE, 0, size).result().top[objective]
             if not len(selection) or not np.isfinite(selection.values[0]):
                 raise ValueError(
                     f"no placement of {workload.name!r} over {list(subset)} reaches "
@@ -190,9 +192,7 @@ def plan_with_fallback(
                 )
             # Only the winner is re-executed, for its success probability.
             row = indices_to_matrix(selection.indices, len(workload), len(subset))
-            batch = execute_fault_placements(
-                executor.cost_tables(workload, subset, **fault_args), row
-            )
+            batch = execute_fault_placements(tables, row)
             return DevicePlan(
                 objective=objective,
                 placement=batch.placement(0),

@@ -617,11 +617,12 @@ def plan_workload(
             f"{fallback_limit}); use search_space/search_grid to stream the "
             "space explicitly, or raise fallback_limit"
         )
-    from .driver import search_space
+    from .driver import _BATCH_SIZE, SpaceSearch
+    from .sweep import sweep
 
-    selection = search_space(
-        executor, workload, objectives=(obj,), top_k=1, frontier=None, devices=devices
-    ).top[obj.name]
+    # Swept on the tables fetched above: one table-cache lookup per plan.
+    search = SpaceSearch((obj,), 1, frontier=None)
+    selection = sweep(tables, search, _BATCH_SIZE, 0, total).result().top[obj.name]
     if not len(selection):
         raise _infeasible_error(tables, obj.name)
     path = indices_to_matrix(selection.indices, tables.n_tasks, tables.n_devices)[0]
