@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..cache import seed_updated_grid_fingerprint
 from ..scenarios.conditions import Scenario
 from ..scenarios.grid import ScenarioGrid
 from .segments import FleetSpec, UserSegment
@@ -128,8 +129,10 @@ class SampledFleet:
         path: untouched users' condition rows are reused, only the redrawn
         ones are recomputed.  Planning ``drifted.grid`` through an executor
         that built the previous fleet reuses the same rows from its row
-        source.  Weights and segment membership are preserved (drift moves a
-        user's conditions, not its probability mass).
+        source, and keying it hashes only the redrawn users: the drifted
+        grid's fingerprint is seeded from this fleet's per-user digests.
+        Weights and segment membership are preserved (drift moves a user's
+        conditions, not its probability mass).
         """
         rng = _as_rng(seed)
         indices = list(dict.fromkeys(int(i) for i in indices))
@@ -151,9 +154,13 @@ class SampledFleet:
         scenarios = list(self.grid.scenarios)
         for i, scenario in replacements.items():
             scenarios[i] = scenario
+        grid = ScenarioGrid(tuple(scenarios))
+        # Key the drifted grid from the parent's per-user digests: only the
+        # redrawn users are hashed, not the whole fleet.
+        seed_updated_grid_fingerprint(self.grid, grid, sorted(replacements))
         drifted = SampledFleet(
             spec=self.spec,
-            grid=ScenarioGrid(tuple(scenarios)),
+            grid=grid,
             segment_of_user=self.segment_of_user,
             seed=None,
         )

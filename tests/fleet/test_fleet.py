@@ -223,6 +223,35 @@ class TestResample:
             else:
                 assert new == old
 
+    def test_drifted_grid_key_is_seeded_from_the_parent(self, monkeypatch):
+        """The drifted grid's fingerprint parts come from its parent's, and equal
+        those of an equal grid of new scenario objects; only redrawn users are
+        hashed."""
+        import repro.cache as cache
+        from repro.scenarios import Scenario, ScenarioGrid
+
+        fleet = sample_fleet(two_segment_spec(), 12, seed=3)
+        parent_parts = cache._grid_fingerprint_parts(fleet.grid)
+        hashed = []
+        digest = cache.cached_fingerprint
+
+        def counting_digest(obj):
+            hashed.append(obj)
+            return digest(obj)
+
+        monkeypatch.setattr(cache, "cached_fingerprint", counting_digest)
+        drifted, replacements = fleet.resample_users([2, 5, 9], seed=41)
+        assert hashed == [replacements[i] for i in (2, 5, 9)]
+        monkeypatch.undo()
+
+        seeded = getattr(drifted.grid, cache._GRID_FINGERPRINT_PARTS_ATTR)
+        rebuilt = ScenarioGrid(
+            tuple(Scenario(s.name, settings=s.settings, weight=s.weight) for s in drifted.grid)
+        )
+        assert seeded == cache._grid_fingerprint_parts(rebuilt)
+        assert cache.fingerprint(drifted.grid) == cache.fingerprint(rebuilt)
+        assert [i for i, (a, b) in enumerate(zip(parent_parts, seeded)) if a != b] == [2, 5, 9]
+
     def test_resample_rejects_out_of_range_users(self):
         fleet = sample_fleet(two_segment_spec(), 8, seed=0)
         with pytest.raises(IndexError, match="out of range"):
