@@ -248,8 +248,8 @@ def _linked_rows(matrix, preds, pair):
     safe = np.ones(matrix.shape[0], dtype=bool)
     for t, sources in enumerate(preds):
         for p in sources:
-            ends = matrix[:, p] + matrix[:, t]
-            safe &= ~((ends == a + b) & ((matrix[:, p] == a) | (matrix[:, p] == b)))
+            src, dst = matrix[:, p], matrix[:, t]
+            safe &= ~(((src == a) & (dst == b)) | ((src == b) & (dst == a)))
     return matrix[safe]
 
 
