@@ -16,7 +16,13 @@ One SHA-256 per section, so a mismatch names the entry point that drifted:
   and workloads, ``fallback_limit``;
 * ``plan_with_fallback`` -- fault-free and fault-aware plans, ``min_success``;
 * ``service`` -- :class:`~repro.service.PlacementService` responses: plan,
-  placement, value, engine and dispatch reason.
+  placement, value, engine and dispatch reason;
+* ``fleet`` -- sampled fleets (names, weights, settings, the grid
+  fingerprint and every row's digest), their ``build_tables`` arrays,
+  ``slice_stats`` and ``table(i)``/``batch(i)`` views, drifted fleets
+  through ``resample_users`` and ``update_grid_tables``, and ``search_grid``
+  over p95, SLO and expected value; the specs mix vectorized axes, fault-rate
+  axes, a custom axis without the vectorized hook and users without axes.
 
 The inputs are fixed-seed random chains and graphs on 2-4 device platforms.
 A raised error enters its section by type and message, and so does a
@@ -65,6 +71,7 @@ SECTIONS = (
     "plan_grid",
     "plan_with_fallback",
     "service",
+    "fleet",
 )
 
 
@@ -589,6 +596,210 @@ def digest_service(section: Section) -> None:
                     )
 
 
+#: Every array of a grid cost table, read in this order.
+TABLE_FIELDS = (
+    "busy",
+    "hostio_time",
+    "energy_in",
+    "energy_out",
+    "penalty_time",
+    "penalty_energy",
+    "first_penalty_time",
+    "first_penalty_energy",
+    "power_active",
+    "power_idle",
+    "cost_per_hour",
+    "extra_idle_power",
+    "hostio_bytes",
+    "task_flops",
+    "penalty_bytes",
+    "first_penalty_bytes",
+)
+
+
+def _host_slowdown_axis():
+    """A custom condition axis with ``apply`` only: grids pinning it build
+    through the materializing path."""
+    from dataclasses import dataclass, replace
+
+    from repro.scenarios import ConditionAxis
+
+    @dataclass(frozen=True)
+    class HostSlowdown(ConditionAxis):
+        name: str = "host-slowdown"
+
+        def apply(self, platform, value):
+            if not value >= 1:
+                raise ValueError(f"{self.name} must be >= 1, got {value!r}")
+            spec = platform.device(platform.host)
+            return platform.with_devices({platform.host: replace(spec, peak_gflops=spec.peak_gflops / value)})
+
+    return HostSlowdown()
+
+
+def _fleet_specs() -> dict:
+    from repro.fleet import ChoiceAxis, FleetSpec, NormalAxis, UniformAxis, UserSegment
+    from repro.scenarios import (
+        DeviceFailureRate,
+        DeviceLoadFactor,
+        DvfsFrequencyScale,
+        EnergyPriceScale,
+        LinkBandwidthScale,
+        LinkDropoutRate,
+        LinkLatencyScale,
+    )
+
+    wifi = UserSegment(
+        "wifi",
+        weight=5.0,
+        axes=(UniformAxis(LinkBandwidthScale(), 0.6, 1.4), UniformAxis(LinkLatencyScale(), 0.8, 2.0)),
+    )
+    cell = UserSegment(
+        "cell",
+        weight=3.0,
+        axes=(
+            NormalAxis(DvfsFrequencyScale(devices=("A",)), mean=0.8, std=0.15, low=0.3, high=1.0),
+            ChoiceAxis(EnergyPriceScale(), values=(0.5, 1.0, 2.0), probs=(1, 2, 1)),
+            UniformAxis(LinkBandwidthScale(), 0.1, 0.5),
+        ),
+    )
+    loaded = UserSegment(
+        "loaded",
+        weight=1.0,
+        axes=(NormalAxis(DeviceLoadFactor(devices=("D",)), mean=1.5, std=0.4, low=1.0),),
+    )
+    idle = UserSegment("idle", weight=0.5)
+    faulty = UserSegment(
+        "faulty",
+        weight=2.0,
+        axes=(
+            UniformAxis(LinkBandwidthScale(), 0.5, 1.0),
+            UniformAxis(DeviceFailureRate(devices=("A",)), 0.0, 0.2),
+            ChoiceAxis(LinkDropoutRate(), values=(0.0, 0.05)),
+        ),
+    )
+    custom = UserSegment(
+        "custom", weight=1.0, axes=(UniformAxis(_host_slowdown_axis(), 1.0, 3.0),)
+    )
+    # Out-of-domain draws: the first bad value a build names depends on the
+    # order in which it applies the (settings position, axis) groups.
+    bad = (
+        UserSegment(
+            "bad-late",
+            axes=(UniformAxis(LinkLatencyScale(), 0.5, 1.5), UniformAxis(DeviceLoadFactor(), 0.5, 2.0)),
+        ),
+        UserSegment("bad-early", axes=(UniformAxis(DeviceLoadFactor(), 0.2, 1.5),)),
+        UserSegment("bad-dvfs", axes=(UniformAxis(DvfsFrequencyScale(), 0.8, 1.2),)),
+    )
+    return {
+        "vectorized": FleetSpec((wifi, cell, loaded, idle)),
+        "faults": FleetSpec((wifi, faulty)),
+        "custom": FleetSpec((wifi, custom, idle)),
+        "bad": FleetSpec(bad),
+    }
+
+
+def digest_fleet(section: Section) -> None:
+    import numpy as np
+
+    from repro.cache import fingerprint
+    from repro.devices import SimulatedExecutor, execute_placements_grid
+    from repro.devices.tables import build_tables
+    from repro.fleet import sample_fleet
+    from repro.offload import placement_matrix
+    from repro.search import ExpectedValueObjective, QuantileObjective, SLOObjective, search_grid
+    from factories import random_chain, random_platform
+
+    def grid_record(grid):
+        return {
+            "names": list(grid.names),
+            "weights": grid.weights,
+            "settings": [
+                [[type(axis).__name__, axis.name, value] for axis, value in scenario.settings]
+                for scenario in grid
+            ],
+            "lookup": [
+                [value for _, value in grid.scenario(name).settings]
+                for name in grid.names[:: max(1, len(grid) // 4)]
+            ],
+            "fingerprint": fingerprint(grid),
+            "parts": [fingerprint(scenario) for scenario in grid],
+        }
+
+    def tables_record(tables):
+        return {
+            "arrays": {name: getattr(tables, name) for name in TABLE_FIELDS},
+            "stats": [tables.slice_stats.served, tables.slice_stats.built],
+            "fingerprint": tables.fingerprint,
+            "rows": [
+                {name: getattr(tables.table(i), name) for name in TABLE_FIELDS[:4]}
+                for i in sorted({0, tables.n_scenarios - 1})
+            ],
+        }
+
+    def views_record(tables):
+        result = execute_placements_grid(tables, placement_matrix(tables.n_tasks, tables.n_devices))
+        return {
+            "time": result.total_time_s,
+            "batches": [_result(result.batch(i)) for i in sorted({0, result.n_scenarios // 2, -1})],
+        }
+
+    def search_record(executor, workload, grid, **kwargs):
+        tables = build_tables(workload, executor.platform, scenarios=grid)
+        times = execute_placements_grid(tables, placement_matrix(tables.n_tasks, tables.n_devices))
+        budget = float(np.median(times.total_time_s))
+        objectives = (QuantileObjective(q=0.95), SLOObjective(budget=budget), ExpectedValueObjective())
+        result = search_grid(executor, workload, grid, objectives=objectives, top_k=2, **kwargs)
+        return {
+            "n": [result.n_evaluated, result.n_feasible],
+            "names": list(result.scenario_names),
+            "top": _selection(result.top),
+        }
+
+    _, retry = _faults()
+    specs = _fleet_specs()
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 28])
+        platform = random_platform(rng, 3 + seed % 2)
+        workload = random_chain(rng, 2 + seed % 2)
+        for name, spec in specs.items():
+            for n_users in (1, 9, 40, 160):
+                label = f"{seed}/{name}/{n_users}"
+                executor = SimulatedExecutor(platform)
+                fleet = sample_fleet(spec, n_users, seed=seed)
+                section.case(f"{label}/grid", lambda: {**grid_record(fleet.grid), "segments": list(fleet.segment_of_user)})
+                section.case(f"{label}/tables", lambda: tables_record(build_tables(workload, platform, scenarios=fleet.grid)))
+                section.case(f"{label}/views", lambda: views_record(build_tables(workload, platform, scenarios=fleet.grid)))
+                section.case(f"{label}/search", lambda: search_record(executor, workload, fleet.grid))
+                if name == "faults":
+                    section.case(f"{label}/retry", lambda: search_record(executor, workload, fleet.grid, retry=retry))
+                users = sorted({0, n_users // 3, n_users - 1})
+                drifted, replacements = fleet.resample_users(users, seed=seed + 100)
+                section.case(
+                    f"{label}/drift",
+                    lambda: {
+                        **grid_record(drifted.grid),
+                        "replaced": {i: [s.name, s.weight, [v for _, v in s.settings]] for i, s in replacements.items()},
+                    },
+                )
+                section.case(
+                    f"{label}/drift-tables",
+                    lambda: tables_record(build_tables(workload, platform, scenarios=drifted.grid)),
+                )
+                section.case(
+                    f"{label}/update",
+                    lambda: tables_record(
+                        executor.update_grid_tables(executor.grid_cost_tables(workload, fleet.grid), replacements)
+                    ),
+                )
+                section.case(
+                    f"{label}/drift-cached",
+                    lambda: tables_record(executor.grid_cost_tables(workload, drifted.grid)),
+                )
+                section.case(f"{label}/drift-search", lambda: search_record(executor, workload, drifted.grid))
+                section.case(f"{label}/out-of-range", lambda: fleet.resample_users([n_users], seed=1))
+
+
 DIGESTERS = {
     "execute": digest_execute,
     "search_space": digest_search_space,
@@ -597,6 +808,7 @@ DIGESTERS = {
     "plan_grid": digest_plan_grid,
     "plan_with_fallback": digest_plan_with_fallback,
     "service": digest_service,
+    "fleet": digest_fleet,
 }
 
 
