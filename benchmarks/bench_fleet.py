@@ -41,6 +41,14 @@ Also pinned:
   search that ranks time never pays for the rest; the ceiling is about twice
   the measured ratio.
 
+* ``row_built_vs_sampled`` -- the wall time of a fleet grid that arrives
+  as ``Scenario`` rows (``ScenarioGrid`` of new row objects, its key and its
+  fused build) over a freshly sampled one (``sample_fleet``, key, build).
+  ``sample_fleet`` writes the grid's columns straight from its axis draws,
+  so no per-user object is built, validated or re-read; the two grids are
+  asserted bitwise equal (fingerprint and tables) before any timing counts.
+  The floor is about a third of the measured ratio.
+
 Also recorded, without a bound: ``fresh_split`` -- the untraced wall times of
 keying, building and executing a never-fingerprinted copy of the fleet grid.
 ``key`` is ``table_key`` on the copy (every scenario's content digest), and
@@ -91,6 +99,7 @@ else:
     PAIRS_PER_S_FLOOR = 10_000.0
     DELTA_FLOOR = 2.0
 
+ROW_BUILT_FLOOR = 0.5 if SMALL else 0.6
 SLICE_CACHE_OVERHEAD_CEILING = 1.5
 TIME_ONLY_EXECUTE_CEILING = 0.2
 DRIFT_REUSE_FLOOR = 1.5
@@ -274,6 +283,33 @@ def _fresh_split(chain, platform, grid: ScenarioGrid, matrix: np.ndarray, repeat
     return best
 
 
+def _best_fresh_grids(chain, platform, spec: FleetSpec, grid: ScenarioGrid, repeats: int) -> tuple[float, float]:
+    """Minimum wall times of a row-built and a sampled fleet grid, each from
+    its inputs to its fused tables: ``Scenario`` rows -> grid -> key -> build
+    against ``sample_fleet`` -> key -> build.
+
+    The rows are prepared untimed as ``(name, settings, weight)`` triples.
+    The two kinds alternate, so drift in the host's speed hits both alike.
+    """
+    rows = [(s.name, s.settings, s.weight) for s in grid.scenarios]
+
+    def row_built():
+        copy = ScenarioGrid(tuple(Scenario(name, settings=settings, weight=weight) for name, settings, weight in rows))
+        table_key(chain, platform, scenarios=copy)
+        build_tables(chain, platform, scenarios=copy)
+
+    def sampled():
+        fleet = sample_fleet(spec, len(grid), seed=SEED)
+        table_key(chain, platform, scenarios=fleet.grid)
+        build_tables(chain, platform, scenarios=fleet.grid)
+
+    best = {"rows": float("inf"), "sampled": float("inf")}
+    for _ in range(repeats):
+        best["rows"] = min(best["rows"], _best_of(row_built, 1))
+        best["sampled"] = min(best["sampled"], _best_of(sampled, 1))
+    return best["rows"], best["sampled"]
+
+
 def _manual_weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
     """Left-continuous inverse CDF per placement column, straight numpy."""
     out = np.empty(values.shape[1])
@@ -372,6 +408,17 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
     drift_reuse_s, drift_cold_s = _best_drift_builds(chain, platform, fleet.grid, drifted.grid, 3)
     drift_reuse = drift_cold_s / drift_reuse_s
 
+    # A fleet that arrives as Scenario rows keys and builds as the sampled one.
+    copy = _fresh_copy(fleet.grid)
+    assert table_key(chain, platform, scenarios=copy) == table_key(chain, platform, scenarios=fleet.grid)
+    copy_tables = build_tables(chain, platform, scenarios=copy)
+    sampled_tables = build_tables(chain, platform, scenarios=sample_fleet(spec, N_USERS, seed=SEED).grid)
+    for field in SLICE_FIELDS:
+        assert getattr(copy_tables, field).tobytes() == getattr(sampled_tables, field).tobytes()
+    del copy, copy_tables, sampled_tables
+    row_built_s, sampled_grid_s = _best_fresh_grids(chain, platform, spec, fleet.grid, 3)
+    row_built_vs_sampled = row_built_s / sampled_grid_s
+
     unseeded_s, seeded_s = _best_fresh_builds(chain, platform, fleet.grid, 3)
     slice_cache_overhead = seeded_s / unseeded_s
     fresh_split = _fresh_split(chain, platform, fleet.grid, matrix, 3)
@@ -393,6 +440,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
         f"full {full_rebuild_s:.2f} s  ({delta_speedup:.1f}x, floor {DELTA_FLOOR}x)"
         f"\n  drift via executor:  {drift_reuse_s:.3f} s vs cold build {drift_cold_s:.3f} s  "
         f"({drift_reuse:.1f}x, floor {DRIFT_REUSE_FLOOR}x)"
+        f"\n  row-built grid:      {row_built_s:.3f} s vs sampled {sampled_grid_s:.3f} s  "
+        f"({row_built_vs_sampled:.2f}x, floor {ROW_BUILT_FLOOR}x)"
         f"\n  row-source register: {seeded_s:.3f} s vs unseeded {unseeded_s:.3f} s  "
         f"({slice_cache_overhead:.2f}x, ceiling {SLICE_CACHE_OVERHEAD_CEILING}x)"
         f"\n  fresh grid split:    key {fresh_split['key']:.3f} s, "
@@ -431,6 +480,8 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "drift_cold_build": drift_cold_s,
                 "time_only_execute": time_only_s,
                 "every_field_execute": every_field_s,
+                "row_built_grid": row_built_s,
+                "sampled_grid": sampled_grid_s,
             },
             "fresh_split": fresh_split,
             "throughputs": {
@@ -440,12 +491,14 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
                 "delta_rebuild": delta_speedup,
                 "reduce_vs_manual": reduce_speedup,
                 "drift_reuse": drift_reuse,
+                "row_built_vs_sampled": row_built_vs_sampled,
             },
             "floors": {
                 "fleet_pairs_per_s": PAIRS_PER_S_FLOOR,
                 "delta_rebuild": DELTA_FLOOR,
                 "reduce_vs_manual": REDUCE_FLOOR,
                 "drift_reuse": DRIFT_REUSE_FLOOR,
+                "row_built_vs_sampled": ROW_BUILT_FLOOR,
             },
             "overheads": {
                 "slice_cache_overhead": slice_cache_overhead,
@@ -472,6 +525,10 @@ def test_fleet_pipeline_evaluates_100k_users_in_seconds(benchmark, bench_once, b
     assert drift_reuse >= DRIFT_REUSE_FLOOR, (
         f"drift row reuse regressed: the executor builds a drifted grid only "
         f"{drift_reuse:.1f}x faster than a cold build (floor {DRIFT_REUSE_FLOOR}x)"
+    )
+    assert row_built_vs_sampled >= ROW_BUILT_FLOOR, (
+        f"columnar fleet grids regressed: a row-built grid takes only "
+        f"{row_built_vs_sampled:.2f}x a sampled one from inputs to tables (floor {ROW_BUILT_FLOOR}x)"
     )
     assert slice_cache_overhead <= SLICE_CACHE_OVERHEAD_CEILING, (
         f"row-source registration regressed: a registering fused build takes "

@@ -310,7 +310,7 @@ def _grid_fingerprint_parts(scenarios: Any) -> tuple:
     cached = getattr(scenarios, _GRID_FINGERPRINT_PARTS_ATTR, None)
     if cached is not None:
         return cached
-    parts = tuple(cached_fingerprint(s) for s in scenarios.scenarios)
+    parts = tuple(_row_digests(scenarios))
     try:
         object.__setattr__(scenarios, _GRID_FINGERPRINT_PARTS_ATTR, parts)
     except (AttributeError, TypeError):
@@ -318,23 +318,98 @@ def _grid_fingerprint_parts(scenarios: Any) -> tuple:
     return parts
 
 
-def seed_updated_grid_fingerprint(base: Any, updated: Any, changed: "Any") -> None:
+_CANONICAL_NAN = np.frombuffer(_NAN, dtype="<f8")[0]
+
+#: Grids with fewer rows encode each row's scenario one by one: NumPy's
+#: fixed cost per call outweighs its per-row saving on a serving request's
+#: few scenarios.
+_BLOCKWISE_MIN_ROWS = 128
+
+
+def _le_bytes(column: np.ndarray) -> np.ndarray:
+    """``(n, 8)`` little-endian bytes of a float64 column, NaNs canonical."""
+    column = np.where(column == column, column, _CANONICAL_NAN)
+    return column.astype("<f8", copy=False).view(np.uint8).reshape(-1, 8)
+
+
+def _row_digests(grid: Any) -> list:
+    """The content digests of every row of a scenario grid.
+
+    Each is bit for bit the digest of the row's :class:`Scenario` (see
+    :func:`_encode_scenario`).  Small grids encode their scenario views one
+    by one.  Large ones emit the bytes from their columns: rows that pin the
+    same axis codes and whose names encode to the same length share one
+    layout -- tag, name, weight, setting count, then per setting the axis
+    bytes and the value -- so each such block writes its rows with NumPy at
+    once and only the hash runs per row.  Blocks run in order of their first
+    row and settings in order, so an axis that cannot be encoded raises where
+    encoding the scenarios one by one would.
+    """
+    if len(grid) < _BLOCKWISE_MIN_ROWS:
+        digests = []
+        for scenario in grid.scenarios:
+            out = bytearray()
+            _encode_scenario(scenario, out)
+            digests.append(hashlib.sha256(out).hexdigest())
+        return digests
+    codes, values, weights = grid.axis_codes, grid.axis_values, grid.weights
+    raws = [name.encode("utf-8", "surrogatepass") for name in grid.names]
+    n = len(raws)
+    lengths = np.fromiter(map(len, raws), dtype=np.intp, count=n)
+    signature = np.zeros(n, dtype=np.intp)
+    if codes.shape[0]:
+        # return_index takes numpy's fast path for unique columns.
+        signature = np.unique(codes, axis=1, return_index=True, return_inverse=True)[2].reshape(-1)
+    _, first, block_of = np.unique(
+        signature * (int(lengths.max()) + 1) + lengths, return_index=True, return_inverse=True
+    )
+    members = np.argsort(block_of, kind="stable")
+    ends = np.cumsum(np.bincount(block_of))
+    digests: list = [None] * n
+    sha256 = hashlib.sha256
+    for block in np.argsort(first, kind="stable").tolist():
+        rows = members[ends[block - 1] if block else 0 : ends[block]]
+        row_list = rows.tolist()
+        pinned = [code for code in codes[:, row_list[0]].tolist() if code >= 0]
+        size = int(lengths[row_list[0]])
+        pieces = [
+            np.frombuffer(b"X" + _U64(size), dtype=np.uint8),
+            np.frombuffer(b"".join([raws[row] for row in row_list]), dtype=np.uint8).reshape(-1, size),
+            _le_bytes(weights[rows]),
+            np.frombuffer(_U64(len(pinned)), dtype=np.uint8),
+        ]
+        for step, code in enumerate(pinned):
+            axis = bytearray()
+            _encode(grid.axes[code], axis)  # memoized on the axis
+            pieces += [np.frombuffer(axis, dtype=np.uint8), _le_bytes(values[step, rows])]
+        blob = np.hstack([np.broadcast_to(piece, (len(rows), piece.shape[-1])) for piece in pieces]).tobytes()
+        width = len(blob) // len(rows)
+        for row, at in zip(row_list, range(0, len(blob), width)):
+            digests[row] = sha256(blob[at : at + width]).hexdigest()
+    return digests
+
+
+def seed_updated_grid_fingerprint(base: Any, updated: Any, changed: "Any") -> list:
     """Pre-seed ``updated``'s grid fingerprint from ``base``'s memoized parts.
 
     Delta rebuilds construct a fresh grid differing from ``base`` in a handful
     of rows; re-digesting only those rows (``changed`` is their index set)
     keeps re-keying O(changes) instead of O(scenarios).  The seeded digest is
     exactly what :func:`cached_fingerprint` would compute from scratch.
+    Returns the changed rows' digests, in ``changed`` order.
     """
+    changed = list(changed)
+    digests = [cached_fingerprint(scenario) for scenario in updated._take(changed)]
     parts = list(_grid_fingerprint_parts(base))
-    for i in changed:
-        parts[i] = cached_fingerprint(updated.scenarios[i])
+    for i, digest in zip(changed, digests):
+        parts[i] = digest
     parts = tuple(parts)
     try:
         object.__setattr__(updated, _GRID_FINGERPRINT_PARTS_ATTR, parts)
         object.__setattr__(updated, _FINGERPRINT_ATTR, fingerprint(updated))
     except (AttributeError, TypeError):
         pass
+    return digests
 
 
 def table_key(

@@ -388,7 +388,7 @@ class GridCostTables:
                 "(build_tables(..., scenarios=...) or executor.grid_cost_tables) "
                 "rather than from pre-derived platforms"
             )
-        Scenario, ScenarioGrid = _scenario_classes()
+        Scenario, _ = _scenario_classes()
         pairs = replacements.items() if isinstance(replacements, Mapping) else replacements
         normalized: dict[int, "Scenario"] = {}
         for index, scenario in pairs:
@@ -400,18 +400,17 @@ class GridCostTables:
             normalized[i] = scenario
         if not normalized:
             return self
-        entries = list(context.scenarios.scenarios)
-        for i, scenario in normalized.items():
-            entries[i] = scenario
-        new_grid = ScenarioGrid(tuple(entries))  # re-validates name uniqueness
+        new_grid = context.scenarios._replaced(normalized)  # re-validates changed names
 
         order = sorted(normalized)
-        replaced = [normalized[i] for i in order]
+        # Keying the new grid from the old one's memoized per-scenario parts
+        # keeps the re-key O(replacements) instead of O(scenarios).
+        digests = seed_updated_grid_fingerprint(context.scenarios, new_grid, order)
         source = None if slice_cache is None else slice_cache.get(context._slice_key_prefix)
         changes, stats = _condition_rows(
             context,
-            replaced,
-            [cached_fingerprint(scenario) for scenario in replaced],
+            new_grid._take(order),
+            digests,
             source,
             out={name: getattr(self, name).copy() for name in _SLICE_FIELDS},
             at=order,
@@ -420,10 +419,7 @@ class GridCostTables:
         new_fingerprint = ""
         if self.fingerprint:
             # Invariant: equals build_tables' key for the updated config, so
-            # executor-level caches recognise the rebuilt tables.  Seeding the
-            # new grid's digest from the old one's memoized per-scenario parts
-            # keeps the re-key O(replacements) instead of O(scenarios).
-            seed_updated_grid_fingerprint(context.scenarios, new_grid, order)
+            # executor-level caches recognise the rebuilt tables.
             new_fingerprint = table_key_from_fingerprint(
                 context.workload_fingerprint,
                 context.platform,
@@ -599,8 +595,8 @@ def _candidate_params(
     )
 
 
-def _condition_params(platform: Platform, entries: "Sequence[Scenario]") -> PlatformParams:
-    """The parameter rows of some scenarios of ``platform``.
+def _condition_params(platform: Platform, grid: "ScenarioGrid") -> PlatformParams:
+    """The parameter rows of the scenarios of ``grid`` under ``platform``.
 
     When every pinned axis is vectorized, the base platform is broadcast once
     and each axis' ``scale_arrays`` hook runs over all rows; otherwise each
@@ -609,35 +605,34 @@ def _condition_params(platform: Platform, entries: "Sequence[Scenario]") -> Plat
     """
     from ..scenarios.conditions import apply_conditions, vectorized_axis
 
-    # vectorized_axis judges an axis by its class, so ask once per class.
-    axes = {type(axis): axis for scenario in entries for axis, _ in scenario.settings}
-    if all(map(vectorized_axis, axes.values())):
-        params = PlatformParams.gather(platform, len(entries))
-        _apply_grid_conditions(params, entries)
+    pinned = np.bincount(grid.axis_codes.ravel() + 1, minlength=len(grid.axes) + 1)[1:]
+    if all(vectorized_axis(axis) for axis, count in zip(grid.axes, pinned) if count):
+        params = PlatformParams.gather(platform, len(grid))
+        _apply_grid_conditions(params, grid)
         return params
-    return PlatformParams.stack([apply_conditions(platform, scenario) for scenario in entries])
+    return PlatformParams.stack([apply_conditions(platform, scenario) for scenario in grid])
 
 
-def _apply_grid_conditions(params: PlatformParams, entries: "Sequence[Scenario]") -> None:
+def _apply_grid_conditions(params: PlatformParams, grid: "ScenarioGrid") -> None:
     """Apply every scenario's condition axes to the parameter arrays in place.
 
-    Walks the settings *positions* in order and groups the scenarios that pin
-    the same axis at each position into one ``scale_arrays`` call (axes are
-    hashable value types).  Each scenario's axes still apply in its own
-    settings order, and the grouped rows are disjoint, so the arithmetic per
-    row is exactly the scalar sequence of apply() calls.
+    Walks the settings *positions* in order and groups the rows that pin
+    equal axes at each position into one ``scale_arrays`` call (axes are
+    hashable value types), groups in order of their first row, so the first
+    bad value an error names is the one a row-by-row walk meets first within
+    its position.  Each scenario's axes still apply in its own settings
+    order, and the grouped rows are disjoint, so the arithmetic per row is
+    exactly the scalar sequence of apply() calls.
     """
-    max_steps = max((len(scenario.settings) for scenario in entries), default=0)
-    for step in range(max_steps):
-        groups: "dict[Any, tuple[list[int], list[float]]]" = {}
-        for row, scenario in enumerate(entries):
-            if step < len(scenario.settings):
-                axis, value = scenario.settings[step]
-                rows, values = groups.setdefault(axis, ([], []))
-                rows.append(row)
-                values.append(value)
-        for axis, (rows, values) in groups.items():
-            axis.scale_arrays(params, np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=float))
+    axes = grid.axes
+    classes: dict = {}
+    class_of = np.array([classes.setdefault(axis, k) for k, axis in enumerate(axes)], dtype=np.intp)
+    for codes, values in zip(grid.axis_codes, grid.axis_values):
+        rows = np.flatnonzero(codes >= 0)
+        groups = class_of[codes[rows]]
+        for group in dict.fromkeys(groups.tolist()):
+            members = rows[groups == group]
+            axes[codes[members[0]]].scale_arrays(params, members, values[members])
 
 
 def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays) -> dict:
@@ -790,7 +785,7 @@ def _fused_grid_tables(
     )
     source = None if slice_cache is None else slice_cache.get(context._slice_key_prefix)
     digests = _grid_fingerprint_parts(scenarios) if source is not None else ()
-    values, stats = _condition_rows(context, scenarios.scenarios, digests, source)
+    values, stats = _condition_rows(context, scenarios, digests, source)
     tables = _assemble_grid_tables(
         workload,
         platform,
@@ -810,7 +805,7 @@ def _fused_grid_tables(
 
 def _condition_rows(
     context: GridBuildContext,
-    entries: "Sequence[Scenario]",
+    entries: "ScenarioGrid",
     digests: Sequence[str],
     source: "_RowSource | None",
     out: "dict[str, np.ndarray] | None" = None,
@@ -839,7 +834,7 @@ def _condition_rows(
     built: dict[str, np.ndarray] = {}
     if len(need):
         platform = context.platform
-        todo = entries if stats.served == 0 else [entries[j] for j in need]
+        todo = entries if stats.served == 0 else entries._take(need)
         params = _condition_params(platform, todo)
         aliases = resolve_aliases(platform, context.devices)
         built = _grid_value_arrays(context.task_costs, _candidate_params(params, aliases, platform.host))

@@ -215,60 +215,6 @@ class SimulatedExecutor:
             "tables": self.table_cache.stats(),
         }
 
-    def _execute_uncached(self, chain: TaskChain, aliases: tuple[str, ...]) -> ExecutionRecord:
-        host = self.platform.host
-
-        task_records: list[TaskExecutionRecord] = []
-        busy: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
-        flops: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
-        transferred = 0.0
-        transfer_energy = 0.0
-        total_time = 0.0
-        previous_device = host
-
-        for task, alias in zip(chain, aliases):
-            cost = task.cost()
-            # Shared cost model: busy time (incl. startup), host I/O shipping
-            # (inputs host -> device, results device -> host), and the scalar
-            # penalty crossing the direct previous->current link (device-to-
-            # device transfers are not staged through the host).
-            device_cost = task_device_cost(self.platform, cost, alias)
-            hop = penalty_cost(self.platform, previous_device, alias)
-            busy_time = device_cost.busy_s
-            transfer_time = device_cost.hostio_time_s + hop.time_s
-            task_bytes = device_cost.hostio_bytes + hop.n_bytes
-            transfer_energy += device_cost.energy_in_j
-            transfer_energy += device_cost.energy_out_j
-            transfer_energy += hop.energy_j
-
-            busy[alias] += busy_time
-            flops[alias] += cost.flops
-            transferred += task_bytes
-            total_time += busy_time + transfer_time
-            previous_device = alias
-            task_records.append(
-                TaskExecutionRecord(
-                    task_name=task.name,
-                    device=alias,
-                    busy_time_s=busy_time,
-                    transfer_time_s=transfer_time,
-                    transferred_bytes=task_bytes,
-                    flops=cost.flops,
-                )
-            )
-
-        energy, cost_total = finalize_execution(self.platform, busy, total_time, transfer_energy)
-        return ExecutionRecord(
-            placement=aliases,
-            tasks=tuple(task_records),
-            total_time_s=total_time,
-            busy_time_by_device=busy,
-            flops_by_device=flops,
-            transferred_bytes=transferred,
-            energy=energy,
-            operating_cost=cost_total,
-        )
-
     # -- DAG workloads --------------------------------------------------
     def _normalise_graph_placement(
         self, graph: TaskGraph, placement: Sequence[str] | str | Mapping[str, str]
@@ -310,13 +256,19 @@ class SimulatedExecutor:
         """
         aliases = self._normalise_graph_placement(graph, placement)
         if not self.cache_executions:
-            return self._execute_graph_uncached(graph, aliases)
+            return self._execute_uncached(graph, aliases)
         key = ("graph", cached_fingerprint(graph), aliases)
         return self._record_cache.get_or_build(
-            key, lambda: self._execute_graph_uncached(graph, aliases)
+            key, lambda: self._execute_uncached(graph, aliases)
         )
 
-    def _execute_graph_uncached(self, graph: TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
+    def _execute_uncached(self, graph: TaskChain | TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
+        """The scalar list-scheduling fold of a chain or DAG.
+
+        A chain's tasks have linear predecessors: its device never lags
+        behind the predecessor and each join is one hop from the previous
+        device, so the fold is the chain's running sum bit for bit.
+        """
         host = self.platform.host
 
         task_records: list[TaskExecutionRecord] = []

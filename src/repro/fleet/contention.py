@@ -167,14 +167,7 @@ def _loaded_grid(
     if not extra:
         return fleet.grid
     return ScenarioGrid(
-        tuple(
-            Scenario(
-                name=scenario.name,
-                settings=scenario.settings + extra,
-                weight=scenario.weight,
-            )
-            for scenario in fleet.grid.scenarios
-        )
+        Scenario(name=s.name, settings=s.settings + extra, weight=s.weight) for s in fleet.grid.scenarios
     )
 
 

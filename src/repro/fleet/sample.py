@@ -1,10 +1,12 @@
 """Sampling a concrete fleet: spec -> weighted ``ScenarioGrid``.
 
 :func:`sample_fleet` draws ``n_users`` users from a :class:`FleetSpec` with a
-seeded generator and materialises them as one weighted
-:class:`~repro.scenarios.ScenarioGrid` -- one scenario per user, named
+seeded generator and writes them as one weighted
+:class:`~repro.scenarios.ScenarioGrid` -- one row per user, named
 ``"<segment>/u<index>"``, carrying the user's sampled axis values as ordinary
-scenario settings.  The grid flows through the existing vectorized grid
+scenario settings.  The draws go straight into the grid's columns; a user's
+``Scenario`` object exists only if something asks for it.  The grid flows
+through the existing vectorized grid
 engine *unchanged*: fused array-space builds, row reuse through the
 ``TableCache`` row source, scenario sharding, and robust objectives all
 apply to fleets for free.
@@ -35,7 +37,8 @@ import numpy as np
 
 from ..cache import seed_updated_grid_fingerprint
 from ..scenarios.conditions import Scenario
-from ..scenarios.grid import ScenarioGrid
+from ..scenarios.grid import ScenarioGrid, _AxisTable
+from ..search.topk import _read_int
 from .segments import FleetSpec, UserSegment
 
 __all__ = ["SampledFleet", "sample_fleet"]
@@ -56,11 +59,10 @@ def _sample_segment_users(
     """One scenario per user of one segment, axes drawn column-wise.
 
     Each axis sampler draws all of the segment's users in one vectorized call
-    (column-major), so redrawing the same index set with the same generator
-    state reproduces the draws bit-for-bit.
+    (column-major), as :func:`sample_fleet` does, so redrawing the same index
+    set with the same generator state reproduces the draws bit-for-bit.
     """
-    n = len(indices)
-    columns = [sampler.sample(rng, n) for sampler in segment.axes]
+    columns = [sampler.sample(rng, len(indices)) for sampler in segment.axes]
     scenarios = []
     for row, index in enumerate(indices):
         settings = tuple(
@@ -114,7 +116,7 @@ class SampledFleet:
         indices = self.users_of_segment(name)
         if not indices:
             raise ValueError(f"segment {name!r} received no users in this sample")
-        return ScenarioGrid(tuple(self.grid[i] for i in indices))
+        return self.grid._take(indices)
 
     def resample_users(
         self,
@@ -132,10 +134,14 @@ class SampledFleet:
         source, and keying it hashes only the redrawn users: the drifted
         grid's fingerprint is seeded from this fleet's per-user digests.
         Weights and segment membership are preserved (drift moves a user's
-        conditions, not its probability mass).
+        conditions, not its probability mass), and so are the users' names:
+        the drifted grid copies this grid's columns, rewrites only the
+        redrawn rows and shares its names and their index.
         """
         rng = _as_rng(seed)
-        indices = list(dict.fromkeys(int(i) for i in indices))
+        indices = list(
+            dict.fromkeys(_read_int(value, f"indices[{k}]") for k, value in enumerate(indices))
+        )
         for i in indices:
             if not 0 <= i < self.n_users:
                 raise IndexError(f"user index {i} out of range [0, {self.n_users})")
@@ -144,17 +150,15 @@ class SampledFleet:
         by_segment: dict[int, list[int]] = {}
         for i in indices:
             by_segment.setdefault(self.segment_of_user[i], []).append(i)
+        weights = self.grid.weights
         for segment_index, users in by_segment.items():
             segment = self.spec.segments[segment_index]
-            weight = self.grid[users[0]].weight
+            weight = float(weights[users[0]])
             for user, scenario in zip(
                 users, _sample_segment_users(segment, users, weight, rng)
             ):
                 replacements[user] = scenario
-        scenarios = list(self.grid.scenarios)
-        for i, scenario in replacements.items():
-            scenarios[i] = scenario
-        grid = ScenarioGrid(tuple(scenarios))
+        grid = self.grid._replaced(replacements) if replacements else self.grid
         # Key the drifted grid from the parent's per-user digests: only the
         # redrawn users are hashed, not the whole fleet.
         seed_updated_grid_fingerprint(self.grid, grid, sorted(replacements))
@@ -191,20 +195,26 @@ def sample_fleet(
     """
     rng = _as_rng(seed)
     counts = spec.apportion(n_users)
-    scenarios: list[Scenario] = []
-    segment_of_user: list[int] = []
+    segment_of_user = np.repeat(np.arange(len(counts)), counts)
+    steps = max(len(segment.axes) for segment, count in zip(spec.segments, counts) if count)
+    table = _AxisTable()
+    codes = np.full((steps, len(segment_of_user)), -1, dtype=np.intp)
+    values = np.zeros(codes.shape)
+    weights = np.empty(len(segment_of_user))
     cursor = 0
-    for segment_index, (segment, count) in enumerate(zip(spec.segments, counts)):
-        if count == 0:
-            continue
-        indices = range(cursor, cursor + count)
-        weight = segment.weight / count
-        scenarios.extend(_sample_segment_users(segment, indices, weight, rng))
-        segment_of_user.extend([segment_index] * count)
-        cursor += count
+    for segment, count in zip(spec.segments, counts):
+        if count:
+            block = slice(cursor, cursor + count)
+            for step, sampler in enumerate(segment.axes):
+                codes[step, block] = table.code(sampler.axis)
+                values[step, block] = sampler.sample(rng, count)
+            weights[block] = segment.weight / count
+            cursor += count
+    prefixes = tuple(f"{segment.name}/u" for segment in spec.segments)
+    names = (prefixes, segment_of_user, np.arange(len(segment_of_user)))
     return SampledFleet(
         spec=spec,
-        grid=ScenarioGrid(tuple(scenarios)),
-        segment_of_user=tuple(segment_of_user),
+        grid=ScenarioGrid._from_columns(tuple(table.axes), codes, values, weights, name_parts=names),
+        segment_of_user=tuple(segment_of_user.tolist()),
         seed=seed if isinstance(seed, int) else None,
     )

@@ -27,6 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ..scenarios.conditions import ConditionAxis
+from ..scenarios.grid import _check_unique
+from ..search.topk import _read_int
 
 __all__ = [
     "AxisSampler",
@@ -198,10 +200,7 @@ class FleetSpec:
         for segment in segments:
             if not isinstance(segment, UserSegment):
                 raise TypeError(f"expected UserSegment instances, got {segment!r}")
-        names = [segment.name for segment in segments]
-        if len(set(names)) != len(names):
-            duplicates = sorted({name for name in names if names.count(name) > 1})
-            raise ValueError(f"segment names must be unique, duplicated: {duplicates}")
+        _check_unique([segment.name for segment in segments], "segment")
         object.__setattr__(self, "segments", segments)
 
     @property
@@ -221,6 +220,7 @@ class FleetSpec:
         positive weight gets its proportional share rounded fairly (ties on
         equal remainders break toward earlier segments).
         """
+        n_users = _read_int(n_users, "n_users")
         if n_users <= 0:
             raise ValueError(f"n_users must be positive, got {n_users}")
         weights = np.array([segment.weight for segment in self.segments])

@@ -454,9 +454,7 @@ def _scenario_entries(scenarios) -> tuple["ScenarioGrid", tuple[str, ...], np.nd
                     f"expected Scenario instances or a ScenarioGrid, got {entry!r}"
                 )
         scenarios = ScenarioGrid(entries)
-    names = tuple(scenario.name for scenario in scenarios)
-    weights = np.array([scenario.weight for scenario in scenarios], dtype=float)
-    return scenarios, names, weights
+    return scenarios, scenarios.names, scenarios.weights
 
 
 def _scenario_sharded_chunks(
@@ -603,10 +601,8 @@ def search_grid(
     if sharded:
         pools.append(ShardPool(spec, len(ranges)))
     elif n_shards > 1:
-        from ..scenarios import ScenarioGrid
-
         for lo, hi in shard_ranges(0, tables.n_scenarios, n_shards):
-            block = ScenarioGrid(grid.scenarios[lo:hi])
+            block = grid._take(range(lo, hi))
             pools.append(ShardPool({**spec, "scenarios": block}, 1))
 
     def run(accumulator: SpaceSearch) -> SpaceSearch:

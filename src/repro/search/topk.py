@@ -17,17 +17,19 @@ import numpy as np
 __all__ = ["StreamingTopK"]
 
 
-def _read_count(value, name: str) -> int:
-    """``value`` as a non-negative int: no silent truncation, no bools.
+def _read_int(value, name: str) -> int:
+    """``value`` as an int: no silent truncation, no bools (``TypeError`` naming ``name``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
-    Raises ``TypeError``/``ValueError`` naming ``name``.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+def _read_count(value, name: str) -> int:
+    """``value`` as a non-negative int (``TypeError``/``ValueError`` naming ``name``)."""
+    count = _read_int(value, name)
     if count < 0:
         raise ValueError(f"{name} must be non-negative, got {count}")
     return count

@@ -157,6 +157,20 @@ class TestApportion:
 
 
 class TestSampleFleet:
+    @pytest.mark.parametrize("n_users", [5.0, 10.7, float("nan"), float("inf"), True, np.float64(3.0), "4"])
+    def test_rejects_non_integer_user_counts(self, n_users):
+        with pytest.raises(TypeError, match=r"n_users must be an integer"):
+            sample_fleet(two_segment_spec(), n_users)
+
+    @pytest.mark.parametrize("n_users", [0, -3, np.int64(0)])
+    def test_rejects_non_positive_user_counts(self, n_users):
+        with pytest.raises(ValueError, match="n_users must be positive"):
+            sample_fleet(two_segment_spec(), n_users)
+
+    def test_accepts_numpy_integer_user_counts(self):
+        fleet = sample_fleet(two_segment_spec(), np.int64(6), seed=2)
+        assert fleet.grid == sample_fleet(two_segment_spec(), 6, seed=2).grid
+
     def test_same_seed_reproduces_the_grid_exactly(self):
         spec = two_segment_spec()
         a = sample_fleet(spec, 12, seed=7)
@@ -251,6 +265,19 @@ class TestResample:
         assert seeded == cache._grid_fingerprint_parts(rebuilt)
         assert cache.fingerprint(drifted.grid) == cache.fingerprint(rebuilt)
         assert [i for i, (a, b) in enumerate(zip(parent_parts, seeded)) if a != b] == [2, 5, 9]
+
+    @pytest.mark.parametrize("bad", [1.7, True, np.float64(1.0), "1", None])
+    def test_resample_rejects_non_integer_users(self, bad):
+        fleet = sample_fleet(two_segment_spec(), 8, seed=0)
+        with pytest.raises(TypeError, match=r"indices\[1\] must be an integer"):
+            fleet.resample_users([0, bad], seed=0)
+
+    def test_resample_accepts_numpy_integer_users(self):
+        fleet = sample_fleet(two_segment_spec(), 8, seed=0)
+        drifted, replacements = fleet.resample_users(np.array([1, 6]), seed=4)
+        expected, _ = fleet.resample_users([1, 6], seed=4)
+        assert sorted(replacements) == [1, 6]
+        assert drifted.grid == expected.grid
 
     def test_resample_rejects_out_of_range_users(self):
         fleet = sample_fleet(two_segment_spec(), 8, seed=0)

@@ -228,6 +228,18 @@ class TestScenarioGrid:
         with pytest.raises(ValueError):
             ScenarioGrid(scenarios=())
 
+    def test_duplicate_names_are_found_in_linear_time(self):
+        """The duplicate list of a 60,001-scenario grid comes in one pass
+        (counting each name's copies one by one would take minutes)."""
+        import time
+
+        names = [f"s{i}" for i in range(59_999)] + ["s7", "s41"]
+        scenarios = tuple(Scenario(name) for name in names)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"duplicated: \['s41', 's7'\]$"):
+            ScenarioGrid(scenarios)
+        assert time.perf_counter() - start < 5.0
+
     def test_lookup_and_platforms(self):
         platform = edge_cluster_platform()
         grid = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=3)
