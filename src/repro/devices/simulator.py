@@ -262,7 +262,7 @@ class SimulatedExecutor:
             key, lambda: self._execute_uncached(graph, aliases)
         )
 
-    def _execute_uncached(self, graph: TaskChain | TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
+    def _execute_uncached(self, workload: TaskChain | TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
         """The scalar list-scheduling fold of a chain or DAG.
 
         A chain's tasks have linear predecessors: its device never lags
@@ -280,10 +280,10 @@ class SimulatedExecutor:
         finish: list[float] = []
         available: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
 
-        for pos, (task, alias) in enumerate(zip(graph, aliases)):
+        for pos, (task, alias) in enumerate(zip(workload, aliases)):
             cost = task.cost()
             device_cost = task_device_cost(self.platform, cost, alias)
-            preds = graph.predecessor_positions[pos]
+            preds = workload.predecessor_positions[pos]
             if preds:
                 # Fan-in join: one penalty hop per incoming edge, folded in
                 # canonical edge order.
