@@ -157,6 +157,7 @@ class TestSampledGrids:
         moved = [i for i, (a, b) in enumerate(zip(fleet_parts, _grid_fingerprint_parts(drifted.grid))) if a != b]
         assert moved == sorted(i for i in replacements if replacements[i] != fleet.grid[i])
         assert_same_tables(drifted.grid, reference)
+        assert_same_search(drifted.grid, reference)
 
         executor = SimulatedExecutor(edge_cluster_platform())
         updated = executor.update_grid_tables(executor.grid_cost_tables(chain(), fleet.grid), replacements)
