@@ -8,6 +8,13 @@ One SHA-256 per section, so a mismatch names the entry point that drifted:
   views and ``record(i)``; plain and scenario-grid tables, full spaces and
   small batches, chains, random DAGs and fork-join graphs, and platforms
   with a missing link;
+* ``oracles`` -- the scalar references: every field and per-task record of
+  uncached ``SimulatedExecutor.execute``/``execute_graph`` and of
+  ``BatchExecutionResult.record`` on every placement (missing links raise),
+  and ``execute_with_faults``, ``FaultBatchExecutionResult.record`` and
+  ``expected_record`` under retries only, a finite timeout with stragglers,
+  and one attempt with placements that cannot succeed; plus the bad
+  placement entries each rejects;
 * ``search_space`` -- ``method=`` auto/planner/stream, constraints, the
   frontier, ``top_k > 1``, index slices and ``retry=``;
 * ``search_grid`` -- the robust objectives, streamed and planned regret
@@ -65,6 +72,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = Path(__file__).resolve().parent / "DIGEST.json"
 SECTIONS = (
     "execute",
+    "oracles",
     "search_space",
     "search_grid",
     "plan_workload",
@@ -307,6 +315,135 @@ def digest_execute(section: Section) -> None:
         rng = np.random.default_rng([99, n_devices])
         executor = SimulatedExecutor(random_platform(rng, n_devices))
         run(f"fork-join/{n_devices}", executor, fork_join_graph(), _scenarios(rng, 2), rng)
+
+
+def _fault_record(record) -> dict:
+    """Every field of an :class:`~repro.faults.engine.ExpectedFaultRecord`."""
+    return {
+        "placement": list(record.placement),
+        "tasks": [
+            [t.task_name, t.device, t.success_probability, t.expected_attempts, t.expected_time_s]
+            for t in record.tasks
+        ],
+        "success": record.success_probability,
+        "attempts": record.expected_attempts,
+        "time": record.total_time_s,
+        "busy": dict(record.busy_time_by_device),
+        "flops": dict(record.flops_by_device),
+        "bytes": record.transferred_bytes,
+        "active": dict(record.energy.active_j),
+        "idle": dict(record.energy.idle_j),
+        "transfer": record.energy.transfer_j,
+        "energy": record.energy_total_j,
+        "cost": record.operating_cost,
+    }
+
+
+def _fault_regimes(tables) -> dict:
+    """``name -> (faults, retry, timeout)`` of the three fault regimes.
+
+    The timeout is the 90th percentile of the plain tables' nominal task
+    durations (host I/O included, hops left out), so some tasks overrun it:
+    with stragglers some are killed only when they straggle, and with one
+    attempt some placements cannot succeed at all.
+    """
+    import numpy as np
+
+    from repro.faults import FaultProfile, RetryPolicy, StragglerModel, TimeoutPolicy
+
+    profile, retry = _faults()
+    durations = tables.busy[0] + tables.hostio_time[0]
+    timeout = TimeoutPolicy(float(np.nanquantile(durations, 0.9)))
+    stragglers = FaultProfile(
+        device_failure=profile.device_failure,
+        link_dropout=profile.link_dropout,
+        straggler=StragglerModel(probability=0.2, slowdown=4.0),
+    )
+    return {
+        "retry": (profile, retry, None),
+        "timeout-stragglers": (stragglers, retry, timeout),
+        "one-attempt": (profile, RetryPolicy(max_attempts=1), timeout),
+    }
+
+
+def digest_oracles(section: Section) -> None:
+    import numpy as np
+
+    from repro.devices import SimulatedExecutor
+    from repro.faults import expected_record
+    from repro.offload import placement_matrix
+    from repro.tasks import TaskGraph
+    from repro.tasks.workloads import fork_join_graph
+    from factories import random_platform
+
+    def run(label, platform, workload, linked=None):
+        executor = SimulatedExecutor(platform, cache_executions=False)
+        plain = executor.cost_tables(workload)
+        aliases = plain.aliases
+        full = placement_matrix(plain.n_tasks, plain.n_devices)
+        graph = isinstance(workload, TaskGraph)
+        execute = executor.execute_graph if graph else executor.execute
+        linked_rows = full if linked is None else _linked_rows(full, plain.pred_positions, linked)
+        batch = executor.execute_batch(workload, linked_rows)
+        for row in full.tolist():
+            placement = tuple(aliases[d] for d in row)
+            section.case(f"{label}/execute/{''.join(placement)}", lambda: _record(execute(workload, placement)))
+        for i in range(len(batch)):
+            section.case(f"{label}/record/{batch.label(i)}", lambda: _record(batch.record(i)))
+        if graph:
+            names = workload.task_names
+            section.case(
+                f"{label}/mapping",
+                lambda: _record(executor.execute_graph(workload, dict(zip(names, reversed(batch.placement(0)))))),
+            )
+            section.case(f"{label}/routed", lambda: _record(executor.execute(workload, batch.placement(0))))
+        section.case(f"{label}/execute/short", lambda: _record(execute(workload, batch.placement(0)[1:])))
+        section.case(f"{label}/execute/unknown", lambda: _record(execute(workload, ("Z",) * plain.n_tasks)))
+        for name, (faults, retry, timeout) in _fault_regimes(plain).items():
+            kwargs = dict(faults=faults, retry=retry, timeout=timeout)
+            tables = executor.cost_tables(workload, **kwargs)
+            for row in full.tolist():
+                placement = tuple(aliases[d] for d in row)
+                section.case(
+                    f"{label}/{name}/{''.join(placement)}",
+                    lambda: _fault_record(executor.execute_with_faults(workload, placement, **kwargs)),
+                )
+            fault_batch = executor.execute_batch(workload, batch.placements, **kwargs)
+            section.case(
+                f"{label}/{name}/batch",
+                lambda: {
+                    **_result(fault_batch),
+                    "success": fault_batch.success_probability,
+                    "attempts": fault_batch.expected_attempts,
+                    "records": [
+                        _fault_record(fault_batch.record(i))
+                        for i in sorted({0, len(fault_batch) // 2, len(fault_batch) - 1})
+                    ],
+                },
+            )
+            first = batch.placements[0]
+            bad = {
+                "unknown": ("Z",) * plain.n_tasks,
+                "float": [float(first[0]), *first[1:]],
+                "bool": [True, *first[1:]],
+                "short": first[1:],
+                "long": [*first, 0],
+                "range": [plain.n_devices, *first[1:]],
+                "negative": [-1, *first[1:]],
+                "numpy": [np.int64(first[0]), *first[1:]],
+            }
+            for kind, entries in bad.items():
+                section.case(f"{label}/{name}/bad/{kind}", lambda: _fault_record(expected_record(tables, entries)))
+
+    for seed, n_devices, n_tasks, graph in CASES:
+        _, executor, workload = _inputs(seed, n_devices, n_tasks, graph)
+        run(f"{seed}", executor.platform, workload)
+        if n_devices >= 3:
+            run(f"{seed}/partial", _without_link(executor.platform), workload, linked=(1, 2))
+    for n_devices in (3, 4):
+        platform = random_platform(np.random.default_rng([99, n_devices]), n_devices)
+        run(f"fork-join/{n_devices}", platform, fork_join_graph())
+        run(f"fork-join/{n_devices}/partial", _without_link(platform), fork_join_graph(), linked=(1, 2))
 
 
 def digest_search_space(section: Section) -> None:
@@ -802,6 +939,7 @@ def digest_fleet(section: Section) -> None:
 
 DIGESTERS = {
     "execute": digest_execute,
+    "oracles": digest_oracles,
     "search_space": digest_search_space,
     "search_grid": digest_search_grid,
     "plan_workload": digest_plan_workload,
