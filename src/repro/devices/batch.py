@@ -18,18 +18,12 @@ and all accumulations fold left in task order exactly like the sequential
 accumulators (a plain ``np.sum`` would use pairwise summation and drift in
 the last ulp for long chains).
 
-For DAG workloads the timing model changes where the structure demands it:
-a task starts when its slowest predecessor has finished *and* its device is
-free (tasks sharing a device serialize in topological order; parallel
-branches placed on different devices overlap -- the total time is the
-critical path through the schedule), a fan-in join pays one penalty hop per
-incoming edge (summed in canonical edge order), source tasks are fed by the
-host exactly like a chain's first task, and energy/bytes/cost remain plain
-sums over tasks and edges.  On *linear* predecessors every one of these
-rules degenerates to the chain rule -- the device-availability term never
-exceeds the predecessor's finish time there -- so a chain and the same chain
-as a :class:`~repro.tasks.graph.TaskGraph` build the same tables and run the
-same kernel.
+DAG workloads follow the executor's schedule model (critical-path latency,
+per-edge hops; see :mod:`repro.devices.simulator`), and on *linear*
+predecessors it is the chain rule, so a chain and the same chain as a
+:class:`~repro.tasks.graph.TaskGraph` build the same tables and run the
+same kernel.  :meth:`BatchExecutionResult.record` runs the executor's own
+scalar fold on the tables' row 0.
 """
 
 from __future__ import annotations
@@ -39,11 +33,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .costmodel import finalize_execution
-from .simulator import (
-    ExecutionRecord,
-    TaskExecutionRecord,
-)
+from .costmodel import _schedule_fold
+from .simulator import ExecutionRecord, _execution_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; grid imports this module
     from .grid import GridCostTables, GridExecutionResult
@@ -118,6 +109,34 @@ def placement_labels(matrix: np.ndarray, aliases: Sequence[str]) -> list[str]:
         grid = np.ascontiguousarray(lut[matrix])
         return grid.view(f"U{matrix.shape[1]}").ravel().tolist()
     return ["".join(aliases[d] for d in row) for row in matrix.tolist()]
+
+
+def _row_terms(tables: "GridCostTables") -> tuple:
+    """The schedule fold's ``(task_terms, hop_terms)`` read from row 0 of one-row tables."""
+    busy, hostio_time = tables.busy[0].tolist(), tables.hostio_time[0].tolist()
+    energy_in, energy_out = tables.energy_in[0].tolist(), tables.energy_out[0].tolist()
+    hostio_bytes, flops = tables.hostio_bytes.tolist(), tables.task_flops.tolist()
+    hop_time, hop_energy = tables.penalty_time[0].tolist(), tables.penalty_energy[0].tolist()
+    hop_bytes = tables.penalty_bytes.tolist()
+    feed_time, feed_energy = tables.first_penalty_time[0].tolist(), tables.first_penalty_energy[0].tolist()
+    feed_bytes = tables.first_penalty_bytes.tolist()
+
+    def task_terms(pos: int, d: int):
+        return (
+            busy[pos][d],
+            hostio_time[pos][d],
+            hostio_bytes[pos][d],
+            energy_in[pos][d],
+            energy_out[pos][d],
+            flops[pos],
+        )
+
+    def hop_terms(src: int | None, d: int):
+        if src is None:
+            return feed_time[d], feed_energy[d], feed_bytes[d]
+        return hop_time[src][d], hop_energy[src][d], hop_bytes[src][d]
+
+    return task_terms, hop_terms
 
 
 def _grid_row(name: str) -> property:
@@ -233,87 +252,17 @@ class BatchExecutionResult:
     def record(self, index: int) -> ExecutionRecord:
         """Materialise the full :class:`ExecutionRecord` of one placement.
 
-        Replays the sequential accumulation with scalars taken from the cost
-        tables -- edge-ordered penalty sums, max-over-predecessors ready
-        times -- so every field, including the per-task records, is bitwise
-        identical to ``SimulatedExecutor.execute_graph`` on the same
-        placement, and to ``SimulatedExecutor.execute`` for a chain: with
-        linear predecessors a task starts exactly when the previous one ends,
-        so the critical path is the running sum.
+        Runs the executor's schedule fold with the per-task and per-hop terms
+        read from row 0 of the tables (:func:`_row_terms`), so every field,
+        including the per-task records, is bitwise identical to
+        ``SimulatedExecutor.execute`` on the same placement, for chains and
+        graphs alike.
         """
         t = self.tables
-        platform = t.platform
-        # Row 0 of the one-row tables, as (k, m) / (m, m) / (m,) arrays.
-        busy_table, hostio_time = t.busy[0], t.hostio_time[0]
-        energy_in, energy_out = t.energy_in[0], t.energy_out[0]
-        penalty_time, penalty_energy = t.penalty_time[0], t.penalty_energy[0]
-        first_penalty_time = t.first_penalty_time[0]
-        first_penalty_energy = t.first_penalty_energy[0]
-        row = self.placements[index]
-        aliases_row = tuple(t.aliases[d] for d in row)
-
-        task_records: list[TaskExecutionRecord] = []
-        busy: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-        flops: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-        transferred = 0.0
-        transfer_energy = 0.0
-        total_time = 0.0
-        finish: list[float] = []
-        available: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-        for pos, (task_name, d) in enumerate(zip(t.task_names, row)):
-            alias = t.aliases[d]
-            preds = t.pred_positions[pos]
-            if preds:
-                pen_time = 0.0
-                pen_energy = 0.0
-                pen_bytes = 0.0
-                for p in preds:
-                    pen_time += float(penalty_time[row[p], d])
-                    pen_energy += float(penalty_energy[row[p], d])
-                    pen_bytes += float(t.penalty_bytes[row[p], d])
-            else:
-                pen_time = float(first_penalty_time[d])
-                pen_energy = float(first_penalty_energy[d])
-                pen_bytes = float(t.first_penalty_bytes[d])
-            ready = 0.0
-            for p in preds:
-                ready = max(ready, finish[p])
-            start = max(ready, available[alias])
-            busy_time = float(busy_table[pos, d])
-            transfer_time = float(hostio_time[pos, d]) + pen_time
-            task_bytes = float(t.hostio_bytes[pos, d]) + pen_bytes
-            transfer_energy += float(energy_in[pos, d])
-            transfer_energy += float(energy_out[pos, d])
-            transfer_energy += pen_energy
-            busy[alias] += busy_time
-            flops[alias] += float(t.task_flops[pos])
-            transferred += task_bytes
-            end = start + (busy_time + transfer_time)
-            finish.append(end)
-            available[alias] = end
-            total_time = max(total_time, end)
-            task_records.append(
-                TaskExecutionRecord(
-                    task_name=task_name,
-                    device=alias,
-                    busy_time_s=busy_time,
-                    transfer_time_s=transfer_time,
-                    transferred_bytes=task_bytes,
-                    flops=float(t.task_flops[pos]),
-                )
-            )
-
-        energy, cost_total = finalize_execution(platform, busy, total_time, transfer_energy)
-        return ExecutionRecord(
-            placement=aliases_row,
-            tasks=tuple(task_records),
-            total_time_s=total_time,
-            busy_time_by_device=busy,
-            flops_by_device=flops,
-            transferred_bytes=transferred,
-            energy=energy,
-            operating_cost=cost_total,
-        )
+        row = self.placements[index].tolist()
+        placement = tuple(t.aliases[d] for d in row)
+        schedule = _schedule_fold(t.platform, t.pred_positions, placement, row, *_row_terms(t))
+        return _execution_record(t.platform, t.task_names, placement, schedule)
 
     def records(self) -> Iterator[ExecutionRecord]:
         """Iterate the materialised records of every placement, in batch order."""

@@ -4,7 +4,7 @@ Three layers of the repo used to carry their own copy of the same arithmetic:
 ``DeviceSpec.compute_time`` / ``LinkSpec.transfer_time`` held the scalar
 formulas, ``SimulatedExecutor.execute`` aggregated them per task, and the
 batch engine's cost tables re-derived the identical per-(task, device)
-values.  This module owns the math once, in three tiers:
+values.  This module owns the math once, in four tiers:
 
 * **formula functions** (:func:`busy_time`, :func:`transfer_time`,
   :func:`transfer_energy`) -- NumPy-broadcasting implementations of the device
@@ -14,30 +14,31 @@ values.  This module owns the math once, in three tiers:
   what lets the grid table build -- the only table build -- vectorize across
   condition points without drifting a single ulp from the scalar per-task
   helpers below.
-* **per-task helpers** (:func:`task_device_cost`, :func:`penalty_cost`,
-  :func:`join_penalty_cost`) -- the aggregation of the sequential executors
-  (and the scalar reference the table build is pinned against): busy time
-  plus startup overhead,
-  host<->device input/output shipping, and the scalar-penalty hop(s) crossing
-  device boundaries.  For DAG workloads the accounting is **per edge**: a
-  fan-in join pays one penalty hop per incoming edge (summed left in edge
-  order by :func:`join_penalty_cost`), while a fan-out producer ships its
-  results back to the host once -- successors read the already-uploaded
-  penalty, they do not repeat the upload.
+* **per-task helpers** (:func:`task_device_cost`, :func:`penalty_cost`) --
+  the scalar per-(task, device) terms (and the reference the table build is
+  pinned against): busy time plus startup overhead, host<->device
+  input/output shipping, and the scalar-penalty hop crossing a device
+  boundary.
+* **schedule fold** (:func:`_schedule_fold`) -- the one scalar
+  list-scheduling fold of a placed chain or DAG, behind
+  ``SimulatedExecutor.execute``, ``BatchExecutionResult.record`` and
+  ``repro.faults.engine.expected_record``.  For DAG workloads the accounting
+  is **per edge**: a fan-in join pays one penalty hop per incoming edge
+  (summed left in edge order), while a fan-out producer ships its results
+  back to the host once -- successors read the already-uploaded penalty,
+  they do not repeat the upload.
 * **finalization** (:func:`finalize_execution`) -- the per-device
-  active/idle-energy and operating-cost accounting shared by
-  ``SimulatedExecutor.execute`` and ``BatchExecutionResult.record``.
+  active/idle-energy and operating-cost accounting of one fold.
 
-Accumulation order is part of the contract: callers fold these values left in
-task order, and the helpers perform exactly the additions the historical
+Accumulation order is part of the contract: the fold adds these values left
+in task order, and the helpers perform exactly the additions the historical
 inline code performed (e.g. host I/O time is one ``in + out`` addition) so
 every downstream result stays bitwise unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +56,6 @@ __all__ = [
     "PenaltyCost",
     "task_device_cost",
     "penalty_cost",
-    "join_penalty_cost",
     "finalize_execution",
 ]
 
@@ -132,15 +132,14 @@ def transfer_energy(n_bytes, energy_per_byte_j):
 # Per-task tier: the aggregation shared by executor and cost tables
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaskDeviceCost:
+class TaskDeviceCost(NamedTuple):
     """Cost of running one task on one device, before the penalty hop.
 
     ``busy_s`` includes the task-startup overhead for non-host devices;
     the host I/O fields are zero when the task runs on the host (inputs are
     already there).  ``energy_in_j`` / ``energy_out_j`` stay separate because
-    the executor folds them with two additions, and collapsing them into one
-    would move the result by an ulp.
+    the fold adds them with two additions, and collapsing them into one
+    would move the result by an ulp.  A tuple, so the fold unpacks it.
     """
 
     busy_s: float
@@ -150,8 +149,7 @@ class TaskDeviceCost:
     energy_out_j: float
 
 
-@dataclass(frozen=True)
-class PenaltyCost:
+class PenaltyCost(NamedTuple):
     """Cost of the scalar-penalty message crossing one device hop."""
 
     time_s: float
@@ -227,29 +225,99 @@ def penalty_cost(
     return PenaltyCost(time_s=time_s, energy_j=energy_j, n_bytes=PENALTY_MESSAGE_BYTES)
 
 
-def join_penalty_cost(
-    platform: "Platform",
-    srcs: "Sequence[str]",
-    dst: str,
-    on_missing_link: str = "raise",
-) -> PenaltyCost:
-    """Summed cost of a fan-in join: one penalty hop per incoming edge.
+# ----------------------------------------------------------------------------
+# Schedule tier: the scalar list-scheduling fold of one placement
+# ----------------------------------------------------------------------------
 
-    Every predecessor's scalar crosses its own direct ``src -> dst`` link;
-    the per-edge costs fold left in the given (canonical edge) order, which is
-    the accumulation the vectorized graph engine reproduces bitwise.  An empty
-    ``srcs`` (a source task) costs nothing -- the host feed is accounted
-    separately, exactly like a chain's first task.
+class _Schedule(NamedTuple):
+    """Accumulators of one schedule fold; ``tasks`` holds one ``(busy_s,
+    transfer_s, bytes, flops, success, attempts, time_s)`` tuple per task."""
+
+    tasks: list
+    busy_by_device: dict
+    flops_by_device: dict
+    transferred_bytes: float
+    transfer_energy_j: float
+    total_time_s: float
+    success_probability: float
+    expected_attempts: float
+
+
+def _schedule_fold(
+    platform: "Platform",
+    pred_positions: Sequence[tuple[int, ...]],
+    placement: Sequence[str],
+    row: Sequence,
+    task_terms: Callable,
+    hop_terms: Callable,
+    attempts: Callable | None = None,
+) -> _Schedule:
+    """The scalar list-scheduling fold of one placed chain or DAG.
+
+    ``placement`` names each task's device; ``row`` holds the device keys the
+    callbacks read (aliases for the cost model, indices for tables):
+
+    * ``task_terms(pos, d)`` -> ``(busy, hostio_time, hostio_bytes,
+      energy_in, energy_out, flops)``;
+    * ``hop_terms(src, d)`` -> ``(time, energy, bytes)`` of one penalty hop;
+      ``src`` is ``None`` for a source task, fed from the host;
+    * ``attempts(pos, d, busy, transfer)`` -> ``(success, E[attempts],
+      task_time)`` under faults; without it every scale factor is an exact
+      ``1.0`` and a task takes its busy plus transfer time.
+
+    A task starts once its slowest predecessor finished and its device is
+    free, and the total is the latest finish; on linear predecessors that is
+    the chain's running sum, bit for bit.  Hop terms sum left in edge order;
+    busy time, bytes, FLOPs and transfer energy are re-paid per attempt.
     """
-    time_s = 0.0
-    energy_j = 0.0
-    n_bytes = 0.0
-    for src in srcs:
-        hop = penalty_cost(platform, src, dst, on_missing_link=on_missing_link)
-        time_s += hop.time_s
-        energy_j += hop.energy_j
-        n_bytes += hop.n_bytes
-    return PenaltyCost(time_s=time_s, energy_j=energy_j, n_bytes=n_bytes)
+    busy = dict.fromkeys(platform.devices, 0.0)
+    flops = dict.fromkeys(platform.devices, 0.0)
+    available = dict.fromkeys(platform.devices, 0.0)
+    finish: list[float] = []
+    tasks = []
+    success = 1.0
+    attempts_total = 0.0
+    transferred = 0.0
+    transfer_energy = 0.0
+    total_time = 0.0
+    for pos, d in enumerate(row):
+        alias = placement[pos]
+        busy_time, hostio_time, hostio_bytes, energy_in, energy_out, task_flops = task_terms(pos, d)
+        preds = pred_positions[pos]
+        if preds:
+            pen_time = pen_energy = pen_bytes = 0.0
+            for p in preds:
+                hop_time, hop_energy, hop_bytes = hop_terms(row[p], d)
+                pen_time += hop_time
+                pen_energy += hop_energy
+                pen_bytes += hop_bytes
+        else:
+            pen_time, pen_energy, pen_bytes = hop_terms(None, d)
+        transfer_time = hostio_time + pen_time
+        if attempts is None:
+            succ, n, task_time = 1.0, 1.0, busy_time + transfer_time
+        else:
+            succ, n, task_time = attempts(pos, d, busy_time, transfer_time)
+        ready = 0.0
+        for p in preds:
+            ready = max(ready, finish[p])
+        end = max(ready, available[alias]) + task_time
+        finish.append(end)
+        available[alias] = end
+        total_time = max(total_time, end)
+        task_bytes = hostio_bytes + pen_bytes
+        success = success * succ
+        attempts_total += n
+        transferred += task_bytes * n
+        transfer_energy += energy_in * n
+        transfer_energy += energy_out * n
+        transfer_energy += pen_energy * n
+        busy[alias] += busy_time * n
+        flops[alias] += task_flops * n
+        tasks.append((busy_time, transfer_time, task_bytes, task_flops, succ, n, task_time))
+    return _Schedule(
+        tasks, busy, flops, transferred, transfer_energy, total_time, success, attempts_total
+    )
 
 
 # ----------------------------------------------------------------------------

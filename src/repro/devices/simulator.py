@@ -17,19 +17,20 @@ The timing model per task:
 * consecutive tasks on different devices exchange the scalar penalty, paying
   one link latency.
 
-Tasks are data-dependent (each consumes the previous task's penalty), so the
-total time is simply the sum over tasks -- there is no overlap to exploit,
-exactly as in Procedure 5 of the paper.
+Tasks are data-dependent (each consumes the previous task's penalty), so a
+chain's total time is the running sum over its tasks -- there is no overlap
+to exploit, exactly as in Procedure 5 of the paper.
 
-For DAG workloads (:class:`~repro.tasks.graph.TaskGraph`),
-:meth:`SimulatedExecutor.execute_graph` generalizes the model: a task starts
-once its slowest predecessor finished *and* its device is free (tasks sharing
-a device serialize in topological order; parallel branches on different
-devices overlap, so the total time is the critical path through the schedule),
-fan-in joins pay one penalty hop per incoming edge, and source tasks are fed
-from the host like a chain's first task.  On a linear graph every rule
-degenerates to the chain rule and the record is bitwise identical to
-:meth:`SimulatedExecutor.execute`.
+For DAG workloads (:class:`~repro.tasks.graph.TaskGraph`) the same model
+generalizes: a task starts once its slowest predecessor finished *and* its
+device is free (tasks sharing a device serialize in topological order;
+parallel branches on different devices overlap, so the total time is the
+critical path through the schedule), fan-in joins pay one penalty hop per
+incoming edge, and source tasks are fed from the host like a chain's first
+task.  One scalar fold, :func:`~repro.devices.costmodel._schedule_fold`,
+runs both shapes; on linear predecessors every rule degenerates to the
+chain rule, so a chain and the same chain as a graph get the same record,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from ..tasks.chain import TaskChain
 from ..tasks.graph import TaskGraph
 from .costmodel import (
     PENALTY_MESSAGE_BYTES,
+    _schedule_fold,
     finalize_execution,
-    join_penalty_cost,
     penalty_cost,
     task_device_cost,
 )
@@ -112,6 +113,26 @@ class ExecutionRecord:
         return self.busy_time_by_device.get(alias, 0.0) / self.total_time_s
 
 
+def _execution_record(platform: Platform, task_names, placement, schedule) -> ExecutionRecord:
+    """The :class:`ExecutionRecord` of one fault-free schedule fold."""
+    energy, cost = finalize_execution(
+        platform, schedule.busy_by_device, schedule.total_time_s, schedule.transfer_energy_j
+    )
+    return ExecutionRecord(
+        placement=placement,
+        tasks=tuple(
+            TaskExecutionRecord(name, alias, *terms[:4])
+            for name, alias, terms in zip(task_names, placement, schedule.tasks)
+        ),
+        total_time_s=schedule.total_time_s,
+        busy_time_by_device=schedule.busy_by_device,
+        flops_by_device=schedule.flops_by_device,
+        transferred_bytes=schedule.transferred_bytes,
+        energy=energy,
+        operating_cost=cost,
+    )
+
+
 @dataclass
 class SimulatedExecutor:
     """Execute task chains analytically on a simulated platform.
@@ -157,42 +178,47 @@ class SimulatedExecutor:
             self.table_cache = TableCache()
 
     # ------------------------------------------------------------------
-    def _normalise_placement(self, chain: TaskChain, placement: Sequence[str] | str) -> tuple[str, ...]:
-        aliases = tuple(placement)
-        if len(aliases) != len(chain):
+    def _normalise_placement(
+        self, workload: TaskChain | TaskGraph, placement: Sequence[str] | str | Mapping[str, str]
+    ) -> tuple[str, ...]:
+        graph = isinstance(workload, TaskGraph)
+        if graph and isinstance(placement, Mapping):
+            aliases = workload.placement_for(placement)
+        else:
+            aliases = tuple(placement)
+        kind = "graph" if graph else "chain"
+        if len(aliases) != len(workload):
+            order = f"topological order: {workload.task_names}; " if graph else ""
             raise ValueError(
-                f"placement {aliases!r} has {len(aliases)} entries but chain "
-                f"{chain.name!r} has {len(chain)} tasks "
-                f"(available devices: {sorted(self.platform.devices)})"
+                f"placement {aliases!r} has {len(aliases)} entries but {kind} "
+                f"{workload.name!r} has {len(workload)} tasks "
+                f"({order}available devices: {sorted(self.platform.devices)})"
             )
         try:
             self.platform.validate_aliases(aliases)
         except KeyError as exc:
             raise KeyError(
-                f"placement {aliases!r} for chain {chain.name!r} uses "
+                f"placement {aliases!r} for {kind} {workload.name!r} uses "
                 f"{exc.args[0] if exc.args else 'unknown aliases'}"
             ) from exc
         return aliases
 
     def execute(
-        self, chain: TaskChain | TaskGraph, placement: Sequence[str] | str
+        self, chain: TaskChain | TaskGraph, placement: Sequence[str] | str | Mapping[str, str]
     ) -> ExecutionRecord:
         """Noise-free execution record of the workload under the given placement.
 
         Records are served from the shared execution cache when enabled, so
         measuring and profiling the same placement executes the chain once.
-        A :class:`TaskGraph` duck-types the chain protocol, but chain
-        semantics would silently serialize it (and poison the shared record
-        cache); graphs route to :meth:`execute_graph` instead, which also
-        makes :meth:`measure` / :meth:`measure_all` / :meth:`energy_measure`
-        graph-aware.
+        A :class:`TaskGraph` runs the DAG model (see :meth:`execute_graph`,
+        including its task-name mapping form), so :meth:`measure` /
+        :meth:`measure_all` / :meth:`energy_measure` are graph-aware.
         """
-        if isinstance(chain, TaskGraph):
-            return self.execute_graph(chain, placement)
         aliases = self._normalise_placement(chain, placement)
         if not self.cache_executions:
             return self._execute_uncached(chain, aliases)
-        key = ("chain", cached_fingerprint(chain), aliases)
+        kind = "graph" if isinstance(chain, TaskGraph) else "chain"
+        key = (kind, cached_fingerprint(chain), aliases)
         return self._record_cache.get_or_build(
             key, lambda: self._execute_uncached(chain, aliases)
         )
@@ -216,129 +242,35 @@ class SimulatedExecutor:
         }
 
     # -- DAG workloads --------------------------------------------------
-    def _normalise_graph_placement(
-        self, graph: TaskGraph, placement: Sequence[str] | str | Mapping[str, str]
-    ) -> tuple[str, ...]:
-        if isinstance(placement, Mapping):
-            aliases = graph.placement_for(placement)
-        else:
-            aliases = tuple(placement)
-        if len(aliases) != len(graph):
-            raise ValueError(
-                f"placement {aliases!r} has {len(aliases)} entries but graph "
-                f"{graph.name!r} has {len(graph)} tasks "
-                f"(topological order: {graph.task_names}; "
-                f"available devices: {sorted(self.platform.devices)})"
-            )
-        try:
-            self.platform.validate_aliases(aliases)
-        except KeyError as exc:
-            raise KeyError(
-                f"placement {aliases!r} for graph {graph.name!r} uses "
-                f"{exc.args[0] if exc.args else 'unknown aliases'}"
-            ) from exc
-        return aliases
-
     def execute_graph(
         self, graph: TaskGraph, placement: Sequence[str] | str | Mapping[str, str]
     ) -> ExecutionRecord:
-        """Noise-free execution record of a DAG workload under one placement.
+        """Noise-free execution record of a DAG workload: :meth:`execute` on a graph.
 
         ``placement`` aligns with the graph's topological order (an alias
         sequence or label string), or maps task names to aliases.  The
-        sequential reference implementation of the DAG model: critical-path
-        latency (a task starts when its slowest predecessor finished and its
-        device is free -- same-device tasks serialize in topological order),
-        per-edge penalty hops summed at fan-in joins, host feed for source
-        tasks, and the chain's per-task busy/host-I/O accounting unchanged.
-        Bitwise identical to :meth:`execute` on linear graphs, and the ground
-        truth the vectorized graph engine is pinned against.
+        scalar reference of the DAG model the vectorized engine is pinned
+        against; bitwise identical to the chain record on linear graphs.
         """
-        aliases = self._normalise_graph_placement(graph, placement)
-        if not self.cache_executions:
-            return self._execute_uncached(graph, aliases)
-        key = ("graph", cached_fingerprint(graph), aliases)
-        return self._record_cache.get_or_build(
-            key, lambda: self._execute_uncached(graph, aliases)
-        )
+        return self.execute(graph, placement)
 
     def _execute_uncached(self, workload: TaskChain | TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
-        """The scalar list-scheduling fold of a chain or DAG.
+        """The schedule fold of a chain or DAG over the scalar cost model."""
+        platform = self.platform
+        host = platform.host
+        tasks = list(workload)
 
-        A chain's tasks have linear predecessors: its device never lags
-        behind the predecessor and each join is one hop from the previous
-        device, so the fold is the chain's running sum bit for bit.
-        """
-        host = self.platform.host
+        def task_terms(pos: int, alias: str):
+            cost = tasks[pos].cost()
+            return (*task_device_cost(platform, cost, alias), cost.flops)
 
-        task_records: list[TaskExecutionRecord] = []
-        busy: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
-        flops: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
-        transferred = 0.0
-        transfer_energy = 0.0
-        total_time = 0.0
-        finish: list[float] = []
-        available: dict[str, float] = {alias: 0.0 for alias in self.platform.devices}
+        def hop_terms(src: str | None, alias: str):
+            return penalty_cost(platform, host if src is None else src, alias)
 
-        for pos, (task, alias) in enumerate(zip(workload, aliases)):
-            cost = task.cost()
-            device_cost = task_device_cost(self.platform, cost, alias)
-            preds = workload.predecessor_positions[pos]
-            if preds:
-                # Fan-in join: one penalty hop per incoming edge, folded in
-                # canonical edge order.
-                hop = join_penalty_cost(
-                    self.platform, [aliases[p] for p in preds], alias
-                )
-            else:
-                # Source task: inputs originate on the host, like a chain's
-                # first task.
-                hop = penalty_cost(self.platform, host, alias)
-            ready = 0.0
-            for p in preds:
-                ready = max(ready, finish[p])
-            # Device serialization: the task also waits until the previous
-            # task scheduled on its device finished.  In a linear graph the
-            # device never lags behind the predecessor, so this never moves
-            # the chain result.
-            start = max(ready, available[alias])
-
-            busy_time = device_cost.busy_s
-            transfer_time = device_cost.hostio_time_s + hop.time_s
-            task_bytes = device_cost.hostio_bytes + hop.n_bytes
-            transfer_energy += device_cost.energy_in_j
-            transfer_energy += device_cost.energy_out_j
-            transfer_energy += hop.energy_j
-
-            busy[alias] += busy_time
-            flops[alias] += cost.flops
-            transferred += task_bytes
-            end = start + (busy_time + transfer_time)
-            finish.append(end)
-            available[alias] = end
-            total_time = max(total_time, end)
-            task_records.append(
-                TaskExecutionRecord(
-                    task_name=task.name,
-                    device=alias,
-                    busy_time_s=busy_time,
-                    transfer_time_s=transfer_time,
-                    transferred_bytes=task_bytes,
-                    flops=cost.flops,
-                )
-            )
-
-        energy, cost_total = finalize_execution(self.platform, busy, total_time, transfer_energy)
-        return ExecutionRecord(
-            placement=aliases,
-            tasks=tuple(task_records),
-            total_time_s=total_time,
-            busy_time_by_device=busy,
-            flops_by_device=flops,
-            transferred_bytes=transferred,
-            energy=energy,
-            operating_cost=cost_total,
+        schedule = _schedule_fold(
+            platform, workload.predecessor_positions, aliases, aliases, task_terms, hop_terms
         )
+        return _execution_record(platform, [task.name for task in tasks], aliases, schedule)
 
     # ------------------------------------------------------------------
     def measure(

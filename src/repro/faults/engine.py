@@ -33,8 +33,8 @@ chain is the DAG whose task ``t`` has the single predecessor ``t - 1`` (the
 tables' ``pred_positions`` say which), so hop penalties and survivals fold
 over predecessors in edge order for both; only the time fold branches -- a
 sum for linear tables, the critical path otherwise.  :func:`expected_record`
-always replays the critical path: with linear predecessors each task starts
-when the previous one ends, so that is the running sum, bit for bit.
+is the executor's scalar schedule fold with an attempts hook; with linear
+predecessors its critical path is the running sum, bit for bit.
 
 The scalar helpers below perform the identical IEEE-754 operation sequence
 (powers by repeated multiplication, the same guarded divisions), so the
@@ -59,8 +59,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..devices.batch import BatchExecutionResult, _grid_row, as_placement_matrix
-from ..devices.costmodel import finalize_execution
+from ..devices.batch import BatchExecutionResult, _grid_row, _row_terms, as_placement_matrix
+from ..devices.costmodel import _schedule_fold, finalize_execution
 from ..devices.energy import EnergyBreakdown
 from ..devices.grid import (
     GridExecutionResult,
@@ -246,9 +246,9 @@ class FaultBatchExecutionResult(BatchExecutionResult):
     def record(self, index: int) -> ExpectedFaultRecord:
         """Materialise the scalar expected record of one placement.
 
-        Replays the sequential fault-aware accumulation, bitwise identical
-        to the vectorized arrays (the fault analogue of the classic
-        ``record`` contract).
+        :func:`expected_record` on this batch's row, bitwise identical to
+        the vectorized arrays (the fault analogue of the classic ``record``
+        contract).
         """
         return expected_record(self.fault_tables, self.placements[index])
 
@@ -456,12 +456,13 @@ def expected_record(
 ) -> ExpectedFaultRecord:
     """Sequential fault-aware reference: one placement, scalar arithmetic.
 
-    Replays the expected-cost accumulation with python floats in the same
-    operation order as the vectorized engine, so every field is bitwise
-    identical to the corresponding :func:`execute_fault_placements` array
-    element.  ``tables`` must be one-row (plain) fault tables; ``placement``
-    is a row of device indices into ``tables.aliases`` or of the alias
-    strings themselves.
+    The executor's schedule fold over row 0 of the tables, with the scalar
+    attempt statistics as its attempts hook: python floats in the vectorized
+    engine's operation order, so every field is bitwise identical to the
+    corresponding :func:`execute_fault_placements` array element, and a
+    placement crossing a missing link raises ``KeyError``.  ``tables`` must
+    be one-row (plain) fault tables; ``placement`` is a row of device
+    indices into ``tables.aliases`` or of the alias strings themselves.
     """
     base = tables.base
     base._require_one_row("expected_record")
@@ -494,98 +495,53 @@ def expected_record(
     # no bare IndexError.
     as_placement_matrix(np.array([row]), base.aliases, base.n_tasks, workload=base.workload)
     aliases_row = tuple(base.aliases[d] for d in row)
-    # Row 0 of the one-row tables, as (k, m) / (m, m) / (m,) arrays.
-    busy_table, hostio_time = base.busy[0], base.hostio_time[0]
-    energy_in, energy_out = base.energy_in[0], base.energy_out[0]
-    penalty_time, penalty_energy = base.penalty_time[0], base.penalty_energy[0]
-    first_penalty_time = base.first_penalty_time[0]
-    first_penalty_energy = base.first_penalty_energy[0]
-    node_survival = tables.node_survival[0]
-    edge_survival, first_edge_survival = tables.edge_survival[0], tables.first_edge_survival[0]
+    node_survival = tables.node_survival[0].tolist()
+    edge_survival = tables.edge_survival[0].tolist()
+    first_edge_survival = tables.first_edge_survival[0].tolist()
     profile = tables.profiles[0]
-
     q = profile.straggler_probability
     sigma = profile.straggler_slowdown
     c = tables.timeout.timeout_s
     cfin = c if math.isfinite(c) else 0.0
     retry = tables.retry
 
-    task_records: list[ExpectedTaskFaults] = []
-    busy: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    flops: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    success = 1.0
-    attempts_total = 0.0
-    transferred = 0.0
-    transfer_energy = 0.0
-    total_time = 0.0
-    finish: list[float] = []
-    available: dict[str, float] = {alias: 0.0 for alias in platform.devices}
-    for pos, (task_name, d) in enumerate(zip(base.task_names, row)):
-        alias = base.aliases[d]
-        preds = base.pred_positions[pos]
-        if preds:
-            pen_time = 0.0
-            pen_energy = 0.0
-            pen_bytes = 0.0
-            edge_surv = 1.0
-            for p in preds:
-                pen_time += float(penalty_time[row[p], d])
-                pen_energy += float(penalty_energy[row[p], d])
-                pen_bytes += float(base.penalty_bytes[row[p], d])
-                edge_surv = edge_surv * float(edge_survival[row[p], d])
-        else:
-            pen_time = float(first_penalty_time[d])
-            pen_energy = float(first_penalty_energy[d])
-            pen_bytes = float(base.first_penalty_bytes[d])
-            edge_surv = float(first_edge_survival[d])
-        busy_time = float(busy_table[pos, d])
-        transfer_time = float(hostio_time[pos, d]) + pen_time
+    def attempts(pos: int, d: int, busy_time: float, transfer_time: float):
         if math.isnan(transfer_time):
             raise KeyError(
                 f"no link defined along placement {''.join(aliases_row)!r} "
-                f"(task {task_name!r} on {alias!r})"
+                f"(task {base.task_names[pos]!r} on {base.aliases[d]!r})"
             )
-        dur = busy_time + transfer_time
-        surv = float(node_survival[pos, d]) * edge_surv
-        succ, n_succ, task_time = _scalar_attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        ready = 0.0
-        for p in preds:
-            ready = max(ready, finish[p])
-        start = max(ready, available[alias])
-        end = start + task_time
-        finish.append(end)
-        available[alias] = end
-        total_time = max(total_time, end)
-        transferred += (float(base.hostio_bytes[pos, d]) + pen_bytes) * n_succ
-        transfer_energy += float(energy_in[pos, d]) * n_succ
-        transfer_energy += float(energy_out[pos, d]) * n_succ
-        transfer_energy += pen_energy * n_succ
-        busy[alias] += busy_time * n_succ
-        flops[alias] += float(base.task_flops[pos]) * n_succ
-        task_records.append(
-            ExpectedTaskFaults(
-                task_name=task_name,
-                device=alias,
-                success_probability=succ,
-                expected_attempts=n_succ,
-                expected_time_s=task_time,
-            )
-        )
+        preds = base.pred_positions[pos]
+        if preds:
+            edge_surv = 1.0
+            for p in preds:
+                edge_surv = edge_surv * edge_survival[row[p]][d]
+        else:
+            edge_surv = first_edge_survival[d]
+        surv = node_survival[pos][d] * edge_surv
+        return _scalar_attempt_statistics(busy_time + transfer_time, surv, q, sigma, c, cfin, retry)
 
+    schedule = _schedule_fold(
+        platform, base.pred_positions, aliases_row, row, *_row_terms(base), attempts
+    )
+    total_time = schedule.total_time_s
     impossible = not math.isfinite(total_time)
     safe_total = 0.0 if impossible else total_time
-    energy, cost_total = finalize_execution(platform, busy, safe_total, transfer_energy)
+    energy, cost_total = finalize_execution(
+        platform, schedule.busy_by_device, safe_total, schedule.transfer_energy_j
+    )
     return ExpectedFaultRecord(
         placement=aliases_row,
-        tasks=tuple(task_records),
-        success_probability=success,
-        expected_attempts=attempts_total,
+        tasks=tuple(
+            ExpectedTaskFaults(name, alias, *terms[4:])
+            for name, alias, terms in zip(base.task_names, aliases_row, schedule.tasks)
+        ),
+        success_probability=schedule.success_probability,
+        expected_attempts=schedule.expected_attempts,
         total_time_s=math.inf if impossible else safe_total,
-        busy_time_by_device=busy,
-        flops_by_device=flops,
-        transferred_bytes=transferred,
+        busy_time_by_device=schedule.busy_by_device,
+        flops_by_device=schedule.flops_by_device,
+        transferred_bytes=schedule.transferred_bytes,
         energy=energy,
         energy_total_j=math.inf if impossible else energy.total_j,
         operating_cost=math.inf if impossible else cost_total,
