@@ -104,7 +104,8 @@ def transfer_time(n_bytes, bandwidth_gbs, latency_s):
     of negative byte counts); any array argument broadcasts to an array with
     the same elementwise semantics.
     """
-    if np.ndim(n_bytes) == 0 and np.ndim(bandwidth_gbs) == 0 and np.ndim(latency_s) == 0:
+    # Python floats skip np.ndim, which costs about a microsecond per call.
+    if all(type(v) is float or np.ndim(v) == 0 for v in (n_bytes, bandwidth_gbs, latency_s)):
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
         if n_bytes == 0:
@@ -118,7 +119,7 @@ def transfer_time(n_bytes, bandwidth_gbs, latency_s):
 
 def transfer_energy(n_bytes, energy_per_byte_j):
     """Energy (J) consumed by moving ``n_bytes`` across a link (broadcasts)."""
-    if np.ndim(n_bytes) == 0 and np.ndim(energy_per_byte_j) == 0:
+    if all(type(v) is float or np.ndim(v) == 0 for v in (n_bytes, energy_per_byte_j)):
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
         return energy_per_byte_j * n_bytes

@@ -257,7 +257,6 @@ class SimulatedExecutor:
     def _execute_uncached(self, workload: TaskChain | TaskGraph, aliases: tuple[str, ...]) -> ExecutionRecord:
         """The schedule fold of a chain or DAG over the scalar cost model."""
         platform = self.platform
-        host = platform.host
         tasks = list(workload)
 
         def task_terms(pos: int, alias: str):
@@ -265,7 +264,7 @@ class SimulatedExecutor:
             return (*task_device_cost(platform, cost, alias), cost.flops)
 
         def hop_terms(src: str | None, alias: str):
-            return penalty_cost(platform, host if src is None else src, alias)
+            return penalty_cost(platform, platform.host if src is None else src, alias)
 
         schedule = _schedule_fold(
             platform, workload.predecessor_positions, aliases, aliases, task_terms, hop_terms
