@@ -29,7 +29,14 @@ One SHA-256 per section, so a mismatch names the entry point that drifted:
   ``slice_stats`` and ``table(i)``/``batch(i)`` views, drifted fleets
   through ``resample_users`` and ``update_grid_tables``, and ``search_grid``
   over p95, SLO and expected value; the specs mix vectorized axes, fault-rate
-  axes, a custom axis without the vectorized hook and users without axes.
+  axes, a custom axis without the vectorized hook and users without axes;
+* ``analyze`` -- the bootstrap comparator: ``win_fraction_matrix`` and
+  ``outcome_matrix``, per-pair ``win_fraction`` and a seeded
+  ``stochastic=True`` call sequence, on tables of p = 1..30 algorithms at
+  N = 1, 2, 7 and 30 and on mixed widths, identical arrays, ties, signed
+  zeros, subnormals and pairs at the ``min_relative_difference`` band,
+  under five comparator settings; ``analyze_many`` score tables, final
+  clusterings and canonical sorts; and the inputs and settings it rejects.
 
 The inputs are fixed-seed random chains and graphs on 2-4 device platforms.
 A raised error enters its section by type and message, and so does a
@@ -80,6 +87,7 @@ SECTIONS = (
     "plan_with_fallback",
     "service",
     "fleet",
+    "analyze",
 )
 
 
@@ -937,6 +945,129 @@ def digest_fleet(section: Section) -> None:
                 section.case(f"{label}/out-of-range", lambda: fleet.resample_users([n_users], seed=1))
 
 
+def _analyze_tables(rng) -> dict:
+    """Measurement tables of the comparator cases: p = 1..30 at N = 1, 2, 7
+    and 30 (more than 256 pairs from p = 24), mixed widths, identical
+    arrays, ties, signed zeros, subnormals and constant pairs whose median
+    difference sits exactly at the ``min_relative_difference`` band."""
+    import numpy as np
+
+    tables = {}
+    for p in range(1, 31):
+        n = (1, 2, 7, 30)[p % 4]
+        tables[f"p{p}/n{n}"] = [np.round(np.abs(rng.normal(2.0 + 0.03 * i, 0.3, size=n)), 2) for i in range(p)]
+    tables["mixed"] = [
+        np.round(np.abs(rng.normal(2.0 + 0.05 * i, 0.3, size=n)), 1) for i, n in enumerate((1, 2, 7, 30, 5, 30, 2, 12))
+    ]
+    base = np.round(rng.uniform(1.0, 2.0, size=9), 2)
+    tables["identical"] = [base, base.copy(), base + 0.5, base.copy(), base[::-1].copy()]
+    tables["ties"] = [rng.choice([1.0, 1.5, 2.0, 2.5], size=9) for _ in range(6)]
+    tables["signed-zeros"] = [rng.choice([0.0, -0.0, 0.1, -0.1, 0.2], size=8) for _ in range(6)]
+    tables["subnormals"] = [5e-324 * rng.integers(-3, 4, size=10).astype(float) for _ in range(5)]
+    # c and 3c: with min_relative_difference=1 the median gap equals the band
+    # up to rounding; one ulp on both medians turns some ties into wins and
+    # some wins into ties.
+    tables["band"] = [np.full(3, c * k) for c in (1.5, 1.75, 0.375, 0.035, 0.055) for k in (1.0, 3.0)]
+    return tables
+
+
+#: Comparator settings of the ``analyze`` section (seeds included).
+ANALYZE_CONFIGS = {
+    "default": dict(seed=0),
+    "ends": dict(quantiles=(0.0, 0.5, 1.0), n_resamples=150, min_relative_difference=0.01, seed=3),
+    "narrow": dict(
+        quantiles=(0.05, 0.3, 0.7, 0.95), confidence=0.8, n_resamples=37,
+        equivalence_margin=0.05, min_relative_difference=0.05, seed=11,
+    ),
+    "one": dict(quantiles=(1.0,), n_resamples=1, confidence=0.5, equivalence_margin=0.0, seed=5),
+    "band": dict(n_resamples=20, min_relative_difference=1.0, seed=7),
+}
+
+
+def digest_analyze(section: Section) -> None:
+    import numpy as np
+
+    from repro.core import BootstrapComparator, RelativePerformanceAnalyzer
+
+    def matrix_record(comparator, arrays):
+        return {
+            "fractions": comparator.win_fraction_matrix(arrays),
+            "outcomes": [[o.name for o in row] for row in comparator.outcome_matrix(arrays)],
+        }
+
+    def pairs_record(comparator, arrays, pairs):
+        return {"fractions": [comparator.win_fraction(arrays[i], arrays[j]) for i, j in pairs]}
+
+    def analysis_record(results):
+        return {
+            str(key): {
+                "scores": [list(row) for row in result.score_table.to_rows()],
+                "final": result.final.as_dict(),
+                "canonical": [list(result.canonical_sort.sequence), list(result.canonical_sort.ranks)],
+            }
+            for key, result in results.items()
+        }
+
+    tables = _analyze_tables(np.random.default_rng(30))
+    names = list(ANALYZE_CONFIGS)
+    for k, (label, arrays) in enumerate(tables.items()):
+        special = not label.startswith("p")
+        for name in names if special else [names[k % 3]]:
+            config = ANALYZE_CONFIGS[name]
+            comparator = BootstrapComparator(**config)
+            p = len(arrays)
+            pairs = [(i, j) for i in range(p) for j in range(p)] if p <= 4 or special else [
+                (0, p - 1), (p - 1, 0), (p // 2, 0), (1, 2)
+            ]
+            section.case(f"{label}/{name}/matrix", lambda: matrix_record(comparator, arrays))
+            section.case(f"{label}/{name}/pairs", lambda: pairs_record(comparator, arrays, pairs))
+            stochastic = BootstrapComparator(stochastic=True, **config)
+            sequence = [(i % p, (i + 1) % p) for i in range(min(p, 6))] * 2
+            section.case(f"{label}/{name}/stochastic", lambda: pairs_record(stochastic, arrays, sequence))
+            section.case(f"{label}/{name}/stochastic-matrix", lambda: matrix_record(stochastic, arrays))
+
+    campaigns = {
+        label: {f"alg{i}": values for i, values in enumerate(tables[label])}
+        for label in ("p6/n7", "p9/n2", "p15/n30", "mixed", "ties", "identical", "signed-zeros")
+    }
+    for name, config in ANALYZE_CONFIGS.items():
+        for stochastic in (False, True):
+            analyzer = RelativePerformanceAnalyzer(
+                comparator=BootstrapComparator(stochastic=stochastic, **config),
+                repetitions=4 if stochastic else 12,
+                seed=config["seed"],
+            )
+            # Stochastic sorts bootstrap per comparison: they skip the p = 15 table.
+            chosen = {key: table for key, table in campaigns.items() if not (stochastic and key == "p15/n30")}
+            section.case(f"analyze_many/{name}/{stochastic}", lambda: analysis_record(analyzer.analyze_many(chosen)))
+
+    bad_inputs = {
+        "empty": [np.arange(3.0), np.array([])],
+        "nan": [np.arange(3.0), np.array([1.0, np.nan])],
+        "inf": [np.array([np.inf]), np.arange(3.0)],
+    }
+    for label, arrays in bad_inputs.items():
+        comparator = BootstrapComparator()
+        section.case(f"bad/{label}/matrix", lambda: matrix_record(comparator, arrays))
+        section.case(f"bad/{label}/pair", lambda: pairs_record(comparator, arrays, [(0, 1)]))
+    bad_configs = {
+        "level": dict(quantiles=(0.5, 1.5)),
+        "nan-level": dict(quantiles=(float("nan"),)),
+        "no-levels": dict(quantiles=()),
+        "resamples": dict(n_resamples=0),
+        "confidence": dict(confidence=1.0),
+        "margin": dict(equivalence_margin=0.5),
+        "difference": dict(min_relative_difference=-0.1),
+        "nan-difference": dict(min_relative_difference=float("nan")),
+    }
+    for label, config in bad_configs.items():
+        section.case(f"bad-config/{label}", lambda: {"repr": repr(BootstrapComparator(**config))})
+    section.case(
+        "bad/analyze_many",
+        lambda: analysis_record(RelativePerformanceAnalyzer(repetitions=2).analyze_many({})),
+    )
+
+
 DIGESTERS = {
     "execute": digest_execute,
     "oracles": digest_oracles,
@@ -947,6 +1078,7 @@ DIGESTERS = {
     "plan_with_fallback": digest_plan_with_fallback,
     "service": digest_service,
     "fleet": digest_fleet,
+    "analyze": digest_analyze,
 }
 
 
