@@ -6,21 +6,24 @@ resampled (with replacement) from the ``N`` raw measurements, instead of being
 summarised once into a single number.  This module provides the resampling
 primitives used by :mod:`repro.core.comparison`.
 
-Following the HPC guide, resampling is fully vectorised: a single
-``(n_resamples, n)`` index matrix is drawn and statistics are evaluated along
-an axis, avoiding Python-level loops over bootstrap rounds.
-
-Quantiles are read from rows sorted once: :func:`_sorted_quantiles` and
-:func:`_sorted_median` gather the order statistics of already sorted rows and
-apply numpy's default ``linear`` interpolation and median arithmetic, so one
-``np.sort`` serves every level instead of one ``np.quantile`` partition per
-call.  The results equal ``np.quantile``/``np.median`` bit for bit, except
-that a zero at a position where ``-0.0`` and ``+0.0`` tie within a row may
-carry either sign (the two compare equal, so no comparison outcome changes).
+Resampling is vectorised: one ``(n_resamples, n)`` index matrix per array,
+and statistics are evaluated along an axis.  :func:`bootstrap_pair_summaries`
+is the comparator's one kernel.  A pair of equal widths draws once, a
+``(2 * n_resamples, n)`` matrix that is bit for bit the two draws in a row
+(PCG64's 32-bit draws continue across calls).  Resamples are gathered into
+one buffer per width and sorted in place; :func:`_sorted_quantile` then reads
+each level from two order-statistic views with numpy's ``linear`` arithmetic
+into a level-major ``(arrays, levels, n_resamples)`` buffer, whose in-place
+sort serves the interval bounds and medians (:func:`_sorted_median`).  The
+results equal ``np.quantile``/``np.median`` bit for bit, except that a zero
+where ``-0.0`` and ``+0.0`` tie within a row may carry either sign; the two
+compare equal, so no outcome changes, and the same sort on the same values
+leaves the same signs as the gather-and-sort path did.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +34,7 @@ __all__ = [
     "bootstrap_samples",
     "bootstrap_statistic",
     "bootstrap_quantiles",
-    "batched_quantile_profiles",
+    "bootstrap_pair_summaries",
     "percentile_interval",
     "BootstrapInterval",
 ]
@@ -57,30 +60,28 @@ def _validate_quantiles(quantiles: Sequence[float]) -> np.ndarray:
     return q
 
 
-def _sorted_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quantiles at levels ``q`` of ``rows`` already sorted along the last axis.
+def _sorted_quantile(rows: np.ndarray, level: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Quantile at one ``level`` of ``rows`` already sorted along the last axis.
 
-    Returns shape ``rows.shape[:-1] + (len(q),)``.  The arithmetic is numpy's
-    default ``linear`` method step by step: virtual index ``(n-1)*q``, floor
-    and ceil order statistics with both set to ``-1`` at or above ``n-1``,
-    ``gamma`` taken against that clamped floor, and ``a + (b-a)*gamma``
-    replaced by ``b - (b-a)*(1-gamma)`` where ``gamma >= 0.5``.
+    Returns (or fills ``out`` with) shape ``rows.shape[:-1]``.  The arithmetic
+    is numpy's default ``linear`` method step by step: virtual index
+    ``(n-1)*level``, floor and ceil order statistics with both set to ``-1``
+    at or above ``n-1``, ``gamma`` taken against that clamped floor, and
+    ``a + (b-a)*gamma`` replaced by ``b - (b-a)*(1-gamma)`` where
+    ``gamma >= 0.5``.  Both order statistics are views, so nothing is gathered.
     """
     n = rows.shape[-1]
-    virtual = (n - 1) * q
-    below = np.floor(virtual)
-    above = below + 1
-    at_top = virtual >= n - 1
-    below[at_top] = -1
-    above[at_top] = -1
-    below = below.astype(np.intp)
+    virtual = (n - 1) * level
+    below = -1 if virtual >= n - 1 else math.floor(virtual)
+    above = -1 if below < 0 else below + 1
     gamma = virtual - below
-    a = np.take(rows, below, axis=-1)
-    b = np.take(rows, above.astype(np.intp), axis=-1)
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
+    a, b = rows[..., below], rows[..., above]
+    out = np.subtract(b, a, out=out)
+    if gamma >= 0.5:
+        out *= 1 - gamma
+        return np.subtract(b, out, out=out)
+    out *= gamma
+    return np.add(a, out, out=out)
 
 
 def _sorted_median(rows: np.ndarray) -> np.ndarray:
@@ -151,43 +152,60 @@ def bootstrap_quantiles(
     q = _validate_quantiles(quantiles)
     samples = bootstrap_samples(data, n_resamples, rng)
     samples.sort(axis=-1)
-    return _sorted_quantiles(samples, q)
+    out = np.empty((n_resamples, q.size))
+    for k, level in enumerate(q):
+        _sorted_quantile(samples, level, out=out[:, k])
+    return out
 
 
-def batched_quantile_profiles(
-    sample_matrices: Sequence[np.ndarray],
+def bootstrap_pair_summaries(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray, np.random.Generator]],
     quantiles: Sequence[float],
+    n_resamples: int,
+    confidence: float,
 ) -> np.ndarray:
-    """Quantile profiles of many ``(n_resamples, n)`` resample matrices at once.
+    """Bootstrap quantile-profile summaries of both arrays of many pairs.
 
-    The comparison engine stacks the resample matrices of *all* algorithm pairs
-    and sorts the stacked batch once, reading every quantile level from the
-    sorted rows.  Matrices are grouped by sample width ``n`` (measurement
-    vectors of different lengths cannot share a stack).
-
-    Returns an array of shape ``(len(sample_matrices), n_resamples, len(quantiles))``
-    whose slice ``k`` equals :func:`bootstrap_quantiles` on the same resamples
-    (every row is sorted and interpolated independently of the others).
+    ``pairs`` holds ``(x, y, rng)``: two 1-D float arrays and the generator
+    their resamples come from, ``x`` first.  Per quantile level, each array's
+    bootstrap distribution of that quantile is summarised by its two-sided
+    ``confidence`` percentile interval and its median.  Returns
+    ``(low, high, mid)`` as one ``(3, 2, len(pairs), len(quantiles))`` array,
+    ``x`` at index 0 of the second axis and ``y`` at index 1.  Each array is
+    sorted and read on its own, so no pair depends on the others in the call.
     """
     q = _validate_quantiles(quantiles)
-    matrices = list(sample_matrices)
-    if not matrices:
-        return np.empty((0, 0, q.size))
-    n_resamples = matrices[0].shape[0]
-    for m in matrices:
-        if m.ndim != 2 or m.shape[0] != n_resamples:
-            raise ValueError(
-                f"all resample matrices must share the shape ({n_resamples}, n), got {m.shape}"
-            )
-    out = np.empty((len(matrices), n_resamples, q.size))
-    by_width: dict[int, list[int]] = {}
-    for index, m in enumerate(matrices):
-        by_width.setdefault(m.shape[1], []).append(index)
-    for indices in by_width.values():
-        stacked = np.stack([matrices[i] for i in indices])
-        stacked.sort(axis=-1)
-        out[indices] = _sorted_quantiles(stacked, q)
-    return out
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie strictly between 0 and 1")
+    p = len(pairs)
+    arrays = [x for x, _, _ in pairs] + [y for _, y, _ in pairs]
+    rows_of: dict[int, list[int]] = {}  # width -> rows of `arrays`
+    for row, values in enumerate(arrays):
+        rows_of.setdefault(values.size, []).append(row)
+    buffers = {n: np.empty((len(rows), n_resamples, n)) for n, rows in rows_of.items()}
+    slot = {row: buffers[n][k] for n, rows in rows_of.items() for k, row in enumerate(rows)}
+    # Indices come from integers(0, n), so mode="clip" never clips; unlike
+    # the default "raise" it writes into `out` without a staging copy.
+    for k, (x, y, rng) in enumerate(pairs):
+        if x.size == y.size:
+            idx = np.split(bootstrap_indices(x.size, 2 * n_resamples, rng), 2)
+        else:
+            idx = [bootstrap_indices(v.size, n_resamples, rng) for v in (x, y)]
+        np.take(x, idx[0], out=slot[k], mode="clip")
+        np.take(y, idx[1], out=slot[p + k], mode="clip")
+    alpha = 1.0 - confidence
+    summaries = np.empty((3, 2 * p, q.size))  # low, high, mid
+    for n, rows in rows_of.items():
+        resamples = buffers[n]
+        resamples.sort(axis=-1)
+        profiles = np.empty((len(rows), q.size, n_resamples))
+        for k, level in enumerate(q):
+            _sorted_quantile(resamples, level, out=profiles[:, k])
+        profiles.sort(axis=-1)
+        summaries[0, rows] = _sorted_quantile(profiles, alpha / 2.0)
+        summaries[1, rows] = _sorted_quantile(profiles, 1.0 - alpha / 2.0)
+        summaries[2, rows] = _sorted_median(profiles)
+    return summaries.reshape(3, 2, p, q.size)
 
 
 @dataclass(frozen=True)

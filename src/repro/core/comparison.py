@@ -23,15 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bootstrap import (
-    _sorted_median,
-    _sorted_quantiles,
-    batched_quantile_profiles,
-    bootstrap_indices,
-    bootstrap_quantiles,
-    bootstrap_statistic,
-    percentile_interval,
-)
+from .bootstrap import bootstrap_pair_summaries, bootstrap_statistic, percentile_interval
 from .types import Comparison
 
 __all__ = [
@@ -201,35 +193,20 @@ class BootstrapComparator(Comparator):
         """Derive a per-pair generator so comparisons are reproducible regardless of call order."""
         return derive_pair_rng(self.seed, bytes_a, bytes_b)
 
-    def _level_scores(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-        """Per-quantile-level scores for ``a`` (1 win, 0.5 tie, 0 loss) from
-        paired bootstrap quantile profiles.
-
-        Profiles are ``(n_resamples, len(quantiles))`` for a single pair or
-        ``(pairs, n_resamples, len(quantiles))`` for a batch; the result drops
-        the resample axis.  Each profile stack is sorted once along the
-        resample axis and both interval bounds and the midpoint are read from
-        it.  The per-call and the batched matrix path both go through this
-        one implementation, so the two can never diverge.
-        """
-        alpha = 1.0 - self.confidence
-        bounds = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
-        summaries = []
-        for profiles in (qa, qb):
-            ordered = np.sort(np.swapaxes(profiles, -1, -2), axis=-1)
-            low, high = np.moveaxis(_sorted_quantiles(ordered, bounds), -1, 0)
-            summaries.append((low, high, _sorted_median(ordered)))
-        (lo_a, hi_a, mid_a), (lo_b, hi_b, mid_b) = summaries
+    def _pair_fractions(
+        self, pairs: Sequence[tuple[np.ndarray, np.ndarray, np.random.Generator]]
+    ) -> np.ndarray:
+        """Win fraction of ``x`` over ``y`` for every ``(x, y, rng)`` pair: the
+        mean of ``x``'s per-level scores (1 win, 0.5 tie, 0 loss).  The matrix,
+        per-call and stochastic paths all run this one kernel, so they can
+        never diverge."""
+        (lo_a, lo_b), (hi_a, hi_b), (mid_a, mid_b) = bootstrap_pair_summaries(
+            pairs, self.quantiles, self.n_resamples, self.confidence
+        )
         tol = self.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
         a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
         b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
-        return np.where(a_wins, 1.0, np.where(b_wins, 0.0, 0.5))
-
-    def _score_levels(self, va: np.ndarray, vb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Per-quantile-level scores for ``a``: 1 win, 0.5 tie, 0 loss."""
-        qa = bootstrap_quantiles(va, self.quantiles, self.n_resamples, rng)
-        qb = bootstrap_quantiles(vb, self.quantiles, self.n_resamples, rng)
-        return self._level_scores(qa, qb)
+        return np.where(a_wins, 1.0, np.where(b_wins, 0.0, 0.5)).mean(axis=-1)
 
     def win_fraction(self, a: np.ndarray, b: np.ndarray) -> float:
         """Fraction of quantile levels won by ``a`` (ties count 0.5).
@@ -240,15 +217,13 @@ class BootstrapComparator(Comparator):
         """
         va, vb = _validate(a, b)
         if self.stochastic:
-            return float(self._score_levels(va, vb, self._stochastic_rng).mean())
-        bytes_a = np.ascontiguousarray(va).tobytes()
-        bytes_b = np.ascontiguousarray(vb).tobytes()
+            return float(self._pair_fractions([(va, vb, self._stochastic_rng)])[0])
+        bytes_a, bytes_b = va.tobytes(), vb.tobytes()
         if bytes_a == bytes_b:
             return 0.5
         if bytes_b < bytes_a:
             return 1.0 - self.win_fraction(vb, va)
-        rng = self._rng_for(bytes_a, bytes_b)
-        return float(self._score_levels(va, vb, rng).mean())
+        return float(self._pair_fractions([(va, vb, self._rng_for(bytes_a, bytes_b))])[0])
 
     def _from_fraction(self, f: float) -> Comparison:
         """Map a win fraction to the three-way outcome via the equivalence band.
@@ -272,10 +247,10 @@ class BootstrapComparator(Comparator):
 
         Entry ``[i, j]`` equals ``win_fraction(arrays[i], arrays[j])`` bit for
         bit: per pair the same canonicalisation and per-pair generator are
-        used, but the bootstrap quantile profiles of *all* pairs are stacked
-        into a single batch (:func:`repro.core.bootstrap.batched_quantile_profiles`),
-        sorted once per stage and summarised with a handful of vectorized
-        reductions instead of per-pair round-trips.  Only available in the
+        used, but the resamples of *all* pairs land in one buffer
+        (:func:`repro.core.bootstrap.bootstrap_pair_summaries`), sorted once
+        per stage and summarised with a handful of vectorized reductions
+        instead of per-pair round-trips.  Only available in the
         deterministic mode -- with ``stochastic=True`` every comparison must
         draw fresh resamples, so there is no fixed matrix to precompute.
         """
@@ -288,12 +263,13 @@ class BootstrapComparator(Comparator):
         blobs = [np.ascontiguousarray(v).tobytes() for v in vecs]
         p = len(vecs)
         fractions = np.full((p, p), 0.5)
-        slots: list[tuple[int, int]] = []  # canonical (row, column) of each computed pair
-        for i in range(p):
-            for j in range(i + 1, p):
-                if blobs[i] == blobs[j]:
-                    continue  # identical data: win fraction stays 0.5
-                slots.append((i, j) if blobs[i] < blobs[j] else (j, i))
+        # Canonical (row, column) of each pair to compute; identical data stays 0.5.
+        slots = [
+            (i, j) if blobs[i] < blobs[j] else (j, i)
+            for i in range(p)
+            for j in range(i + 1, p)
+            if blobs[i] != blobs[j]
+        ]
         # Batch in chunks: peak memory is 2 * chunk * n_resamples * N floats
         # regardless of p, while each chunk still amortises the sorts over
         # hundreds of pairs (per-row results are independent, so chunking
@@ -301,22 +277,11 @@ class BootstrapComparator(Comparator):
         chunk_pairs = 256
         for start in range(0, len(slots), chunk_pairs):
             chunk = slots[start : start + chunk_pairs]
-            sample_matrices: list[np.ndarray] = []
-            for x, y in chunk:
-                rng = self._rng_for(blobs[x], blobs[y])
-                # Same stream order as win_fraction: resample x first, then y.
-                sample_matrices.append(
-                    vecs[x][bootstrap_indices(vecs[x].size, self.n_resamples, rng)]
-                )
-                sample_matrices.append(
-                    vecs[y][bootstrap_indices(vecs[y].size, self.n_resamples, rng)]
-                )
-            profiles = batched_quantile_profiles(sample_matrices, self.quantiles)
-            qa, qb = profiles[0::2], profiles[1::2]  # (pairs, n_resamples, len(quantiles))
-            level_scores = self._level_scores(qa, qb)
-            for (x, y), f in zip(chunk, level_scores.mean(axis=1)):
-                fractions[x, y] = float(f)
-                fractions[y, x] = 1.0 - float(f)
+            pairs = [(vecs[x], vecs[y], self._rng_for(blobs[x], blobs[y])) for x, y in chunk]
+            rows, columns = np.array(chunk).T
+            f = self._pair_fractions(pairs)
+            fractions[rows, columns] = f
+            fractions[columns, rows] = 1.0 - f
         return fractions
 
     def outcome_matrix(self, arrays: Sequence[np.ndarray]) -> list[list[Comparison]]:

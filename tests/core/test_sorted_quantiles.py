@@ -1,26 +1,30 @@
 """Pins for the sort-once quantile helpers behind the bootstrap comparator.
 
-``_sorted_quantiles`` and ``_sorted_median`` read quantiles from rows sorted
+``_sorted_quantile`` and ``_sorted_median`` read quantiles from rows sorted
 once instead of calling ``np.quantile``/``np.median``.  numpy itself is the
 oracle: the helpers must reproduce its default ``linear`` method and its
 median bit for bit, so a change to numpy's arithmetic fails here loudly
 instead of drifting into the comparator's outcomes.  The randomized pins then
 hold the whole comparator -- batched matrix, per-call win fraction and the
 stochastic stream -- against a test-local replica of the ``np.quantile``
-formulation it replaced.
+formulation it replaced, and the hypothesis pins hold the one-pass kernel
+(one ``(2R, n)`` draw per pair of equal widths, two draws otherwise) to the
+same replica and to the per-pair calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BootstrapComparator, derive_pair_rng
 from repro.core.bootstrap import (
     _sorted_median,
-    _sorted_quantiles,
-    batched_quantile_profiles,
+    _sorted_quantile,
     bootstrap_indices,
+    bootstrap_pair_summaries,
     bootstrap_quantiles,
 )
 
@@ -32,11 +36,15 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
+def _sorted_levels(ordered: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``_sorted_quantile`` at every level, stacked level-major."""
+    return np.stack([_sorted_quantile(ordered, level) for level in levels])
+
+
 def _assert_pinned(rows: np.ndarray, levels: np.ndarray = LEVELS) -> None:
     """Helper output == np.quantile / np.median on the unsorted rows, bit for bit."""
     ordered = np.sort(rows, axis=-1)
-    expected = np.moveaxis(np.quantile(rows, levels, axis=-1), 0, -1)
-    assert _bits(_sorted_quantiles(ordered, levels)) == _bits(expected)
+    assert _bits(_sorted_levels(ordered, levels)) == _bits(np.quantile(rows, levels, axis=-1))
     assert _bits(_sorted_median(ordered)) == _bits(np.median(rows, axis=-1))
 
 
@@ -71,9 +79,9 @@ class TestHelperEdges:
     def test_levels_zero_and_one_are_min_and_max(self, rng):
         rows = rng.normal(size=(30, 7))
         _assert_pinned(rows, np.array([0.0, 1.0]))
-        ends = _sorted_quantiles(np.sort(rows, axis=-1), np.array([0.0, 1.0]))
-        assert np.array_equal(ends[:, 0], rows.min(axis=-1))
-        assert np.array_equal(ends[:, 1], rows.max(axis=-1))
+        ends = _sorted_levels(np.sort(rows, axis=-1), np.array([0.0, 1.0]))
+        assert np.array_equal(ends[0], rows.min(axis=-1))
+        assert np.array_equal(ends[1], rows.max(axis=-1))
 
     def test_mixed_zero_signs_agree_in_value(self, rng):
         """Where -0.0 and +0.0 tie in a row, a sort and numpy's partition may
@@ -82,17 +90,36 @@ class TestHelperEdges:
         pool = np.array([0.0, -0.0, 1.0, -1.0])
         rows = rng.choice(pool, size=(200, 8))
         ordered = np.sort(rows, axis=-1)
-        expected = np.moveaxis(np.quantile(rows, LEVELS, axis=-1), 0, -1)
-        assert np.array_equal(_sorted_quantiles(ordered, LEVELS), expected)
+        expected = np.quantile(rows, LEVELS, axis=-1)
+        assert np.array_equal(_sorted_levels(ordered, LEVELS), expected)
         assert np.array_equal(_sorted_median(ordered), np.median(rows, axis=-1))
 
-    def test_stacked_batches_match_per_matrix(self, rng):
-        levels = np.array([0.1, 0.5, 0.9])
-        matrices = [rng.normal(size=(6, width)) for width in (3, 4, 3, 1, 4)]
-        stacked = batched_quantile_profiles(matrices, levels)
-        for k, m in enumerate(matrices):
-            expected = np.quantile(m, levels, axis=-1).T
-            assert _bits(stacked[k]) == _bits(np.ascontiguousarray(expected))
+    def test_fills_a_strided_output_view(self, rng):
+        ordered = np.sort(rng.normal(size=(4, 6, 9)), axis=-1)
+        out = np.full((4, 3, 6), np.nan)
+        for k, level in enumerate([0.1, 0.5, 0.975]):
+            view = out[:, k]
+            assert _sorted_quantile(ordered, level, out=view) is view
+            assert _bits(view) == _bits(np.quantile(ordered, level, axis=-1))
+
+    def test_kernel_summaries_match_per_array(self, rng):
+        """Mixed widths in one call: every array's interval bounds and median
+        equal np.quantile/np.median over its own resamples."""
+        levels, confidence, n_resamples = np.array([0.0, 0.1, 0.5, 0.9, 1.0]), 0.9, 6
+        widths = [(3, 4), (3, 3), (1, 4), (4, 4), (2, 1)]
+        arrays = [(rng.normal(size=nx), rng.normal(size=ny)) for nx, ny in widths]
+        pairs = [(x, y, np.random.default_rng(k)) for k, (x, y) in enumerate(arrays)]
+        low, high, mid = bootstrap_pair_summaries(pairs, levels, n_resamples, confidence)
+        alpha = 1.0 - confidence
+        for k, (x, y) in enumerate(arrays):
+            stream = np.random.default_rng(k)
+            for side, v in enumerate((x, y)):
+                samples = v[bootstrap_indices(v.size, n_resamples, stream)]
+                profiles = np.quantile(samples, levels, axis=-1)  # (levels, resamples)
+                bounds = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
+                assert _bits(low[side, k]) == _bits(bounds[0])
+                assert _bits(high[side, k]) == _bits(bounds[1])
+                assert _bits(mid[side, k]) == _bits(np.median(profiles, axis=-1))
 
     def test_bootstrap_quantiles_equal_numpy_on_the_same_draws(self, rng):
         data = np.round(rng.normal(3.0, 1.0, size=23), 1)
@@ -106,6 +133,13 @@ class TestHelperEdges:
     def test_invalid_levels_rejected(self, levels):
         with pytest.raises(ValueError, match="quantiles"):
             bootstrap_quantiles(np.arange(5.0), levels, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="quantiles"):
+            bootstrap_pair_summaries([(np.arange(3.0), np.arange(3.0), np.random.default_rng(0))], levels, 10, 0.9)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, float("nan")])
+    def test_kernel_rejects_invalid_confidence(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            bootstrap_pair_summaries([(np.arange(3.0), np.arange(3.0), np.random.default_rng(0))], [0.5], 10, confidence)
 
 
 # -- the replaced np.quantile formulation, kept here as the oracle -------------
@@ -222,3 +256,119 @@ def test_mixed_zero_signs_leave_win_fractions_bitwise_equal(rng):
     assert _bits(comparator.win_fraction_matrix(arrays)) == _bits(
         _reference_matrix(comparator, arrays)
     )
+
+
+# -- the one-pass kernel --------------------------------------------------------
+
+
+@st.composite
+def _tables(draw):
+    """2-7 measurement vectors of equal or mixed widths 1-40, rounded so that
+    ties, negative values and ``-0.0`` occur, sometimes with a duplicate."""
+    p = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        widths = draw(st.lists(st.integers(1, 40), min_size=p, max_size=p))
+    else:
+        widths = [draw(st.integers(1, 40))] * p
+    decimals = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = [np.round(rng.normal(0.3 * i, 0.5, size=n), decimals) for i, n in enumerate(widths)]
+    if draw(st.booleans()):
+        arrays[-1] = arrays[0].copy()
+    return arrays
+
+
+_OPTIONS = st.fixed_dictionaries(
+    {
+        "quantiles": st.lists(
+            st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]), min_size=1, max_size=5, unique=True
+        ).map(tuple),
+        "n_resamples": st.integers(1, 120),
+        "confidence": st.sampled_from([0.5, 0.8, 0.95]),
+        "min_relative_difference": st.sampled_from([0.0, 0.01, 0.5]),
+        "seed": st.integers(0, 1000),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays=_tables(), options=_OPTIONS)
+def test_kernel_equals_np_quantile_formulation(arrays, options):
+    comparator = BootstrapComparator(**options)
+    assert _bits(comparator.win_fraction_matrix(arrays)) == _bits(_reference_matrix(comparator, arrays))
+    for i, j in [(0, 1), (len(arrays) - 1, 0)]:
+        got = comparator.win_fraction(arrays[i], arrays[j])
+        assert _bits(np.float64(got)) == _bits(np.float64(_reference_win_fraction(comparator, arrays[i], arrays[j])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(arrays=_tables(), options=_OPTIONS)
+def test_matrix_entries_are_the_per_pair_fractions(arrays, options):
+    """Every entry is ``win_fraction`` of its pair; the entry of the pair's
+    non-canonical direction (larger bytes first) is also exactly one minus
+    the reverse call (the canonical one is so only up to rounding)."""
+    comparator = BootstrapComparator(**options)
+    matrix = comparator.win_fraction_matrix(arrays)
+    for i, a in enumerate(arrays):
+        for j, b in enumerate(arrays):
+            if i != j:
+                assert _bits(matrix[i, j]) == _bits(np.float64(comparator.win_fraction(a, b)))
+                if a.tobytes() > b.tobytes():
+                    assert _bits(matrix[i, j]) == _bits(np.float64(1.0 - comparator.win_fraction(b, a)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(arrays=_tables(), options=_OPTIONS)
+def test_stochastic_sequence_is_unchanged(arrays, options):
+    """Consecutive calls share one generator; each equals the replaced
+    formulation's two draws from the same stream."""
+    stochastic = BootstrapComparator(stochastic=True, **options)
+    stream = np.random.default_rng(options["seed"])
+    for k in range(5):
+        a, b = arrays[k % len(arrays)], arrays[(k + 1) % len(arrays)]
+        got = stochastic.win_fraction(a, b)
+        assert _bits(np.float64(got)) == _bits(np.float64(_reference_score(stochastic, a, b, stream)))
+    assert stochastic._stochastic_rng.bit_generator.state == stream.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 70),
+    n_resamples=st.integers(1, 300),
+    before=st.integers(0, 3),
+)
+def test_one_draw_equals_two_draws(seed, n, n_resamples, before):
+    """One (2R, n) index draw is bit for bit two (R, n) draws and leaves the
+    generator in the same state, also when an odd number of earlier 32-bit
+    draws left half of a 64-bit output buffered."""
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    one.integers(0, 7, size=before)
+    two.integers(0, 7, size=before)
+    joint = bootstrap_indices(n, 2 * n_resamples, one)
+    first = bootstrap_indices(n, n_resamples, two)
+    second = bootstrap_indices(n, n_resamples, two)
+    assert _bits(joint) == _bits(np.concatenate([first, second]))
+    assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("widths", [(5, 5), (5, 6), (1, 30), (30, 1), (1, 1)])
+def test_draw_route_follows_the_widths(widths):
+    """Equal widths draw once, unequal widths twice; either way the kernel
+    consumes exactly the two-draw stream and matches np.quantile on it."""
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=widths[0]), rng.normal(size=widths[1])
+    levels, n_resamples, confidence = np.array([0.0, 0.25, 0.5, 1.0]), 33, 0.9
+    kernel_rng, stream = np.random.default_rng(3), np.random.default_rng(3)
+    low, high, mid = bootstrap_pair_summaries([(x, y, kernel_rng)], levels, n_resamples, confidence)
+    expected = []
+    for v in (x, y):
+        profiles = np.quantile(v[bootstrap_indices(v.size, n_resamples, stream)], levels, axis=-1)
+        alpha = 1.0 - confidence
+        bounds = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
+        expected.append((bounds[0], bounds[1], np.median(profiles, axis=-1)))
+    assert kernel_rng.bit_generator.state == stream.bit_generator.state
+    for side in (0, 1):
+        assert _bits(low[side, 0]) == _bits(expected[side][0])
+        assert _bits(high[side, 0]) == _bits(expected[side][1])
+        assert _bits(mid[side, 0]) == _bits(expected[side][2])
