@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..scenarios.conditions import DeviceLoadFactor, Scenario
+from ..scenarios.conditions import DeviceLoadFactor
 from ..scenarios.grid import ScenarioGrid
 from .sample import SampledFleet
 
@@ -157,18 +157,15 @@ def _loaded_grid(
     Loads at exactly ``1.0`` are omitted (the axis' neutral value -- fewer
     settings, identical tables); each loaded device gets its own
     single-device :class:`DeviceLoadFactor` setting so the load composes
-    multiplicatively with any load axis the user's own scenario pins.
+    multiplicatively with any load axis the user's own scenario pins.  The
+    settings are written into the fleet's columns; no ``Scenario`` is built.
     """
     extra = tuple(
         (DeviceLoadFactor(devices=(alias,)), float(load))
         for alias, load in zip(aliases, loads)
         if load != 1.0
     )
-    if not extra:
-        return fleet.grid
-    return ScenarioGrid(
-        Scenario(name=s.name, settings=s.settings + extra, weight=s.weight) for s in fleet.grid.scenarios
-    )
+    return fleet.grid._appended(extra) if extra else fleet.grid
 
 
 def _tenant_counts(

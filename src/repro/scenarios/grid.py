@@ -242,6 +242,23 @@ class ScenarioGrid:
             grid._index = self._index
         return grid
 
+    def _appended(self, settings: "Sequence[tuple[ConditionAxis, float]]") -> "ScenarioGrid":
+        """This grid with the same ``settings`` appended to every row.
+
+        The axes join the axis table and each row's new settings follow its
+        own, at that row's settings length; names and weights carry over.
+        """
+        steps, n = self.axis_codes.shape
+        codes = np.full((steps + len(settings), n), -1, dtype=np.intp)
+        values = np.zeros(codes.shape)
+        codes[:steps], values[:steps] = self.axis_codes, self.axis_values
+        at, rows = (self.axis_codes >= 0).sum(axis=0), np.arange(n)
+        for k, (_, value) in enumerate(settings):
+            codes[at + k, rows] = len(self.axes) + k
+            values[at + k, rows] = value
+        axes = (*self.axes, *(axis for axis, _ in settings))
+        return ScenarioGrid._from_columns(axes, codes, values, self._weights, self._names, self._name_parts)
+
 
 def link_degradation_grid(
     links: "Sequence[tuple[str, str]]",

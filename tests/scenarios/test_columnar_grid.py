@@ -24,7 +24,17 @@ from repro.cache import _BLOCKWISE_MIN_ROWS, _grid_fingerprint_parts, fingerprin
 from repro.devices import SimulatedExecutor, edge_cluster_platform
 from repro.devices.params import PlatformParams
 from repro.devices.tables import build_tables
-from repro.fleet import ChoiceAxis, FleetSpec, NormalAxis, UniformAxis, UserSegment, sample_fleet
+from repro.fleet import (
+    ChoiceAxis,
+    ContentionModel,
+    FleetSpec,
+    NormalAxis,
+    UniformAxis,
+    UserSegment,
+    sample_fleet,
+    solve_contention,
+)
+from repro.fleet import contention
 from repro.scenarios import (
     ConditionAxis,
     DeviceFailureRate,
@@ -185,6 +195,80 @@ class TestSampledGrids:
         for name in ("a", "b"):
             users = fleet.users_of_segment(name)
             assert_same_grid(fleet.segment_grid(name), row_built(fleet.grid[i] for i in users))
+
+
+
+def loaded_row_built(fleet, aliases, loads) -> ScenarioGrid:
+    """The contended grid as ``Scenario`` rows with the load settings appended."""
+    extra = tuple(
+        (DeviceLoadFactor(devices=(alias,)), float(load)) for alias, load in zip(aliases, loads) if load != 1.0
+    )
+    if not extra:
+        return fleet.grid
+    return ScenarioGrid(Scenario(s.name, settings=s.settings + extra, weight=s.weight) for s in fleet.grid.scenarios)
+
+
+ALIASES = tuple(edge_cluster_platform().aliases)
+LOADED_SPEC = FleetSpec(
+    (
+        UserSegment("a", weight=2.0, axes=(SAMPLERS[0](), SAMPLERS[2]())),
+        UserSegment("b", weight=1.0, axes=(SAMPLERS[3](),)),
+        UserSegment("c", weight=1.0),
+    )
+)
+
+
+class TestLoadedGrids:
+    """``solve_contention`` appends its load settings to the fleet's columns."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        spec=fleet_specs(),
+        n_users=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+        loads=st.lists(st.sampled_from([1.0, 1.0, 1.25, 2.0, 3.7]), min_size=4, max_size=4),
+    )
+    def test_a_loaded_grid_equals_its_row_built_copy(self, spec, n_users, seed, loads):
+        fleet = sample_fleet(spec, n_users, seed=seed)
+        grid = contention._loaded_grid(fleet, ALIASES, np.array(loads))
+        reference = loaded_row_built(fleet, ALIASES, loads)
+        assert_same_grid(grid, reference)
+        assert_same_tables(grid, reference)
+
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf")])
+    def test_a_bad_load_raises_the_row_built_error(self, bad):
+        fleet = sample_fleet(LOADED_SPEC, 150, seed=4)
+        loads = np.array([1.5, 1.0, bad, 2.0])
+        errors = []
+        for grid in (contention._loaded_grid(fleet, ALIASES, loads), loaded_row_built(fleet, ALIASES, loads)):
+            with pytest.raises(ValueError) as info:
+                build_tables(chain(), edge_cluster_platform(), scenarios=grid)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("mode", ["fixed", "best-response"])
+    def test_solve_contention_equals_the_row_built_path(self, mode, monkeypatch):
+        fleet = sample_fleet(LOADED_SPEC, 200, seed=5)
+        kwargs = (
+            dict(placements="DE")
+            if mode == "fixed"
+            else dict(candidates=["DD", "DE", "NA", "EA"], damping=0.5, max_iterations=8)
+        )
+        model = ContentionModel(alpha=0.3)
+
+        def solve():
+            executor = SimulatedExecutor(edge_cluster_platform())
+            return solve_contention(executor, chain(), fleet, model, **kwargs)
+
+        result = solve()
+        monkeypatch.setattr(contention, "_loaded_grid", loaded_row_built)
+        expected = solve()
+        assert_same_grid(result.grid, expected.grid)
+        assert result.placements == expected.placements
+        assert result.residuals == expected.residuals
+        assert (result.converged, result.n_iterations) == (expected.converged, expected.n_iterations)
+        for name in ("loads", "counts", "per_user_values"):
+            assert getattr(result, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
