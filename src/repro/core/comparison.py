@@ -218,7 +218,8 @@ class BootstrapComparator(Comparator):
         va, vb = _validate(a, b)
         if self.stochastic:
             return float(self._pair_fractions([(va, vb, self._stochastic_rng)])[0])
-        bytes_a, bytes_b = va.tobytes(), vb.tobytes()
+        bytes_a = np.ascontiguousarray(va).tobytes()
+        bytes_b = np.ascontiguousarray(vb).tobytes()
         if bytes_a == bytes_b:
             return 0.5
         if bytes_b < bytes_a:
@@ -263,13 +264,12 @@ class BootstrapComparator(Comparator):
         blobs = [np.ascontiguousarray(v).tobytes() for v in vecs]
         p = len(vecs)
         fractions = np.full((p, p), 0.5)
-        # Canonical (row, column) of each pair to compute; identical data stays 0.5.
-        slots = [
-            (i, j) if blobs[i] < blobs[j] else (j, i)
-            for i in range(p)
-            for j in range(i + 1, p)
-            if blobs[i] != blobs[j]
-        ]
+        slots: list[tuple[int, int]] = []  # canonical (row, column) of each computed pair
+        for i in range(p):
+            for j in range(i + 1, p):
+                if blobs[i] == blobs[j]:
+                    continue  # identical data: win fraction stays 0.5
+                slots.append((i, j) if blobs[i] < blobs[j] else (j, i))
         # Batch in chunks: peak memory is 2 * chunk * n_resamples * N floats
         # regardless of p, while each chunk still amortises the sorts over
         # hundreds of pairs (per-row results are independent, so chunking

@@ -8,8 +8,8 @@ instead of drifting into the comparator's outcomes.  The randomized pins then
 hold the whole comparator -- batched matrix, per-call win fraction and the
 stochastic stream -- against a test-local replica of the ``np.quantile``
 formulation it replaced, and the hypothesis pins hold the one-pass kernel
-(one ``(2R, n)`` draw per pair of equal widths, two draws otherwise) to the
-same replica and to the per-pair calls.
+(one ``(2R, n)`` draw per pair of equal widths) to the same replica, to the
+per-pair calls and to the two-draw stream.
 """
 
 from __future__ import annotations
@@ -103,10 +103,12 @@ class TestHelperEdges:
             assert _bits(view) == _bits(np.quantile(ordered, level, axis=-1))
 
     def test_kernel_summaries_match_per_array(self, rng):
-        """Mixed widths in one call: every array's interval bounds and median
-        equal np.quantile/np.median over its own resamples."""
+        """Mixed widths in one call: equal widths draw once, unequal widths
+        twice, and either way each pair consumes exactly the two-draw stream,
+        and every array's interval bounds and median equal
+        np.quantile/np.median over its own resamples."""
         levels, confidence, n_resamples = np.array([0.0, 0.1, 0.5, 0.9, 1.0]), 0.9, 6
-        widths = [(3, 4), (3, 3), (1, 4), (4, 4), (2, 1)]
+        widths = [(3, 4), (3, 3), (1, 4), (4, 4), (2, 1), (1, 1), (30, 1)]
         arrays = [(rng.normal(size=nx), rng.normal(size=ny)) for nx, ny in widths]
         pairs = [(x, y, np.random.default_rng(k)) for k, (x, y) in enumerate(arrays)]
         low, high, mid = bootstrap_pair_summaries(pairs, levels, n_resamples, confidence)
@@ -120,6 +122,7 @@ class TestHelperEdges:
                 assert _bits(low[side, k]) == _bits(bounds[0])
                 assert _bits(high[side, k]) == _bits(bounds[1])
                 assert _bits(mid[side, k]) == _bits(np.median(profiles, axis=-1))
+            assert pairs[k][2].bit_generator.state == stream.bit_generator.state
 
     def test_bootstrap_quantiles_equal_numpy_on_the_same_draws(self, rng):
         data = np.round(rng.normal(3.0, 1.0, size=23), 1)
@@ -350,25 +353,3 @@ def test_one_draw_equals_two_draws(seed, n, n_resamples, before):
     second = bootstrap_indices(n, n_resamples, two)
     assert _bits(joint) == _bits(np.concatenate([first, second]))
     assert one.bit_generator.state == two.bit_generator.state
-
-
-@pytest.mark.parametrize("widths", [(5, 5), (5, 6), (1, 30), (30, 1), (1, 1)])
-def test_draw_route_follows_the_widths(widths):
-    """Equal widths draw once, unequal widths twice; either way the kernel
-    consumes exactly the two-draw stream and matches np.quantile on it."""
-    rng = np.random.default_rng(7)
-    x, y = rng.normal(size=widths[0]), rng.normal(size=widths[1])
-    levels, n_resamples, confidence = np.array([0.0, 0.25, 0.5, 1.0]), 33, 0.9
-    kernel_rng, stream = np.random.default_rng(3), np.random.default_rng(3)
-    low, high, mid = bootstrap_pair_summaries([(x, y, kernel_rng)], levels, n_resamples, confidence)
-    expected = []
-    for v in (x, y):
-        profiles = np.quantile(v[bootstrap_indices(v.size, n_resamples, stream)], levels, axis=-1)
-        alpha = 1.0 - confidence
-        bounds = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
-        expected.append((bounds[0], bounds[1], np.median(profiles, axis=-1)))
-    assert kernel_rng.bit_generator.state == stream.bit_generator.state
-    for side in (0, 1):
-        assert _bits(low[side, 0]) == _bits(expected[side][0])
-        assert _bits(high[side, 0]) == _bits(expected[side][1])
-        assert _bits(mid[side, 0]) == _bits(expected[side][2])
