@@ -7,18 +7,17 @@ summarised once into a single number.  This module provides the resampling
 primitives used by :mod:`repro.core.comparison`.
 
 Resampling is vectorised: one ``(n_resamples, n)`` index matrix per array,
-and statistics are evaluated along an axis.  :func:`bootstrap_pair_summaries`
-is the comparator's one kernel.  A pair of equal widths draws once, a
-``(2 * n_resamples, n)`` matrix that is bit for bit the two draws in a row
-(PCG64's 32-bit draws continue across calls).  Resamples are gathered into
-one buffer per width and sorted in place; :func:`_sorted_quantile` then reads
-each level from two order-statistic views with numpy's ``linear`` arithmetic
-into a level-major ``(arrays, levels, n_resamples)`` buffer, whose in-place
-sort serves the interval bounds and medians (:func:`_sorted_median`).  The
-results equal ``np.quantile``/``np.median`` bit for bit, except that a zero
-where ``-0.0`` and ``+0.0`` tie within a row may carry either sign; the two
-compare equal, so no outcome changes, and the same sort on the same values
-leaves the same signs as the gather-and-sort path did.
+and statistics are evaluated along an axis.  :func:`bootstrap_summaries` is
+the comparator's one kernel.  Each array draws its resamples from its own
+generator, in the order given (arrays sharing a generator draw one after the
+other, as two calls in a row would), into one buffer per width, sorted in
+place; :func:`_sorted_quantile` then reads each level from two
+order-statistic views with numpy's ``linear`` arithmetic into a level-major
+``(arrays, levels, n_resamples)`` buffer, whose in-place sort serves the
+interval bounds and medians (:func:`_sorted_median`).  The results equal
+``np.quantile``/``np.median`` bit for bit, except that a zero where ``-0.0``
+and ``+0.0`` tie within a row may carry either sign; the two compare equal,
+so no outcome changes.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ __all__ = [
     "bootstrap_samples",
     "bootstrap_statistic",
     "bootstrap_quantiles",
-    "bootstrap_pair_summaries",
+    "bootstrap_summaries",
     "percentile_interval",
     "BootstrapInterval",
 ]
@@ -158,43 +157,36 @@ def bootstrap_quantiles(
     return out
 
 
-def bootstrap_pair_summaries(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray, np.random.Generator]],
+def bootstrap_summaries(
+    samples: Sequence[tuple[np.ndarray, np.random.Generator]],
     quantiles: Sequence[float],
     n_resamples: int,
     confidence: float,
 ) -> np.ndarray:
-    """Bootstrap quantile-profile summaries of both arrays of many pairs.
+    """Bootstrap quantile-profile summaries of many arrays.
 
-    ``pairs`` holds ``(x, y, rng)``: two 1-D float arrays and the generator
-    their resamples come from, ``x`` first.  Per quantile level, each array's
-    bootstrap distribution of that quantile is summarised by its two-sided
-    ``confidence`` percentile interval and its median.  Returns
-    ``(low, high, mid)`` as one ``(3, 2, len(pairs), len(quantiles))`` array,
-    ``x`` at index 0 of the second axis and ``y`` at index 1.  Each array is
-    sorted and read on its own, so no pair depends on the others in the call.
+    ``samples`` holds ``(values, rng)``: a 1-D float array and the generator
+    its resamples come from, drawn in the order given.  Per quantile level,
+    each array's bootstrap distribution of that quantile is summarised by its
+    two-sided ``confidence`` percentile interval and its median.  Returns
+    ``(low, high, mid)`` as one ``(3, len(samples), len(quantiles))`` array.
+    Each array is sorted and read on its own, so its summary depends only on
+    its values and the draws from its generator, not on the other arrays.
     """
     q = _validate_quantiles(quantiles)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    p = len(pairs)
-    arrays = [x for x, _, _ in pairs] + [y for _, y, _ in pairs]
-    rows_of: dict[int, list[int]] = {}  # width -> rows of `arrays`
-    for row, values in enumerate(arrays):
+    rows_of: dict[int, list[int]] = {}  # width -> rows of `samples`
+    for row, (values, _) in enumerate(samples):
         rows_of.setdefault(values.size, []).append(row)
     buffers = {n: np.empty((len(rows), n_resamples, n)) for n, rows in rows_of.items()}
     slot = {row: buffers[n][k] for n, rows in rows_of.items() for k, row in enumerate(rows)}
     # Indices come from integers(0, n), so mode="clip" never clips; unlike
     # the default "raise" it writes into `out` without a staging copy.
-    for k, (x, y, rng) in enumerate(pairs):
-        if x.size == y.size:
-            idx = np.split(bootstrap_indices(x.size, 2 * n_resamples, rng), 2)
-        else:
-            idx = [bootstrap_indices(v.size, n_resamples, rng) for v in (x, y)]
-        np.take(x, idx[0], out=slot[k], mode="clip")
-        np.take(y, idx[1], out=slot[p + k], mode="clip")
+    for row, (values, rng) in enumerate(samples):
+        np.take(values, bootstrap_indices(values.size, n_resamples, rng), out=slot[row], mode="clip")
     alpha = 1.0 - confidence
-    summaries = np.empty((3, 2 * p, q.size))  # low, high, mid
+    summaries = np.empty((3, len(samples), q.size))  # low, high, mid
     for n, rows in rows_of.items():
         resamples = buffers[n]
         resamples.sort(axis=-1)
@@ -205,7 +197,7 @@ def bootstrap_pair_summaries(
         summaries[0, rows] = _sorted_quantile(profiles, alpha / 2.0)
         summaries[1, rows] = _sorted_quantile(profiles, 1.0 - alpha / 2.0)
         summaries[2, rows] = _sorted_median(profiles)
-    return summaries.reshape(3, 2, p, q.size)
+    return summaries
 
 
 @dataclass(frozen=True)

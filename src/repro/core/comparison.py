@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bootstrap import bootstrap_pair_summaries, bootstrap_statistic, percentile_interval
+from .bootstrap import bootstrap_statistic, bootstrap_summaries, percentile_interval
 from .types import Comparison
 
 __all__ = [
@@ -124,7 +124,9 @@ class BootstrapComparator(Comparator):
     per-level scores are averaged into a win fraction ``f in [0, 1]``:
 
     * ``f >= 0.5 + equivalence_margin``  ->  ``a`` is **better**;
-    * ``f <= 0.5 - equivalence_margin``  ->  ``a`` is **worse**;
+    * ``b``'s fraction ``1 - f >= 0.5 + equivalence_margin``  ->  ``a`` is
+      **worse** (decided on exact half-unit counts, so the two directions of a
+      pair are always exact flips);
     * otherwise the distributions overlap significantly -> **equivalent**.
 
     Because the intervals shrink with the number of measurements ``N``, two
@@ -133,12 +135,15 @@ class BootstrapComparator(Comparator):
     Section III of the paper ("overlaps become more evident when the number
     of measurements N is small").
 
-    In the default deterministic mode a generator is derived from the data and
-    the seed, so repeated comparisons of the same pair agree and
-    ``compare(a, b)`` is exactly the flip of ``compare(b, a)``.  With
-    ``stochastic=True`` every call draws fresh resamples; this reproduces the
-    behaviour the paper relies on for the relative scores of Procedure 4,
-    where a borderline pair "switches between < and ~" across repetitions.
+    In the default deterministic mode each array's resamples come from a
+    generator derived from its bytes and the seed, so an array has the same
+    interval summary in every pair and every call: repeated comparisons
+    agree, identical arrays tie exactly, and ``compare(a, b)`` is exactly the
+    flip of ``compare(b, a)``.  With ``stochastic=True`` every call draws
+    fresh resamples (``a``'s, then ``b``'s) from one generator; this
+    reproduces the behaviour the paper relies on for the relative scores of
+    Procedure 4, where a borderline pair "switches between < and ~" across
+    repetitions.
 
     Parameters
     ----------
@@ -189,117 +194,93 @@ class BootstrapComparator(Comparator):
         self._stochastic_rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
-    def _rng_for(self, bytes_a: bytes, bytes_b: bytes) -> np.random.Generator:
-        """Derive a per-pair generator so comparisons are reproducible regardless of call order."""
-        return derive_pair_rng(self.seed, bytes_a, bytes_b)
+    def _rng_for(self, values: np.ndarray) -> np.random.Generator:
+        """Generator of one array's resamples, keyed by the seed and the array's
+        bytes, so the array's summary is the same in every pair and call."""
+        digest = hashlib.blake2b(values.tobytes(), digest_size=8).digest()
+        return np.random.default_rng([int.from_bytes(digest, "little"), self.seed])
 
-    def _pair_fractions(
-        self, pairs: Sequence[tuple[np.ndarray, np.ndarray, np.random.Generator]]
-    ) -> np.ndarray:
-        """Win fraction of ``x`` over ``y`` for every ``(x, y, rng)`` pair: the
-        mean of ``x``'s per-level scores (1 win, 0.5 tie, 0 loss).  The matrix,
-        per-call and stochastic paths all run this one kernel, so they can
-        never diverge."""
-        (lo_a, lo_b), (hi_a, hi_b), (mid_a, mid_b) = bootstrap_pair_summaries(
-            pairs, self.quantiles, self.n_resamples, self.confidence
+    def _win_counts(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Integer ``(p, p)`` matrix ``W`` of half-unit win counts among
+        ``arrays``: per quantile level a win counts 2, a tie 1 and a loss 0,
+        so ``W[i, j] = L + wins[i, j] - wins[j, i]`` and ``W[j, i] = 2L -
+        W[i, j]`` for ``L`` levels.  ``W / (2L)`` is bit for bit the mean of
+        the per-level scores (1 win, 0.5 tie, 0 loss).  Each array is
+        bootstrapped once, from its own generator or, with
+        ``stochastic=True``, in order from the comparator's one generator.
+        The matrix, per-call and stochastic paths all run this one kernel, so
+        they can never diverge."""
+        vecs = [_validate_one(a) for a in arrays]
+        rngs = [self._stochastic_rng if self.stochastic else self._rng_for(v) for v in vecs]
+        lo, hi, mid = bootstrap_summaries(
+            list(zip(vecs, rngs)), self.quantiles, self.n_resamples, self.confidence
         )
+        mid_a, mid_b = mid[:, None], mid[None, :]
         tol = self.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
-        a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
-        b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
-        return np.where(a_wins, 1.0, np.where(b_wins, 0.0, 0.5)).mean(axis=-1)
+        wins = ((hi[:, None] < lo[None, :]) & (mid_b - mid_a > tol)).sum(axis=-1)
+        return mid.shape[-1] + wins - wins.T
 
-    def win_fraction(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Fraction of quantile levels won by ``a`` (ties count 0.5).
-
-        In the deterministic mode the pair is internally canonicalised so that
-        ``win_fraction(a, b) == 1 - win_fraction(b, a)`` holds exactly, which
-        makes the resulting three-way comparison antisymmetric.
-        """
-        va, vb = _validate(a, b)
-        if self.stochastic:
-            return float(self._pair_fractions([(va, vb, self._stochastic_rng)])[0])
-        bytes_a = np.ascontiguousarray(va).tobytes()
-        bytes_b = np.ascontiguousarray(vb).tobytes()
-        if bytes_a == bytes_b:
-            return 0.5
-        if bytes_b < bytes_a:
-            return 1.0 - self.win_fraction(vb, va)
-        return float(self._pair_fractions([(va, vb, self._rng_for(bytes_a, bytes_b))])[0])
-
-    def _from_fraction(self, f: float) -> Comparison:
-        """Map a win fraction to the three-way outcome via the equivalence band.
-
-        A fraction of exactly 0.5 is a perfect tie and is always equivalent,
-        even with ``equivalence_margin=0`` -- otherwise both directions of the
-        pair would claim ``BETTER`` and the relation would lose antisymmetry.
-        """
-        if f > 0.5 and f >= 0.5 + self.equivalence_margin:
-            return self._oriented(a_better=True)
-        if f < 0.5 and f <= 0.5 - self.equivalence_margin:
-            return self._oriented(a_better=False)
-        return Comparison.EQUIVALENT
-
-    def compare(self, a: np.ndarray, b: np.ndarray) -> Comparison:
-        return self._from_fraction(self.win_fraction(a, b))
-
-    # -- batched precomputation (used by the comparison engine) --------------
-    def win_fraction_matrix(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Antisymmetric ``(p, p)`` matrix of win fractions in one vectorized pass.
-
-        Entry ``[i, j]`` equals ``win_fraction(arrays[i], arrays[j])`` bit for
-        bit: per pair the same canonicalisation and per-pair generator are
-        used, but the resamples of *all* pairs land in one buffer
-        (:func:`repro.core.bootstrap.bootstrap_pair_summaries`), sorted once
-        per stage and summarised with a handful of vectorized reductions
-        instead of per-pair round-trips.  Only available in the
-        deterministic mode -- with ``stochastic=True`` every comparison must
-        draw fresh resamples, so there is no fixed matrix to precompute.
-        """
+    def _matrix_counts(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         if self.stochastic:
             raise ValueError(
                 "win_fraction_matrix requires the deterministic mode; "
                 "stochastic comparators draw fresh resamples per call"
             )
-        vecs = [_validate_one(a) for a in arrays]
-        blobs = [np.ascontiguousarray(v).tobytes() for v in vecs]
-        p = len(vecs)
-        fractions = np.full((p, p), 0.5)
-        slots: list[tuple[int, int]] = []  # canonical (row, column) of each computed pair
-        for i in range(p):
-            for j in range(i + 1, p):
-                if blobs[i] == blobs[j]:
-                    continue  # identical data: win fraction stays 0.5
-                slots.append((i, j) if blobs[i] < blobs[j] else (j, i))
-        # Batch in chunks: peak memory is 2 * chunk * n_resamples * N floats
-        # regardless of p, while each chunk still amortises the sorts over
-        # hundreds of pairs (per-row results are independent, so chunking
-        # does not change a single bit).
-        chunk_pairs = 256
-        for start in range(0, len(slots), chunk_pairs):
-            chunk = slots[start : start + chunk_pairs]
-            pairs = [(vecs[x], vecs[y], self._rng_for(blobs[x], blobs[y])) for x, y in chunk]
-            rows, columns = np.array(chunk).T
-            f = self._pair_fractions(pairs)
-            fractions[rows, columns] = f
-            fractions[columns, rows] = 1.0 - f
-        return fractions
+        return self._win_counts(arrays)
+
+    def _outcomes(self, counts: np.ndarray) -> np.ndarray:
+        """Three-way outcomes of half-unit win counts, as an object array.
+
+        ``a`` is better iff ``W >= T`` and worse iff ``W <= 2L - T``, where
+        ``T`` is the smallest count above ``L`` whose fraction ``T / (2L)``
+        reaches ``0.5 + equivalence_margin``.  Both directions of a pair read
+        the one threshold, so the reverse outcome is exactly the flip at every
+        margin, and a fraction of exactly 0.5 is equivalent even with
+        ``equivalence_margin=0``.
+        """
+        total = 2 * len(self.quantiles)
+        bound = 0.5 + self.equivalence_margin
+        threshold = next(w for w in range(total // 2 + 1, total + 1) if w / total >= bound)
+        table = np.array(
+            [self._oriented(a_better=False), Comparison.EQUIVALENT, self._oriented(a_better=True)],
+            dtype=object,
+        )
+        return table[1 + (counts >= threshold) - (counts <= total - threshold)]
+
+    def win_fraction(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Fraction of quantile levels won by ``a`` (ties count 0.5).
+
+        In the deterministic mode ``win_fraction(a, b)`` and
+        ``win_fraction(b, a)`` count ``2L`` half-units between them for ``L``
+        levels, so their outcomes are exact flips; the fractions sum to 1 up
+        to the rounding of each division.
+        """
+        return float(self._win_counts([a, b])[0, 1] / (2 * len(self.quantiles)))
+
+    def compare(self, a: np.ndarray, b: np.ndarray) -> Comparison:
+        return self._outcomes(self._win_counts([a, b]))[0, 1]
+
+    # -- batched precomputation (used by the comparison engine) --------------
+    def win_fraction_matrix(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """``(p, p)`` matrix of win fractions in one vectorized pass.
+
+        Each array is bootstrapped once, from its own generator, and the
+        matrix is one broadcast over the ``(p, levels)`` interval summaries,
+        so entry ``[i, j]`` equals ``win_fraction(arrays[i], arrays[j])`` bit
+        for bit and the diagonal is exactly 0.5.  Only available in the
+        deterministic mode -- with ``stochastic=True`` every comparison must
+        draw fresh resamples, so there is no fixed matrix to precompute.
+        """
+        return self._matrix_counts(arrays) / (2 * len(self.quantiles))
 
     def outcome_matrix(self, arrays: Sequence[np.ndarray]) -> list[list[Comparison]]:
         """Full antisymmetric outcome matrix over a list of measurement arrays.
 
         ``matrix[i][j]`` is the outcome of comparing ``arrays[i]`` against
-        ``arrays[j]`` (diagonal entries are ``EQUIVALENT``), computed from the
-        batched :meth:`win_fraction_matrix`.
+        ``arrays[j]`` (diagonal entries are ``EQUIVALENT``), mapped from the
+        half-unit counts behind :meth:`win_fraction_matrix` in one step.
         """
-        fractions = self.win_fraction_matrix(arrays)
-        p = len(fractions)
-        return [
-            [
-                Comparison.EQUIVALENT if i == j else self._from_fraction(fractions[i, j])
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
+        return self._outcomes(self._matrix_counts(arrays)).tolist()
 
 
 @dataclass
@@ -404,7 +385,7 @@ class IntervalOverlapComparator(Comparator):
     equivalent, otherwise the direction is given by the interval ordering.
 
     Resamples are drawn from a per-pair generator derived from the data and
-    the seed (like :meth:`BootstrapComparator._rng_for`), with the pair
+    the seed (:func:`derive_pair_rng`), with the pair
     internally canonicalised: repeated comparisons of the same pair agree,
     different pairs draw independent resamples, and ``compare(a, b)`` is
     exactly the flip of ``compare(b, a)``.

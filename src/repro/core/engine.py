@@ -12,10 +12,10 @@ that redundancy without changing a single outcome:
 * for **deterministic** comparators (``stochastic`` attribute explicitly
   ``False``, declared by every deterministic built-in) every unique pair is
   evaluated at most once -- either eagerly, through the
-  comparator's vectorized ``outcome_matrix`` batch (the
-  :class:`~repro.core.comparison.BootstrapComparator` stacks all pairs'
-  bootstrap quantile profiles into one ``(pairs, n_resamples, quantiles)``
-  batch), or lazily through a memoizing :class:`CachedCompareFn`; label-level
+  comparator's vectorized ``outcome_matrix`` (the
+  :class:`~repro.core.comparison.BootstrapComparator` bootstraps each array
+  once into ``(p, levels)`` interval summaries and compares all pairs in one
+  broadcast), or lazily through a memoizing :class:`CachedCompareFn`; label-level
   lookups are then O(1), and once the matrix is precomputed
   :meth:`ComparisonEngine.outcome_rows` hands a whole sort its ``p x p``
   outcome table, so the bubble sort reads list entries instead of calling

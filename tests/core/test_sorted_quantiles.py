@@ -4,28 +4,30 @@
 once instead of calling ``np.quantile``/``np.median``.  numpy itself is the
 oracle: the helpers must reproduce its default ``linear`` method and its
 median bit for bit, so a change to numpy's arithmetic fails here loudly
-instead of drifting into the comparator's outcomes.  The randomized pins then
-hold the whole comparator -- batched matrix, per-call win fraction and the
-stochastic stream -- against a test-local replica of the ``np.quantile``
-formulation it replaced, and the hypothesis pins hold the one-pass kernel
-(one ``(2R, n)`` draw per pair of equal widths) to the same replica, to the
-per-pair calls and to the two-draw stream.
+instead of drifting into the comparator's outcomes.  The randomized and
+hypothesis pins then hold the whole comparator -- batched matrix, per-call
+win fraction and the stochastic stream -- against a test-local replica that
+bootstraps each array once from its own generator with ``np.quantile``, and
+against two draws per stochastic call from one stream.  The last pins hold
+the outcomes to one integer threshold, antisymmetric at every margin.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BootstrapComparator, derive_pair_rng
+from repro.core import BootstrapComparator, Comparison
 from repro.core.bootstrap import (
     _sorted_median,
     _sorted_quantile,
     bootstrap_indices,
-    bootstrap_pair_summaries,
     bootstrap_quantiles,
+    bootstrap_summaries,
 )
 
 LEVELS = np.array([0.0, 0.025, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 0.975, 1.0])
@@ -103,26 +105,25 @@ class TestHelperEdges:
             assert _bits(view) == _bits(np.quantile(ordered, level, axis=-1))
 
     def test_kernel_summaries_match_per_array(self, rng):
-        """Mixed widths in one call: equal widths draw once, unequal widths
-        twice, and either way each pair consumes exactly the two-draw stream,
-        and every array's interval bounds and median equal
-        np.quantile/np.median over its own resamples."""
+        """Mixed widths in one call: every array's interval bounds and median
+        equal np.quantile/np.median over its own resamples, and arrays that
+        share a generator draw from it in the order given."""
         levels, confidence, n_resamples = np.array([0.0, 0.1, 0.5, 0.9, 1.0]), 0.9, 6
-        widths = [(3, 4), (3, 3), (1, 4), (4, 4), (2, 1), (1, 1), (30, 1)]
-        arrays = [(rng.normal(size=nx), rng.normal(size=ny)) for nx, ny in widths]
-        pairs = [(x, y, np.random.default_rng(k)) for k, (x, y) in enumerate(arrays)]
-        low, high, mid = bootstrap_pair_summaries(pairs, levels, n_resamples, confidence)
+        arrays = [rng.normal(size=n) for n in (3, 4, 3, 1, 4, 30, 1, 2)]
+        shared = np.random.default_rng(99)
+        generators = [np.random.default_rng(k) for k in range(5)] + [shared] * 3
+        low, high, mid = bootstrap_summaries(list(zip(arrays, generators)), levels, n_resamples, confidence)
         alpha = 1.0 - confidence
-        for k, (x, y) in enumerate(arrays):
-            stream = np.random.default_rng(k)
-            for side, v in enumerate((x, y)):
-                samples = v[bootstrap_indices(v.size, n_resamples, stream)]
-                profiles = np.quantile(samples, levels, axis=-1)  # (levels, resamples)
-                bounds = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
-                assert _bits(low[side, k]) == _bits(bounds[0])
-                assert _bits(high[side, k]) == _bits(bounds[1])
-                assert _bits(mid[side, k]) == _bits(np.median(profiles, axis=-1))
-            assert pairs[k][2].bit_generator.state == stream.bit_generator.state
+        streams = [np.random.default_rng(k) for k in range(5)] + [np.random.default_rng(99)] * 3
+        for k, (v, stream) in enumerate(zip(arrays, streams)):
+            samples = v[bootstrap_indices(v.size, n_resamples, stream)]
+            profiles = np.quantile(samples, levels, axis=-1)  # (levels, resamples)
+            bounds = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
+            assert _bits(low[k]) == _bits(bounds[0])
+            assert _bits(high[k]) == _bits(bounds[1])
+            assert _bits(mid[k]) == _bits(np.median(profiles, axis=-1))
+        for generator, stream in zip(generators, streams):
+            assert generator.bit_generator.state == stream.bit_generator.state
 
     def test_bootstrap_quantiles_equal_numpy_on_the_same_draws(self, rng):
         data = np.round(rng.normal(3.0, 1.0, size=23), 1)
@@ -137,27 +138,21 @@ class TestHelperEdges:
         with pytest.raises(ValueError, match="quantiles"):
             bootstrap_quantiles(np.arange(5.0), levels, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match="quantiles"):
-            bootstrap_pair_summaries([(np.arange(3.0), np.arange(3.0), np.random.default_rng(0))], levels, 10, 0.9)
+            bootstrap_summaries([(np.arange(3.0), np.random.default_rng(0))], levels, 10, 0.9)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, float("nan")])
     def test_kernel_rejects_invalid_confidence(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
-            bootstrap_pair_summaries([(np.arange(3.0), np.arange(3.0), np.random.default_rng(0))], [0.5], 10, confidence)
+            bootstrap_summaries([(np.arange(3.0), np.random.default_rng(0))], [0.5], 10, confidence)
 
 
-# -- the replaced np.quantile formulation, kept here as the oracle -------------
+# -- the np.quantile formulation, kept here as the oracle ----------------------
 
 
-def _reference_level_scores(c: BootstrapComparator, qa, qb, axis):
-    alpha = 1.0 - c.confidence
-    lo_a, hi_a = np.quantile(qa, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-    lo_b, hi_b = np.quantile(qb, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-    mid_a = np.median(qa, axis=axis)
-    mid_b = np.median(qb, axis=axis)
-    tol = c.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
-    a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
-    b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
-    return np.where(a_wins, 1.0, np.where(b_wins, 0.0, 0.5))
+def _array_rng(seed: int, v: np.ndarray) -> np.random.Generator:
+    """Each array's generator: keyed by the seed and the array's bytes."""
+    digest = hashlib.blake2b(v.tobytes(), digest_size=8).digest()
+    return np.random.default_rng([int.from_bytes(digest, "little"), seed])
 
 
 def _reference_profiles(c, v, rng):
@@ -165,43 +160,33 @@ def _reference_profiles(c, v, rng):
     return np.quantile(samples, np.asarray(c.quantiles, float), axis=-1).T
 
 
-def _reference_score(c, va, vb, rng) -> float:
-    qa = _reference_profiles(c, va, rng)
-    qb = _reference_profiles(c, vb, rng)
-    return float(_reference_level_scores(c, qa, qb, axis=0).mean())
+def _reference_summary(c, profiles):
+    """Per level: the percentile interval and median of one array's profiles."""
+    alpha = 1.0 - c.confidence
+    lo, hi = np.quantile(profiles, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    return lo, hi, np.median(profiles, axis=0)
 
 
-def _reference_win_fraction(c, va, vb) -> float:
-    bytes_a, bytes_b = va.tobytes(), vb.tobytes()
-    if bytes_a == bytes_b:
-        return 0.5
-    if bytes_b < bytes_a:
-        return 1.0 - _reference_win_fraction(c, vb, va)
-    return _reference_score(c, va, vb, derive_pair_rng(c.seed, bytes_a, bytes_b))
+def _reference_fraction(c, summary_a, summary_b) -> float:
+    """The mean of a's per-level scores: 1 win, 0.5 tie, 0 loss."""
+    (lo_a, hi_a, mid_a), (lo_b, hi_b, mid_b) = summary_a, summary_b
+    tol = c.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
+    a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
+    b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
+    return float(np.where(a_wins, 1.0, np.where(b_wins, 0.0, 0.5)).mean())
 
 
 def _reference_matrix(c, arrays) -> np.ndarray:
-    """All pairs' profiles stacked per width and reduced with axis=1, as before."""
-    p = len(arrays)
-    out = np.full((p, p), 0.5)
-    pairs = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            bi, bj = arrays[i].tobytes(), arrays[j].tobytes()
-            if bi != bj:
-                pairs.append((i, j) if bi < bj else (j, i))
-    if not pairs:
-        return out
-    qa, qb = [], []
-    for x, y in pairs:
-        rng = derive_pair_rng(c.seed, arrays[x].tobytes(), arrays[y].tobytes())
-        qa.append(_reference_profiles(c, arrays[x], rng))
-        qb.append(_reference_profiles(c, arrays[y], rng))
-    scores = _reference_level_scores(c, np.stack(qa), np.stack(qb), axis=1)
-    for (x, y), f in zip(pairs, scores.mean(axis=1)):
-        out[x, y] = float(f)
-        out[y, x] = 1.0 - float(f)
-    return out
+    """Every array bootstrapped once from its own generator, every pair scored."""
+    summaries = [_reference_summary(c, _reference_profiles(c, v, _array_rng(c.seed, v))) for v in arrays]
+    return np.array([[_reference_fraction(c, sa, sb) for sb in summaries] for sa in summaries])
+
+
+def _reference_score(c, va, vb, rng) -> float:
+    """The stochastic stream: a's resamples, then b's, from one generator."""
+    qa = _reference_profiles(c, va, rng)
+    qb = _reference_profiles(c, vb, rng)
+    return _reference_fraction(c, _reference_summary(c, qa), _reference_summary(c, qb))
 
 
 def _random_table(rng: np.random.Generator):
@@ -219,7 +204,7 @@ def _random_table(rng: np.random.Generator):
 
 
 @pytest.mark.parametrize("case", range(40))
-def test_comparator_equals_replaced_formulation(case):
+def test_comparator_equals_per_array_formulation(case):
     """win_fraction_matrix, per-call win_fraction and the stochastic stream are
     bitwise equal to the np.quantile formulation on random tables: p 2-19,
     N 1-59, R 1-249, rounded ties, min_relative_difference 0 and 0.01."""
@@ -231,14 +216,12 @@ def test_comparator_equals_replaced_formulation(case):
         seed=case,
     )
     comparator = BootstrapComparator(**options)
-    matrix = comparator.win_fraction_matrix(arrays)
-    assert _bits(matrix) == _bits(_reference_matrix(comparator, arrays))
+    expected = _reference_matrix(comparator, arrays)
+    assert _bits(comparator.win_fraction_matrix(arrays)) == _bits(expected)
 
     for i, j in [(0, 1), (1, 0), (len(arrays) - 1, 0)]:
         got = comparator.win_fraction(arrays[i], arrays[j])
-        assert _bits(np.float64(got)) == _bits(
-            np.float64(_reference_win_fraction(comparator, arrays[i], arrays[j]))
-        )
+        assert _bits(np.float64(got)) == _bits(expected[i, j])
 
     stochastic = BootstrapComparator(stochastic=True, **options)
     stream = np.random.default_rng(case)
@@ -261,7 +244,7 @@ def test_mixed_zero_signs_leave_win_fractions_bitwise_equal(rng):
     )
 
 
-# -- the one-pass kernel --------------------------------------------------------
+# -- the per-array kernel ---------------------------------------------------------
 
 
 @st.composite
@@ -298,33 +281,37 @@ _OPTIONS = st.fixed_dictionaries(
 @given(arrays=_tables(), options=_OPTIONS)
 def test_kernel_equals_np_quantile_formulation(arrays, options):
     comparator = BootstrapComparator(**options)
-    assert _bits(comparator.win_fraction_matrix(arrays)) == _bits(_reference_matrix(comparator, arrays))
+    expected = _reference_matrix(comparator, arrays)
+    assert _bits(comparator.win_fraction_matrix(arrays)) == _bits(expected)
     for i, j in [(0, 1), (len(arrays) - 1, 0)]:
         got = comparator.win_fraction(arrays[i], arrays[j])
-        assert _bits(np.float64(got)) == _bits(np.float64(_reference_win_fraction(comparator, arrays[i], arrays[j])))
+        assert _bits(np.float64(got)) == _bits(expected[i, j])
 
 
 @settings(max_examples=25, deadline=None)
 @given(arrays=_tables(), options=_OPTIONS)
-def test_matrix_entries_are_the_per_pair_fractions(arrays, options):
-    """Every entry is ``win_fraction`` of its pair; the entry of the pair's
-    non-canonical direction (larger bytes first) is also exactly one minus
-    the reverse call (the canonical one is so only up to rounding)."""
+def test_matrix_entries_are_the_per_call_fractions(arrays, options):
+    """Every entry is ``win_fraction`` and ``compare`` of its pair; the two
+    directions of a pair split ``2L`` half-units and their outcomes are exact
+    flips; identical arrays, the diagonal included, tie at exactly 0.5."""
     comparator = BootstrapComparator(**options)
     matrix = comparator.win_fraction_matrix(arrays)
+    outcomes = comparator.outcome_matrix(arrays)
+    total = 2 * len(options["quantiles"])
     for i, a in enumerate(arrays):
         for j, b in enumerate(arrays):
-            if i != j:
-                assert _bits(matrix[i, j]) == _bits(np.float64(comparator.win_fraction(a, b)))
-                if a.tobytes() > b.tobytes():
-                    assert _bits(matrix[i, j]) == _bits(np.float64(1.0 - comparator.win_fraction(b, a)))
+            assert _bits(matrix[i, j]) == _bits(np.float64(comparator.win_fraction(a, b)))
+            assert outcomes[i][j] is comparator.compare(a, b) is outcomes[j][i].flipped()
+            assert round(matrix[i, j] * total) + round(matrix[j, i] * total) == total
+            if a.tobytes() == b.tobytes():
+                assert matrix[i, j] == 0.5 and outcomes[i][j] is Comparison.EQUIVALENT
 
 
 @settings(max_examples=25, deadline=None)
 @given(arrays=_tables(), options=_OPTIONS)
 def test_stochastic_sequence_is_unchanged(arrays, options):
-    """Consecutive calls share one generator; each equals the replaced
-    formulation's two draws from the same stream."""
+    """Consecutive calls share one generator; each equals two draws from the
+    same stream, ``a``'s then ``b``'s."""
     stochastic = BootstrapComparator(stochastic=True, **options)
     stream = np.random.default_rng(options["seed"])
     for k in range(5):
@@ -344,7 +331,8 @@ def test_stochastic_sequence_is_unchanged(arrays, options):
 def test_one_draw_equals_two_draws(seed, n, n_resamples, before):
     """One (2R, n) index draw is bit for bit two (R, n) draws and leaves the
     generator in the same state, also when an odd number of earlier 32-bit
-    draws left half of a 64-bit output buffered."""
+    draws left half of a 64-bit output buffered.  So the stochastic stream's
+    two draws per call replay the earlier single ``(2R, n)`` draw."""
     one, two = np.random.default_rng(seed), np.random.default_rng(seed)
     one.integers(0, 7, size=before)
     two.integers(0, 7, size=before)
@@ -353,3 +341,63 @@ def test_one_draw_equals_two_draws(seed, n, n_resamples, before):
     second = bootstrap_indices(n, n_resamples, two)
     assert _bits(joint) == _bits(np.concatenate([first, second]))
     assert one.bit_generator.state == two.bit_generator.state
+
+
+# -- outcomes from one integer threshold ------------------------------------------
+
+#: (levels, margin, half-unit count) where the rule this replaced -- the
+#: reverse direction decided on ``1 - f`` against ``0.5 - margin`` -- was not
+#: antisymmetric: a scan of 1-40 levels and margins 0.05-0.45 in steps of 0.01.
+ASYMMETRIC_BEFORE = [
+    (5, 0.2, 7), (5, 0.4, 1), (10, 0.2, 14), (10, 0.4, 2), (10, 0.45, 1), (10, 0.45, 19),
+    (15, 0.2, 21), (15, 0.4, 3), (20, 0.2, 28), (20, 0.4, 4), (20, 0.45, 2), (20, 0.45, 38),
+    (25, 0.08, 29), (25, 0.2, 35), (25, 0.28, 11), (25, 0.4, 5), (25, 0.44, 47), (30, 0.2, 42),
+    (30, 0.4, 6), (30, 0.45, 3), (30, 0.45, 57), (35, 0.2, 49), (35, 0.4, 7), (40, 0.2, 56),
+    (40, 0.4, 8), (40, 0.45, 4), (40, 0.45, 76),
+]
+
+
+def _assert_threshold_outcomes(levels: int, margin: float, count: int, lower_is_better: bool) -> None:
+    """Two algorithms whose per-level intervals are points, so that ``a`` wins
+    exactly ``count - levels`` levels over ``b`` (or ``b`` wins ``levels -
+    count`` over ``a``) and ties the rest: ``b`` sits at 1.0 and 2.0 in equal
+    shares, so its resampled minimum is 1.0 and its maximum 2.0 (a resample
+    of one value only has probability 2**-30); ``a`` is constant at 1.0 for
+    ``count >= levels`` and 2.0 otherwise.  Then outcome_matrix, compare and
+    the forward rule ``f >= 0.5 + margin`` (``f > 0.5``) must agree, and the
+    reverse outcome is the exact flip."""
+    wins = abs(count - levels)
+    a_low = count >= levels
+    quantiles = (1.0 if a_low else 0.0,) * wins + (0.0 if a_low else 1.0,) * (levels - wins)
+    comparator = BootstrapComparator(
+        quantiles=quantiles, n_resamples=8, equivalence_margin=margin, lower_is_better=lower_is_better
+    )
+    arrays = [np.full(30, 1.0 if a_low else 2.0), np.tile([1.0, 2.0], 15)]
+    fractions = comparator.win_fraction_matrix(arrays)
+    assert fractions[0, 1] == count / (2 * levels)
+    assert fractions[1, 0] == (2 * levels - count) / (2 * levels)
+    outcomes = comparator.outcome_matrix(arrays)
+    assert outcomes[0][1] is outcomes[1][0].flipped()
+    assert outcomes[0][1] is comparator.compare(*arrays)
+    assert outcomes[1][0] is comparator.compare(*arrays[::-1])
+    better = Comparison.BETTER if lower_is_better else Comparison.WORSE
+    for i, j in [(0, 1), (1, 0)]:
+        f = fractions[i, j]
+        assert (outcomes[i][j] is better) == (f > 0.5 and f >= 0.5 + margin)
+
+
+@pytest.mark.parametrize("levels, margin, count", ASYMMETRIC_BEFORE)
+def test_outcomes_antisymmetric_where_the_old_rule_was_not(levels, margin, count):
+    _assert_threshold_outcomes(levels, margin, count, lower_is_better=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.integers(1, 40),
+    margin=st.floats(0.05, 0.45),
+    data=st.data(),
+    lower_is_better=st.booleans(),
+)
+def test_outcomes_antisymmetric_at_every_margin(levels, margin, data, lower_is_better):
+    count = data.draw(st.integers(0, 2 * levels))
+    _assert_threshold_outcomes(levels, margin, count, lower_is_better)
