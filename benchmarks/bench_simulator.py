@@ -18,6 +18,12 @@ pits three implementations against each other:
 Set ``BENCH_SIMULATOR_SMALL=1`` (the CI smoke job does) to run a reduced
 2-device x 8-task workload with a 5x floor instead of the full acceptance
 workload with its 50x floor.
+
+The floors bound *ratios*, so a slower sequential reference would make the
+batch paths look better.  Each timing therefore also has an absolute
+ceiling, about 3x what it measured on a shared 2-vCPU x86-64 container
+(full run: 30.4 s sequential, 0.70 s and 0.12 s batched; small run:
+0.06-0.10 s, 4-6 ms and 1.8-2.4 ms).
 """
 
 from __future__ import annotations
@@ -47,11 +53,13 @@ if SMALL:
     N_TASKS = 8
     BATCHED_RNG_FLOOR = 5.0
     SEQUENTIAL_RNG_FLOOR = 3.0
+    CEILINGS_S = {"sequential": 0.3, "batch_sequential_rng": 0.02, "batch_batched_rng": 0.008}
 else:
     PLATFORM_FACTORY = smartphone_cloud_platform
     N_TASKS = 10
     BATCHED_RNG_FLOOR = 50.0
     SEQUENTIAL_RNG_FLOOR = 10.0
+    CEILINGS_S = {"sequential": 90.0, "batch_sequential_rng": 2.1, "batch_batched_rng": 0.4}
 
 REPETITIONS = 30
 SEED = 0
@@ -150,6 +158,11 @@ def test_batch_engine_speedup(benchmark, bench_once, bench_json):
         f"\n  batch (sequential rng): {batch_exact_s:8.3f} s  ({exact_speedup:6.1f}x, floor {SEQUENTIAL_RNG_FLOOR}x)"
         f"\n  batch (batched rng):    {batch_fast_s:8.3f} s  ({fast_speedup:6.1f}x, floor {BATCHED_RNG_FLOOR}x)"
     )
+    seconds = {
+        "sequential": sequential_s,
+        "batch_sequential_rng": batch_exact_s,
+        "batch_batched_rng": batch_fast_s,
+    }
     bench_json(
         # The reduced smoke workload records under its own name so it never
         # clobbers the tracked acceptance-workload record.
@@ -163,11 +176,7 @@ def test_batch_engine_speedup(benchmark, bench_once, bench_json):
                 "repetitions": REPETITIONS,
                 "small": SMALL,
             },
-            "seconds": {
-                "sequential": sequential_s,
-                "batch_sequential_rng": batch_exact_s,
-                "batch_batched_rng": batch_fast_s,
-            },
+            "seconds": seconds,
             "speedups": {
                 "batch_sequential_rng": exact_speedup,
                 "batch_batched_rng": fast_speedup,
@@ -176,8 +185,11 @@ def test_batch_engine_speedup(benchmark, bench_once, bench_json):
                 "batch_sequential_rng": SEQUENTIAL_RNG_FLOOR,
                 "batch_batched_rng": BATCHED_RNG_FLOOR,
             },
+            "ceilings_s": CEILINGS_S,
         },
     )
+    for name, ceiling in CEILINGS_S.items():
+        assert seconds[name] <= ceiling, f"{name} took {seconds[name]:.4f} s, ceiling {ceiling} s"
     assert exact_speedup >= SEQUENTIAL_RNG_FLOOR, (
         f"bit-for-bit batch path regressed: {exact_speedup:.1f}x < {SEQUENTIAL_RNG_FLOOR}x"
     )
