@@ -947,7 +947,7 @@ def digest_fleet(section: Section) -> None:
 
 def _analyze_tables(rng) -> dict:
     """Measurement tables of the comparator cases: p = 1..30 at N = 1, 2, 7
-    and 30 (more than 256 pairs from p = 24), mixed widths, identical
+    and 30, mixed widths, identical
     arrays, ties, signed zeros, subnormals and constant pairs whose median
     difference sits exactly at the ``min_relative_difference`` band."""
     import numpy as np
