@@ -19,7 +19,6 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
-import pytest
 
 from repro.core import BootstrapComparator, Comparison, derive_pair_rng
 from repro.core.bootstrap import bootstrap_summaries
@@ -75,18 +74,13 @@ def _per_array_codes(c: BootstrapComparator, arrays) -> np.ndarray:
     return np.array([[CODE[o] for o in row] for row in c.outcome_matrix(arrays)])
 
 
-@pytest.fixture(scope="module")
-def tables() -> dict:
-    all_tables = _digest_tables()
-    return {label: all_tables[label] for label in ("p11/n30", "mixed")}
-
-
-def test_pair_outcome_frequencies_agree_with_the_replaced_stream(tables):
+def test_pair_outcome_frequencies_agree_with_the_replaced_stream():
     """Per table, pair and outcome, the frequencies over SEEDS comparator
     seeds under the two streams agree within a two-proportion z interval,
     Bonferroni-corrected over every cell of every table."""
+    tables = _digest_tables()
     z_scores = []
-    for arrays in tables.values():
+    for arrays in (tables["p11/n30"], tables["mixed"]):
         p = len(arrays)
         rows, columns = np.triu_indices(p, 1)
         counts = np.zeros((2, rows.size, 3))
