@@ -40,7 +40,6 @@ Quickstart::
 from .core import (
     AnalysisResult,
     BootstrapComparator,
-    CachedCompareFn,
     Comparator,
     Comparison,
     ComparisonEngine,
@@ -78,7 +77,6 @@ __all__ = [
     "FinalClustering",
     "SortResult",
     "ComparisonEngine",
-    "CachedCompareFn",
     "three_way_bubble_sort",
     "relative_scores",
     "final_assignment",

@@ -3,7 +3,7 @@
 Public surface:
 
 * three-way comparators (:mod:`repro.core.comparison`),
-* the comparison engine with outcome-matrix precomputation and caching
+* the comparison engine, one outcome matrix per measurement table
   (:mod:`repro.core.engine`),
 * the bubble sort with rank merging (:mod:`repro.core.sorting`),
 * relative-score clustering and final assignment (:mod:`repro.core.clustering`),
@@ -35,7 +35,7 @@ from .comparison import (
     SingleStatisticComparator,
     derive_pair_rng,
 )
-from .engine import CachedCompareFn, ComparisonEngine, coerce_measurements
+from .engine import ComparisonEngine, coerce_measurements
 from .scores import ClusterEntry, FinalClustering, ScoreTable, make_final_clustering
 from .sorting import SortResult, SortStep, ranks_are_valid, three_way_bubble_sort
 from .stability import (
@@ -80,7 +80,6 @@ __all__ = [
     "derive_pair_rng",
     # engine
     "ComparisonEngine",
-    "CachedCompareFn",
     "coerce_measurements",
     # sorting
     "three_way_bubble_sort",

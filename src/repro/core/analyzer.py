@@ -12,10 +12,10 @@ relative-score clustering of Procedure 4 -- behind a single call::
 
 Every analysis is served through a per-table
 :class:`~repro.core.engine.ComparisonEngine`, so a deterministic comparator
-bootstraps each pair of algorithms exactly once no matter how many times
-Procedure 4 repeats the sort.  Whole sweeps of measurement tables (several
-chains, platforms or metrics) run as one campaign through
-:meth:`RelativePerformanceAnalyzer.analyze_many`, optionally across processes.
+evaluates each pair of algorithms exactly once into one outcome matrix, over
+which Procedure 4 runs all its sorts in lockstep.  Whole sweeps of
+measurement tables (several chains, platforms or metrics) run as one
+campaign through :meth:`RelativePerformanceAnalyzer.analyze_many`.
 
 The analyzer makes no assumption about what the measurements are (execution
 time, energy, ...); it only assumes that smaller is better unless the
@@ -82,13 +82,6 @@ class AnalysisResult:
         return "\n".join(lines)
 
 
-def _analyze_campaign(
-    analyzer: "RelativePerformanceAnalyzer", key, data: Mapping[Label, np.ndarray]
-):
-    """Process-pool worker: analyze one campaign entry (module-level for pickling)."""
-    return key, analyzer.analyze(data)
-
-
 @dataclass
 class RelativePerformanceAnalyzer:
     """Cluster equivalent algorithms into performance classes from their measurements.
@@ -145,12 +138,8 @@ class RelativePerformanceAnalyzer:
         missing = [label for label in labels if label not in data]
         if missing:
             raise KeyError(f"no measurements for algorithms {missing!r}")
-        # A single sort over a subset of the table touches few pairs; keep the
-        # engine lazy there instead of precomputing the full p x p matrix.
-        subset = len(labels) < len(data)
-        engine = ComparisonEngine(
-            data, self.comparator, precompute=False if subset else None
-        )
+        # The engine holds only the sorted arrays (an empty order sorts nothing).
+        engine = ComparisonEngine({label: data[label] for label in labels} or data, self.comparator)
         return three_way_bubble_sort(labels, engine, record_trace=record_trace)
 
     def score(self, measurements: MeasurementsLike) -> ScoreTable:
@@ -164,7 +153,7 @@ class RelativePerformanceAnalyzer:
         One :class:`~repro.core.engine.ComparisonEngine` backs the whole
         analysis, so measurements are coerced and the comparator bound exactly
         once; with a deterministic comparator every pair of algorithms is
-        bootstrapped at most once across all ``repetitions`` sorts *and* the
+        evaluated exactly once for all ``repetitions`` sorts *and* the
         canonical sort.
         """
         engine = self.engine_for(measurements)
@@ -184,33 +173,22 @@ class RelativePerformanceAnalyzer:
 
     # ------------------------------------------------------------------
     def analyze_many(
-        self,
-        campaigns: Mapping[Label, MeasurementsLike],
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
+        self, campaigns: Mapping[Label, MeasurementsLike]
     ) -> dict[Label, AnalysisResult]:
-        """Analyze several measurement tables as one (optionally parallel) campaign.
+        """Analyze several measurement tables as one campaign.
 
         Each campaign entry is analyzed by an *independent copy* of this
         analyzer, so the result of every key equals
         ``copy.deepcopy(analyzer).analyze(measurements)`` regardless of dict
-        order, of the other entries, or of how many workers run -- this
-        matters for stochastic comparators, whose internal generator would
-        otherwise thread state from one campaign into the next.
+        order or of the other entries -- this matters for stochastic
+        comparators, whose internal generator would otherwise thread state
+        from one campaign into the next.
 
         Parameters
         ----------
         campaigns:
             Mapping from a campaign key (any hashable: scenario name, loop
             size, metric, platform, ...) to its measurement table.
-        parallel:
-            Analyze campaigns in a :class:`concurrent.futures.ProcessPoolExecutor`.
-            Requires the comparator to be picklable (all built-in comparators
-            are).
-        max_workers:
-            Worker-process cap for the parallel mode (``None`` = executor
-            default).
 
         Returns
         -------
@@ -220,23 +198,6 @@ class RelativePerformanceAnalyzer:
         coerced = {key: coerce_measurements(m) for key, m in campaigns.items()}
         if not coerced:
             raise ValueError("at least one campaign is required")
-        if parallel and len(coerced) > 1:
-            import os
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Never more workers than campaigns, and by default never more
-            # than cores: each worker is a full interpreter importing numpy.
-            workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-            results: dict[Label, AnalysisResult] = {}
-            with ProcessPoolExecutor(max_workers=min(workers, len(coerced))) as pool:
-                futures = [
-                    pool.submit(_analyze_campaign, self, key, data)
-                    for key, data in coerced.items()
-                ]
-                for future in futures:
-                    key, analysis = future.result()
-                    results[key] = analysis
-            return {key: results[key] for key in coerced}
         return {
             key: copy.deepcopy(self).analyze(data)
             for key, data in coerced.items()

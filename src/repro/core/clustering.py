@@ -6,7 +6,11 @@ randomness inside the comparator; the clustering is therefore *not*
 deterministic.  Procedure 4 embraces this: the sort is repeated ``Rep`` times
 over shuffled inputs and each algorithm receives, for every rank it ever
 obtained, a **relative score** equal to the fraction of repetitions in which
-it obtained that rank.
+it obtained that rank.  Over a
+:class:`~repro.core.engine.ComparisonEngine` that holds an outcome matrix (a
+deterministic comparator) the ``Rep`` sorts run in lockstep
+(:func:`~repro.core.sorting.lockstep_bubble_sorts`); any other compare
+function is called sort by sort.
 
 The paper then derives a deterministic clustering for downstream use (e.g. as
 ground truth for training performance models): each algorithm is assigned to
@@ -20,8 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .engine import ComparisonEngine
 from .scores import ClusterEntry, FinalClustering, ScoreTable, make_final_clustering
-from .sorting import three_way_bubble_sort
+from .sorting import lockstep_bubble_sorts, three_way_bubble_sort
 from .types import CompareFn, Label
 
 __all__ = [
@@ -59,13 +64,14 @@ def relative_scores(
     labels:
         Algorithm identifiers.
     compare:
-        Label-level three-way comparison (bind a comparator to measurements
-        with :func:`repro.core.types.bind_comparator`, or hand in a
-        :class:`repro.core.engine.ComparisonEngine` directly -- the engine
-        caches deterministic comparators so each pair is bootstrapped at most
-        once across all repetitions).  The measurements are *not* re-collected
-        between repetitions -- only the procedure is repeated, exactly as in
-        the paper (footnote 5).
+        Label-level three-way comparison, typically a
+        :class:`repro.core.engine.ComparisonEngine` (what
+        :func:`repro.core.types.bind_comparator` returns).  An engine that
+        holds an outcome matrix (a deterministic comparator) has all
+        repetitions sorted in lockstep over it; any other compare function
+        is called for every comparison of every repetition.  The
+        measurements are *not* re-collected between repetitions -- only the
+        procedure is repeated, exactly as in the paper (footnote 5).
     repetitions:
         Number of repetitions ``Rep``.
     rng:
@@ -78,6 +84,8 @@ def relative_scores(
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     generator = np.random.default_rng(rng)
+    if isinstance(compare, ComparisonEngine) and compare.codes is not None:
+        return _lockstep_scores(algorithms, compare, repetitions, generator, shuffle)
 
     counts: dict[int, dict[Label, int]] = {}
     order = list(algorithms)
@@ -93,6 +101,41 @@ def relative_scores(
         rank: {label: count / repetitions for label, count in entries.items()}
         for rank, entries in counts.items()
     }
+    return ScoreTable(scores)
+
+
+def _lockstep_scores(
+    algorithms: list[Label],
+    engine: ComparisonEngine,
+    repetitions: int,
+    generator: np.random.Generator,
+    shuffle: bool,
+) -> ScoreTable:
+    """:func:`relative_scores` over an engine's outcome matrix, all sorts at once.
+
+    The shuffles are the same in-place ``generator.shuffle`` calls on one
+    order, and the tally inserts ranks, then the labels within each rank, in
+    order of first appearance (repetition-major, position-minor), exactly as
+    the per-repetition loop does.
+    """
+    order = np.array([engine.position(label) for label in algorithms], dtype=np.intp)
+    orders = np.empty((repetitions, order.size), dtype=np.intp)
+    for r in range(repetitions):
+        if shuffle:
+            generator.shuffle(order)
+        orders[r] = order
+    sequences, ranks = lockstep_bubble_sorts(engine.codes, orders)
+    engine.lookups += repetitions * (order.size * (order.size - 1) // 2)
+
+    p = len(engine.labels)
+    keys, first, counts = np.unique(
+        (ranks * p + sequences).ravel(), return_index=True, return_counts=True
+    )
+    by_first = np.argsort(first)
+    scores: dict[int, dict[Label, float]] = {}
+    for key, count in zip(keys[by_first].tolist(), counts[by_first].tolist()):
+        rank, position = divmod(key, p)
+        scores.setdefault(rank, {})[engine.labels[position]] = count / repetitions
     return ScoreTable(scores)
 
 

@@ -82,11 +82,13 @@ class Comparator:
 
     # Deterministic contract (opt-in, per concrete class): a comparator whose
     # ``compare(a, b)`` depends only on the data and fixed parameters/seeds --
-    # never on call order or per-call randomness -- declares ``stochastic =
-    # False``, which lets the comparison engine cache its outcomes.  The base
-    # class deliberately does NOT declare it: a subclass that draws fresh
-    # randomness per call and predates (or ignores) the contract is then
-    # conservatively never cached instead of silently frozen.
+    # never on call order or per-call randomness -- and is antisymmetric
+    # (``compare(b, a)`` is the flip of ``compare(a, b)``) declares
+    # ``stochastic = False``, which lets the comparison engine evaluate each
+    # pair once, in the ``i < j`` direction, into one outcome matrix.  The
+    # base class deliberately does NOT declare it: a subclass that draws
+    # fresh randomness per call and predates (or ignores) the contract is
+    # then conservatively called on every comparison instead of frozen.
 
     def compare(self, a: np.ndarray, b: np.ndarray) -> Comparison:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -299,7 +301,7 @@ class SingleStatisticComparator(Comparator):
     lower_is_better: bool = True
     name: str = "statistic"
 
-    # Pure function of the data: opts into engine caching (not a dataclass field).
+    # Pure function of the data: opts into the outcome matrix (not a dataclass field).
     stochastic = False
 
     def __post_init__(self) -> None:
@@ -345,7 +347,7 @@ class MannWhitneyComparator(Comparator):
     alpha: float = 0.05
     lower_is_better: bool = True
 
-    # Pure function of the data: opts into engine caching (not a dataclass field).
+    # Pure function of the data: opts into the outcome matrix (not a dataclass field).
     stochastic = False
 
     def __post_init__(self) -> None:

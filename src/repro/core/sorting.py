@@ -26,10 +26,10 @@ Update rules (Section III of the paper, update rules 1, 2a and 2b):
 The loop moves int positions rather than labels and stores the staircase as
 class-boundary flags (``step[j] = rank[j+1] - rank[j]``), so each merge or
 split flips one flag instead of shifting every later rank; ranks are rebuilt
-as ``1 + cumsum(step)``.  A compare function that exposes
-``outcome_rows(labels)`` -- a :class:`~repro.core.engine.ComparisonEngine`
-with a precomputed outcome matrix -- hands the loop its whole outcome table
-up front; any other compare function is called on every comparison.
+as ``1 + cumsum(step)``.  :func:`lockstep_bubble_sorts` runs the same loop
+for many initial orders at once over an int8 outcome matrix -- Procedure 4's
+``Rep`` sorts of one :class:`~repro.core.engine.ComparisonEngine` table --
+with each order in one column of a ``(p, Rep)`` position array.
 
 The module also records an optional step-by-step trace, which is used to
 regenerate the Figure 2 walk-through of the paper.
@@ -41,12 +41,15 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .types import CompareFn, Comparison, Label
 
 __all__ = [
     "SortStep",
     "SortResult",
     "three_way_bubble_sort",
+    "lockstep_bubble_sorts",
     "ranks_are_valid",
 ]
 
@@ -189,8 +192,6 @@ def three_way_bubble_sort(
     if len(set(sequence)) != len(sequence):
         raise ValueError("algorithm labels must be unique")
     p = len(sequence)
-    outcome_rows = getattr(compare, "outcome_rows", None)
-    rows = outcome_rows(sequence) if outcome_rows is not None else None
     # The loop moves int positions into ``sequence``.  ``step[j]`` is 1 when
     # ``rank[j + 1] == rank[j] + 1`` (a class boundary) and 0 when the two
     # positions share a class, so every merge or split flips one flag.
@@ -203,15 +204,12 @@ def three_way_bubble_sort(
     for pass_index in range(1, p):  # p-1 bubble passes
         for j in range(0, p - pass_index):
             a, b = order[j], order[j + 1]
-            if rows is not None:
-                outcome = rows[a][b]
-            else:
-                outcome = compare(sequence[a], sequence[b])
-                if not isinstance(outcome, Comparison):
-                    raise TypeError(
-                        f"compare({sequence[a]!r}, {sequence[b]!r}) returned {outcome!r}, "
-                        "expected a Comparison"
-                    )
+            outcome = compare(sequence[a], sequence[b])
+            if not isinstance(outcome, Comparison):
+                raise TypeError(
+                    f"compare({sequence[a]!r}, {sequence[b]!r}) returned {outcome!r}, "
+                    "expected a Comparison"
+                )
             n_comparisons += 1
             update = 0  # -1 merge, +1 split, 0 none
             if outcome is worse:
@@ -247,3 +245,45 @@ def three_way_bubble_sort(
         trace=tuple(trace),
         n_comparisons=n_comparisons,
     )
+
+
+def lockstep_bubble_sorts(codes: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run :func:`three_way_bubble_sort` over every row of ``orders`` at once.
+
+    ``codes`` is an int8 ``(p, p)`` outcome matrix (``1`` better, ``0``
+    equivalent, ``-1`` worse, as
+    :attr:`~repro.core.engine.ComparisonEngine.codes`) and ``orders`` a
+    ``(Rep, k)`` integer array of initial orders, each a sequence of ``k``
+    distinct indices into it.  Every comparison step reads the ``Rep``
+    outcomes by fancy indexing and applies the scalar sort's swap and
+    class-boundary updates to all orders together, so row ``r`` of the
+    result is bit for bit the sort of ``orders[r]``.
+
+    Returns the sorted orders and their positional ranks, both ``(Rep, k)``.
+    """
+    p = codes.shape[0]
+    worse_flat, better_flat = (codes < 0).ravel(), (codes > 0).ravel()
+    k = orders.shape[1]
+    order = np.array(orders.T, dtype=np.intp)  # one column per sort
+    step = np.ones((max(k - 1, 0), orders.shape[0]), dtype=bool)
+    for last in range(k - 1, 0, -1):  # the same k-1 passes as the scalar sort
+        for j in range(last):
+            a, b = order[j], order[j + 1]
+            pair = a * p
+            pair += b
+            worse = worse_flat[pair]
+            swap = a ^ b
+            swap *= worse
+            a ^= swap
+            b ^= swap
+            # A swap opens a class boundary unless the winner's predecessor
+            # shares its class (rule 2b); equivalence closes it (rule 2a).
+            if j:
+                worse &= step[j - 1]
+            boundary = step[j]
+            boundary &= better_flat[pair]
+            boundary |= worse
+    ranks = np.ones((k, orders.shape[0]), dtype=np.intp)
+    np.cumsum(step, axis=0, out=ranks[1:])
+    ranks[1:] += 1
+    return order.T, ranks.T

@@ -135,37 +135,10 @@ def bind_comparator(
 ) -> CompareFn:
     """Turn an array-level comparator plus a measurement table into a label-level compare function.
 
-    The sorting and clustering procedures only ever see labels; this binder is
-    the single place where labels are resolved to their measurement arrays.
-    Arrays are passed to the comparator exactly as given (shape preserved, no
-    validation).
-
-    Comparators that declare the deterministic contract (``stochastic``
-    attribute explicitly ``False``, declared by every deterministic built-in)
-    are additionally wrapped in the engine layer's lazily memoizing
-    :class:`repro.core.engine.CachedCompareFn`, so each unique pair is
-    evaluated at most once while binding itself stays O(1).  The cache serves
-    the reverse direction of a pair as the flip of the first-evaluated
-    direction, so the contract also requires antisymmetry (every built-in
-    comparator satisfies it); comparators that do not declare the contract
-    have every call forwarded verbatim.  (The analyzer's
-    own :class:`~repro.core.engine.ComparisonEngine` instances go further and
-    precompute the full outcome matrix in one vectorized batch, where all
-    pairs are known to be needed.)  ``stochastic=True`` comparators, and
-    comparators exposing no ``stochastic`` attribute at all, keep their
-    call-by-call behaviour untouched.
+    Returns a :class:`~repro.core.engine.ComparisonEngine`: a deterministic
+    comparator (``stochastic`` exactly ``False``) is evaluated once per pair
+    into the table's outcome matrix, any other comparator on every call.
     """
-    arrays = {label: np.asarray(values, dtype=float) for label, values in measurements.items()}
+    from .engine import ComparisonEngine  # deferred: engine builds on these types
 
-    def compare(a: Label, b: Label) -> Comparison:
-        try:
-            va, vb = arrays[a], arrays[b]
-        except KeyError as exc:
-            raise KeyError(f"no measurements recorded for algorithm {exc.args[0]!r}") from exc
-        return comparator.compare(va, vb)
-
-    if getattr(comparator, "stochastic", True) is not False:
-        return compare
-    from .engine import CachedCompareFn  # deferred: engine builds on these types
-
-    return CachedCompareFn(compare)
+    return ComparisonEngine(measurements, comparator)

@@ -42,10 +42,6 @@ class DecisionModelConfig:
     repetitions: int = 60
     seed: int = 0
     noise_level: float = 1.0
-    #: Analyze the loop-size campaign across worker processes
-    #: (:meth:`~repro.core.analyzer.RelativePerformanceAnalyzer.analyze_many`).
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,9 @@ def run(config: DecisionModelConfig | None = None) -> DecisionModelResult:
 
     The measurement phase walks the loop sizes, but the clustering of the
     whole sweep runs as *one* batched campaign through
-    :meth:`~repro.core.analyzer.RelativePerformanceAnalyzer.analyze_many`
-    (optionally across processes with ``config.parallel``).  Each campaign
-    entry is analyzed by an independent analyzer copy, which matches the
-    previous one-fresh-analyzer-per-loop-size behaviour exactly.
+    :meth:`~repro.core.analyzer.RelativePerformanceAnalyzer.analyze_many`.
+    Each campaign entry is analyzed by an independent analyzer copy, which
+    matches the previous one-fresh-analyzer-per-loop-size behaviour exactly.
     """
     cfg = config or DecisionModelConfig()
     platform = cpu_gpu_platform()
@@ -137,9 +132,7 @@ def run(config: DecisionModelConfig | None = None) -> DecisionModelResult:
     analyzer = default_analyzer(
         seed=cfg.seed, repetitions=cfg.repetitions, n_measurements=cfg.n_measurements
     )
-    analyses = analyzer.analyze_many(
-        campaign, parallel=cfg.parallel, max_workers=cfg.max_workers
-    )
+    analyses = analyzer.analyze_many(campaign)
 
     sweep: list[SweepPoint] = []
     decisions: dict[tuple[int, float], str] = {}

@@ -236,7 +236,7 @@ class TestIntervalOverlapComparator:
         assert rng_ab.integers(0, 2**31, 8).tolist() != rng_ac.integers(0, 2**31, 8).tolist()
 
     def test_default_statistic_is_picklable(self):
-        """Needed by analyze_many's process-parallel campaigns."""
+        """A module-level default statistic keeps the comparator picklable."""
         import pickle
 
         comparator = IntervalOverlapComparator(seed=0)

@@ -1,4 +1,4 @@
-"""Tests for the pairwise comparison engine (caching, precomputation, campaigns)."""
+"""Tests for the pairwise comparison engine (outcome matrices, pass-through, campaigns)."""
 
 from __future__ import annotations
 
@@ -6,10 +6,11 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BootstrapComparator,
-    CachedCompareFn,
     Comparison,
     ComparisonCounter,
     ComparisonEngine,
@@ -18,7 +19,6 @@ from repro.core import (
     MeanComparator,
     MedianComparator,
     MinimumComparator,
-    PairwiseOracle,
     RelativePerformanceAnalyzer,
     relative_scores,
     three_way_bubble_sort,
@@ -61,19 +61,6 @@ class _CountingComparator:
         return self.inner.compare(a, b)
 
 
-class TestCachedCompareFn:
-    def test_serves_both_directions_from_one_call(self):
-        oracle = PairwiseOracle({("a", "b"): Comparison.BETTER})
-        cached = CachedCompareFn(oracle)
-        for _ in range(5):
-            assert cached("a", "b") is Comparison.BETTER
-            assert cached("b", "a") is Comparison.WORSE
-        assert oracle.calls == 1
-        assert cached.calls == 10
-        assert cached.misses == 1
-        assert cached.hits == 9
-
-
 class TestEngineOutcomes:
     @pytest.mark.parametrize("comparator", DETERMINISTIC_COMPARATORS, ids=_ids)
     def test_cached_identical_to_uncached_for_every_pair(self, table, comparator):
@@ -92,21 +79,26 @@ class TestEngineOutcomes:
                 if a == b:
                     assert outcomes[(a, b)] is Comparison.EQUIVALENT
 
-    def test_precomputed_matrix_matches_lazy_memoization(self, table):
+    def test_outcome_matrix_equals_the_per_pair_loop(self, table):
+        """The comparator's batched outcome_matrix and the engine's own loop
+        over compare (i < j, mirrored) build the same codes."""
         comparator = BootstrapComparator(seed=3)
-        eager = ComparisonEngine(table, comparator, precompute=True)
-        lazy = ComparisonEngine(table, comparator, precompute=False)
-        assert eager.outcome_table() == lazy.outcome_table()
+        batched = ComparisonEngine(table, comparator)
+        looped = ComparisonEngine(table, _CountingComparator(comparator))
+        assert batched.codes.dtype == np.int8
+        assert np.array_equal(batched.codes, looped.codes)
+        assert batched.outcome_table() == looped.outcome_table()
 
     def test_zero_margin_exact_tie_is_equivalent_in_every_mode(self):
         """A win fraction of exactly 0.5 is a perfect tie: EQUIVALENT in both
-        directions, identically for direct calls, eager and lazy engines."""
+        directions, identically for direct calls, the batched matrix and the
+        per-pair loop."""
         comparator = BootstrapComparator(seed=0, equivalence_margin=0.0)
         data = np.array([1.0, 2.0, 3.0, 4.0])
         table = {"a": data, "b": data.copy()}
         assert comparator.compare(data, data.copy()) is Comparison.EQUIVALENT
-        for precompute in (True, False):
-            engine = ComparisonEngine(table, comparator, precompute=precompute)
+        for bound in (comparator, _CountingComparator(comparator)):
+            engine = ComparisonEngine(table, bound)
             assert engine.compare("a", "b") is Comparison.EQUIVALENT
             assert engine.compare("b", "a") is Comparison.EQUIVALENT
 
@@ -165,12 +157,11 @@ class TestStochasticBypass:
         for a, b in zip(labels, labels[1:]):
             assert engine.compare(a, b) is direct_comp.compare(table[a], table[b])
 
-    def test_stochastic_precompute_requests_are_rejected(self, table):
-        comparator = BootstrapComparator(seed=0, stochastic=True)
+    def test_stochastic_engine_has_no_outcome_matrix(self, table):
+        engine = ComparisonEngine(table, BootstrapComparator(seed=0, stochastic=True))
+        assert engine.codes is None
         with pytest.raises(ValueError):
-            ComparisonEngine(table, comparator, precompute=True)
-        with pytest.raises(ValueError):
-            ComparisonEngine(table, comparator).outcome_table()
+            engine.outcome_table()
 
     def test_comparator_without_stochastic_attribute_is_never_cached(self, table):
         """Caching is opt-in: unknown comparators might hide per-call randomness."""
@@ -233,8 +224,6 @@ class TestProcedure4Complexity:
         assert engine.comparator_calls == pairs
         three_way_bubble_sort(list(table), engine)
         relative_scores(list(table), engine, repetitions=10, rng=0)
-        assert engine.comparator_calls == pairs
-        engine.precompute()  # idempotent: no recomputation, counters untouched
         assert engine.comparator_calls == pairs
 
 
@@ -309,14 +298,16 @@ class TestAnalyzeMany:
         for key in campaigns:
             assert forward[key].score_table == backward[key].score_table
 
-    def test_parallel_equals_sequential(self, table):
+    def test_each_entry_equals_a_deepcopied_analyzer(self, table):
         campaigns = self._campaigns(table)
-        analyzer = RelativePerformanceAnalyzer(seed=1, repetitions=15)
-        sequential = analyzer.analyze_many(campaigns)
-        parallel = analyzer.analyze_many(campaigns, parallel=True, max_workers=2)
-        for key in campaigns:
-            assert sequential[key].score_table == parallel[key].score_table
-            assert sequential[key].final.as_dict() == parallel[key].final.as_dict()
+        analyzer = RelativePerformanceAnalyzer(
+            comparator=BootstrapComparator(seed=1, stochastic=True), repetitions=15, seed=1
+        )
+        results = analyzer.analyze_many(campaigns)
+        for key, measurements in campaigns.items():
+            solo = copy.deepcopy(analyzer).analyze(measurements)
+            assert results[key].score_table == solo.score_table
+            assert results[key].final.as_dict() == solo.final.as_dict()
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
@@ -330,3 +321,41 @@ class TestAnalyzeMany:
         probe = copy.deepcopy(analyzer)
         analyzer.analyze_many(self._campaigns(table))
         assert analyzer.analyze(table).score_table == probe.analyze(table).score_table
+
+
+#: The built-in comparators that declare ``stochastic = False``.
+ANTISYMMETRIC_BUILTINS = [
+    MeanComparator(),
+    MeanComparator(rel_tolerance=0.1),
+    MedianComparator(rel_tolerance=0.1),
+    MinimumComparator(),
+    MannWhitneyComparator(),
+    IntervalOverlapComparator(seed=1, n_resamples=40),
+    BootstrapComparator(seed=1, n_resamples=40),
+    BootstrapComparator(seed=2, n_resamples=30, equivalence_margin=0.0, quantiles=(0.5,)),
+]
+
+
+@st.composite
+def _measurement_pairs(draw):
+    """Two arrays of mixed widths over a coarse grid (so ties are common),
+    sometimes identical or a permutation of each other."""
+    values = st.lists(st.integers(1, 6), min_size=1, max_size=12)
+    a = np.array(draw(values), dtype=float) * 0.5
+    kind = draw(st.sampled_from(["independent", "identical", "permuted"]))
+    if kind == "identical":
+        return a, a.copy()
+    if kind == "permuted":
+        return a, a[::-1].copy()
+    return a, np.array(draw(values), dtype=float) * 0.5
+
+
+@given(pair=_measurement_pairs())
+@settings(max_examples=60, deadline=None)
+def test_builtin_deterministic_comparators_are_antisymmetric(pair):
+    """The outcome matrix evaluates each pair in the i < j direction only and
+    mirrors it, which is exact only because every built-in deterministic
+    comparator returns the flip of compare(b, a) from compare(a, b)."""
+    a, b = pair
+    for comparator in ANTISYMMETRIC_BUILTINS:
+        assert comparator.compare(a, b) is comparator.compare(b, a).flipped()

@@ -1,10 +1,11 @@
 """Randomized pins of Procedure 4 against the label-level bubble sort.
 
 ``three_way_bubble_sort`` moves int positions and keeps class-boundary flags,
-and a precomputed :class:`~repro.core.engine.ComparisonEngine` hands it the
-whole outcome table.  This file keeps the label-level formulation it replaced
-(ranks shifted position by position, every comparison a ``compare`` call) as
-the oracle: score tables, final clusterings, canonical sorts and traced
+and ``relative_scores`` runs all repetitions over a
+:class:`~repro.core.engine.ComparisonEngine`'s outcome matrix in lockstep.
+This file keeps the label-level formulation they replaced (ranks shifted
+position by position, every comparison a ``compare`` call) as the oracle:
+score tables, final clusterings, canonical sorts and traced
 :class:`~repro.core.sorting.SortStep`\\ s must be identical, including the
 insertion order of labels within each rank, for deterministic comparators,
 stochastic comparators and plain user compare functions.
@@ -122,8 +123,8 @@ def _reference_analysis(table, comparator, repetitions, seed):
     return scores, final_assignment(scores), canonical
 
 
-def _random_table(rng: np.random.Generator) -> dict[str, np.ndarray]:
-    p = int(rng.integers(1, 15))
+def _random_table(rng: np.random.Generator, p: int | None = None) -> dict[str, np.ndarray]:
+    p = int(rng.integers(1, 15)) if p is None else p
     n = int(rng.integers(2, 40))
     return {
         f"alg{i:02d}": np.round(np.abs(rng.normal(2.0 + 0.05 * i, 0.3, size=n)), 1)
@@ -141,12 +142,18 @@ COMPARATORS = {
 }
 
 
+#: ``case -> (p, Rep)`` beyond the twelve random cases: single and pair
+#: tables, and more repetitions than the default 100.
+SHAPES = {12: (1, 1), 13: (1, 120), 14: (2, 1), 15: (2, 150), 16: (3, 101), 17: (15, 130)}
+
+
 @pytest.mark.parametrize("name", COMPARATORS)
-@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("case", range(12 + len(SHAPES)))
 def test_analysis_equals_label_level_procedure(name, case):
     rng = np.random.default_rng(500 + case)
-    table = _random_table(rng)
-    repetitions = int(rng.integers(1, 30))
+    p, repetitions = SHAPES.get(case, (None, None))
+    table = _random_table(rng, p)
+    repetitions = repetitions or int(rng.integers(1, 30))
     comparator = COMPARATORS[name](case)
     result = RelativePerformanceAnalyzer(
         comparator=copy.deepcopy(comparator), repetitions=repetitions, seed=case
@@ -159,6 +166,12 @@ def test_analysis_equals_label_level_procedure(name, case):
     assert result.final.as_dict() == final.as_dict()
     assert repr(result.canonical_sort) == repr(canonical)
 
+    engine = ComparisonEngine(table, copy.deepcopy(comparator))
+    if engine.codes is not None:  # the lockstep path, called directly
+        lockstep = relative_scores(list(table), engine, repetitions, rng=case)
+        assert repr(lockstep) == repr(scores)
+        assert engine.lookups == repetitions * (len(table) * (len(table) - 1) // 2)
+
 
 @pytest.mark.parametrize("name", COMPARATORS)
 @pytest.mark.parametrize("case", range(6))
@@ -170,9 +183,9 @@ def test_traced_sort_equals_label_level_procedure(name, case):
     traced = three_way_bubble_sort(
         order, ComparisonEngine(table, copy.deepcopy(comparator)), record_trace=True
     )
-    # A lazy engine serves the oracle one compare call at a time.
-    lazy = ComparisonEngine(table, copy.deepcopy(comparator), precompute=False)
-    reference = _reference_sort(order, lazy.compare, record_trace=True)
+    # A second engine serves the oracle one compare call at a time.
+    engine = ComparisonEngine(table, copy.deepcopy(comparator))
+    reference = _reference_sort(order, engine.compare, record_trace=True)
     assert repr(traced) == repr(reference)
     assert traced.trace == reference.trace
 
