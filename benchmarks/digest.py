@@ -20,7 +20,8 @@ One SHA-256 per section, so a mismatch names the entry point that drifted:
 * ``search_grid`` -- the robust objectives, streamed and planned regret
   baselines (``baseline_method``), constraints, slices and ``retry=``;
 * ``plan_workload`` / ``plan_grid`` -- every method, non-plannable objectives
-  and workloads, ``fallback_limit``;
+  and workloads, ``fallback_limit``, device subsets that leave platform
+  devices idle (energy, cost and weighted bases) and chains as linear graphs;
 * ``plan_with_fallback`` -- fault-free and fault-aware plans, ``min_success``;
 * ``service`` -- :class:`~repro.service.PlacementService` responses: plan,
   placement, value, engine and dispatch reason;
@@ -197,6 +198,14 @@ def _faults():
 CASES = tuple(
     (seed, 2 + seed % 3, 2 + (seed * 5) % 4, seed % 4 == 3) for seed in range(12)
 )
+
+
+def _device_subsets(platform) -> tuple[tuple[str, ...], ...]:
+    """Candidate subsets that leave at least one platform device idle."""
+    aliases = tuple(platform.aliases)
+    if len(aliases) < 3:
+        return ()
+    return (aliases[1:], (aliases[0], aliases[-1]))
 
 
 def _selection(top):
@@ -565,6 +574,7 @@ def digest_search_grid(section: Section) -> None:
 def digest_plan_workload(section: Section) -> None:
     from repro.search import DecisionObjective, WeightedSumObjective, plan_workload
     from repro.selection import DecisionModel
+    from repro.tasks import TaskGraph
     from repro.tasks.workloads import fork_join_graph
 
     def record(plan):
@@ -593,6 +603,24 @@ def digest_plan_workload(section: Section) -> None:
                 plan_workload(executor, workload, objectives[4], fallback_limit=n_devices)
             ),
         )
+        # Device subsets leave platform devices idle for the whole run, so
+        # their idle power enters every energy term; a chain as a linear
+        # graph runs the level DP on width-one levels.
+        subset_objectives = objectives[1:4]
+        for devices in _device_subsets(executor.platform):
+            for index, objective in enumerate(subset_objectives):
+                section.case(
+                    f"{seed}/{'+'.join(devices)}/{index}",
+                    lambda: record(plan_workload(executor, workload, objective, devices=devices)),
+                )
+        if not graph:
+            linear = TaskGraph.from_chain(workload)
+            for index, objective in enumerate(objectives[:4]):
+                for devices in (None, *_device_subsets(executor.platform)):
+                    section.case(
+                        f"{seed}/linear/{devices}/{index}",
+                        lambda: record(plan_workload(executor, linear, objective, devices=devices)),
+                    )
     _, executor, _ = _inputs(0, 3, 2, False)
     for states in (2, 1024):
         section.case(
@@ -607,6 +635,7 @@ def digest_plan_grid(section: Section) -> None:
         ExpectedValueObjective,
         QuantileObjective,
         RegretObjective,
+        WeightedSumObjective,
         WorstCaseObjective,
         plan_grid,
     )
@@ -630,6 +659,7 @@ def digest_plan_grid(section: Section) -> None:
         QuantileObjective(q=0.5),
         WorstCaseObjective(base=DecisionObjective(DecisionModel(cost_weight=0.5))),
     )
+    subset_bases = ("energy", "cost", WeightedSumObjective(1.0, 0.25, 3.0))
     for seed, n_devices, n_tasks, graph in CASES:
         rng, executor, workload = _inputs(seed, n_devices, n_tasks, graph)
         scenarios = _scenarios(rng, 1 + seed % 3)
@@ -642,6 +672,15 @@ def digest_plan_grid(section: Section) -> None:
             f"{seed}/labels",
             lambda: record(plan_grid(executor, workload, scenarios, RegretObjective(), max_labels=1)),
         )
+        for devices in () if graph else _device_subsets(executor.platform):
+            for base_index, base in enumerate(subset_bases):
+                for kind in (WorstCaseObjective, RegretObjective, ExpectedValueObjective):
+                    section.case(
+                        f"{seed}/{'+'.join(devices)}/{base_index}/{kind.__name__}",
+                        lambda: record(
+                            plan_grid(executor, workload, scenarios, kind(base=base), devices=devices)
+                        ),
+                    )
 
 
 def digest_plan_with_fallback(section: Section) -> None:
