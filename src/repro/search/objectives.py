@@ -9,6 +9,7 @@ processes of :func:`repro.search.driver.search_space`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
@@ -63,8 +64,10 @@ class WeightedSumObjective:
     label: str = "weighted"
 
     def __post_init__(self) -> None:
-        if self.time_weight < 0 or self.energy_weight < 0 or self.cost_weight < 0:
-            raise ValueError("objective weights must be non-negative")
+        for name in ("time_weight", "energy_weight", "cost_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     @property
     def name(self) -> str:

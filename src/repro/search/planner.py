@@ -51,15 +51,20 @@ additive objectives is additive (scenario-weighted average of the per-scenario
 lattices -> one scalar DP); worst-case and regret are min-max problems solved
 exactly by a *Pareto-label* DP that keeps, per ``(stage, device)`` state, the
 non-dominated per-scenario cost vectors of all prefixes (dominance pruning is
-sound because ``max`` is monotone in every component).  Regret baselines are
-one scalar DP per scenario -- each scenario's true optimum, replacing
-:func:`search_grid`'s first streaming pass.
+sound because ``max`` is monotone in every component).  Regret baselines --
+each scenario's true optimum, replacing :func:`search_grid`'s first streaming
+pass -- come from one Viterbi batched over every scenario row and one engine
+run of the winners.
+
+One compile, one solver: :func:`_lattice` compiles every scenario row at once
+from the table arrays alone, and :func:`_viterbi` (batched over rows) solves
+the chain, expected-value, regret-baseline and level DPs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -67,13 +72,14 @@ from ..devices.batch import (
     execute_placements,
     placement_labels,
 )
+from ..devices.grid import execute_placements_grid
 from ..offload.space import indices_to_matrix, placement_matrix, space_size
 from ..tasks.graph import TaskGraph
 from .objectives import MetricObjective, Objective, WeightedSumObjective, as_objective
 from .pareto import pareto_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..devices.grid import GridCostTables, GridExecutionResult
+    from ..devices.grid import GridCostTables
     from ..devices.simulator import SimulatedExecutor
     from ..tasks.chain import TaskChain
 
@@ -123,101 +129,100 @@ def planner_objective_weights(objective: "str | Objective") -> tuple[float, floa
     return None
 
 
-def _device_arrays(tables: "GridCostTables") -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """``(P_idle_total, power_active, power_idle, cost_per_hour)`` over the candidates.
+def _idle_power(tables: "GridCostTables") -> np.ndarray:
+    """Idle power of **all** platform devices per row, ``(s,)``.
 
-    ``P_idle_total`` sums the idle power of **all** platform devices --
-    non-candidate devices never run a task, but they idle for the whole
-    execution and their energy enters the engine's total.  ``tables`` are
-    one-row (plain) tables; the vectors are their row 0.
+    Non-candidate devices never run a task, but they idle for the whole
+    execution and their energy enters the engine's total.  Folded in
+    ``device_order``, like the engine's energy fold.
     """
-    platform = tables.platform
-    p_all = float(sum(platform.device(alias).power_idle_w for alias in platform.devices))
-    return p_all, tables.power_active[0], tables.power_idle[0], tables.cost_per_hour[0]
+    candidate = dict(zip(tables.aliases, tables.power_idle.T))
+    extra = iter(tables.extra_idle_power.T)
+    total = np.zeros(tables.power_idle.shape[0])
+    for alias in tables.device_order:
+        total = total + (candidate[alias] if alias in candidate else next(extra))
+    return total
 
 
-def _chain_lattice(
+def _lattice(
     tables: "GridCostTables", weights: tuple[float, float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compile one additive objective into lattice costs ``(first, trans)``.
+    """Compile one additive objective into every row's lattice ``(first, trans)``.
 
-    ``first[d]`` is the cost of placing task 0 on device ``d``;
-    ``trans[t-1, d, d']`` the cost of placing task ``t`` on ``d'`` after task
-    ``t-1`` ran on ``d``.  The path sum over these arrays equals the objective
-    of the placement -- for pure ``time`` with the *identical* float fold as
-    the engine (``busy + (hostio + pen)`` per stage), for energy/cost in real
-    arithmetic.  Transitions crossing a missing platform link are ``+inf``.
-    ``tables`` are one-row (plain) tables, compiled from their row 0.
+    ``first[r, d]`` is the cost of placing task 0 on device ``d`` in row
+    (scenario) ``r``; ``trans[r, t-1, d, d']`` the cost of placing task ``t``
+    on ``d'`` after task ``t-1`` ran on ``d``.  The path sum over a row equals
+    the objective of the placement in that row -- for pure ``time`` with the
+    *identical* float fold as the engine (``busy + (hostio + pen)`` per
+    stage), for energy/cost in real arithmetic.  Transitions crossing a
+    missing platform link are ``+inf``.
     """
     tw, ew, cw = weights
-    busy, hostio_time = tables.busy[0], tables.hostio_time[0]
-    penalty_time, first_penalty_time = tables.penalty_time[0], tables.first_penalty_time[0]
+    busy, hostio_time = tables.busy, tables.hostio_time
+    penalty_time, first_penalty_time = tables.penalty_time, tables.first_penalty_time
     # Time parts double as the missing-link carrier: hostio is NaN for a
     # missing host link, pen for a missing device pair.
-    first_time = busy[0] + (hostio_time[0] + first_penalty_time)
-    trans_time = busy[1:, None, :] + (hostio_time[1:, None, :] + penalty_time[None, :, :])
+    first_time = busy[:, 0] + (hostio_time[:, 0] + first_penalty_time)
+    trans_time = busy[:, 1:, None, :] + (hostio_time[:, 1:, None, :] + penalty_time[:, None])
 
-    first_parts: list[np.ndarray] = []
-    trans_parts: list[np.ndarray] = []
+    first, trans = 0.0, 0.0
     if tw:
-        first_parts.append(first_time if tw == 1.0 else tw * first_time)
-        trans_parts.append(trans_time if tw == 1.0 else tw * trans_time)
+        first, trans = first + tw * first_time, trans + tw * trans_time
     if ew:
-        p_all, power_active, power_idle, _ = _device_arrays(tables)
+        p_all = _idle_power(tables)[:, None]
         node = (
-            tables.energy_in[0]
-            + tables.energy_out[0]
-            + busy * (power_active - power_idle + p_all)
-            + hostio_time * p_all
+            tables.energy_in
+            + tables.energy_out
+            + busy * (tables.power_active - tables.power_idle + p_all)[:, None, :]
+            + hostio_time * p_all[:, None]
         )
-        edge = tables.penalty_energy[0] + penalty_time * p_all
-        first_parts.append(
-            ew * (node[0] + (tables.first_penalty_energy[0] + first_penalty_time * p_all))
-        )
-        trans_parts.append(ew * (node[1:, None, :] + edge[None, :, :]))
+        edge = tables.penalty_energy + penalty_time * p_all[:, None]
+        first_edge = tables.first_penalty_energy + first_penalty_time * p_all
+        first = first + ew * (node[:, 0] + first_edge)
+        trans = trans + ew * (node[:, 1:, None, :] + edge[:, None])
     if cw:
-        _, _, _, cost_per_hour = _device_arrays(tables)
-        node = (cost_per_hour[None, :] * busy) / 3600.0
-        first_parts.append(cw * node[0])
-        trans_parts.append(cw * node[1:, None, :])
-
-    first = sum(first_parts) if first_parts else np.zeros_like(first_time)
-    trans = sum(trans_parts) if trans_parts else 0.0
+        node = (tables.cost_per_hour[:, None, :] * busy) / 3600.0
+        first, trans = first + cw * node[:, 0], trans + cw * node[:, 1:, None, :]
     # Infeasible transitions (missing links) become +inf so the DP routes
     # around them; a cost-only compile has no NaN of its own, hence the mask
-    # from the time parts.
-    first = np.where(np.isnan(first_time), np.inf, first)
-    first = np.where(np.isnan(first), np.inf, first)
-    trans = np.where(np.isnan(trans_time), np.inf, trans)
-    trans = np.where(np.isnan(trans), np.inf, trans)
+    # from the time parts (which also shapes an all-zero-weight compile).
+    first = np.where(np.isnan(first_time) | np.isnan(first), np.inf, first)
+    trans = np.where(np.isnan(trans_time) | np.isnan(trans), np.inf, trans)
     return first, trans
 
 
-def _viterbi(first: np.ndarray, trans: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimise an additive lattice cost; returns ``(value, device path)``.
+def _viterbi(first: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise a stage-wise lattice cost per row; returns ``(values, paths)``.
 
-    One ``m x m`` broadcast per stage: ``cand[d, d'] = acc[d] + trans[t, d, d']``,
-    minimised over ``d`` with backpointers.  Because float addition is
-    performed in exactly the path order, each state's accumulated value is
-    bitwise the fold the engine would compute for the best prefix reaching it.
+    ``first`` holds each row's first-stage state costs, ``(r, a)``.  A stage
+    of ``steps`` is an ``(r, a, b)`` transition added to the accumulated
+    cost, or a callable mapping that cost to its ``(r, a, b)`` candidates
+    (the level DP's max-plus barrier fold).  Each stage keeps the minimum
+    over ``a`` with backpointers (ties: the lowest state); one backtrack
+    recovers the ``(r, n_stages + 1)`` state paths.  Additions run in path
+    order, so each value is bitwise the engine's fold of its best prefix.
     """
-    m = first.shape[0]
+    rows, states = np.arange(first.shape[0]), np.arange(first.shape[1])
+    row_of = rows[:, None]
     acc = first
-    n_stages = trans.shape[0]
-    backs = np.empty((n_stages, m), dtype=np.intp)
-    cols = np.arange(m)
-    for t in range(n_stages):
-        cand = acc[:, None] + trans[t]
-        arg = cand.argmin(axis=0)
-        backs[t] = arg
-        acc = cand[arg, cols]
-    end = int(acc.argmin())
-    value = float(acc[end])
-    path = np.empty(n_stages + 1, dtype=np.intp)
-    path[-1] = end
-    for t in range(n_stages - 1, -1, -1):
-        path[t] = backs[t, path[t + 1]]
-    return value, path
+    backs: list[list[list[int]]] = []
+    for step in steps:
+        cand = step(acc) if callable(step) else acc[:, :, None] + step
+        arg = cand.argmin(axis=1)
+        backs.append(arg.tolist())
+        if states.size != cand.shape[2]:
+            states = np.arange(cand.shape[2])
+        acc = cand[row_of, arg, states]
+    ends = acc.argmin(axis=1)
+    # Backtracking on Python ints: per-element array indexing costs more.
+    paths = []
+    for row, cursor in enumerate(ends.tolist()):
+        path = [cursor]
+        for back in reversed(backs):
+            cursor = back[row][cursor]
+            path.append(cursor)
+        paths.append(path[::-1])
+    return acc[rows, ends], np.array(paths, dtype=np.intp)
 
 
 # ----------------------------------------------------------------------------
@@ -266,14 +271,28 @@ def decomposable_levels(
     return levels, None
 
 
-def _level_serialize(
-    tables: "GridCostTables",
-    level: Sequence[int],
-    prev_level: Sequence[int] | None,
-    states_prev: np.ndarray | None,
-    states: np.ndarray,
-    base: np.ndarray,
+#: One level of the level DP: its tasks, its ``(B, w)`` joint device states,
+#: per task the predecessors' ``(A,)`` devices under each previous state, and
+#: ``A`` (1 for the first level).
+_Stage = tuple[list[int], np.ndarray, list[list[np.ndarray]], int]
+
+
+def _fan_in(
+    penalty: np.ndarray, first_penalty: np.ndarray, feed: list[np.ndarray], dst: np.ndarray
 ) -> np.ndarray:
+    """One task's fan-in penalty per (previous state, level state) pair: its
+    in-edges' penalties summed in canonical edge order, or the host feed of a
+    source task.  ``penalty``/``first_penalty`` are one row's time or energy
+    arrays."""
+    if not feed:
+        return first_penalty[dst][None, :]
+    pen = np.zeros((feed[0].shape[0], dst.shape[0]))
+    for src in feed:
+        pen += penalty[src[:, None], dst[None, :]]
+    return pen
+
+
+def _level_serialize(tables: "GridCostTables", stage: _Stage, base: np.ndarray) -> np.ndarray:
     """Barrier after one level, per (previous state, level state) pair.
 
     Replays the engine's schedule for the level's tasks in topological order
@@ -285,25 +304,14 @@ def _level_serialize(
     sequence.  Infeasible (missing-link) combinations come out ``+inf``.
     ``tables`` are one-row (plain) tables, read at row 0.
     """
+    level, states, feeds, _ = stage
     busy, hostio_time = tables.busy[0], tables.hostio_time[0]
-    penalty_time, first_penalty_time = tables.penalty_time[0], tables.first_penalty_time[0]
-    A = 1 if states_prev is None else states_prev.shape[0]
-    B = states.shape[0]
-    m = tables.n_devices
-    rows = np.arange(B)
-    avail = np.empty((A, B, m))
+    rows = np.arange(states.shape[0])
+    avail = np.empty((base.shape[0], states.shape[0], tables.n_devices))
     avail[...] = base[:, None, None]
-    column_of = {p: c for c, p in enumerate(prev_level)} if prev_level else {}
     barrier: np.ndarray | None = None
-    for j, t in enumerate(level):
-        dst = states[:, j]
-        preds = tables.pred_positions[t]
-        if preds:
-            pen = np.zeros((A, B))
-            for p in preds:
-                pen += penalty_time[states_prev[:, column_of[p]][:, None], dst[None, :]]
-        else:
-            pen = first_penalty_time[dst][None, :]
+    for t, dst, feed in zip(level, states.T, feeds):
+        pen = _fan_in(tables.penalty_time[0], tables.first_penalty_time[0], feed, dst)
         dur = busy[t, dst][None, :] + (hostio_time[t, dst][None, :] + pen)
         dur = np.where(np.isnan(dur), np.inf, dur)
         start = avail[:, rows, dst]
@@ -314,50 +322,33 @@ def _level_serialize(
 
 
 def _level_transition(
-    tables: "GridCostTables",
-    level: Sequence[int],
-    prev_level: Sequence[int] | None,
-    states_prev: np.ndarray | None,
-    states: np.ndarray,
-    weights: tuple[float, float, float],
-    consts: tuple[float, np.ndarray, np.ndarray, np.ndarray],
+    tables: "GridCostTables", stage: _Stage, weights: tuple[float, float, float], p_all: float
 ) -> np.ndarray:
     """Additive transition cost of one level, per (previous state, state) pair.
 
     ``node + edge + coeff * delta`` where ``delta`` is the level's barrier
-    advance (the serialization with base 0) and ``coeff = tw + ew * P_idle_total``
-    folds the time-proportional part of time and idle energy.  Exact in real
-    arithmetic on barrier-decomposable graphs (winners are re-scored through
-    the engine).  ``tables`` are one-row (plain) tables, read at row 0.
+    advance (the serialization with base 0) and ``coeff = tw + ew * p_all``
+    folds the time-proportional part of time and idle energy (``p_all`` is
+    the idle power of every platform device).  Exact in real arithmetic on
+    barrier-decomposable graphs (winners are re-scored through the engine).
+    ``tables`` are one-row (plain) tables, read at row 0.
     """
     tw, ew, cw = weights
-    p_all, power_active, power_idle, cost_per_hour = consts
+    level, states, feeds, n_prev = stage
     busy = tables.busy[0]
-    A = 1 if states_prev is None else states_prev.shape[0]
-    B = states.shape[0]
-    column_of = {p: c for c, p in enumerate(prev_level)} if prev_level else {}
-    delta = _level_serialize(tables, level, prev_level, states_prev, states, np.zeros(A))
-    total = np.zeros((A, B))
-    for j, t in enumerate(level):
-        dst = states[:, j]
+    delta = _level_serialize(tables, stage, np.zeros(n_prev))
+    total = np.zeros(delta.shape)
+    for t, dst, feed in zip(level, states.T, feeds):
         if ew:
             node = (
                 tables.energy_in[0, t, dst]
                 + tables.energy_out[0, t, dst]
-                + busy[t, dst] * (power_active[dst] - power_idle[dst])
+                + busy[t, dst] * (tables.power_active[0, dst] - tables.power_idle[0, dst])
             )
-            preds = tables.pred_positions[t]
-            if preds:
-                edge = np.zeros((A, B))
-                for p in preds:
-                    edge += tables.penalty_energy[
-                        0, states_prev[:, column_of[p]][:, None], dst[None, :]
-                    ]
-            else:
-                edge = tables.first_penalty_energy[0, dst][None, :]
+            edge = _fan_in(tables.penalty_energy[0], tables.first_penalty_energy[0], feed, dst)
             total = total + ew * (node[None, :] + edge)
         if cw:
-            total = total + cw * ((cost_per_hour[dst] * busy[t, dst]) / 3600.0)[None, :]
+            total = total + cw * ((tables.cost_per_hour[0, dst] * busy[t, dst]) / 3600.0)[None, :]
     coeff = tw + ew * p_all
     if coeff:
         total = total + coeff * delta
@@ -374,49 +365,35 @@ def _plan_levels(
 ) -> tuple[float, np.ndarray, int]:
     """Level DP over joint level assignments; returns ``(value, path, n_states)``.
 
+    Only the stage costs are level-specific; :func:`_viterbi` solves them.
     Pure ``time`` propagates absolute barriers through the engine's max/plus
     fold (monotone in the barrier, so taking the per-state minimum barrier is
     Bellman-exact -- and the optimal value is bitwise the engine's makespan).
     Other objectives accumulate the additive level transitions.
     """
-    m = tables.n_devices
-    maxplus = weights == (1.0, 0.0, 0.0)
-    consts = _device_arrays(tables)
-    states = [placement_matrix(len(level), m).astype(np.intp) for level in levels]
-    n_states = sum(s.shape[0] for s in states)
-
-    if maxplus:
-        acc = _level_serialize(tables, levels[0], None, None, states[0], np.zeros(1))[0]
+    stages: list[_Stage] = []
+    prev_level, prev_states = [], np.zeros((1, 0), dtype=np.intp)
+    for level in levels:
+        column_of = {p: c for c, p in enumerate(prev_level)}
+        feeds = [[prev_states[:, column_of[p]] for p in tables.pred_positions[t]] for t in level]
+        states = placement_matrix(len(level), tables.n_devices).astype(np.intp)
+        stages.append((level, states, feeds, prev_states.shape[0]))
+        prev_level, prev_states = level, states
+    if weights == (1.0, 0.0, 0.0):
+        first = _level_serialize(tables, stages[0], np.zeros(1))
+        steps = [
+            lambda acc, stage=stage: _level_serialize(tables, stage, acc[0])[None]
+            for stage in stages[1:]
+        ]
     else:
-        acc = _level_transition(tables, levels[0], None, None, states[0], weights, consts)[0]
-    backs: list[np.ndarray] = []
-    for index in range(1, len(levels)):
-        prev_states, next_states = states[index - 1], states[index]
-        if maxplus:
-            cand = _level_serialize(
-                tables, levels[index], levels[index - 1], prev_states, next_states, acc
-            )
-        else:
-            trans = _level_transition(
-                tables, levels[index], levels[index - 1], prev_states, next_states, weights, consts
-            )
-            cand = acc[:, None] + trans
-        arg = cand.argmin(axis=0)
-        backs.append(arg)
-        acc = cand[arg, np.arange(next_states.shape[0])]
-    end = int(acc.argmin())
-    value = float(acc[end])
-
-    state_path = [0] * len(levels)
-    state_path[-1] = end
-    for index in range(len(levels) - 2, -1, -1):
-        state_path[index] = int(backs[index][state_path[index + 1]])
+        p_all = float(_idle_power(tables)[0])
+        first, *rest = [_level_transition(tables, stage, weights, p_all) for stage in stages]
+        steps = [trans[None] for trans in rest]
+    values, state_paths = _viterbi(first, steps)
     path = np.empty(tables.n_tasks, dtype=np.intp)
-    for index, level in enumerate(levels):
-        assignment = states[index][state_path[index]]
-        for j, t in enumerate(level):
-            path[t] = assignment[j]
-    return value, path, n_states
+    for (level, states, _, _), state in zip(stages, state_paths[0]):
+        path[level] = states[state]
+    return float(values[0]), path, sum(stage[1].shape[0] for stage in stages)
 
 
 # ----------------------------------------------------------------------------
@@ -649,8 +626,9 @@ def _dp_plan(
         dp_value, path, n_states = _plan_levels(tables, levels, weights)
         method = "level-dp"
     else:
-        first, trans = _chain_lattice(tables, weights)
-        dp_value, path = _viterbi(first, trans)
+        first, trans = _lattice(tables, weights)
+        values, paths = _viterbi(first, trans.swapaxes(0, 1))
+        dp_value, path = float(values[0]), paths[0]
         n_states = tables.n_tasks * tables.n_devices
         method = "chain-dp"
     if not np.isfinite(dp_value):
@@ -780,62 +758,54 @@ def _refusal(reason: str, option: str = "method") -> ValueError:
 # Scenario-grid (robust) planning
 # ----------------------------------------------------------------------------
 
-def _grid_lattices(
-    tables: "GridCostTables", weights: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-scenario compiled lattices, stacked ``(s, m)`` / ``(s, k-1, m, m)``."""
-    firsts = []
-    transes = []
-    for index in range(tables.n_scenarios):
-        first, trans = _chain_lattice(tables.table(index), weights)
-        firsts.append(first)
-        transes.append(trans)
-    return np.stack(firsts), np.stack(transes)
-
-
 def grid_baselines(tables: "GridCostTables", base: "str | Objective") -> np.ndarray:
-    """Exact per-scenario optima of a plannable base objective (one DP each).
+    """Exact per-scenario optima of a plannable base objective over chain tables.
 
     Replaces :func:`~repro.search.robust.search_grid`'s first streaming pass
-    for regret objectives: each scenario's minimum comes from a chain DP over
-    that scenario's lattice, re-scored through the engine so the returned
-    value is bitwise the minimum the streaming sweep would have found.
+    for regret objectives: each scenario's minimum comes from the chain DP
+    over that scenario's lattice, re-scored through the engine so the
+    returned value is bitwise the minimum the streaming sweep would have
+    found.  Non-plannable bases and non-linear graph tables raise
+    :func:`plan_grid`'s refusal, which points to ``search_grid``.
     """
+    from .robust import RegretObjective
+
     obj = as_objective(base)
-    weights = planner_objective_weights(obj)
-    if weights is None:
-        raise ValueError(
-            f"base objective {obj.name!r} is not DP-plannable; stream the "
-            "baseline pass instead"
-        )
-    out = np.empty(tables.n_scenarios)
-    for index in range(tables.n_scenarios):
-        scenario_tables = tables.table(index)
-        first, trans = _chain_lattice(scenario_tables, weights)
-        dp_value, path = _viterbi(first, trans)
-        if not np.isfinite(dp_value):
-            raise _infeasible_error(scenario_tables, obj.name)
-        batch = execute_placements(scenario_tables, path[None, :])
-        out[index] = float(obj(batch)[0])
-    return out
+    reason = _grid_refusal(tables, RegretObjective(base=obj))
+    if reason is not None:
+        raise ValueError(reason)
+    return _scenario_optima(tables, obj, *_lattice(tables, planner_objective_weights(obj)))
+
+
+def _scenario_optima(
+    tables: "GridCostTables", objective: Objective, firsts: np.ndarray, transes: np.ndarray
+) -> np.ndarray:
+    """Every row's optimum: one Viterbi over all rows, then one engine run of
+    the ``s`` winners, whose diagonal (winner ``i`` in scenario ``i``) holds
+    the values."""
+    values, paths = _viterbi(firsts, transes.swapaxes(0, 1))
+    if not np.isfinite(values).all():
+        raise _infeasible_error(tables, objective.name)
+    return np.diagonal(objective(execute_placements_grid(tables, paths))).copy()
 
 
 def _label_dp(
     firsts: np.ndarray,
     transes: np.ndarray,
-    score: Callable[[np.ndarray], np.ndarray],
+    baselines: np.ndarray | None,
     max_labels: int,
 ) -> tuple[float, np.ndarray, int]:
     """Exact min-max DP: per (stage, device), the Pareto front of per-scenario
     prefix-cost vectors.
 
-    Dominance pruning is sound because the final score (a max over scenario
-    components, possibly shifted by baselines) is monotone non-decreasing in
+    The final score is the max over scenario components (worst case), less
+    the per-scenario ``baselines`` first when given (regret).  Dominance
+    pruning is sound because that score is monotone non-decreasing in
     every component: a dominated prefix can never finish strictly better.
     Returns ``(value, device path, peak label count)``; raises when the label
     frontier exceeds ``max_labels`` (the caller falls back to streaming).
     """
-    s, m = firsts.shape[0], firsts.shape[1]
+    m = firsts.shape[1]
     labels = firsts.T.copy()  # (N, s): one label per start device
     device_of = np.arange(m, dtype=np.intp)
     feasible = np.isfinite(labels).all(axis=1)
@@ -845,9 +815,11 @@ def _label_dp(
     peak = labels.shape[0]
     n_stages = transes.shape[1]
     for t in range(n_stages):
-        new_labels: list[np.ndarray] = []
-        new_parent: list[np.ndarray] = []
-        new_device: list[np.ndarray] = []
+        # Empty leaders keep the concatenations defined once no label
+        # survives; the one infeasibility check follows the last stage.
+        new_labels = [labels[:0]]
+        new_parent = [device_of[:0]]
+        new_device = [device_of[:0]]
         for d2 in range(m):
             step = transes[:, t, device_of, d2].T  # (N, s)
             cand = labels + step
@@ -859,11 +831,6 @@ def _label_dp(
             new_labels.append(cand[keep])
             new_parent.append(keep)
             new_device.append(np.full(keep.size, d2, dtype=np.intp))
-        if not new_labels:
-            raise KeyError(
-                "no feasible placement: every path through the scenario lattice "
-                "crosses a missing link"
-            )
         labels = np.concatenate(new_labels)
         parent = np.concatenate(new_parent)
         device_of = np.concatenate(new_device)
@@ -881,7 +848,7 @@ def _label_dp(
             "no feasible placement: every path through the scenario lattice "
             "crosses a missing link"
         )
-    scores = score(labels)
+    scores = (labels if baselines is None else labels - baselines[None, :]).max(axis=1)
     best = int(scores.argmin())
     value = float(scores[best])
     path = np.empty(n_stages + 1, dtype=np.intp)
@@ -936,12 +903,10 @@ def _plan_grid_tables(
     """The robust chain DP over grid tables the dispatch rule admitted; raises
     ``ValueError`` for what shows only as it runs (the label budget, or
     expectation weights that miss the scenario count)."""
-    from ..devices.grid import execute_placements_grid
     from .robust import ExpectedValueObjective, RegretObjective
 
     base_obj = as_objective(robust.base)
-    weights = planner_objective_weights(base_obj)
-    firsts, transes = _grid_lattices(tables, weights)
+    firsts, transes = _lattice(tables, planner_objective_weights(base_obj))
     baselines: np.ndarray | None = None
     n_labels = 0
     if isinstance(robust, ExpectedValueObjective):
@@ -959,26 +924,16 @@ def _plan_grid_tables(
         # NaN; the entry is infeasible for every scenario alike, so pin +inf.
         first = np.where(np.isnan(first), np.inf, first)
         trans = np.where(np.isnan(trans), np.inf, trans)
-        dp_value, path = _viterbi(first, trans)
+        values, paths = _viterbi(first[None], trans[:, None])
+        dp_value, path = float(values[0]), paths[0]
         if not np.isfinite(dp_value):
-            raise _infeasible_error(tables.table(0), robust.name)
+            raise _infeasible_error(tables, robust.name)
         method = "chain-dp"
         robust = robust if robust.weights is not None else robust.with_weights(grid_weights)
-    elif isinstance(robust, RegretObjective):
-        baselines = grid_baselines(tables, robust.base)
-        fixed = baselines
-
-        def regret_score(labels: np.ndarray) -> np.ndarray:
-            return (labels - fixed[None, :]).max(axis=1)
-
-        dp_value, path, n_labels = _label_dp(firsts, transes, regret_score, max_labels)
-        method = "label-dp"
     else:
-
-        def worst_score(labels: np.ndarray) -> np.ndarray:
-            return labels.max(axis=1)
-
-        dp_value, path, n_labels = _label_dp(firsts, transes, worst_score, max_labels)
+        if isinstance(robust, RegretObjective):
+            baselines = _scenario_optima(tables, base_obj, firsts, transes)
+        dp_value, path, n_labels = _label_dp(firsts, transes, baselines, max_labels)
         method = "label-dp"
 
     grid = execute_placements_grid(tables, path[None, :])

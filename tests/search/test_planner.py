@@ -30,8 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices import Platform, SimulatedExecutor
-from repro.scenarios import DvfsFrequencyScale, LinkBandwidthScale, Scenario
+from repro.devices import Platform, SimulatedExecutor, edge_cluster_platform, lte, wifi_ac
+from repro.scenarios import (
+    DvfsFrequencyScale,
+    LinkBandwidthScale,
+    Scenario,
+    link_degradation_grid,
+)
 from repro.search import (
     DeadlineConstraint,
     DecisionObjective,
@@ -136,21 +141,26 @@ class TestChainPlanner:
         n_devices=st.integers(2, 4),
         subset_size=st.integers(1, 3),
         n_tasks=st.integers(1, 5),
+        objective_index=st.integers(0, len(OBJECTIVES) - 1),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
     def test_device_subsets_restrict_the_planned_space(
-        self, n_devices, subset_size, n_tasks, seed
+        self, n_devices, subset_size, n_tasks, objective_index, seed
     ):
+        # Devices outside the subset idle for the whole run, so energy and
+        # weighted objectives reach their idle power.
         rng = np.random.default_rng(seed)
         platform = random_platform(rng, n_devices)
         executor = SimulatedExecutor(platform)
         chain = random_chain(rng, n_tasks)
+        objective = as_objective(OBJECTIVES[objective_index])
         subset = list(platform.aliases)[: min(subset_size, n_devices)]
-        brute = executor.execute_batch(chain, devices=subset).total_time_s.min()
-        plan = plan_workload(executor, chain, "time", devices=subset)
+        brute = float(objective(executor.execute_batch(chain, devices=subset)).min())
+        plan = plan_workload(executor, chain, objective, devices=subset)
         assert plan.aliases == tuple(subset)
-        assert plan.value == float(brute)
+        assert plan.value == brute
+        assert plan.dp_value == pytest.approx(plan.value, rel=1e-9)
         assert set(plan.placement) <= set(subset)
 
     @given(seed=st.integers(0, 2**32 - 1), n_tasks=st.integers(1, 5))
@@ -447,6 +457,19 @@ class TestGridPlanner:
             plan = plan_grid(executor, chain, scenarios, objective)
             assert isinstance(plan, GridPlanResult)
             assert plan.value == streamed.top[objective.name].values[0]
+        # A device subset leaves the host idle for the whole run, which only
+        # an energy base prices.
+        subset = list(executor.platform.aliases)[1:]
+        energy = [WorstCaseObjective(base="energy"), RegretObjective(base="energy")]
+        streamed = search_grid(
+            executor, chain, scenarios, objectives=energy, top_k=1,
+            baseline_method="stream", devices=subset,
+        )
+        for objective in energy:
+            plan = plan_grid(executor, chain, scenarios, objective, devices=subset)
+            assert plan.aliases == tuple(subset)
+            assert plan.value == streamed.top[objective.name].values[0]
+            assert plan.dp_value == pytest.approx(plan.value, rel=1e-9)
 
     @given(
         n_devices=st.integers(2, 3),
@@ -521,6 +544,17 @@ class TestGridPlanner:
         graph = fork_join_graph()
         with pytest.raises(ValueError, match="search_grid"):
             plan_grid(executor, graph, random_scenarios(rng, 2), "time")
+
+    def test_grid_baselines_reject_non_linear_graph_tables(self):
+        # The chain lattice of a fork-join graph prices a different schedule;
+        # its "baselines" were larger than the streamed minima.
+        executor = SimulatedExecutor(edge_cluster_platform())
+        grid = link_degradation_grid(
+            (("D", "E"), ("D", "A"), ("E", "A")), start=wifi_ac(), end=lte(), n_points=3
+        )
+        tables = executor.grid_cost_tables(fork_join_graph(), grid, None)
+        with pytest.raises(ValueError, match="chain workloads only; fall back to search_grid"):
+            grid_baselines(tables, "time")
 
     def test_non_plannable_base_is_rejected(self):
         rng = np.random.default_rng(20)

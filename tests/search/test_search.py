@@ -9,6 +9,8 @@ small enough to materialise those must match the profile-based facade
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,12 @@ class TestObjectives:
         assert np.allclose(objective(batch), expected)
         with pytest.raises(ValueError):
             WeightedSumObjective(time_weight=-1.0)
+
+    @pytest.mark.parametrize("field", ["time_weight", "energy_weight", "cost_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_weighted_sum_rejects_non_finite_and_negative_weights(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            WeightedSumObjective(**{field: value})
 
     def test_decision_objective_matches_model(self, small_space):
         *_, batch, profiles = small_space
