@@ -61,7 +61,7 @@ SCALE_DEVICES = 12
 SCALE_SECONDS_FLOOR = 1.0
 SEED = 0
 #: Best-of-N seconds each planner path may take on ``edge_cluster_platform``
-#: (about 3x the values measured on a 2-vCPU container: 0.16 ms, 1.2 ms and
+#: (about 3x the values measured on a 2-vCPU container: 0.15 ms, 1.1 ms and
 #: 0.45 ms).
 CEILINGS_S = {
     "plan_chain_9": 0.0005,

@@ -606,9 +606,8 @@ def digest_plan_workload(section: Section) -> None:
         # Device subsets leave platform devices idle for the whole run, so
         # their idle power enters every energy term; a chain as a linear
         # graph runs the level DP on width-one levels.
-        subset_objectives = objectives[1:4]
         for devices in _device_subsets(executor.platform):
-            for index, objective in enumerate(subset_objectives):
+            for index, objective in enumerate(objectives[1:4]):
                 section.case(
                     f"{seed}/{'+'.join(devices)}/{index}",
                     lambda: record(plan_workload(executor, workload, objective, devices=devices)),

@@ -546,8 +546,8 @@ class TestGridPlanner:
             plan_grid(executor, graph, random_scenarios(rng, 2), "time")
 
     def test_grid_baselines_reject_non_linear_graph_tables(self):
-        # The chain lattice of a fork-join graph prices a different schedule;
-        # its "baselines" were larger than the streamed minima.
+        # The chain lattice of a fork-join graph prices a different schedule
+        # than the graph engine, so its optima are not the grid's baselines.
         executor = SimulatedExecutor(edge_cluster_platform())
         grid = link_degradation_grid(
             (("D", "E"), ("D", "A"), ("E", "A")), start=wifi_ac(), end=lte(), n_points=3
